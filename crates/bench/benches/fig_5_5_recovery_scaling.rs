@@ -8,26 +8,15 @@
 //! time is proportional to the diameter of the interconnect".
 //!
 //! Set `FLASH_BIG=1` to extend the sweep past the paper's 128-node ceiling
-//! to 512 and 1024 nodes on the sharded executor (8 regions), re-checking
-//! that the dissemination phase still dominates total recovery time at
-//! sizes the paper could not simulate.
+//! to 512 and 1024 nodes, re-checking that the dissemination phase still
+//! dominates total recovery time at sizes the paper could not simulate.
 
 use flash_bench::{banner, ResultSheet, Stopwatch};
-use flash_core::{run_fault_experiment, run_fault_experiment_sharded, ExperimentConfig};
-use flash_machine::{FaultSpec, MachineParams, ShardPlan, TopologyKind};
+use flash_core::{run_fault_experiment, ExperimentConfig};
+use flash_machine::{FaultSpec, MachineParams, TopologyKind};
 use flash_net::NodeId;
 
-fn recovery_times(n: usize, topology: TopologyKind, seed: u64) -> [f64; 4] {
-    recovery_times_planned(n, topology, seed, None, 3_000)
-}
-
-fn recovery_times_planned(
-    n: usize,
-    topology: TopologyKind,
-    seed: u64,
-    plan: Option<ShardPlan>,
-    total_ops: u64,
-) -> [f64; 4] {
+fn recovery_times(n: usize, topology: TopologyKind, seed: u64, total_ops: u64) -> [f64; 4] {
     let mut params = MachineParams::table_5_1();
     params.n_nodes = n;
     params.topology = topology;
@@ -36,11 +25,7 @@ fn recovery_times_planned(
     let mut cfg = ExperimentConfig::new(params, seed);
     cfg.fill_ops = 100;
     cfg.total_ops = total_ops;
-    let fault = FaultSpec::Node(NodeId(1));
-    let out = match plan {
-        Some(p) => run_fault_experiment_sharded(&cfg, fault, p),
-        None => run_fault_experiment(&cfg, fault),
-    };
+    let out = run_fault_experiment(&cfg, FaultSpec::Node(NodeId(1)));
     assert!(out.passed(), "n={n} {topology:?}: {}", out.validation);
     let p = out.recovery.phases;
     [
@@ -70,7 +55,7 @@ fn main() {
     );
     let mut mesh_p2 = Vec::new();
     for &n in &sizes {
-        let t = recovery_times(n, TopologyKind::Mesh2D, 7);
+        let t = recovery_times(n, TopologyKind::Mesh2D, 7, 3_000);
         mesh_p2.push(t[1] - t[0]);
         sheet.push(format!("mesh/nodes={n}"), &t);
         println!(
@@ -88,7 +73,7 @@ fn main() {
         if !n.is_power_of_two() {
             continue;
         }
-        let t = recovery_times(n, TopologyKind::Hypercube, 7);
+        let t = recovery_times(n, TopologyKind::Hypercube, 7, 3_000);
         sheet.push(format!("hypercube/nodes={n}"), &t);
         let cube_p2 = t[1] - t[0];
         println!(
@@ -98,12 +83,11 @@ fn main() {
             mesh_p2[i] / cube_p2.max(1e-9)
         );
     }
-    // Past the paper's ceiling: 512 and 1024 nodes on the sharded
-    // executor. The claim under test is qualitative — dissemination (P2)
-    // still dominates total recovery as the mesh diameter grows.
+    // Past the paper's ceiling: 512 and 1024 nodes. The claim under test
+    // is qualitative — dissemination (P2) still dominates total recovery
+    // as the mesh diameter grows.
     if std::env::var("FLASH_BIG").is_ok_and(|v| v == "1") {
-        let workers = std::thread::available_parallelism().map_or(1, |m| m.get().min(8));
-        println!("\nbeyond the paper (sharded executor, 8 regions, {workers} workers):");
+        println!("\nbeyond the paper:");
         println!(
             "{:>6} {:>12} {:>12} {:>12} {:>12} {:>9}",
             "nodes", "P1 [ms]", "P1,2 [ms]", "P1,2,3 [ms]", "total [ms]", "P2/total"
@@ -113,17 +97,11 @@ fn main() {
         // while post-fault check traffic scales with nodes*ops and at 512+
         // nodes turns the drain into a 100M+-event retry storm that can
         // even tip a mid-storm watchdog restart — a valid execution, but
-        // tens of minutes of single-host wall for no additional signal.
+        // tens of minutes of host time for no additional signal.
         for &n in &[512usize, 1024] {
-            let t = recovery_times_planned(
-                n,
-                TopologyKind::Mesh2D,
-                7,
-                Some(ShardPlan::new(8, workers)),
-                600,
-            );
+            let t = recovery_times(n, TopologyKind::Mesh2D, 7, 600);
             let p2_share = (t[1] - t[0]) / t[3];
-            sheet.push(format!("mesh-sharded/nodes={n}"), &t);
+            sheet.push(format!("mesh/nodes={n}"), &t);
             println!(
                 "{n:>6} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>8.0}%",
                 t[0],

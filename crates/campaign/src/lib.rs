@@ -57,8 +57,7 @@ mod triage;
 
 pub use invariants::{check_all, GrayFacts, RunContext, Violation};
 pub use runner::{
-    per_run_seed, run_campaign, run_schedule, run_schedule_sharded, CampaignConfig, CampaignReport,
-    RunRecord, Verdict,
+    per_run_seed, run_campaign, run_schedule, CampaignConfig, CampaignReport, RunRecord, Verdict,
 };
 pub use schedule::{generate, json_escape, FaultEvent, GeneratorConfig, InjectAt, Mode, Schedule};
 pub use triage::{campaign_dir, post_mortem_json, shrink, triage, TriageReport};
@@ -278,59 +277,6 @@ mod tests {
             traces(&par),
             "merged traces must be identical across 1 and 8 workers"
         );
-    }
-
-    #[test]
-    fn sharded_campaign_is_identical_across_intra_run_worker_counts() {
-        use flash_machine::ShardPlan;
-
-        // The intra-run counterpart of the 1-vs-8-worker tests above: each
-        // run itself executes on the sharded simulator core, and the
-        // number of threads multiplexing a run's shards must never show up
-        // in any record — schedule outcomes, verdicts or merged trace
-        // hashes. (The region count is pinned: it is part of the run
-        // identity, like the seed.)
-        let base = CampaignConfig {
-            master_seed: 53,
-            runs: 4,
-            workers: 1,
-            shard: Some(ShardPlan::new(4, 1)),
-            generator: GeneratorConfig {
-                min_nodes: 8,
-                max_nodes: 10,
-                max_events: 2,
-                gray_chance: 0.4,
-                ..GeneratorConfig::default()
-            },
-        };
-        let one = run_campaign(&base);
-        let eight = run_campaign(&CampaignConfig {
-            shard: Some(ShardPlan::new(4, 8)),
-            ..base
-        });
-        let key = |r: &CampaignReport| -> Vec<(u64, bool, u64, &'static str, u64)> {
-            r.records
-                .iter()
-                .map(|rec| {
-                    (
-                        rec.schedule.seed,
-                        rec.passed(),
-                        rec.end_time_ns,
-                        rec.verdict.kind_str(),
-                        rec.trace_hash,
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(
-            key(&one),
-            key(&eight),
-            "sharded campaign must be bit-identical across intra-run worker counts"
-        );
-        assert_eq!(one.total_violations(), 0, "failures: {:?}", {
-            let v: Vec<_> = one.failures().map(|f| &f.violations).collect();
-            v
-        });
     }
 
     #[test]

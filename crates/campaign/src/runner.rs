@@ -17,7 +17,7 @@ use flash_coherence::{LineAddr, NodeSet};
 use flash_core::{build_machine, FcMachine, RecoveryConfig};
 use flash_hive::{os, CellLayout, CompileTask, HiveConfig, ServerLoop, TaskState};
 use flash_hivekv::{prepare_kv_serving, KvConfig, KvStats};
-use flash_machine::{FaultSpec, Idle, MachineParams, ProcState, RandomFill, ShardPlan};
+use flash_machine::{FaultSpec, Idle, MachineParams, ProcState, RandomFill};
 use flash_net::NodeId;
 use flash_sim::{DetRng, RunOutcome, SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -136,36 +136,10 @@ struct Armed {
 
 /// Executes one schedule and checks the invariant stack.
 pub fn run_schedule(s: &Schedule) -> RunRecord {
-    run_schedule_with(s, None)
-}
-
-/// [`run_schedule`] with machine-mode slices driven through the sharded
-/// executor ([`flash_machine::Machine::run_until_sharded`]).
-///
-/// `plan.regions` is part of the run identity — a sharded record is its
-/// own valid discretization and need not match a serial [`run_schedule`]
-/// record — but `plan.workers` never is: the record is bit-identical for
-/// any worker count, which is what the intra-run determinism campaign
-/// tests assert. Hive and KV schedules (slice loops owned by their prep
-/// harnesses) still run on the serial engine.
-pub fn run_schedule_sharded(s: &Schedule, plan: ShardPlan) -> RunRecord {
-    run_schedule_with(s, Some(plan))
-}
-
-fn run_schedule_with(s: &Schedule, plan: Option<ShardPlan>) -> RunRecord {
     match s.mode {
-        Mode::Machine => run_machine_schedule(s, plan),
+        Mode::Machine => run_machine_schedule(s),
         Mode::Hive => run_hive_schedule(s),
         Mode::HiveKv => run_kv_schedule(s),
-    }
-}
-
-/// Advances the machine to `horizon` on the serial engine or, given a
-/// plan, on the sharded executor.
-fn drive(m: &mut FcMachine, horizon: SimTime, plan: Option<ShardPlan>) -> RunOutcome {
-    match plan {
-        Some(p) => m.run_until_sharded(horizon, p),
-        None => m.run_until(horizon),
     }
 }
 
@@ -244,7 +218,7 @@ fn finalize(
 // Machine mode (Section 5.2 harness)
 // ----------------------------------------------------------------------
 
-fn run_machine_schedule(s: &Schedule, plan: Option<ShardPlan>) -> RunRecord {
+fn run_machine_schedule(s: &Schedule) -> RunRecord {
     let mut params = MachineParams::tiny();
     params.n_nodes = s.n_nodes;
     params.magic.firewall_enabled = s.firewall_enabled;
@@ -286,7 +260,7 @@ fn run_machine_schedule(s: &Schedule, plan: Option<ShardPlan>) -> RunRecord {
     let mut guard = 0;
     loop {
         let horizon = m.now() + slice;
-        let out = drive(&mut m, horizon, plan);
+        let out = m.run_until(horizon);
         if m.st()
             .nodes
             .iter()
@@ -352,12 +326,12 @@ fn run_machine_schedule(s: &Schedule, plan: Option<ShardPlan>) -> RunRecord {
             }
         }
         if pending.is_empty() {
-            let out = drive(&mut m, horizon, plan);
+            let out = m.run_until(horizon);
             finished = out == RunOutcome::Drained;
             break;
         }
         let step = m.now() + SimDuration::from_micros(10);
-        let out = drive(&mut m, step, plan);
+        let out = m.run_until(step);
         if out == RunOutcome::Drained {
             finished = true;
             break;
@@ -826,11 +800,10 @@ pub struct CampaignConfig {
     pub runs: u64,
     /// Worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Drive each machine-mode run through the sharded executor with this
-    /// plan (`None` = serial engine). The plan's region count is part of
-    /// every run's identity; its worker count is not — see
-    /// [`run_schedule_sharded`].
-    pub shard: Option<ShardPlan>,
+    /// Always `None` (the type has no other value), so this is not a
+    /// setting. It remains only because the benchmark adapter
+    /// (`perfbench/src/adapter.rs`) spells the field out.
+    pub shard: Option<std::convert::Infallible>,
     /// Schedule-generator tunables.
     pub generator: GeneratorConfig,
 }
@@ -900,7 +873,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
                 }
                 let seed = per_run_seed(cfg.master_seed, i);
                 let schedule = generate(seed, &cfg.generator);
-                let record = run_schedule_with(&schedule, cfg.shard);
+                let record = run_schedule(&schedule);
                 slots.lock().expect("campaign result lock")[i as usize] = Some(record);
             });
         }

@@ -1,8 +1,8 @@
 //! A compact bitset of node ids, used for directory sharer lists and
 //! recovery-state vectors. Supports machines of up to 1024 nodes: the paper
-//! evaluates up to 128 and FLASH scales to 512, but the sharded executor's
-//! beyond-the-paper sweeps run 512- and 1024-node meshes, which need every
-//! sharer list and recovery vector to address the full machine.
+//! evaluates up to 128 and FLASH scales to 512, but the beyond-the-paper
+//! Figure 5.5 rows (`FLASH_BIG=1`) run 512- and 1024-node meshes, which need
+//! every sharer list and recovery vector to address the full machine.
 
 use core::fmt;
 use flash_net::NodeId;

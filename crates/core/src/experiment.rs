@@ -8,9 +8,7 @@
 
 use crate::config::{RecoveryConfig, RecoveryReport};
 use crate::ext::RecoveryExt;
-use flash_machine::{
-    FaultSpec, Machine, MachineParams, RandomFill, ShardPlan, ValidationReport, Workload,
-};
+use flash_machine::{FaultSpec, Machine, MachineParams, RandomFill, ValidationReport, Workload};
 use flash_net::{NodeId, RouterId};
 use flash_sim::{DetRng, RunOutcome, SimDuration, SimTime};
 
@@ -102,31 +100,6 @@ pub fn run_fault_experiment(cfg: &ExperimentConfig, fault: FaultSpec) -> Experim
     finish_fault_experiment(m, fault)
 }
 
-/// [`run_fault_experiment`] on the sharded executor: the same experiment
-/// driven through [`flash_machine::Machine::run_until_sharded`].
-///
-/// The result is a function of `(cfg, fault, plan.regions)`;
-/// `plan.workers` never changes it — which is exactly what the
-/// cross-worker determinism campaigns assert via the outcome's
-/// `trace_hash`.
-pub fn run_fault_experiment_sharded(
-    cfg: &ExperimentConfig,
-    fault: FaultSpec,
-    plan: ShardPlan,
-) -> ExperimentOutcome {
-    let m = prepare_fault_experiment_sharded(cfg, plan);
-    finish_fault_experiment_sharded(m, fault, plan)
-}
-
-/// Advances the machine to `horizon` on the serial engine or, given a
-/// plan, on the sharded executor.
-fn drive(m: &mut FcMachine, horizon: SimTime, plan: Option<ShardPlan>) -> RunOutcome {
-    match plan {
-        Some(p) => m.run_until_sharded(horizon, p),
-        None => m.run_until(horizon),
-    }
-}
-
 /// Builds the machine and runs the cache-fill prelude (Phase A): every
 /// processor completes `cfg.fill_ops` operations with no fault armed.
 ///
@@ -136,16 +109,6 @@ fn drive(m: &mut FcMachine, horizon: SimTime, plan: Option<ShardPlan>) -> RunOut
 /// fill across every run that shares `(params, seed)`. Composing this with
 /// [`finish_fault_experiment`] is exactly [`run_fault_experiment`].
 pub fn prepare_fault_experiment(cfg: &ExperimentConfig) -> FcMachine {
-    prepare_inner(cfg, None)
-}
-
-/// [`prepare_fault_experiment`] on the sharded executor (the fill phase
-/// is where sharding pays: dense, embarrassingly regional traffic).
-pub fn prepare_fault_experiment_sharded(cfg: &ExperimentConfig, plan: ShardPlan) -> FcMachine {
-    prepare_inner(cfg, Some(plan))
-}
-
-fn prepare_inner(cfg: &ExperimentConfig, plan: Option<ShardPlan>) -> FcMachine {
     let layout = cfg.params.layout();
     let protected = cfg.params.protected_lines;
     let (total_ops, write_fraction) = (cfg.total_ops, cfg.write_fraction);
@@ -170,7 +133,7 @@ fn prepare_inner(cfg: &ExperimentConfig, plan: Option<ShardPlan>) -> FcMachine {
     let mut guard = 0;
     loop {
         let horizon = m.now() + slice;
-        let outcome = drive(&mut m, horizon, plan);
+        let outcome = m.run_until(horizon);
         let filled = m
             .st()
             .nodes
@@ -190,28 +153,14 @@ fn prepare_inner(cfg: &ExperimentConfig, plan: Option<ShardPlan>) -> FcMachine {
 /// Injects `fault` into a warm machine (fresh from
 /// [`prepare_fault_experiment`] or forked from its checkpoint), runs to
 /// quiescence and validates against the oracle (Phases B and C).
-pub fn finish_fault_experiment(m: FcMachine, fault: FaultSpec) -> ExperimentOutcome {
-    finish_inner(m, fault, None)
-}
-
-/// [`finish_fault_experiment`] on the sharded executor: identical phases,
-/// driven through [`flash_machine::Machine::run_until_sharded`].
-pub fn finish_fault_experiment_sharded(
-    m: FcMachine,
-    fault: FaultSpec,
-    plan: ShardPlan,
-) -> ExperimentOutcome {
-    finish_inner(m, fault, Some(plan))
-}
-
-fn finish_inner(mut m: FcMachine, fault: FaultSpec, plan: Option<ShardPlan>) -> ExperimentOutcome {
+pub fn finish_fault_experiment(mut m: FcMachine, fault: FaultSpec) -> ExperimentOutcome {
     // Phase B: inject the fault while the workload is running.
     let inject_at = m.now() + SimDuration::from_nanos(1);
     m.schedule_fault(inject_at, fault);
 
     // Phase C: run to quiescence (workload completion + recovery + drain).
     let budget = m.now() + SimDuration::from_secs(20);
-    let outcome = drive(&mut m, budget, plan);
+    let outcome = m.run_until(budget);
     let finished = outcome == RunOutcome::Drained;
 
     let bus_errors = m.st().counters.get("bus_errors");
@@ -367,27 +316,6 @@ mod tests {
         assert!(out.recovery.completed(), "{:?}", out.recovery);
         assert_eq!(out.recovery.restarts, 0, "{:?}", out.recovery);
         assert!(out.validation.passed(), "{}", out.validation);
-    }
-
-    #[test]
-    fn sharded_experiment_is_worker_count_invariant() {
-        // The full experiment pipeline (fill, inject, recover, validate)
-        // through the sharded executor must give a bit-identical trace for
-        // any worker count, and match the recovery outcome contract.
-        let cfg = ExperimentConfig::new(flash_machine::MachineParams::tiny(), 11);
-        let fault = FaultSpec::Node(NodeId(2));
-        let runs: Vec<ExperimentOutcome> = [1usize, 2, 4]
-            .iter()
-            .map(|&w| run_fault_experiment_sharded(&cfg, fault.clone(), ShardPlan::new(4, w)))
-            .collect();
-        for out in &runs {
-            assert!(out.passed(), "{:?} / {}", out.recovery, out.validation);
-        }
-        for out in &runs[1..] {
-            assert_eq!(out.trace_hash, runs[0].trace_hash);
-            assert_eq!(out.end_time, runs[0].end_time);
-            assert_eq!(out.bus_errors, runs[0].bus_errors);
-        }
     }
 
     #[test]

@@ -43,9 +43,8 @@ mod view;
 
 pub use config::{PhaseEntries, PhaseTimes, RecoveryConfig, RecoveryReport};
 pub use experiment::{
-    build_machine, finish_fault_experiment, finish_fault_experiment_sharded, mesh_width,
-    prepare_fault_experiment, prepare_fault_experiment_sharded, random_fault, run_fault_experiment,
-    run_fault_experiment_sharded, ExperimentConfig, ExperimentOutcome, FaultKind, FcMachine,
+    build_machine, finish_fault_experiment, mesh_width, prepare_fault_experiment, random_fault,
+    run_fault_experiment, ExperimentConfig, ExperimentOutcome, FaultKind, FcMachine,
 };
 pub use ext::{RecEv, RecoveryExt, Step};
 pub use msg::{BarrierId, RecMsg};

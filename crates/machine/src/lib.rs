@@ -49,9 +49,7 @@ mod payload;
 mod workload;
 
 pub use fault::FaultSpec;
-pub use machine::{
-    Checkpoint, Ev, Extension, Machine, MachineState, MachineWorld, NullExtension, ShardPlan,
-};
+pub use machine::{Checkpoint, Ev, Extension, Machine, MachineState, MachineWorld, NullExtension};
 pub use node::{IoDevice, NodeCtx, OutPkt, ProcState};
 pub use oracle::{Oracle, ValidationReport};
 pub use params::{MachineParams, TopologyKind};

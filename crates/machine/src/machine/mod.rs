@@ -35,13 +35,11 @@ mod coh;
 mod inject;
 mod proc;
 mod recovery;
-mod sharded;
 mod stats;
 #[cfg(test)]
 mod tests;
 mod world;
 
-pub use sharded::ShardPlan;
 pub use world::MachineWorld;
 
 use crate::fault::FaultSpec;

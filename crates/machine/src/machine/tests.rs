@@ -1,11 +1,11 @@
-use super::{Extension, Machine, NullExtension, ShardPlan};
+use super::{Extension, Machine, NullExtension};
 use crate::fault::FaultSpec;
 use crate::node::ProcState;
 use crate::params::MachineParams;
 use crate::workload::{ProcOp, RandomFill, Script, Workload};
 use flash_coherence::{DirState, LineAddr, NodeSet};
 use flash_net::NodeId;
-use flash_sim::{RunOutcome, SimTime};
+use flash_sim::SimTime;
 
 fn quiesce<X: Extension>(m: &mut Machine<X>) {
     m.run_until(SimTime::MAX);
@@ -314,121 +314,6 @@ fn infinite_loop_congests_but_triggers_timeout() {
     m.schedule_fault(SimTime::from_nanos(500), FaultSpec::InfiniteLoop(NodeId(1)));
     quiesce(&mut m);
     assert_eq!(m.st().counters.get("timeout_triggers"), 1);
-}
-
-fn fill_machine(seed: u64, ops: u64) -> Machine<NullExtension> {
-    let params = MachineParams::tiny();
-    let (layout, prot) = (params.layout(), params.protected_lines);
-    let mut m = Machine::new(
-        params,
-        move |_| Box::new(RandomFill::valid_system_range(ops, 0.4, layout, prot)),
-        NullExtension,
-        seed,
-    );
-    m.start();
-    m
-}
-
-/// The sharded executor's acceptance contract: for a fixed region count,
-/// the worker count never changes anything — clock, event count, merged
-/// trace hash and counters are bit-identical between 1 and N workers.
-#[test]
-fn sharded_worker_count_is_invariant() {
-    let run = |workers: usize| {
-        let mut m = fill_machine(21, 150);
-        let out = m.run_until_sharded(SimTime::MAX, ShardPlan::new(4, workers));
-        assert_eq!(out, RunOutcome::Drained);
-        (
-            m.now(),
-            m.events_processed(),
-            m.st().obs.merged_hash(),
-            m.st().counters.get("bus_errors"),
-            m.st().oracle.written_lines(),
-        )
-    };
-    let base = run(1);
-    assert_ne!(base.1, 0);
-    for workers in [2, 4] {
-        assert_eq!(run(workers), base, "workers={workers}");
-    }
-}
-
-/// A sharded run completes the same workload the serial engine does:
-/// every processor halts, no spurious bus errors, and the oracle records
-/// the same committed stores (same lines at the same final versions —
-/// store counts per line are timing-independent).
-#[test]
-fn sharded_run_completes_like_serial() {
-    let mut serial = fill_machine(22, 150);
-    quiesce(&mut serial);
-    let mut sharded = fill_machine(22, 150);
-    let out = sharded.run_until_sharded(SimTime::MAX, ShardPlan::new(4, 2));
-    assert_eq!(out, RunOutcome::Drained);
-    for node in &sharded.st().nodes {
-        assert_eq!(node.bus_errors, 0);
-        assert!(matches!(node.proc, ProcState::Halted));
-    }
-    assert_eq!(
-        sharded.st().oracle.written_lines(),
-        serial.st().oracle.written_lines()
-    );
-}
-
-/// Faults and triggers work under sharding: the fault itself is a global
-/// event (serial leg), the resulting timeout trigger fires inside a
-/// stretch and is deferred to the fold — and all of it stays worker-count
-/// invariant.
-#[test]
-fn sharded_fault_handling_is_worker_invariant() {
-    let run = |workers: usize| {
-        let mut m = fill_machine(23, 120);
-        m.schedule_fault(SimTime::from_nanos(40_000), FaultSpec::Node(NodeId(3)));
-        m.run_until_sharded(SimTime::from_nanos(3_000_000), ShardPlan::new(4, workers));
-        (
-            m.now(),
-            m.events_processed(),
-            m.st().obs.merged_hash(),
-            m.st().counters.get("timeout_triggers"),
-            m.st().counters.get("ignored_triggers"),
-        )
-    };
-    let base = run(1);
-    assert!(base.3 > 0, "the dead home must cause timeouts");
-    assert_eq!(base.3, base.4, "NullExtension counts every trigger");
-    assert_eq!(run(2), base);
-    assert_eq!(run(4), base);
-}
-
-/// A checkpoint taken between sharded stretches forks into runs that
-/// replay bit-identically under any worker count.
-#[test]
-fn checkpoint_fork_replays_identically_under_sharding() {
-    let mut m = fill_machine(24, 200);
-    let out = m.run_until_sharded(SimTime::from_nanos(100_000), ShardPlan::new(4, 2));
-    assert_eq!(out, RunOutcome::HorizonReached);
-    let ck = m.checkpoint();
-    let finish = |mut m: Machine<NullExtension>, workers: usize| {
-        let out = m.run_until_sharded(SimTime::MAX, ShardPlan::new(4, workers));
-        assert_eq!(out, RunOutcome::Drained);
-        (m.now(), m.events_processed(), m.st().obs.merged_hash())
-    };
-    let a = finish(ck.fork(), 1);
-    assert_eq!(a, finish(ck.fork(), 2));
-    assert_eq!(a, finish(ck.fork(), 4));
-    // The original continues identically too: the checkpoint did not
-    // perturb it.
-    assert_eq!(a, finish(m, 3));
-}
-
-/// The engine's event budget covers sharded stretches: the run stops
-/// with `BudgetExhausted` near (within one window of) the budget.
-#[test]
-fn sharded_run_honors_event_budget() {
-    let mut m = fill_machine(25, 500);
-    m.set_event_budget(2_000);
-    let out = m.run_until_sharded(SimTime::MAX, ShardPlan::new(4, 2));
-    assert_eq!(out, RunOutcome::BudgetExhausted);
-    assert!(m.events_processed() >= 2_000);
 }
 
 #[test]

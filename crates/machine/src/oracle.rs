@@ -82,34 +82,6 @@ impl Oracle {
         self.may_incoherent.clear();
         self.snapshotted = false;
     }
-
-    /// An empty delta oracle for a region replica of the sharded executor:
-    /// no recorded stores or may-set entries of its own, but the same
-    /// snapshot flag, so replica-side code observes the same phase. The
-    /// delta is folded back with [`Oracle::merge_delta`].
-    pub fn fork_delta(&self) -> Oracle {
-        Oracle {
-            expected: HashMap::new(),
-            may_incoherent: HashSet::new(),
-            snapshotted: self.snapshotted,
-        }
-    }
-
-    /// Merges a replica's delta: the newest committed version wins per
-    /// line (stores to a line all commit on its home node, so at most one
-    /// replica writes it per stretch), the may-sets union, and the
-    /// snapshot flag ORs.
-    pub fn merge_delta(&mut self, delta: &Oracle) {
-        for (&line, &v) in &delta.expected {
-            let e = self.expected.entry(line).or_insert(v);
-            if v > *e {
-                *e = v;
-            }
-        }
-        self.may_incoherent
-            .extend(delta.may_incoherent.iter().copied());
-        self.snapshotted |= delta.snapshotted;
-    }
 }
 
 /// The outcome of a post-recovery validation check.

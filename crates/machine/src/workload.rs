@@ -51,10 +51,7 @@ pub enum OpResult {
 /// be checkpointed: a checkpoint snapshots every workload's cursor (ops
 /// remaining, results observed, internal counters) alongside the rest of the
 /// machine, and a forked run resumes from exactly that cursor.
-///
-/// Workloads must be [`Send`] so the sharded executor can move region
-/// replicas of the machine onto worker threads.
-pub trait Workload: std::fmt::Debug + Send {
+pub trait Workload: std::fmt::Debug {
     /// Produces the next operation for `node`.
     fn next_op(&mut self, node: NodeId, rng: &mut DetRng) -> ProcOp;
 

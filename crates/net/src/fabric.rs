@@ -24,7 +24,6 @@
 use crate::graph::UGraph;
 use crate::ids::{Lane, LinkId, NodeId, PacketId, RouterId};
 use crate::packet::{Packet, Route};
-use crate::region::RegionMap;
 use crate::routing::{Hop, RoutingTables};
 use crate::slab::{PacketMeta, PacketSlab};
 use crate::topology::Topology;
@@ -162,42 +161,6 @@ struct Transit {
     target: Target,
 }
 
-/// Region-mode configuration of a fabric replica: which region of the
-/// [`RegionMap`] this replica owns.
-#[derive(Clone, Debug)]
-struct RegionCfg {
-    map: RegionMap,
-    my: u16,
-}
-
-/// A packet crossing a region boundary, emitted by the owning replica's
-/// [`Fabric::arrived`] and applied by the destination replica via
-/// [`Fabric::apply_boundary_hop`] at the next shard barrier.
-///
-/// The hop carries the packet together with its slab bookkeeping
-/// ([`PacketMeta`]): the source replica retires the packet from its slab
-/// on emission, and the destination re-interns it under a fresh id, so
-/// accumulated link crossings and the injection timestamp survive the
-/// handoff.
-#[derive(Clone, Debug)]
-pub struct BoundaryHop<P> {
-    at: SimTime,
-    lane: Lane,
-    target: Target,
-    pkt: Packet<P>,
-    meta: PacketMeta,
-}
-
-impl<P> BoundaryHop<P> {
-    /// The physical arrival time at the boundary router, on the source
-    /// region's clock. The destination applies the hop at the shard
-    /// barrier that closes the window containing this time, a bounded
-    /// skew of at most one lookahead window.
-    pub fn at(&self) -> SimTime {
-        self.at
-    }
-}
-
 #[derive(Clone, Debug)]
 struct OutQueue<P> {
     q: VecDeque<Packet<P>>,
@@ -275,12 +238,6 @@ pub struct Fabric<P> {
     counters: Counters,
     graph: UGraph,
     dropped: Vec<Packet<P>>,
-    // Region mode (intra-run sharding): when set, this fabric is one
-    // region's replica. Queues owned by other regions are stale clones
-    // used only for advisory flow-control checks; packets landing on a
-    // foreign router are pushed into `boundary_out` instead of placed.
-    region: Option<RegionCfg>,
-    boundary_out: Vec<(u16, BoundaryHop<P>)>,
 }
 
 impl<P: std::fmt::Debug> Fabric<P> {
@@ -335,8 +292,6 @@ impl<P: std::fmt::Debug> Fabric<P> {
             counters: Counters::new(),
             graph,
             dropped: Vec::new(),
-            region: None,
-            boundary_out: Vec::new(),
         }
     }
 
@@ -430,14 +385,6 @@ impl<P: std::fmt::Debug> Fabric<P> {
         delivered: &mut Vec<DeliveryNote>,
         obs: &mut Recorder,
     ) {
-        if let Some(cfg) = &self.region {
-            let (NetEv::TryMove(qr, _) | NetEv::Arrived(qr, _)) = ev;
-            debug_assert_eq!(
-                cfg.map.of_queue(qr),
-                cfg.my,
-                "fabric event {ev:?} routed to the wrong region replica"
-            );
-        }
         match ev {
             NetEv::TryMove(qr, lane) => self.try_move(qr, lane, now, out, obs),
             NetEv::Arrived(qr, lane) => self.arrived(qr, lane, now, out, delivered, obs),
@@ -633,205 +580,6 @@ impl<P: std::fmt::Debug> Fabric<P> {
     }
 
     // ------------------------------------------------------------------
-    // Region mode (intra-run sharding)
-    // ------------------------------------------------------------------
-
-    /// Turns this fabric (a full clone of the run's fabric) into the
-    /// replica for region `my` of `map`.
-    ///
-    /// The replica accounts only its own stretch of execution: counters
-    /// and the dropped-packet log are reset here and merged back at
-    /// [`Fabric::meld_regions`]. The loss RNG is forked with the region
-    /// id as tag, so lossy-link draws are deterministic per region and
-    /// independent of worker scheduling. Failure state (failed links and
-    /// routers, routing tables, loss rates) must stay frozen while the
-    /// replica runs — faults are global events, handled serially.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabric is already a replica, the map does not cover
-    /// its routers, or `my` is out of range.
-    pub fn enter_region(&mut self, map: RegionMap, my: u16) {
-        assert!(self.region.is_none(), "fabric is already a region replica");
-        assert_eq!(
-            map.n_routers(),
-            self.n_routers,
-            "region map does not cover this fabric"
-        );
-        assert!(
-            self.n_nodes <= self.n_routers,
-            "region mode assumes node i attaches to router i"
-        );
-        assert!(my < map.n_regions(), "region id out of range");
-        self.counters = Counters::new();
-        self.dropped.clear();
-        self.loss_rng = self.loss_rng.fork(u64::from(my));
-        self.region = Some(RegionCfg { map, my });
-    }
-
-    /// The region this replica owns, if in region mode.
-    pub fn region(&self) -> Option<u16> {
-        self.region.as_ref().map(|c| c.my)
-    }
-
-    /// The minimum latency of any packet crossing a region boundary:
-    /// one router-to-router hop plus the serialization of a single-flit
-    /// packet. Node-to-router injection never crosses a boundary (node
-    /// `i` attaches to router `i`, which shares its region), so this is
-    /// a valid conservative lookahead for the shard windows.
-    pub fn min_region_lookahead_ns(&self) -> u64 {
-        self.params.hop_latency_ns + self.params.flit_ns
-    }
-
-    /// Drains the boundary hops emitted since the last call, each tagged
-    /// with its destination region. The embedding machine forwards them
-    /// through the shard mailboxes in emission order.
-    pub fn take_boundary_hops(&mut self) -> Vec<(u16, BoundaryHop<P>)> {
-        std::mem::take(&mut self.boundary_out)
-    }
-
-    /// Applies a boundary hop received from another region's replica:
-    /// re-interns the packet in this replica's slab and places it
-    /// exactly as a local arrival would.
-    ///
-    /// Called at the shard barrier with `now` equal to the window end —
-    /// at or after the hop's physical arrival time, a skew bounded by
-    /// one lookahead window.
-    pub fn apply_boundary_hop(
-        &mut self,
-        h: BoundaryHop<P>,
-        now: SimTime,
-        out: &mut Vec<(SimDuration, NetEv)>,
-        delivered: &mut Vec<DeliveryNote>,
-        obs: &mut Recorder,
-    ) {
-        let BoundaryHop {
-            lane,
-            target,
-            mut pkt,
-            meta,
-            ..
-        } = h;
-        debug_assert!(
-            !self.is_foreign(target),
-            "boundary hop delivered to the wrong region replica"
-        );
-        pkt.id = self.slab.alloc_with_meta(meta);
-        self.counters.incr("boundary_hops_in");
-        self.place(pkt, lane, target, now, out, delivered, obs);
-    }
-
-    /// Melds region replicas back into this fabric (the run's fabric as
-    /// it was when the replicas were cloned from it).
-    ///
-    /// Every queue is taken from its owning replica; the packet slab is
-    /// rebuilt by re-interning all live packets in a fixed walk order
-    /// (injection queues by node, then router queues), so melded ids
-    /// depend only on queue contents; the in-flight coherence count is
-    /// recounted from the melded queues; replica counters and dropped
-    /// packets are merged in region order. Chassis state (topology,
-    /// tables, failure state) is this fabric's own — it was frozen while
-    /// the replicas ran.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this fabric is itself a replica, `parts` does not hold
-    /// exactly one replica per region in region order, or a replica has
-    /// undrained boundary hops.
-    pub fn meld_regions(&mut self, mut parts: Vec<Fabric<P>>, map: &RegionMap) {
-        assert!(self.region.is_none(), "cannot meld into a replica");
-        assert_eq!(
-            parts.len(),
-            usize::from(map.n_regions()),
-            "need one replica per region"
-        );
-        let mut slabs: Vec<PacketSlab> = Vec::with_capacity(parts.len());
-        for (r, part) in parts.iter_mut().enumerate() {
-            match &part.region {
-                Some(cfg) if usize::from(cfg.my) == r => {}
-                _ => panic!("meld_regions: part {r} is not the replica of region {r}"),
-            }
-            assert!(
-                part.boundary_out.is_empty(),
-                "meld_regions: region {r} has undrained boundary hops"
-            );
-            slabs.push(std::mem::take(&mut part.slab));
-        }
-        for r in 0..self.n_routers {
-            let owner = usize::from(map.of_router(RouterId(r as u16)));
-            self.out_queues[r] = std::mem::take(&mut parts[owner].out_queues[r]);
-        }
-        for n in 0..self.n_nodes {
-            let owner = usize::from(map.of_node(NodeId(n as u16)));
-            self.inj_queues[n] = std::mem::replace(
-                &mut parts[owner].inj_queues[n],
-                std::array::from_fn(|_| OutQueue::new()),
-            );
-            self.node_in[n] = std::mem::replace(
-                &mut parts[owner].node_in[n],
-                std::array::from_fn(|_| InQueue::new()),
-            );
-            self.last_coherence_delivery[n] = parts[owner].last_coherence_delivery[n];
-        }
-        // Rebuild the slab: live packets are exactly those still in an
-        // injection or router queue (delivered and dropped packets have
-        // retired their ids), each interned in its owning region's slab.
-        let mut fresh = PacketSlab::default();
-        let mut coherence = 0i64;
-        for n in 0..self.n_nodes {
-            let owner = usize::from(map.of_node(NodeId(n as u16)));
-            for q in self.inj_queues[n].iter_mut() {
-                for pkt in q.q.iter_mut() {
-                    let meta = slabs[owner]
-                        .release(pkt.id)
-                        .expect("invariant: queued packet must be interned in its region's slab");
-                    pkt.id = fresh.alloc_with_meta(meta);
-                    coherence += i64::from(pkt.lane.is_coherence());
-                }
-            }
-        }
-        for r in 0..self.n_routers {
-            let owner = usize::from(map.of_router(RouterId(r as u16)));
-            for port in self.out_queues[r].iter_mut() {
-                for q in port.iter_mut() {
-                    for pkt in q.q.iter_mut() {
-                        let meta = slabs[owner].release(pkt.id).expect(
-                            "invariant: queued packet must be interned in its region's slab",
-                        );
-                        pkt.id = fresh.alloc_with_meta(meta);
-                        coherence += i64::from(pkt.lane.is_coherence());
-                    }
-                }
-            }
-        }
-        self.slab = fresh;
-        self.in_flight_coherence = coherence;
-        for part in &mut parts {
-            self.counters.merge(&part.counters);
-            self.dropped.append(&mut part.dropped);
-        }
-    }
-
-    /// The region a placement target belongs to (`None` when not in
-    /// region mode or for sinks, which are always local).
-    fn target_region(&self, target: Target) -> Option<u16> {
-        let cfg = self.region.as_ref()?;
-        match target {
-            Target::Node(nd) => Some(cfg.map.of_node(nd)),
-            Target::Queue { router, .. } => Some(cfg.map.of_router(RouterId(router))),
-            Target::Sink(_) => None,
-        }
-    }
-
-    /// Whether a placement target lies in another replica's region.
-    fn is_foreign(&self, target: Target) -> bool {
-        match (&self.region, self.target_region(target)) {
-            (Some(cfg), Some(r)) => r != cfg.my,
-            _ => false,
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
 
@@ -1017,31 +765,17 @@ impl<P: std::fmt::Debug> Fabric<P> {
             (pkt.dst, pkt.route)
         };
         let target = self.decide(land_router, head_dst, head_route, consumes_hop);
-        let foreign = self.is_foreign(target);
-
-        // A foreign target (region mode) always has space: the replica
-        // only holds a stale clone of the downstream queue, frozen at the
-        // stretch unfold, so checking it would park the head against
-        // phantom congestion that never drains within the stretch —
-        // polling every retry for the rest of the stretch and even
-        // stall-discarding source-routed packets the serial run would
-        // deliver. Flow control across a region boundary is deferred
-        // entirely to the owning region, which admits the boundary hop
-        // and backpressures its own subsequent traffic — a transient
-        // oversubscription bounded by the sender's queue contents per
-        // window (see DESIGN.md).
-        let space = foreign
-            || match target {
-                Target::Node(nd) => {
-                    let q = &self.node_in[nd.index()][lane.index()];
-                    q.sink || q.flits + q.reserved + head_flits <= self.params.node_in_flits
-                }
-                Target::Queue { router, nbr } => {
-                    let q = &self.out_queues[router as usize][nbr as usize][lane.index()];
-                    q.flits + q.reserved + head_flits <= self.params.out_queue_flits
-                }
-                Target::Sink(_) => true,
-            };
+        let space = match target {
+            Target::Node(nd) => {
+                let q = &self.node_in[nd.index()][lane.index()];
+                q.sink || q.flits + q.reserved + head_flits <= self.params.node_in_flits
+            }
+            Target::Queue { router, nbr } => {
+                let q = &self.out_queues[router as usize][nbr as usize][lane.index()];
+                q.flits + q.reserved + head_flits <= self.params.out_queue_flits
+            }
+            Target::Sink(_) => true,
+        };
 
         if !space {
             // Blocked. Source-routed packets are stall-discarded; others poll.
@@ -1112,19 +846,13 @@ impl<P: std::fmt::Debug> Fabric<P> {
             }
         }
 
-        // Reserve downstream space and start the transit. A foreign
-        // target reserves nothing: the replica's copy is stale (the
-        // owning region would never see the reservation, so it could
-        // never be released) and placement happens in the owning region.
-        if !foreign {
-            match target {
-                Target::Node(nd) => self.node_in[nd.index()][lane.index()].reserved += head_flits,
-                Target::Queue { router, nbr } => {
-                    self.out_queues[router as usize][nbr as usize][lane.index()].reserved +=
-                        head_flits
-                }
-                Target::Sink(_) => unreachable!(),
+        // Reserve downstream space and start the transit.
+        match target {
+            Target::Node(nd) => self.node_in[nd.index()][lane.index()].reserved += head_flits,
+            Target::Queue { router, nbr } => {
+                self.out_queues[router as usize][nbr as usize][lane.index()].reserved += head_flits
             }
+            Target::Sink(_) => unreachable!(),
         }
         let latency = match qr {
             QueueRef::Out { .. } => {
@@ -1169,20 +897,17 @@ impl<P: std::fmt::Debug> Fabric<P> {
             out.push((SimDuration::ZERO, NetEv::TryMove(qr, lane)));
         }
 
-        // Unreserve downstream (foreign targets reserved nothing).
-        let foreign = self.is_foreign(transit.target);
-        if !foreign {
-            match transit.target {
-                Target::Node(nd) => {
-                    let q = &mut self.node_in[nd.index()][lane.index()];
-                    q.reserved = q.reserved.saturating_sub(pkt.flits);
-                }
-                Target::Queue { router, nbr } => {
-                    let q = &mut self.out_queues[router as usize][nbr as usize][lane.index()];
-                    q.reserved = q.reserved.saturating_sub(pkt.flits);
-                }
-                Target::Sink(_) => {}
+        // Unreserve downstream.
+        match transit.target {
+            Target::Node(nd) => {
+                let q = &mut self.node_in[nd.index()][lane.index()];
+                q.reserved = q.reserved.saturating_sub(pkt.flits);
             }
+            Target::Queue { router, nbr } => {
+                let q = &mut self.out_queues[router as usize][nbr as usize][lane.index()];
+                q.reserved = q.reserved.saturating_sub(pkt.flits);
+            }
+            Target::Sink(_) => {}
         }
 
         // Truncation: the link failed while the packet was on the wire.
@@ -1208,39 +933,11 @@ impl<P: std::fmt::Debug> Fabric<P> {
             }
         }
 
-        // A packet landing on a router in another region leaves this
-        // replica: retire it from the local slab and hand it — with its
-        // bookkeeping — to the owning region through the shard mailbox.
-        // The local in-flight coherence count is left alone; it is
-        // recounted from the melded queues at fold time.
-        if foreign {
-            let meta = self
-                .slab
-                .release(pkt.id)
-                .expect("invariant: in-transit packet must be interned in the slab");
-            let dst = self
-                .target_region(transit.target)
-                .expect("foreign target always has a region");
-            self.counters.incr("boundary_hops_out");
-            self.boundary_out.push((
-                dst,
-                BoundaryHop {
-                    at: now,
-                    lane,
-                    target: transit.target,
-                    pkt,
-                    meta,
-                },
-            ));
-            return;
-        }
-
         self.place(pkt, lane, transit.target, now, out, delivered, obs);
     }
 
-    /// Places a packet that has completed a transit (or a boundary hop)
-    /// into its target: a node input queue, a downstream router queue, or
-    /// a sink.
+    /// Places a packet that has completed a transit into its target: a node
+    /// input queue, a downstream router queue, or a sink.
     #[allow(clippy::too_many_arguments)]
     fn place(
         &mut self,

@@ -40,18 +40,14 @@ mod fabric;
 mod graph;
 mod ids;
 mod packet;
-mod region;
 mod routing;
 mod slab;
 mod topology;
 
-pub use fabric::{
-    BoundaryHop, DeliveryNote, Fabric, LinkProbe, Nbr, NetEv, NetParams, QueueRef, SendError,
-};
+pub use fabric::{DeliveryNote, Fabric, LinkProbe, Nbr, NetEv, NetParams, QueueRef, SendError};
 pub use graph::UGraph;
 pub use ids::{Lane, LinkId, NodeId, PacketId, RouterId};
 pub use packet::{Packet, Route, SourceRoute, MAX_SOURCE_HOPS};
-pub use region::RegionMap;
 pub use routing::{channel_dependencies_acyclic, up_down_tables, Hop, RoutingTables};
 pub use slab::PacketMeta;
 pub use topology::{Hypercube, LinkSpec, Mesh2D, Topology};

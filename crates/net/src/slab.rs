@@ -38,17 +38,10 @@ pub(crate) struct PacketSlab {
 impl PacketSlab {
     /// Interns metadata for a newly injected packet, returning its id.
     pub(crate) fn alloc(&mut self, injected_at: SimTime) -> PacketId {
-        self.alloc_with_meta(PacketMeta {
+        let meta = PacketMeta {
             injected_at,
             links_crossed: 0,
-        })
-    }
-
-    /// Interns existing metadata under a fresh id — used when a packet
-    /// crosses a region boundary (or when regions are melded back
-    /// together) and must be re-interned in the receiving fabric's slab
-    /// without losing its accumulated bookkeeping.
-    pub(crate) fn alloc_with_meta(&mut self, meta: PacketMeta) -> PacketId {
+        };
         let slot = match self.free.pop() {
             Some(s) => {
                 let sl = &mut self.slots[s as usize];

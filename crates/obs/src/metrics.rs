@@ -138,11 +138,6 @@ impl Metrics {
         &self.counters
     }
 
-    /// Mutable access to the counter set (for merging foreign counters in).
-    pub fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.counters
-    }
-
     /// Looks up a histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
         self.hists.iter().find(|e| e.0 == name).map(|e| &e.1)
@@ -162,17 +157,12 @@ impl Metrics {
     }
 
     /// Merges a foreign histogram into histogram `name`, bucket-wise.
-    /// Used to fold shard- or workload-local histograms into the machine's
-    /// registry at collection time.
+    /// Used to fold workload-local histograms (such as each KV serving
+    /// shard's latencies) into the machine's registry at collection time.
     pub fn merge_histogram(&mut self, name: &'static str, h: &LatencyHistogram) {
         if self.enabled {
             self.hist_mut(name).merge(h);
         }
-    }
-
-    /// Merges another registry's counters into this one (summing).
-    pub fn merge_counters(&mut self, other: &Metrics) {
-        self.counters.merge(&other.counters);
     }
 
     /// A deterministic JSON snapshot: name-sorted counters, plus per

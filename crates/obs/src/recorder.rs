@@ -175,69 +175,6 @@ impl Recorder {
         }
     }
 
-    /// Creates an empty recorder with this one's configuration: the same
-    /// domain mask, per-shard ring capacities and enablement, and metrics
-    /// enablement — but no records, metrics at zero, and the sequence
-    /// counter reset.
-    ///
-    /// This is the seam for intra-run sharding: each region replica gets a
-    /// `like()` copy of the run's recorder, records its own shard-local
-    /// slice of the trace, and [`Recorder::absorb`] folds the replicas
-    /// back in.
-    pub fn like(&self) -> Recorder {
-        let mut metrics = if self.metrics.is_enabled() {
-            Metrics::new()
-        } else {
-            Metrics::disabled()
-        };
-        metrics.set_enabled(self.metrics.is_enabled());
-        Recorder {
-            shards: std::array::from_fn(|i| {
-                let mut s = TraceBuffer::new(self.shards[i].capacity());
-                s.set_enabled(self.shards[i].is_enabled());
-                s
-            }),
-            next_seq: 0,
-            mask: self.mask,
-            metrics,
-        }
-    }
-
-    /// Folds region-replica recorders (from [`Recorder::like`]) back into
-    /// this one.
-    ///
-    /// Records are interleaved deterministically by `(time, region index,
-    /// replica-local sequence)` and re-stamped with this recorder's global
-    /// sequence counter, so the merged order depends only on what each
-    /// replica recorded — not on worker scheduling. Replica ring evictions
-    /// are carried into this recorder's drop accounting, and replica
-    /// metrics (counters and histograms) are added in.
-    ///
-    /// The `(time, region, seq)` key is the same tie-break shape as the
-    /// sharded event queues' `(time, shard, seq)` pop order, so a trace
-    /// folded from N replicas hashes identically for every worker count.
-    pub fn absorb(&mut self, parts: &[Recorder]) {
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        let mut all: Vec<(SimTime, usize, u64, Domain, TraceEvent)> = Vec::with_capacity(total);
-        for (region, part) in parts.iter().enumerate() {
-            for d in Domain::ALL {
-                let shard = &part.shards[d.index()];
-                self.shards[d.index()].add_dropped(shard.dropped());
-                for &(at, (seq, event)) in shard.iter() {
-                    all.push((at, region, seq, d, event));
-                }
-            }
-            self.metrics.merge_counters(&part.metrics);
-            for (name, h) in part.metrics.histograms() {
-                self.metrics.merge_histogram(name, h);
-            }
-        }
-        all.sort_unstable_by_key(|&(at, region, seq, _, _)| (at, region, seq));
-        for (at, _, _, d, event) in all {
-            self.record(d, at, event);
-        }
-    }
-
     /// The merged trace: all retained records across shards, in global
     /// sequence order (a total order).
     pub fn merged(&self) -> Vec<MergedEvent> {
@@ -372,69 +309,6 @@ mod tests {
         assert_eq!(a.merged_hash(), b.merged_hash());
         b.record(Domain::Recovery, SimTime::from_nanos(10), ev(10));
         assert_ne!(a.merged_hash(), b.merged_hash());
-    }
-
-    /// `like()` clones configuration but not contents; `absorb()` merges
-    /// replica recorders in a `(time, region, local seq)` order that is
-    /// independent of how the replicas were split up.
-    #[test]
-    fn like_and_absorb_fold_replicas_deterministically() {
-        use flash_sim::SimDuration;
-
-        let mut base = Recorder::new();
-        base.record(Domain::Machine, SimTime::from_nanos(1), ev(100));
-
-        // Replica configuration matches; state is empty.
-        let rep = base.like();
-        assert!(rep.is_empty());
-        assert_eq!(rep.seq_issued(), 0);
-        assert!(rep.domain_enabled(Domain::Machine));
-        assert!(!rep.domain_enabled(Domain::Net));
-        assert!(rep.metrics.is_enabled());
-
-        // Two replicas record interleaved-in-time events plus metrics.
-        let mut a = base.like();
-        let mut b = base.like();
-        a.record(Domain::Machine, SimTime::from_nanos(5), ev(0));
-        a.record(Domain::Recovery, SimTime::from_nanos(9), ev(1));
-        b.record(Domain::Machine, SimTime::from_nanos(5), ev(2));
-        b.record(Domain::Machine, SimTime::from_nanos(7), ev(3));
-        a.metrics.incr("replica_events");
-        b.metrics.add("replica_events", 2);
-        a.metrics.observe("lat", SimDuration::from_nanos(10));
-        b.metrics.observe("lat", SimDuration::from_nanos(30));
-
-        let mut folded = base.clone();
-        folded.absorb(&[a, b]);
-
-        // Ties at t=5 break by region index, then time order resumes.
-        let vals: Vec<u64> = folded
-            .merged()
-            .iter()
-            .map(|e| match e.event {
-                TraceEvent::Note { value, .. } => value,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(vals, vec![100, 0, 2, 3, 1]);
-        assert_eq!(folded.seq_issued(), 5);
-        assert_eq!(folded.metrics.counters().get("replica_events"), 3);
-        assert_eq!(folded.metrics.histogram("lat").map(|h| h.total()), Some(2));
-    }
-
-    /// Replica ring evictions survive the fold as drop accounting.
-    #[test]
-    fn absorb_carries_replica_drops() {
-        let base = Recorder::with_capacity(2);
-        let mut a = base.like();
-        for i in 0..5 {
-            a.record(Domain::Machine, SimTime::from_nanos(i), ev(i));
-        }
-        assert_eq!(a.dropped_total(), 3);
-        let mut folded = base.clone();
-        folded.absorb(&[a]);
-        assert_eq!(folded.len(), 2);
-        assert_eq!(folded.dropped_total(), 3);
     }
 
     /// Property: for random interleavings, each shard keeps exactly the

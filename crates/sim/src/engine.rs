@@ -30,23 +30,7 @@ pub struct Scheduler<'a, E> {
     clamped: &'a mut u64,
 }
 
-impl<'a, E> Scheduler<'a, E> {
-    /// Builds a scheduler over an externally owned queue (the per-shard
-    /// executor path; the engine constructs its own inline).
-    pub(crate) fn over(
-        now: SimTime,
-        queue: &'a mut EventQueue<E>,
-        stop_requested: &'a mut bool,
-        clamped: &'a mut u64,
-    ) -> Self {
-        Scheduler {
-            now,
-            queue,
-            stop_requested,
-            clamped,
-        }
-    }
-
+impl<E> Scheduler<'_, E> {
     /// The current simulated time.
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -155,13 +139,6 @@ impl<E> Engine<E> {
         self.budget = budget;
     }
 
-    /// Events left before the budget trips (`u64::MAX` when unlimited).
-    /// Sharded executors hand this to their stretch hook so an external
-    /// dispatch loop honors the same livelock guard.
-    pub fn remaining_budget(&self) -> u64 {
-        self.budget.saturating_sub(self.processed)
-    }
-
     /// The current simulated time (time of the last processed event).
     pub fn now(&self) -> SimTime {
         self.now
@@ -189,64 +166,9 @@ impl<E> Engine<E> {
         self.queue.push(at, ev);
     }
 
-    /// Removes and returns every pending event in pop order (earliest
-    /// `(time, seq)` first). The clock and counters are untouched; pushing
-    /// the same sequence back via [`Engine::schedule_at`] restores the exact
-    /// pop order, since fresh sequence numbers are assigned in push order.
-    ///
-    /// This is the seam the sharded executor uses to partition the pending
-    /// set across per-shard queues and to rebuild the single queue when the
-    /// shards are folded back together.
-    pub fn drain_pending(&mut self) -> Vec<(SimTime, E)> {
-        let mut out = Vec::with_capacity(self.queue.len());
-        while let Some((t, ev)) = self.queue.pop() {
-            out.push((t, ev));
-        }
-        out
-    }
-
-    /// Runs `f` with a [`Scheduler`] positioned at the current clock,
-    /// without dispatching any event. Used by executors that must invoke
-    /// world code (e.g. a deferred extension call harvested from a shard)
-    /// outside the normal event loop but with full scheduling ability.
-    pub fn with_scheduler<R>(&mut self, f: impl FnOnce(&mut Scheduler<'_, E>) -> R) -> R {
-        let mut stop = false;
-        let mut sched = Scheduler {
-            now: self.now,
-            queue: &mut self.queue,
-            stop_requested: &mut stop,
-            clamped: &mut self.clamped,
-        };
-        let out = f(&mut sched);
-        debug_assert!(!stop, "stop requests from with_scheduler are ignored");
-        out
-    }
-
     /// Schedules an event `delay` after the current time.
     pub fn schedule_after(&mut self, delay: SimDuration, ev: E) {
         self.queue.push(self.now + delay, ev);
-    }
-
-    /// Advances the clock to `t` without dispatching (no-op if `t` is not
-    /// ahead of the clock). The sharded executor uses this to hand time
-    /// spent inside shard windows back to the engine; events already
-    /// pending before `t` would be delivered late, so this asserts there
-    /// are none.
-    pub fn skip_to(&mut self, t: SimTime) {
-        if t <= self.now {
-            return;
-        }
-        debug_assert!(
-            self.queue.peek_time().map(|p| p >= t).unwrap_or(true),
-            "skip_to({t}) would jump over pending events"
-        );
-        self.now = t;
-    }
-
-    /// Adds externally dispatched events (a sharded stretch) to the
-    /// processed count, so event budgets cover sharded execution too.
-    pub fn add_processed(&mut self, n: u64) {
-        self.processed += n;
     }
 
     /// Runs until the queue drains, `horizon` is passed, the event budget is

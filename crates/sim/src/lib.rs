@@ -48,7 +48,6 @@
 mod engine;
 mod queue;
 mod rng;
-mod shard;
 mod stats;
 mod time;
 mod trace;
@@ -56,7 +55,6 @@ mod trace;
 pub use engine::{Engine, RunOutcome, Scheduler, World};
 pub use queue::EventQueue;
 pub use rng::DetRng;
-pub use shard::{NoHook, ShardControl, ShardCtx, ShardHook, ShardRunOutcome, ShardSim, ShardWorld};
 pub use stats::{Counters, LatencyHistogram, Summary};
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceBuffer;

@@ -68,13 +68,6 @@ impl Counters {
         sorted.sort_unstable_by_key(|e| e.0);
         sorted.into_iter()
     }
-
-    /// Merges another counter set into this one (summing shared names).
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
 }
 
 impl PartialEq for Counters {
@@ -243,8 +236,9 @@ impl LatencyHistogram {
     }
 
     /// Merges another histogram into this one, bucket-wise. Buckets are
-    /// fixed power-of-two ranges, so merging N shard-local histograms is
-    /// exactly equivalent to recording every sample into one histogram.
+    /// fixed power-of-two ranges, so merging per-run or per-workload
+    /// histograms is exactly equivalent to recording every sample into one
+    /// histogram.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
@@ -282,14 +276,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_merge() {
+    fn counters_accumulate() {
         let mut a = Counters::new();
         a.incr("x");
         a.add("y", 5);
-        let mut b = Counters::new();
-        b.add("y", 2);
-        b.incr("z");
-        a.merge(&b);
+        a.add("y", 2);
+        a.incr("z");
         assert_eq!(a.get("x"), 1);
         assert_eq!(a.get("y"), 7);
         assert_eq!(a.get("z"), 1);

@@ -92,13 +92,6 @@ impl<E> TraceBuffer<E> {
         self.capacity
     }
 
-    /// Accounts `n` additional evicted records — used when merging another
-    /// buffer's retained tail, whose own evictions would otherwise vanish
-    /// from the drop accounting.
-    pub fn add_dropped(&mut self, n: u64) {
-        self.dropped += n;
-    }
-
     /// Iterates over retained records, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &(SimTime, E)> {
         self.entries.iter()

@@ -9,9 +9,8 @@
 //! in timing, message order, RNG state or workload cursor shows up.
 
 use flash::core::{
-    finish_fault_experiment, finish_fault_experiment_sharded, prepare_fault_experiment,
-    prepare_fault_experiment_sharded, random_fault, run_fault_experiment,
-    run_fault_experiment_sharded, ExperimentConfig, FaultKind, RecoveryConfig,
+    finish_fault_experiment, prepare_fault_experiment, random_fault, run_fault_experiment,
+    ExperimentConfig, FaultKind, RecoveryConfig,
 };
 use flash::hive::{finish_parallel_make, prepare_parallel_make, HiveConfig};
 use flash::machine::MachineParams;
@@ -142,100 +141,6 @@ fn checkpoint_mid_lossy_drops_replays_identically() {
         fork.st().obs.merged_hash(),
         "mid-drop fork diverged from the original"
     );
-}
-
-/// Sharded-executor fork contract: a checkpoint taken from a *sharded*
-/// warm-up forks into runs that hash bit-identically whatever the worker
-/// count — and match a sharded from-scratch run with the same plan. The
-/// region count is part of the run identity (a different spatial
-/// discretization is a different valid schedule), but the worker count
-/// only multiplexes shards and must never show up in the trace.
-#[test]
-fn sharded_fork_is_worker_count_invariant_and_matches_scratch() {
-    use flash::machine::ShardPlan;
-
-    let cfg = quick_experiment(41);
-    let regions = 4;
-    let ckpt = prepare_fault_experiment_sharded(&cfg, ShardPlan::new(regions, 2)).checkpoint();
-    let fault = || {
-        let mut rng = DetRng::new(0xC4);
-        random_fault(FaultKind::Node, cfg.params.n_nodes, &mut rng)
-    };
-
-    let runs: Vec<_> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&w| finish_fault_experiment_sharded(ckpt.fork(), fault(), ShardPlan::new(regions, w)))
-        .collect();
-    let scratch = run_fault_experiment_sharded(&cfg, fault(), ShardPlan::new(regions, 1));
-
-    for (out, &w) in runs.iter().zip(&[1usize, 2, 4, 8]) {
-        assert!(out.finished, "w={w}");
-        assert_eq!(
-            out.trace_hash, scratch.trace_hash,
-            "w={w}: sharded fork diverged from sharded from-scratch"
-        );
-        assert_eq!(out.end_time, scratch.end_time, "w={w}");
-        assert_eq!(out.bus_errors, scratch.bus_errors, "w={w}");
-        assert_eq!(
-            out.validation.passed(),
-            scratch.validation.passed(),
-            "w={w}"
-        );
-    }
-}
-
-/// A checkpoint taken mid-recovery *under the sharded executor* forks into
-/// runs that finish bit-identically across worker counts. (Serial-engine
-/// equality is deliberately *not* claimed: the sharded schedule is its own
-/// valid discretization — see the deviations list in DESIGN.md.)
-#[test]
-fn sharded_mid_recovery_fork_is_worker_count_invariant() {
-    use flash::machine::ShardPlan;
-    use flash::sim::SimDuration;
-
-    let cfg = quick_experiment(43);
-    let plan = |w: usize| ShardPlan::new(4, w);
-    let mut m = prepare_fault_experiment_sharded(&cfg, plan(2));
-    let fault = {
-        let mut rng = DetRng::new(0xC7);
-        random_fault(FaultKind::Node, cfg.params.n_nodes, &mut rng)
-    };
-    m.schedule_fault(m.now() + SimDuration::from_nanos(1), fault);
-
-    // Drive the machine into recovery with the sharded executor itself.
-    let mut guard = 0;
-    loop {
-        let horizon = m.now() + SimDuration::from_micros(5);
-        m.run_until_sharded(horizon, plan(2));
-        let entries = m.ext().phase_entries();
-        if m.ext().recovery_active() && entries.p2.is_some() && !m.ext().report.completed() {
-            break;
-        }
-        guard += 1;
-        assert!(guard < 2_000_000, "never reached mid-recovery state");
-    }
-
-    let ckpt = m.checkpoint();
-    let budget = m.now() + SimDuration::from_secs(20);
-
-    let mut reference = ckpt.fork();
-    reference.run_until_sharded(budget, plan(1));
-    let reference_hash = reference.st().obs.merged_hash();
-    assert!(reference.ext().report.completed());
-    assert!(reference.st().validate().passed());
-
-    for w in [2usize, 4, 8] {
-        let mut fork = ckpt.fork();
-        fork.run_until_sharded(budget, plan(w));
-        assert_eq!(fork.now(), reference.now(), "w={w}");
-        assert_eq!(
-            fork.st().obs.merged_hash(),
-            reference_hash,
-            "w={w}: sharded mid-recovery fork diverged"
-        );
-        assert!(fork.ext().report.completed(), "w={w}");
-        assert!(fork.st().validate().passed(), "w={w}");
-    }
 }
 
 /// End-to-end (Table 5.4 methodology): a parallel-make run forked from a
