@@ -14,6 +14,9 @@
 //!   normal operation and across one complete fault-recovery cycle.
 //!
 //! Every case reports events/sec and ns/event derived from the best run.
+//! The machine cases also print their overflow share: the fraction of
+//! event pushes that missed the queue's near-horizon ring and went to its
+//! overflow heap.
 //!
 //! Uses a self-contained min-of-N timing harness (the workspace carries no
 //! external benchmarking dependency); `FLASH_RUNS` scales the sample count.
@@ -171,7 +174,10 @@ fn fabric_events(source_routed: bool, deliveries: u64) -> u64 {
     engine.events_processed()
 }
 
-fn normal_mode_events(firewall: bool) -> u64 {
+/// Engine events processed and overflow-heap pushes of one machine case.
+type MachineRun = (u64, u64);
+
+fn normal_mode_events(firewall: bool) -> MachineRun {
     let mut params = MachineParams::table_5_1();
     params.magic.firewall_enabled = firewall;
     let layout = params.layout();
@@ -183,13 +189,13 @@ fn normal_mode_events(firewall: bool) -> u64 {
         5,
     );
     m.start();
-    m.run_until(SimTime::MAX);
-    m.events_processed()
+    assert_eq!(m.run_until(SimTime::MAX), RunOutcome::Drained);
+    (m.events_processed(), m.overflow_pushed())
 }
 
 /// One full fault-recovery cycle (the Section 5.2 methodology inlined so the
-/// engine's event count is observable); returns engine events processed.
-fn recovery_cycle_events() -> u64 {
+/// engine's event count is observable).
+fn recovery_cycle_events() -> MachineRun {
     let cfg = {
         let mut c = ExperimentConfig::new(MachineParams::table_5_1(), 9);
         c.fill_ops = 500;
@@ -231,7 +237,7 @@ fn recovery_cycle_events() -> u64 {
     let outcome = m.run_until(m.now() + SimDuration::from_secs(20));
     assert_eq!(outcome, RunOutcome::Drained, "recovery cycle did not drain");
     assert!(m.st().validate().passed(), "oracle validation failed");
-    m.events_processed()
+    (m.events_processed(), m.overflow_pushed())
 }
 
 /// One measured benchmark case.
@@ -278,6 +284,24 @@ fn bench<F: FnMut() -> u64>(name: &str, samples: u64, mut f: F) -> Case {
         worst = case.worst,
         eps = case.events_per_sec(),
         nspe = case.ns_per_event(),
+    );
+    case
+}
+
+/// Benches a machine case, then prints its overflow share. The run drains
+/// its queue, so every pushed event was processed and the events processed
+/// count the pushes.
+fn bench_machine(name: &str, samples: u64, mut f: impl FnMut() -> MachineRun) -> Case {
+    let mut overflow = 0;
+    let case = bench(name, samples, || {
+        let (events, pushed) = f();
+        overflow = pushed;
+        events
+    });
+    println!(
+        "  overflow share {:.4} ({overflow} of {} pushes)",
+        overflow as f64 / case.events.max(1) as f64,
+        case.events,
     );
     case
 }
@@ -407,13 +431,13 @@ fn main() {
         fabric_events(true, 20_000)
     }));
     for firewall in [false, true] {
-        cases.push(bench(
+        cases.push(bench_machine(
             &format!("normal_mode_16k_ops/firewall={firewall}"),
             samples,
             || normal_mode_events(firewall),
         ));
     }
-    cases.push(bench(
+    cases.push(bench_machine(
         "full_fault_recovery_cycle/node_failure_8",
         samples,
         recovery_cycle_events,

@@ -528,20 +528,14 @@ impl<X: Extension> Machine<X> {
     }
 
     /// Runs until the horizon passes or the event queue drains.
-    ///
-    /// Uses the engine's batched runner: bursts of same-instant events (a
-    /// pump draining a queue, a delivery waking several handlers) are popped
-    /// without re-consulting the far-horizon structure between them.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         self.sample_queue_depth();
-        self.engine.run_batched(&mut self.world, horizon)
+        self.engine.run(&mut self.world, horizon)
     }
 
     /// Runs for the given additional duration.
     pub fn run_for(&mut self, d: SimDuration) -> RunOutcome {
-        let h = self.engine.now() + d;
-        self.sample_queue_depth();
-        self.engine.run_batched(&mut self.world, h)
+        self.run_until(self.engine.now() + d)
     }
 
     /// Feeds the engine's pending-event count into the queue-depth
@@ -593,6 +587,12 @@ impl<X: Extension> Machine<X> {
     /// "now" (see [`flash_sim::Scheduler::at`]).
     pub fn clamped_schedules(&self) -> u64 {
         self.engine.clamped_schedules()
+    }
+
+    /// How many event pushes missed the engine queue's near-horizon ring
+    /// and went to its overflow heap (see [`flash_sim::Engine::overflow_pushed`]).
+    pub fn overflow_pushed(&self) -> u64 {
+        self.engine.overflow_pushed()
     }
 
     /// Sets the engine's livelock guard.

@@ -155,6 +155,12 @@ impl<E> Engine<E> {
         self.clamped
     }
 
+    /// Number of pushes that missed the event queue's near-horizon ring and
+    /// went to its overflow heap (see [`EventQueue::overflow_pushed`]).
+    pub fn overflow_pushed(&self) -> u64 {
+        self.queue.overflow_pushed()
+    }
+
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -176,26 +182,22 @@ impl<E> Engine<E> {
     ///
     /// Events with timestamps `<= horizon` are delivered; the first event
     /// beyond the horizon stays queued and the engine's clock advances to
-    /// `horizon`.
+    /// `horizon`. Each delivered event costs one queue lookup
+    /// ([`EventQueue::pop_due`]).
     pub fn run<W: World<Ev = E>>(&mut self, world: &mut W, horizon: SimTime) -> RunOutcome {
         let mut stop = false;
         loop {
-            let Some(next) = self.queue.peek_time() else {
-                return RunOutcome::Drained;
-            };
-            if next > horizon {
-                self.now = horizon;
-                return RunOutcome::HorizonReached;
-            }
             if self.processed >= self.budget {
-                return RunOutcome::BudgetExhausted;
+                return self.halt(horizon);
             }
-            let (t, ev) = self.queue.pop().expect("peeked entry vanished");
+            let Some((t, ev)) = self.queue.pop_due(horizon) else {
+                return self.halt(horizon);
+            };
             debug_assert!(t >= self.now, "event queue went backwards");
             self.now = t;
             self.processed += 1;
             let mut sched = Scheduler {
-                now: self.now,
+                now: t,
                 queue: &mut self.queue,
                 stop_requested: &mut stop,
                 clamped: &mut self.clamped,
@@ -207,77 +209,18 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Like [`Engine::run`], but after delivering an event at time `t` it
-    /// drains every other event scheduled for exactly `t` — including
-    /// zero-delay follow-ups queued during the batch — without re-entering
-    /// the peek/compare scheduling loop per event.
-    ///
-    /// Delivery order, budget, horizon, and stop semantics are identical to
-    /// [`Engine::run`]; only the per-event queue overhead differs.
-    pub fn run_batched<W: World<Ev = E>>(&mut self, world: &mut W, horizon: SimTime) -> RunOutcome {
-        let mut stop = false;
-        loop {
-            let Some(next) = self.queue.peek_time() else {
-                return RunOutcome::Drained;
-            };
-            if next > horizon {
+    /// Why `run` stops without delivering another event, checked in order:
+    /// the queue drained, the next event lies beyond `horizon` (the clock
+    /// moves to `horizon`), or the event budget ran out.
+    fn halt(&mut self, horizon: SimTime) -> RunOutcome {
+        match self.queue.peek_time() {
+            None => RunOutcome::Drained,
+            Some(next) if next > horizon => {
                 self.now = horizon;
-                return RunOutcome::HorizonReached;
+                RunOutcome::HorizonReached
             }
-            if self.processed >= self.budget {
-                return RunOutcome::BudgetExhausted;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked entry vanished");
-            debug_assert!(t >= self.now, "event queue went backwards");
-            self.now = t;
-            self.processed += 1;
-            let mut sched = Scheduler {
-                now: self.now,
-                queue: &mut self.queue,
-                stop_requested: &mut stop,
-                clamped: &mut self.clamped,
-            };
-            world.dispatch(ev, &mut sched);
-            if stop {
-                return RunOutcome::Stopped;
-            }
-            // Same-instant drain: O(1) bucket pops instead of full re-peeks.
-            while self.processed < self.budget {
-                let Some(ev) = self.queue.pop_if_at(t) else {
-                    break;
-                };
-                self.processed += 1;
-                let mut sched = Scheduler {
-                    now: self.now,
-                    queue: &mut self.queue,
-                    stop_requested: &mut stop,
-                    clamped: &mut self.clamped,
-                };
-                world.dispatch(ev, &mut sched);
-                if stop {
-                    return RunOutcome::Stopped;
-                }
-            }
+            Some(_) => RunOutcome::BudgetExhausted,
         }
-    }
-
-    /// Processes exactly one event if one is pending; returns whether an
-    /// event was processed.
-    pub fn step<W: World<Ev = E>>(&mut self, world: &mut W) -> bool {
-        let Some((t, ev)) = self.queue.pop() else {
-            return false;
-        };
-        self.now = t;
-        self.processed += 1;
-        let mut stop = false;
-        let mut sched = Scheduler {
-            now: self.now,
-            queue: &mut self.queue,
-            stop_requested: &mut stop,
-            clamped: &mut self.clamped,
-        };
-        world.dispatch(ev, &mut sched);
-        true
     }
 }
 
@@ -384,19 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn step_processes_single_event() {
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::from_nanos(5), 7);
-        let mut w = Recorder {
-            seen: vec![],
-            stop_at: None,
-        };
-        assert!(engine.step(&mut w));
-        assert!(!engine.step(&mut w));
-        assert_eq!(w.seen, vec![(5, 7)]);
-    }
-
-    #[test]
     fn past_schedules_clamp_and_count_in_all_profiles() {
         struct PastScheduler {
             fired: u32,
@@ -421,89 +351,136 @@ mod tests {
         assert_eq!(engine.clamped_schedules(), 1);
     }
 
-    #[test]
-    fn run_batched_matches_run() {
-        struct Fanout {
-            seen: Vec<(u64, u32)>,
+    /// Follow-ups of event `ev` delivered at `now`, derived from `ev` alone
+    /// so the engine world and the reference loop schedule identically:
+    /// same-instant, near, window-edge, far (overflow) and past (clamped)
+    /// times, up to three children per event.
+    fn follow_ups(now: u64, ev: u32) -> Vec<(u64, u32)> {
+        if ev >= 3_000 {
+            return Vec::new();
         }
-        impl World for Fanout {
-            type Ev = u32;
-            fn dispatch(&mut self, ev: u32, sched: &mut Scheduler<'_, u32>) {
-                self.seen.push((sched.now().as_nanos(), ev));
-                if ev < 8 {
-                    sched.immediately(ev + 100);
-                    sched.after(SimDuration::from_nanos(u64::from(ev % 3)), ev + 200);
-                }
+        let mut rng = crate::rng::DetRng::new(u64::from(ev) ^ 0x5EED);
+        (0..rng.below(4))
+            .map(|k| {
+                let at = match rng.below(6) {
+                    0 => now,
+                    1 | 2 => now + rng.below(40),
+                    3 => now + 8_000 + rng.below(400),
+                    4 => now + 100_000 + rng.below(50),
+                    _ => now.saturating_sub(1 + rng.below(20)),
+                };
+                (at, ev * 3 + 1 + k as u32)
+            })
+            .collect()
+    }
+
+    struct Scripted {
+        seen: Vec<(u64, u32)>,
+        stop_at: Option<u32>,
+    }
+
+    impl World for Scripted {
+        type Ev = u32;
+        fn dispatch(&mut self, ev: u32, sched: &mut Scheduler<'_, u32>) {
+            let now = sched.now().as_nanos();
+            self.seen.push((now, ev));
+            for (at, child) in follow_ups(now, ev) {
+                sched.at(SimTime::from_nanos(at), child);
+            }
+            if Some(ev) == self.stop_at {
+                sched.request_stop();
             }
         }
-        let seed = |engine: &mut Engine<u32>| {
-            for i in 0..8 {
-                engine.schedule_at(SimTime::from_nanos(10 * (i % 4)), i as u32);
+    }
+
+    /// What a run produced: delivered events, outcome, clock, events
+    /// processed, pending events and clamped schedules.
+    type Observed = (Vec<(u64, u32)>, RunOutcome, u64, u64, usize, u64);
+
+    /// The naive event loop over the single-heap oracle queue that
+    /// `Engine::run` must reproduce exactly.
+    fn reference(
+        seeds: &[(u64, u32)],
+        horizon: u64,
+        budget: u64,
+        stop_at: Option<u32>,
+    ) -> Observed {
+        let mut q = crate::queue::oracle::HeapQueue::new();
+        for &(t, ev) in seeds {
+            q.push(SimTime::from_nanos(t), ev);
+        }
+        let (mut seen, mut now, mut processed, mut clamped) = (Vec::new(), 0, 0, 0);
+        let outcome = loop {
+            let Some(next) = q.peek_time() else {
+                break RunOutcome::Drained;
+            };
+            if next.as_nanos() > horizon {
+                now = horizon;
+                break RunOutcome::HorizonReached;
+            }
+            if processed >= budget {
+                break RunOutcome::BudgetExhausted;
+            }
+            let (t, ev) = q.pop().expect("peeked");
+            now = t.as_nanos();
+            processed += 1;
+            seen.push((now, ev));
+            for (at, child) in follow_ups(now, ev) {
+                clamped += u64::from(at < now);
+                q.push(SimTime::from_nanos(at.max(now)), child);
+            }
+            if Some(ev) == stop_at {
+                break RunOutcome::Stopped;
             }
         };
-        let mut plain = Engine::new();
-        seed(&mut plain);
-        let mut w_plain = Fanout { seen: vec![] };
-        assert_eq!(plain.run(&mut w_plain, SimTime::MAX), RunOutcome::Drained);
+        (seen, outcome, now, processed, q.len(), clamped)
+    }
 
-        let mut batched = Engine::new();
-        seed(&mut batched);
-        let mut w_batched = Fanout { seen: vec![] };
-        assert_eq!(
-            batched.run_batched(&mut w_batched, SimTime::MAX),
-            RunOutcome::Drained
-        );
-        assert_eq!(w_plain.seen, w_batched.seen);
-        assert_eq!(plain.events_processed(), batched.events_processed());
-        assert_eq!(plain.now(), batched.now());
+    fn engine_run(
+        seeds: &[(u64, u32)],
+        horizon: u64,
+        budget: u64,
+        stop_at: Option<u32>,
+    ) -> Observed {
+        let mut engine = Engine::new();
+        engine.set_event_budget(budget);
+        for &(t, ev) in seeds {
+            engine.schedule_at(SimTime::from_nanos(t), ev);
+        }
+        let mut w = Scripted {
+            seen: Vec::new(),
+            stop_at,
+        };
+        let outcome = engine.run(&mut w, SimTime::from_nanos(horizon));
+        (
+            w.seen,
+            outcome,
+            engine.now().as_nanos(),
+            engine.events_processed(),
+            engine.pending(),
+            engine.clamped_schedules(),
+        )
     }
 
     #[test]
-    fn run_batched_respects_budget_and_horizon() {
-        struct Loopy;
-        impl World for Loopy {
-            type Ev = ();
-            fn dispatch(&mut self, _: (), sched: &mut Scheduler<'_, ()>) {
-                sched.immediately(());
-            }
+    fn run_matches_naive_loop_over_heap_oracle() {
+        let seeds: Vec<(u64, u32)> = (0..24).map(|i| (u64::from(i % 5) * 7, i)).collect();
+        let all = reference(&seeds, u64::MAX, u64::MAX, None);
+        assert_eq!(all.1, RunOutcome::Drained);
+        assert!(all.0.len() > 500, "script too small: {}", all.0.len());
+        assert!(all.5 > 0, "script never clamps");
+        let mid = all.0[all.0.len() / 2];
+        let cases = [
+            (u64::MAX, u64::MAX, None, RunOutcome::Drained),
+            (mid.0, u64::MAX, None, RunOutcome::HorizonReached),
+            (u64::MAX, 300, None, RunOutcome::BudgetExhausted),
+            (u64::MAX, u64::MAX, Some(mid.1), RunOutcome::Stopped),
+        ];
+        for (horizon, budget, stop_at, want) in cases {
+            let naive = reference(&seeds, horizon, budget, stop_at);
+            assert_eq!(naive.1, want);
+            assert_eq!(engine_run(&seeds, horizon, budget, stop_at), naive);
         }
-        let mut engine = Engine::new();
-        engine.set_event_budget(500);
-        engine.schedule_at(SimTime::ZERO, ());
-        assert_eq!(
-            engine.run_batched(&mut Loopy, SimTime::MAX),
-            RunOutcome::BudgetExhausted
-        );
-        assert_eq!(engine.events_processed(), 500);
-
-        let mut engine = Engine::new();
-        engine.schedule_at(SimTime::from_nanos(10), 1u32);
-        engine.schedule_at(SimTime::from_nanos(100), 2);
-        let mut w = Recorder {
-            seen: vec![],
-            stop_at: None,
-        };
-        assert_eq!(
-            engine.run_batched(&mut w, SimTime::from_nanos(50)),
-            RunOutcome::HorizonReached
-        );
-        assert_eq!(w.seen, vec![(10, 1)]);
-        assert_eq!(engine.now(), SimTime::from_nanos(50));
-
-        let mut engine = Engine::new();
-        for i in 0..6 {
-            engine.schedule_at(SimTime::from_nanos(7), i as u32);
-        }
-        let mut w = Recorder {
-            seen: vec![],
-            stop_at: Some(3),
-        };
-        assert_eq!(
-            engine.run_batched(&mut w, SimTime::MAX),
-            RunOutcome::Stopped
-        );
-        assert_eq!(w.seen.len(), 4);
-        assert_eq!(engine.pending(), 2);
     }
 
     #[test]

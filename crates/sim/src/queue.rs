@@ -13,18 +13,29 @@
 //! follow-ups), so the queue is split into two levels:
 //!
 //! * a **near-horizon ring** of [`RING_BUCKETS`] per-tick FIFO buckets
-//!   covering the window `[base_tick, base_tick + RING_BUCKETS)`. The window
-//!   is sized for the dense short-horizon traffic (link hops, controller
-//!   occupancies, zero-delay follow-ups, NAK retries); a push inside it is
-//!   an O(1) append to its tick's bucket, and a two-level occupancy bitmap
-//!   (per-bucket bits plus a summary bit per bitmap word) makes finding the
-//!   next non-empty bucket a handful of word operations even when the
-//!   pending set is sparse. Bucket order is push order, so same-instant
-//!   FIFO tie-breaking is free;
+//!   covering the window `[base_tick, base_tick + RING_BUCKETS)`. Ring
+//!   events live in one slab; each slot carries the event, its sequence
+//!   number and a `next` link, and each bucket is a `head`/`tail` pair of
+//!   slab indices, so a push is an O(1) append and a pop an O(1) unlink. A
+//!   free list recycles slots, which keeps the working set to the slots
+//!   actually pending. A two-level occupancy bitmap (per-bucket bits plus a
+//!   summary bit per bitmap word) makes finding the next non-empty bucket a
+//!   handful of word operations even when the pending set is sparse. Bucket
+//!   order is push order, so same-instant FIFO tie-breaking is free;
 //! * a **far-horizon overflow** `BinaryHeap` holding everything outside the
 //!   window (memory-op timeouts, watchdogs, fault arming, and the rare
 //!   past-relative push). These are a small fraction of total traffic, so
 //!   heap churn is off the hot path.
+//!
+//! # The window follows the clock
+//!
+//! The ring window starts at the tick of the last popped event, not at the
+//! next occupied bucket: a follow-up scheduled a few nanoseconds after the
+//! event being handled then still lands in the ring instead of falling
+//! behind the window into the heap. The invariant is that no ring entry
+//! precedes `base_tick` and every ring entry lies below
+//! `base_tick + RING_BUCKETS`; `overflow_pushed` counts the pushes that
+//! missed the window.
 //!
 //! `pop` compares the ring head and the heap top by `(time, seq)`, so the
 //! pop sequence is bit-for-bit identical to the seed repository's single
@@ -33,17 +44,22 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Width of the near-horizon window in ticks (power of two): 2^13 ns ≈ 8.2µs.
-/// Chosen empirically: wide enough for hop/occupancy/retry traffic, small
-/// enough that the ring and its bitmaps stay cache-resident. Widening it to
-/// cover the 50–100µs memory-op timeouts thrashes the cache for no
-/// measurable gain — those pushes are rare and land in the overflow heap.
+/// Wide enough for hop, occupancy and NAK-retry traffic; the 50–100µs
+/// memory-op timeouts (about 2% of pushes in the 128-node recovery cycle)
+/// go to the overflow heap. A 2^17 ring, which also holds the timeouts,
+/// was measured with the slab buckets on that cycle (10 interleaved pairs,
+/// 2-thread host): it won 5 of 10 pairs, with medians 3.44 s against
+/// 3.58 s inside a 2.9–4.1 s spread, so it is no measurable gain for 16
+/// times the bucket array and bitmaps.
 const RING_BUCKETS: usize = 1 << 13;
 const RING_MASK: u64 = RING_BUCKETS as u64 - 1;
 const OCC_WORDS: usize = RING_BUCKETS / 64;
 const SUM_WORDS: usize = OCC_WORDS.div_ceil(64);
+/// Null slab link: an empty bucket's `head`, the last slot's `next`.
+const NIL: u32 = u32::MAX;
 
 /// Low `n` bits set (`n` ≤ 64).
 #[inline]
@@ -87,6 +103,28 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// A slab slot: a pending ring event, or a link in the free list.
+#[derive(Clone)]
+struct Slot<E> {
+    seq: u64,
+    /// Next slot in the same bucket (or in the free list), or [`NIL`].
+    next: u32,
+    /// `None` while the slot is on the free list.
+    event: Option<E>,
+}
+
+/// One ring bucket: a FIFO list of slab slots, `head == NIL` when empty.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY_BUCKET: Bucket = Bucket {
+    head: NIL,
+    tail: NIL,
+};
+
 /// A deterministic, time-ordered event queue.
 ///
 /// # Examples
@@ -99,6 +137,8 @@ impl<E> Ord for Entry<E> {
 /// q.push(SimTime::from_nanos(10), "early");
 /// let (t, ev) = q.pop().unwrap();
 /// assert_eq!((t.as_nanos(), ev), (10, "early"));
+/// assert_eq!(q.pop_due(SimTime::from_nanos(15)), None);
+/// assert_eq!(q.pop_due(SimTime::from_nanos(20)).unwrap().1, "late");
 /// ```
 ///
 /// Cloning an `EventQueue` (for checkpoint/fork) preserves the pending
@@ -108,29 +148,36 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     /// Near-horizon buckets, indexed by `tick & RING_MASK`. Within the
     /// active window each tick maps to a distinct bucket.
-    ring: Vec<VecDeque<(u64, E)>>,
-    /// Occupancy bitmap over `ring` (bit set ⇔ bucket non-empty).
+    buckets: Vec<Bucket>,
+    /// Storage for every ring event; buckets link into it.
+    slab: Vec<Slot<E>>,
+    /// Head of the free-slot list threaded through `Slot::next`.
+    free: u32,
+    /// Occupancy bitmap over `buckets` (bit set ⇔ bucket non-empty).
     occ: Vec<u64>,
     /// Summary bitmap over `occ` (bit set ⇔ bitmap word non-zero).
     summary: Vec<u64>,
     /// Events currently stored in the ring.
     ring_len: usize,
-    /// First tick of the ring window. No ring entry precedes it.
+    /// First tick of the ring window: the last popped tick (zero before the
+    /// first pop). No ring entry precedes it, and every ring entry lies
+    /// below `base_tick + RING_BUCKETS`.
     base_tick: u64,
     /// Tick of the earliest non-empty bucket; valid while `ring_len > 0`.
     scan_tick: u64,
     /// Events outside the ring window.
     overflow: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    pushed: u64,
-    popped: u64,
+    overflow_pushed: u64,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            ring: (0..RING_BUCKETS).map(|_| VecDeque::new()).collect(),
+            buckets: vec![EMPTY_BUCKET; RING_BUCKETS],
+            slab: Vec::new(),
+            free: NIL,
             occ: vec![0; OCC_WORDS],
             summary: vec![0; SUM_WORDS],
             ring_len: 0,
@@ -138,8 +185,7 @@ impl<E> EventQueue<E> {
             scan_tick: 0,
             overflow: BinaryHeap::new(),
             next_seq: 0,
-            pushed: 0,
-            popped: 0,
+            overflow_pushed: 0,
         }
     }
 
@@ -152,90 +198,103 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pushed += 1;
         let tick = time.as_nanos();
-        if self.ring_len == 0 {
-            // The ring is empty, so the window may move anywhere. Re-anchor
-            // it at the earliest pending time — unless this push lands beyond
-            // even the re-anchored window. Anchoring the window at a
-            // far-future tick would strand it out there (a cold bucket touch
-            // now, and every nearer push forced onto the heap until the
-            // stranded event pops), so far-horizon pushes skip the ring
-            // entirely and the empty ring keeps pops heap-only.
-            let anchor = match self.overflow.peek() {
-                Some(top) => top.time.as_nanos().min(tick),
-                None => tick,
-            };
-            if tick - anchor >= RING_BUCKETS as u64 {
-                self.overflow.push(Entry { time, seq, event });
-                return;
-            }
-            self.base_tick = anchor;
+        if self.in_window(tick) {
             self.insert_ring(tick, seq, event);
-        } else if self.in_window(tick) {
-            self.insert_ring(tick, seq, event);
+            return;
+        }
+        self.overflow_pushed += 1;
+        self.overflow.push(Entry { time, seq, event });
+    }
+
+    /// Takes a slot off the free list (or grows the slab) for a new event.
+    #[inline]
+    fn alloc(&mut self, seq: u64, event: E) -> u32 {
+        if self.free != NIL {
+            let i = self.free;
+            let slot = &mut self.slab[i as usize];
+            self.free = slot.next;
+            slot.seq = seq;
+            slot.next = NIL;
+            slot.event = Some(event);
+            i
         } else {
-            self.overflow.push(Entry { time, seq, event });
+            let i = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("event ring slab exceeds u32 indices");
+            self.slab.push(Slot {
+                seq,
+                next: NIL,
+                event: Some(event),
+            });
+            i
         }
     }
 
-    /// Inserts into the ring; `tick` must lie within the active window.
+    /// Appends to its tick's bucket; `tick` must lie within the window.
     #[inline]
     fn insert_ring(&mut self, tick: u64, seq: u64, event: E) {
         debug_assert!(self.in_window(tick));
+        let slot = self.alloc(seq, event);
         let idx = (tick & RING_MASK) as usize;
-        self.ring[idx].push_back((seq, event));
-        self.occ[idx >> 6] |= 1 << (idx & 63);
-        self.summary[idx >> 12] |= 1 << ((idx >> 6) & 63);
+        let bucket = &mut self.buckets[idx];
+        if bucket.head == NIL {
+            bucket.head = slot;
+            self.occ[idx >> 6] |= 1 << (idx & 63);
+            self.summary[idx >> 12] |= 1 << ((idx >> 6) & 63);
+        } else {
+            self.slab[bucket.tail as usize].next = slot;
+        }
+        bucket.tail = slot;
         self.ring_len += 1;
         if self.ring_len == 1 || tick < self.scan_tick {
             self.scan_tick = tick;
         }
     }
 
-    /// The `(tick, seq)` key of the ring head, if the ring is non-empty.
-    #[inline]
-    fn ring_head_key(&self) -> Option<(u64, u64)> {
-        if self.ring_len == 0 {
-            return None;
-        }
-        let bucket = &self.ring[(self.scan_tick & RING_MASK) as usize];
-        let (seq, _) = bucket.front().expect("scan bucket empty");
-        Some((self.scan_tick, *seq))
-    }
-
-    /// Whether the next pop should come from the ring rather than the
-    /// overflow heap; `None` when the queue is empty.
-    #[inline]
-    fn ring_pops_next(&self) -> Option<bool> {
-        match (self.ring_head_key(), self.overflow.peek()) {
-            (None, None) => None,
-            (Some(_), None) => Some(true),
-            (None, Some(_)) => Some(false),
-            (Some(rk), Some(top)) => Some(rk < (top.time.as_nanos(), top.seq)),
-        }
-    }
-
-    /// Pops the ring head, advancing `scan_tick` (and sliding the window
-    /// forward) when its bucket empties.
+    /// Pops the head of the `scan_tick` bucket (the ring must be
+    /// non-empty), moving the window to the popped tick and `scan_tick` to
+    /// the next occupied bucket when this one empties.
     fn pop_ring(&mut self) -> (SimTime, E) {
-        let idx = (self.scan_tick & RING_MASK) as usize;
-        let (_, event) = self.ring[idx].pop_front().expect("scan bucket empty");
+        let tick = self.scan_tick;
+        let idx = (tick & RING_MASK) as usize;
+        let head = self.buckets[idx].head;
+        let slot = &mut self.slab[head as usize];
+        let event = slot.event.take().expect("ring slot without an event");
+        let next = slot.next;
+        slot.next = self.free;
+        self.free = head;
+        self.buckets[idx].head = next;
         self.ring_len -= 1;
-        let time = SimTime::from_nanos(self.scan_tick);
-        if self.ring[idx].is_empty() {
+        // No ring entry precedes the popped tick, so the window may follow
+        // the clock up to it, and no further: a follow-up scheduled shortly
+        // after this event must still fall inside the window.
+        self.base_tick = tick;
+        if next == NIL {
             self.occ[idx >> 6] &= !(1 << (idx & 63));
             if self.occ[idx >> 6] == 0 {
                 self.summary[idx >> 12] &= !(1 << ((idx >> 6) & 63));
             }
             if self.ring_len > 0 {
-                self.scan_tick = self.next_occupied(self.scan_tick + 1);
+                self.scan_tick = self.next_occupied(tick + 1);
             }
         }
-        // No ring entry precedes scan_tick, so the window may slide up to
-        // it, maximising forward reach for subsequent pushes.
-        self.base_tick = self.scan_tick;
-        (time, event)
+        (SimTime::from_nanos(tick), event)
+    }
+
+    /// Pops the overflow heap top, moving the window up to its time while
+    /// it still precedes every ring entry.
+    fn pop_overflow(&mut self) -> (SimTime, E) {
+        let e = self.overflow.pop().expect("peeked entry vanished");
+        let t = e.time.as_nanos();
+        // The heap top popped before the ring head, so no ring entry
+        // precedes `t`.
+        debug_assert!(self.ring_len == 0 || t <= self.scan_tick);
+        if self.ring_len == 0 || t > self.base_tick {
+            self.base_tick = t;
+        }
+        (e.time, e.event)
     }
 
     /// Finds the first occupied bucket at tick `from` or later (two-level
@@ -306,43 +365,40 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, or `None` if the queue is
     /// empty. Ties pop in insertion order.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let from_ring = self.ring_pops_next()?;
-        self.popped += 1;
-        if from_ring {
-            Some(self.pop_ring())
-        } else {
-            let e = self.overflow.pop().expect("peeked entry vanished");
-            Some((e.time, e.event))
-        }
+        self.pop_due(SimTime::MAX)
     }
 
-    /// Removes and returns the next event only if it is scheduled exactly at
-    /// `at`; used by `Engine::run_batched` to drain same-instant events
-    /// without re-running the full scheduling loop per event.
-    pub fn pop_if_at(&mut self, at: SimTime) -> Option<E> {
-        match self.ring_pops_next()? {
-            true if self.scan_tick == at.as_nanos() => {
-                self.popped += 1;
-                Some(self.pop_ring().1)
+    /// Removes and returns the earliest event if it is due, i.e. scheduled
+    /// at or before `horizon`; otherwise leaves the queue untouched. One
+    /// lookup decides both which level holds the head and whether it is due.
+    #[inline]
+    pub fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        let horizon = horizon.as_nanos();
+        if self.ring_len > 0 {
+            let head = self.buckets[(self.scan_tick & RING_MASK) as usize].head;
+            let key = (self.scan_tick, self.slab[head as usize].seq);
+            let heap_first = self
+                .overflow
+                .peek()
+                .is_some_and(|top| (top.time.as_nanos(), top.seq) < key);
+            if !heap_first {
+                return (key.0 <= horizon).then(|| self.pop_ring());
             }
-            false if self.overflow.peek().expect("peeked entry vanished").time == at => {
-                self.popped += 1;
-                Some(self.overflow.pop().expect("peeked entry vanished").event)
-            }
-            _ => None,
         }
+        let top = self.overflow.peek()?;
+        (top.time.as_nanos() <= horizon).then(|| self.pop_overflow())
     }
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let ring = self.ring_head_key();
-        let heap = self.overflow.peek().map(|e| (e.time.as_nanos(), e.seq));
-        let key = match (ring, heap) {
+        let ring = (self.ring_len > 0).then_some(self.scan_tick);
+        let heap = self.overflow.peek().map(|e| e.time.as_nanos());
+        let tick = match (ring, heap) {
             (None, None) => return None,
-            (Some(k), None) | (None, Some(k)) => k,
+            (Some(t), None) | (None, Some(t)) => t,
             (Some(a), Some(b)) => a.min(b),
         };
-        Some(SimTime::from_nanos(key.0))
+        Some(SimTime::from_nanos(tick))
     }
 
     /// Number of pending events.
@@ -355,21 +411,17 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Total number of events ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Total number of events ever popped.
-    pub fn total_popped(&self) -> u64 {
-        self.popped
+    /// Total pushes that missed the ring window and went to the overflow
+    /// heap. The rest of the pushes took the O(1) ring path.
+    pub fn overflow_pushed(&self) -> u64 {
+        self.overflow_pushed
     }
 
     /// Drops all pending events.
     pub fn clear(&mut self) {
-        for bucket in &mut self.ring {
-            bucket.clear();
-        }
+        self.buckets.fill(EMPTY_BUCKET);
+        self.slab.clear();
+        self.free = NIL;
         self.occ.fill(0);
         self.summary.fill(0);
         self.ring_len = 0;
@@ -389,8 +441,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
             .field("pending", &self.len())
             .field("ring", &self.ring_len)
             .field("overflow", &self.overflow.len())
-            .field("pushed", &self.pushed)
-            .field("popped", &self.popped)
+            .field("overflow_pushed", &self.overflow_pushed)
             .finish()
     }
 }
@@ -424,6 +475,14 @@ pub(crate) mod oracle {
 
         pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
             self.heap.pop().map(|e| (e.time, e.event))
+        }
+
+        /// Pops the head only if it is scheduled at or before `horizon`.
+        pub(crate) fn pop_due(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+            if self.peek_time()? > horizon {
+                return None;
+            }
+            self.pop()
         }
 
         pub(crate) fn peek_time(&self) -> Option<SimTime> {
@@ -475,16 +534,17 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_traffic() {
+    fn clear_drops_everything_pending() {
         let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, ());
-        q.push(SimTime::ZERO, ());
-        q.pop();
-        assert_eq!(q.total_pushed(), 2);
-        assert_eq!(q.total_popped(), 1);
+        q.push(SimTime::ZERO, 1);
+        q.push(SimTime::from_nanos(3), 2);
+        q.push(SimTime::from_nanos(1_000_000), 3);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.total_pushed(), 2);
+        assert!(q.pop().is_none());
+        q.push(SimTime::from_nanos(9), 4);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(9), 4)));
+        assert!(q.pop().is_none());
     }
 
     #[test]
@@ -508,74 +568,140 @@ mod tests {
         q.push(SimTime::from_nanos(1_000_000), 2);
         q.push(SimTime::from_nanos(3), 1);
         assert_eq!(q.len(), 3);
+        assert_eq!(q.overflow_pushed(), 1);
         assert_eq!(q.pop().unwrap().1, 0);
         assert_eq!(q.pop().unwrap().1, 1);
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1_000_000)));
         assert_eq!(q.pop().unwrap().1, 2);
+        assert_eq!(q.overflow_pushed(), 1);
     }
 
     #[test]
     fn same_instant_fifo_spans_ring_and_overflow() {
+        let t = SimTime::from_nanos;
         let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, 0u32); // anchors the window at tick 0
-        q.push(SimTime::from_nanos(200_000), 1); // outside the window → overflow
-        assert_eq!(q.pop().unwrap().1, 0);
-        q.push(SimTime::from_nanos(150_000), 2); // ring empty → window rebases
-        q.push(SimTime::from_nanos(200_000), 3); // now in window → ring
-                                                 // Seq order at t=200000 must hold across the two levels: 1 before 3.
-        assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(150_000), 2));
-        assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(200_000), 1));
-        assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(200_000), 3));
+        q.push(t(200_000), 1u32); // outside the window [0, 8192) → overflow
+        q.push(t(196_000), 2); // overflow
+        assert_eq!(q.pop().unwrap(), (t(196_000), 2)); // the window moves here
+        q.push(t(200_000), 3); // now in the window → ring
+        assert_eq!(q.overflow_pushed(), 2);
+        // Seq order at t=200000 must hold across the two levels: 1 before 3.
+        assert_eq!(q.pop().unwrap(), (t(200_000), 1));
+        assert_eq!(q.pop().unwrap(), (t(200_000), 3));
         assert!(q.pop().is_none());
     }
 
+    /// The window starts at the last popped tick, not at the next occupied
+    /// bucket: a follow-up shortly after the popped event stays in the ring
+    /// even when the next pending event is thousands of ticks away.
     #[test]
-    fn pop_if_at_only_takes_exact_matches() {
+    fn window_follows_the_clock() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, 'a');
+        q.push(SimTime::from_nanos(5_000), 'b');
+        assert_eq!(q.pop(), Some((SimTime::ZERO, 'a')));
+        q.push(SimTime::from_nanos(40), 'c');
+        assert!(q.overflow.is_empty(), "a near follow-up fell into the heap");
+        assert_eq!(q.overflow_pushed(), 0);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(40), 'c')));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5_000), 'b')));
+    }
+
+    /// A heap pop moves the window up to the popped time, so pushes just
+    /// after it land in the ring.
+    #[test]
+    fn heap_pops_move_the_window() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::ZERO, 0u32);
+        q.push(SimTime::from_nanos(100_000), 1); // overflow
+        q.push(SimTime::from_nanos(100_000 + 4_000), 2); // overflow
+        assert_eq!(q.pop().unwrap().1, 0);
+        assert_eq!(q.pop().unwrap().1, 1); // ring empty: heap-only pop
+        q.push(SimTime::from_nanos(100_010), 3);
+        assert_eq!(q.overflow_pushed(), 2);
+        assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(100_010), 3));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_nanos(104_000), 2));
+    }
+
+    #[test]
+    fn pop_due_only_takes_due_events() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_nanos(5), 'a');
         q.push(SimTime::from_nanos(5), 'b');
         q.push(SimTime::from_nanos(6), 'c');
-        assert_eq!(q.pop_if_at(SimTime::from_nanos(4)), None);
-        assert_eq!(q.pop_if_at(SimTime::from_nanos(5)), Some('a'));
-        assert_eq!(q.pop_if_at(SimTime::from_nanos(5)), Some('b'));
-        assert_eq!(q.pop_if_at(SimTime::from_nanos(5)), None);
-        assert_eq!(q.pop_if_at(SimTime::from_nanos(6)), Some('c'));
-        assert_eq!(q.total_popped(), 3);
+        q.push(SimTime::from_nanos(1_000_000), 'd');
+        let t = SimTime::from_nanos;
+        assert_eq!(q.pop_due(t(4)), None);
+        assert_eq!(q.pop_due(t(5)), Some((t(5), 'a')));
+        assert_eq!(q.pop_due(t(5)), Some((t(5), 'b')));
+        assert_eq!(q.pop_due(t(5)), None);
+        assert_eq!(q.pop_due(t(6)), Some((t(6), 'c')));
+        assert_eq!(q.pop_due(t(999_999)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_due(SimTime::MAX), Some((t(1_000_000), 'd')));
+        assert_eq!(q.pop_due(SimTime::MAX), None);
     }
 
     /// Drives the two-level queue and the heap oracle through the same
-    /// random push/pop interleaving and asserts identical pop sequences.
+    /// random interleaving of pushes (near, far, past, window-edge, bursts),
+    /// pops and `pop_due` at random horizons, and asserts identical results.
+    /// Halfway through, the queue is cloned; from then on the clone gets the
+    /// same operations and must return the same results as both.
     fn differential_run(seed: u64, ops: usize) {
         let mut q = EventQueue::new();
         let mut o = HeapQueue::new();
+        let mut twin: Option<EventQueue<u64>> = None;
         let mut rng = DetRng::new(seed);
         let mut now = 0u64;
         let mut tag = 0u64;
-        for _ in 0..ops {
-            match rng.below(10) {
-                // Push: mixture of near deltas, far deltas, same-instant
-                // bursts, and the occasional past-relative time.
+        for op in 0..ops {
+            if op == ops / 2 {
+                twin = Some(q.clone());
+            }
+            match rng.below(12) {
                 0..=5 => {
-                    let t = match rng.below(8) {
+                    let t = match rng.below(9) {
                         0 => now + rng.below(4), // same instant or just ahead
                         1..=4 => now + rng.below(64),
                         5 => now + rng.below(1_000_000), // far horizon
                         6 => now.saturating_sub(rng.below(32)), // in the past
+                        7 => now + 100_000 + rng.below(8), // timeout-like, clustered
                         _ => now + (RING_BUCKETS as u64 - 32) + rng.below(64), // window edge
                     };
                     let burst = if rng.below(5) == 0 { 4 } else { 1 };
                     for _ in 0..burst {
                         q.push(SimTime::from_nanos(t), tag);
                         o.push(SimTime::from_nanos(t), tag);
+                        if let Some(tw) = twin.as_mut() {
+                            tw.push(SimTime::from_nanos(t), tag);
+                        }
                         tag += 1;
                     }
                 }
-                // Pop from both and compare.
-                _ => {
+                6..=8 => {
                     assert_eq!(q.peek_time(), o.peek_time(), "peek diverged");
                     let got = q.pop();
-                    let want = o.pop();
-                    assert_eq!(got, want, "pop diverged (seed {seed})");
+                    assert_eq!(got, o.pop(), "pop diverged (seed {seed})");
+                    if let Some(tw) = twin.as_mut() {
+                        assert_eq!(tw.pop(), got, "clone diverged (seed {seed})");
+                    }
+                    if let Some((t, _)) = got {
+                        now = t.as_nanos();
+                    }
+                }
+                _ => {
+                    let h = match rng.below(4) {
+                        0 => now.saturating_sub(rng.below(16)),
+                        1 => now + rng.below(64),
+                        2 => now + rng.below(20_000),
+                        _ => now + rng.below(2_000_000),
+                    };
+                    let h = SimTime::from_nanos(h);
+                    let got = q.pop_due(h);
+                    assert_eq!(got, o.pop_due(h), "pop_due diverged (seed {seed})");
+                    if let Some(tw) = twin.as_mut() {
+                        assert_eq!(tw.pop_due(h), got, "clone diverged (seed {seed})");
+                    }
                     if let Some((t, _)) = got {
                         now = t.as_nanos();
                     }
@@ -583,11 +709,12 @@ mod tests {
             }
             assert_eq!(q.len(), o.len());
         }
-        // Drain both completely.
+        let mut twin = twin.expect("cloned halfway");
+        // Drain all three completely.
         loop {
             let got = q.pop();
-            let want = o.pop();
-            assert_eq!(got, want, "drain diverged (seed {seed})");
+            assert_eq!(got, o.pop(), "drain diverged (seed {seed})");
+            assert_eq!(twin.pop(), got, "clone drain diverged (seed {seed})");
             if got.is_none() {
                 break;
             }
@@ -599,26 +726,5 @@ mod tests {
         for seed in 0..32 {
             differential_run(0xA11CE ^ seed, 4_000);
         }
-    }
-
-    #[test]
-    fn differential_vs_heap_oracle_pop_if_at() {
-        // Same oracle comparison, but draining through pop_if_at batches the
-        // way run_batched does.
-        let mut q = EventQueue::new();
-        let mut o = HeapQueue::new();
-        let mut rng = DetRng::new(0xD1FF);
-        for i in 0..2_000u64 {
-            let t = SimTime::from_nanos(rng.below(512));
-            q.push(t, i);
-            o.push(t, i);
-        }
-        while let Some((t, ev)) = q.pop() {
-            assert_eq!(o.pop(), Some((t, ev)));
-            while let Some(ev) = q.pop_if_at(t) {
-                assert_eq!(o.pop(), Some((t, ev)), "batched drain diverged");
-            }
-        }
-        assert_eq!(o.pop(), None);
     }
 }
