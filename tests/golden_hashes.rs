@@ -9,16 +9,21 @@
 //! why.
 //!
 //! Covered: one quick 8-node Table 5.3 experiment per fault type, one
-//! checkpoint→fork run, and a six-run campaign with two runs per harness.
+//! checkpoint→fork run, a six-run campaign with two runs per harness, and
+//! one hand-written schedule per harness that reaches the phase-entry and
+//! OS-window arming paths (generated campaigns at these sizes draw only
+//! steady events).
 
 use flash::campaign::{
-    generate, per_run_seed, run_campaign, CampaignConfig, GeneratorConfig, Mode,
+    generate, per_run_seed, run_campaign, run_schedule, CampaignConfig, FaultEvent,
+    GeneratorConfig, InjectAt, Mode, Schedule,
 };
 use flash::core::{
     finish_fault_experiment, prepare_fault_experiment, random_fault, run_fault_experiment,
     ExperimentConfig, FaultKind,
 };
-use flash::machine::MachineParams;
+use flash::machine::{FaultSpec, MachineParams};
+use flash::net::NodeId;
 use flash::sim::DetRng;
 
 /// A short Table 5.3 experiment on the 8-node Table 5.1 machine.
@@ -30,7 +35,7 @@ fn quick_experiment(seed: u64) -> ExperimentConfig {
 }
 
 /// The fault of kind `kind` drawn from fault seed `seed`.
-fn fault_of(kind: FaultKind, seed: u64) -> flash::machine::FaultSpec {
+fn fault_of(kind: FaultKind, seed: u64) -> FaultSpec {
     random_fault(kind, 8, &mut DetRng::new(seed))
 }
 
@@ -130,4 +135,89 @@ fn campaign_keeps_its_trace_hashes() {
         "campaign trace hashes moved: {:#018x?}",
         hashes
     );
+}
+
+/// An 8-node schedule for `mode` that dooms node 3 at the steady point,
+/// node 5 500 ns after the first P2 entry, and node 6 in the OS recovery
+/// window (a late steady fault in machine mode).
+fn arming_schedule(mode: Mode) -> Schedule {
+    Schedule {
+        seed: 41,
+        n_nodes: 8,
+        mode,
+        fill_ops: 120,
+        total_ops: 350,
+        firewall_enabled: true,
+        events: vec![
+            FaultEvent {
+                at: InjectAt::Steady { offset_ns: 0 },
+                fault: FaultSpec::Node(NodeId(3)),
+            },
+            FaultEvent {
+                at: InjectAt::PhaseEntry {
+                    phase: 2,
+                    delay_ns: 500,
+                },
+                fault: FaultSpec::Node(NodeId(5)),
+            },
+            FaultEvent {
+                at: InjectAt::DuringOsRecovery,
+                fault: FaultSpec::Node(NodeId(6)),
+            },
+        ],
+    }
+}
+
+/// Per harness: trace hash, phase hits, OS-window hits. Every run finishes
+/// and passes the invariant stack.
+const ARMING_PINS: [(Mode, u64, [u64; 4], u64); 3] = [
+    (Mode::Machine, 0xd78b_5f22_5852_3a62, [0, 1, 0, 0], 0),
+    (Mode::Hive, 0x6a9b_e2f8_79df_a6b2, [0, 1, 0, 0], 1),
+    (Mode::HiveKv, 0x086d_2187_9e70_29a2, [0, 1, 0, 0], 1),
+];
+
+#[test]
+fn phase_entry_and_os_window_arming_keep_their_trace_hashes() {
+    for (mode, hash, phase_hits, os_hits) in ARMING_PINS {
+        let r = run_schedule(&arming_schedule(mode));
+        assert!(r.finished, "{mode:?} did not finish");
+        assert!(r.passed(), "{mode:?}: {:?}", r.violations);
+        assert_eq!(r.phase_hits, phase_hits, "{mode:?} phase hits");
+        assert_eq!(r.os_recovery_hits, os_hits, "{mode:?} OS-window hits");
+        assert_eq!(
+            r.trace_hash, hash,
+            "{mode:?}: trace hash {:#018x} moved from {hash:#018x}",
+            r.trace_hash
+        );
+    }
+}
+
+/// A machine-mode schedule with one fault at the steady point runs the
+/// Table 5.3 experiment: same machine, fill, fault time and trace.
+#[test]
+fn machine_schedule_matches_the_table_5_3_experiment() {
+    let params = MachineParams::tiny();
+    for fault in [FaultSpec::FalseAlarm(NodeId(1)), FaultSpec::Node(NodeId(2))] {
+        let s = Schedule {
+            seed: 17,
+            n_nodes: params.n_nodes,
+            mode: Mode::Machine,
+            fill_ops: 120,
+            total_ops: 350,
+            firewall_enabled: params.magic.firewall_enabled,
+            events: vec![FaultEvent {
+                at: InjectAt::Steady { offset_ns: 0 },
+                fault: fault.clone(),
+            }],
+        };
+        let mut cfg = ExperimentConfig::new(params, s.seed);
+        cfg.fill_ops = s.fill_ops;
+        cfg.total_ops = s.total_ops;
+        cfg.write_fraction = 0.5;
+        let experiment = run_fault_experiment(&cfg, fault.clone());
+        let record = run_schedule(&s);
+        assert!(experiment.passed() && record.passed(), "{fault:?}");
+        assert_eq!(record.finished, experiment.finished, "{fault:?}");
+        assert_eq!(record.trace_hash, experiment.trace_hash, "{fault:?}");
+    }
 }
