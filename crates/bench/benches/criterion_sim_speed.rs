@@ -30,7 +30,7 @@
 //!   regressed by more than 20% in events/sec.
 
 use flash_bench::runs_from_env;
-use flash_core::{build_machine, ExperimentConfig, RecoveryConfig};
+use flash_core::{build_machine, prepare_fault_experiment, ExperimentConfig, RecoveryConfig};
 use flash_machine::{FaultSpec, MachineParams, RandomFill};
 use flash_net::{DeliveryNote, Fabric, Lane, Mesh2D, NetEv, NetParams, NodeId, Packet, RouterId};
 use flash_sim::{DetRng, Engine, RunOutcome, Scheduler, SimDuration, SimTime, World};
@@ -193,45 +193,13 @@ fn normal_mode_events(firewall: bool) -> MachineRun {
     (m.events_processed(), m.overflow_pushed())
 }
 
-/// One full fault-recovery cycle (the Section 5.2 methodology inlined so the
-/// engine's event count is observable).
+/// One full fault-recovery cycle: the Section 5.2 fill, then the fault and
+/// the drain run here so the engine's event count is observable.
 fn recovery_cycle_events() -> MachineRun {
-    let cfg = {
-        let mut c = ExperimentConfig::new(MachineParams::table_5_1(), 9);
-        c.fill_ops = 500;
-        c.total_ops = 1_500;
-        c
-    };
-    let layout = cfg.params.layout();
-    let protected = cfg.params.protected_lines;
-    let (total_ops, write_fraction) = (cfg.total_ops, cfg.write_fraction);
-    let mut m = build_machine(
-        cfg.params,
-        cfg.recovery,
-        move |_| {
-            Box::new(RandomFill::valid_system_range(
-                total_ops,
-                write_fraction,
-                layout,
-                protected,
-            ))
-        },
-        cfg.seed,
-    );
-    m.set_event_budget(2_000_000_000);
-    m.start();
-    let slice = SimDuration::from_micros(20);
-    loop {
-        let outcome = m.run_for(slice);
-        let filled = m
-            .st()
-            .nodes
-            .iter()
-            .all(|n| n.workload.progress() >= cfg.fill_ops);
-        if filled || outcome == RunOutcome::Drained {
-            break;
-        }
-    }
+    let mut cfg = ExperimentConfig::new(MachineParams::table_5_1(), 9);
+    cfg.fill_ops = 500;
+    cfg.total_ops = 1_500;
+    let mut m = prepare_fault_experiment(&cfg);
     let inject_at = m.now() + SimDuration::from_nanos(1);
     m.schedule_fault(inject_at, FaultSpec::Node(NodeId(3)));
     let outcome = m.run_until(m.now() + SimDuration::from_secs(20));

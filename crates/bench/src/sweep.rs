@@ -35,9 +35,7 @@ use flash_core::{
     finish_fault_experiment, prepare_fault_experiment, random_fault, ExperimentConfig,
     ExperimentOutcome, FaultKind, RecoveryConfig,
 };
-use flash_hive::{
-    finish_parallel_make, prepare_parallel_make, EndToEndOutcome, HiveConfig, PreparedMake,
-};
+use flash_hive::{finish_parallel_make, prepare_parallel_make, EndToEndOutcome, HiveConfig};
 use flash_machine::MachineParams;
 use flash_sim::DetRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -166,6 +164,52 @@ fn aggregate<O>(
     flat
 }
 
+/// The one sweep enumerator. Checkpoint group `g` builds its warm state
+/// with `prepare(g)`, then for each stage `s` of `stages`, each kind and
+/// each fork slot `j < K` runs `run(state, stages[s], kind, rng)` as run
+/// `g·S·K + s·K + j` of its kind (`S` stages), with `rng` seeded by
+/// [`fault_rng_seed`]`(g, kind, s·K + j)`. Runs past `runs_per_kind` are
+/// skipped. A validation sweep is the single-stage case.
+fn sweep<W, O: Send>(
+    cfg: &SweepConfig,
+    kinds: &[FaultKind],
+    stages: &[u32],
+    prepare: impl Fn(u64) -> W + Sync,
+    run: impl Fn(&mut W, u32, FaultKind, &mut DetRng) -> O + Sync,
+) -> Vec<SweepRun<O>> {
+    let k = cfg.forks_per_checkpoint.max(1);
+    let per_group = k * stages.len();
+    let groups = run_checkpoint_groups(
+        cfg.workers,
+        cfg.runs_per_kind.div_ceil(per_group),
+        |g| prepare(g as u64),
+        |g, mut state| {
+            let mut out = Vec::with_capacity(kinds.len() * per_group);
+            for (s, &pct) in stages.iter().enumerate() {
+                for &kind in kinds {
+                    for j in 0..k {
+                        let run_index = g * per_group + s * k + j;
+                        if run_index >= cfg.runs_per_kind {
+                            continue;
+                        }
+                        let mut rng =
+                            DetRng::new(fault_rng_seed(g as u64, kind, (s * k + j) as u64));
+                        out.push(SweepRun {
+                            kind,
+                            run: run_index,
+                            fill_seed: g as u64,
+                            stage_pct: pct,
+                            outcome: run(&mut state, pct, kind, &mut rng),
+                        });
+                    }
+                }
+            }
+            out
+        },
+    );
+    aggregate(groups, kinds, cfg)
+}
+
 /// Sweeps the Section 5.2 validation experiment (Table 5.3 methodology):
 /// one cache-fill prelude per checkpoint group, then `kinds × K` forked
 /// fault runs per group.
@@ -177,37 +221,21 @@ pub fn sweep_fault_experiments(
     kinds: &[FaultKind],
     make_cfg: impl Fn(u64) -> ExperimentConfig + Sync,
 ) -> Vec<SweepRun<ExperimentOutcome>> {
-    let k = cfg.forks_per_checkpoint.max(1);
-    let groups = run_checkpoint_groups(
-        cfg.workers,
-        cfg.n_groups(),
+    sweep(
+        cfg,
+        kinds,
+        &[0],
         |g| {
-            let ecfg = make_cfg(g as u64);
-            (ecfg, prepare_fault_experiment(&ecfg).checkpoint())
+            let ecfg = make_cfg(g);
+            (
+                ecfg.params.n_nodes,
+                prepare_fault_experiment(&ecfg).checkpoint(),
+            )
         },
-        |g, (ecfg, ckpt)| {
-            let mut out = Vec::with_capacity(kinds.len() * k);
-            for &kind in kinds {
-                for j in 0..k {
-                    let run = g * k + j;
-                    if run >= cfg.runs_per_kind {
-                        continue;
-                    }
-                    let mut rng = DetRng::new(fault_rng_seed(g as u64, kind, j as u64));
-                    let fault = random_fault(kind, ecfg.params.n_nodes, &mut rng);
-                    out.push(SweepRun {
-                        kind,
-                        run,
-                        fill_seed: g as u64,
-                        stage_pct: 0,
-                        outcome: finish_fault_experiment(ckpt.fork(), fault),
-                    });
-                }
-            }
-            out
+        |(n_nodes, ckpt), _, kind, rng| {
+            finish_fault_experiment(ckpt.fork(), random_fault(kind, *n_nodes, rng))
         },
-    );
-    aggregate(groups, kinds, cfg)
+    )
 }
 
 /// The paper's Section 5.3 injection points, stratified: faults were
@@ -235,44 +263,20 @@ pub fn sweep_parallel_make(
     hive: &HiveConfig,
     recovery: RecoveryConfig,
 ) -> Vec<SweepRun<EndToEndOutcome>> {
-    let k = cfg.forks_per_checkpoint.max(1);
     let stages = if stages.is_empty() { &[30] } else { stages };
-    let per_group = k * stages.len();
-    let n_groups = cfg.runs_per_kind.div_ceil(per_group);
-    let groups = run_checkpoint_groups(
-        cfg.workers,
-        n_groups,
-        |g| prepare_parallel_make(params, hive, recovery, g as u64),
-        |g, mut prep: PreparedMake| {
-            let mut out = Vec::with_capacity(kinds.len() * per_group);
-            for (s, &pct) in stages.iter().enumerate() {
-                // Climbing the ladder rung by rung is trace-identical to a
-                // single warm to this rung (warm_to_percent is an
-                // idempotent continuation).
-                prep.warm_to_percent(pct);
-                for &kind in kinds {
-                    for j in 0..k {
-                        let run = g * per_group + s * k + j;
-                        if run >= cfg.runs_per_kind {
-                            continue;
-                        }
-                        let mut rng =
-                            DetRng::new(fault_rng_seed(g as u64, kind, (s * k + j) as u64));
-                        let fault = random_fault(kind, params.n_nodes, &mut rng);
-                        out.push(SweepRun {
-                            kind,
-                            run,
-                            fill_seed: g as u64,
-                            stage_pct: pct,
-                            outcome: finish_parallel_make(prep.fork(), Some(fault)),
-                        });
-                    }
-                }
-            }
-            out
+    sweep(
+        cfg,
+        kinds,
+        stages,
+        |g| prepare_parallel_make(params, hive, recovery, g),
+        |prep, pct, kind, rng| {
+            // Climbing the ladder rung by rung is trace-identical to a
+            // single warm to this rung (warm_to_percent is an idempotent
+            // continuation).
+            prep.warm_to_percent(pct);
+            finish_parallel_make(prep.fork(), Some(random_fault(kind, params.n_nodes, rng)))
         },
-    );
-    aggregate(groups, kinds, cfg)
+    )
 }
 
 /// Host-side wall-clock comparison of the forked sweep against the
@@ -312,35 +316,11 @@ pub fn time_fault_sweep(
     let forked = sweep_fault_experiments(cfg, kinds, &make_cfg);
     let forked_secs = sw.secs();
 
-    let k = cfg.forks_per_checkpoint.max(1);
     let sw = Stopwatch::start();
-    let groups = run_checkpoint_groups(
-        cfg.workers,
-        cfg.n_groups(),
-        |g| make_cfg(g as u64),
-        |g, ecfg| {
-            let mut out = Vec::with_capacity(kinds.len() * k);
-            for &kind in kinds {
-                for j in 0..k {
-                    let run = g * k + j;
-                    if run >= cfg.runs_per_kind {
-                        continue;
-                    }
-                    let mut rng = DetRng::new(fault_rng_seed(g as u64, kind, j as u64));
-                    let fault = random_fault(kind, ecfg.params.n_nodes, &mut rng);
-                    out.push(SweepRun {
-                        kind,
-                        run,
-                        fill_seed: g as u64,
-                        stage_pct: 0,
-                        outcome: flash_core::run_fault_experiment(&ecfg, fault),
-                    });
-                }
-            }
-            out
-        },
-    );
-    let scratch = aggregate(groups, kinds, cfg);
+    let scratch = sweep(cfg, kinds, &[0], &make_cfg, |ecfg, _, kind, rng| {
+        let fault = random_fault(kind, ecfg.params.n_nodes, rng);
+        flash_core::run_fault_experiment(ecfg, fault)
+    });
     let scratch_secs = sw.secs();
 
     let timing = SweepTiming {
@@ -371,43 +351,20 @@ pub fn time_parallel_make_sweep(
     let forked = sweep_parallel_make(cfg, kinds, stages, params, hive, recovery);
     let forked_secs = sw.secs();
 
-    let k = cfg.forks_per_checkpoint.max(1);
     let stages = if stages.is_empty() { &[30] } else { stages };
-    let per_group = k * stages.len();
-    let n_groups = cfg.runs_per_kind.div_ceil(per_group);
     let sw = Stopwatch::start();
-    let groups = run_checkpoint_groups(
-        cfg.workers,
-        n_groups,
+    let scratch = sweep(
+        cfg,
+        kinds,
+        stages,
         |g| g,
-        |g, _| {
-            let mut out = Vec::with_capacity(kinds.len() * per_group);
-            for (s, &pct) in stages.iter().enumerate() {
-                for &kind in kinds {
-                    for j in 0..k {
-                        let run = g * per_group + s * k + j;
-                        if run >= cfg.runs_per_kind {
-                            continue;
-                        }
-                        let mut rng =
-                            DetRng::new(fault_rng_seed(g as u64, kind, (s * k + j) as u64));
-                        let fault = random_fault(kind, params.n_nodes, &mut rng);
-                        let mut prep = prepare_parallel_make(params, hive, recovery, g as u64);
-                        prep.warm_to_percent(pct);
-                        out.push(SweepRun {
-                            kind,
-                            run,
-                            fill_seed: g as u64,
-                            stage_pct: pct,
-                            outcome: finish_parallel_make(prep, Some(fault)),
-                        });
-                    }
-                }
-            }
-            out
+        |&mut g, pct, kind, rng| {
+            let fault = random_fault(kind, params.n_nodes, rng);
+            let mut prep = prepare_parallel_make(params, hive, recovery, g);
+            prep.warm_to_percent(pct);
+            finish_parallel_make(prep, Some(fault))
         },
     );
-    let scratch = aggregate(groups, kinds, cfg);
     let scratch_secs = sw.secs();
 
     let timing = SweepTiming {

@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod inject;
 mod invariants;
 mod runner;
 mod schedule;

@@ -8,9 +8,10 @@
 
 use crate::config::{RecoveryConfig, RecoveryReport};
 use crate::ext::RecoveryExt;
+use crate::lifecycle::{run_to_quiescence, warm_until};
 use flash_machine::{FaultSpec, Machine, MachineParams, RandomFill, ValidationReport, Workload};
 use flash_net::{NodeId, RouterId};
-use flash_sim::{DetRng, RunOutcome, SimDuration, SimTime};
+use flash_sim::{DetRng, SimDuration, SimTime};
 
 /// A fault-contained machine: the substrate plus the recovery extension.
 pub type FcMachine = Machine<RecoveryExt>;
@@ -129,24 +130,12 @@ pub fn prepare_fault_experiment(cfg: &ExperimentConfig) -> FcMachine {
     m.start();
 
     // Phase A: fill caches until every processor completed `fill_ops`.
-    let slice = SimDuration::from_micros(20);
-    let mut guard = 0;
-    loop {
-        let horizon = m.now() + slice;
-        let outcome = m.run_until(horizon);
-        let filled = m
-            .st()
+    warm_until(&mut m, SimDuration::from_micros(20), |m| {
+        m.st()
             .nodes
             .iter()
-            .all(|n| n.workload.progress() >= cfg.fill_ops);
-        if filled {
-            break;
-        }
-        guard += 1;
-        if guard > 1_000_000 || outcome == RunOutcome::Drained {
-            break;
-        }
-    }
+            .all(|n| n.workload.progress() >= cfg.fill_ops)
+    });
     m
 }
 
@@ -159,9 +148,7 @@ pub fn finish_fault_experiment(mut m: FcMachine, fault: FaultSpec) -> Experiment
     m.schedule_fault(inject_at, fault);
 
     // Phase C: run to quiescence (workload completion + recovery + drain).
-    let budget = m.now() + SimDuration::from_secs(20);
-    let outcome = m.run_until(budget);
-    let finished = outcome == RunOutcome::Drained;
+    let finished = run_to_quiescence(&mut m, &mut true);
 
     let bus_errors = m.st().counters.get("bus_errors");
     let (busy_ns, services) = m.st().occupancy_totals();
@@ -258,6 +245,7 @@ impl FaultKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flash_sim::RunOutcome;
 
     #[test]
     fn mesh_width_matches_roughly_square() {

@@ -38,6 +38,7 @@
 mod config;
 mod experiment;
 mod ext;
+mod lifecycle;
 mod msg;
 mod view;
 
@@ -47,5 +48,10 @@ pub use experiment::{
     run_fault_experiment, ExperimentConfig, ExperimentOutcome, FaultKind, FcMachine,
 };
 pub use ext::{RecEv, RecoveryExt, Step};
+pub use lifecycle::{
+    all_terminal, any_progress, drive, run_slices, run_to_quiescence, total_progress, warm_until,
+    DriveExit, Faults, Harness, ARM_STEP, DETECT_WAIT, DRIVE_SLICE, OS_WINDOW_RECOVERY, RUN_BUDGET,
+    SETTLE,
+};
 pub use msg::{BarrierId, RecMsg};
 pub use view::{Tree, View};

@@ -5,10 +5,13 @@
 use crate::cells::CellLayout;
 use crate::os::{self, HiveConfig};
 use crate::task::{CompileTask, ServerLoop, TaskState};
-use flash_core::{build_machine, FcMachine, RecoveryConfig, RecoveryReport};
+use flash_core::{
+    all_terminal, build_machine, drive, total_progress, warm_until, DriveExit, FcMachine, Harness,
+    RecoveryConfig, RecoveryReport, DRIVE_SLICE,
+};
 use flash_machine::{FaultSpec, Idle, MachineParams};
 use flash_net::NodeId;
-use flash_sim::{RunOutcome, SimDuration};
+use flash_sim::SimDuration;
 
 /// The outcome of one compile in an end-to-end run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,7 +100,7 @@ pub struct PreparedMake {
 }
 
 impl PreparedMake {
-    /// Runs the machine until any compile reaches ~30% of its operations —
+    /// Runs the machine until the make is ~30% done —
     /// [`run_parallel_make`]'s injection point. Idempotent once the
     /// threshold is reached.
     pub fn warm(&mut self) {
@@ -116,22 +119,10 @@ impl PreparedMake {
     pub fn warm_to_percent(&mut self, pct: u32) {
         let total_budget = self.hive.ops_per_task() * self.client_nodes.len() as u64;
         let inject_threshold = total_budget * u64::from(pct) / 100;
-        let mut guard = 0;
-        loop {
-            let done: u64 = self
-                .client_nodes
-                .iter()
-                .map(|c| self.m.st().nodes[c.index()].workload.progress())
-                .sum();
-            if done >= inject_threshold {
-                break;
-            }
-            self.m.run_for(SimDuration::from_micros(50));
-            guard += 1;
-            if guard > 2_000_000 {
-                break;
-            }
-        }
+        let clients = &self.client_nodes;
+        warm_until(&mut self.m, DRIVE_SLICE, |m| {
+            total_progress(m, clients) >= inject_threshold
+        });
     }
 
     /// Deep-copies the warm experiment — one fork per fault to amortize the
@@ -140,15 +131,51 @@ impl PreparedMake {
         self.clone()
     }
 
-    /// Read access to the underlying machine (inspection).
-    pub fn machine(&self) -> &FcMachine {
+    /// The cell layout (cell 0 is the file server).
+    pub fn layout(&self) -> &CellLayout {
+        &self.layout
+    }
+
+    /// The boot node of each client cell, in cell order: one compile each.
+    pub fn client_nodes(&self) -> &[NodeId] {
+        &self.client_nodes
+    }
+
+    /// Each compile's state so far, and whether it depends on a failed
+    /// cell (its own or the file server's).
+    pub fn compiles(&self) -> Vec<CompileOutcome> {
+        let failed_cells = self.layout.failed_cells(&self.m.st().failed_nodes);
+        let server_failed = failed_cells.contains(&0);
+        self.client_nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &node)| {
+                let cell = i + 1;
+                let (state, files_done) =
+                    os::task_result(&self.m, node).unwrap_or((TaskState::Running, 0));
+                CompileOutcome {
+                    cell,
+                    state,
+                    files_done,
+                    affected: server_failed || failed_cells.contains(&cell),
+                }
+            })
+            .collect()
+    }
+}
+
+impl Harness for PreparedMake {
+    fn machine(&self) -> &FcMachine {
         &self.m
     }
 
-    /// Consumes the prepared experiment, returning the machine (custom
-    /// drivers that need more control than [`finish_parallel_make`]).
-    pub fn into_machine(self) -> FcMachine {
-        self.m
+    fn machine_mut(&mut self) -> &mut FcMachine {
+        &mut self.m
+    }
+
+    /// Every compile halted or died; the server loop never halts.
+    fn workload_done(&self) -> bool {
+        all_terminal(&self.m, &self.client_nodes)
     }
 }
 
@@ -221,104 +248,36 @@ pub fn prepare_parallel_make(
 /// Drives a booted (and, for fault runs, warmed) experiment to its terminal
 /// state: optional fault injection, hardware recovery, OS recovery and
 /// per-compile outcome accounting.
-pub fn finish_parallel_make(prep: PreparedMake, fault: Option<FaultSpec>) -> EndToEndOutcome {
-    let PreparedMake {
-        mut m,
-        layout,
-        client_nodes,
-        hive,
-    } = prep;
-
-    if let Some(spec) = fault.clone() {
-        m.schedule_fault(m.now() + SimDuration::from_nanos(1), spec);
+pub fn finish_parallel_make(mut prep: PreparedMake, fault: Option<FaultSpec>) -> EndToEndOutcome {
+    let faulted = fault.is_some();
+    if let Some(spec) = fault {
+        let at = prep.m.now() + SimDuration::from_nanos(1);
+        prep.m.schedule_fault(at, spec);
     }
 
-    // Run until every compile reaches a terminal state (its processor halts
-    // or dies). The server loop never halts, so poll with horizons. When a
-    // fault was injected, additionally wait for the (background kernel
-    // monitoring) traffic to detect it and for recovery to complete — up to
-    // a detection budget, since an unreferenced dead link can legitimately
-    // stay latent.
-    let mut finished = false;
-    let mut detect_wait = 0u32;
-    let budget = 400_000; // x 50us = 20s of simulated time
-    for _ in 0..budget {
-        let out = m.run_for(SimDuration::from_micros(50));
-        let all_done = client_nodes.iter().all(|c| {
-            let n = &m.st().nodes[c.index()];
-            !n.is_alive()
-                || matches!(
-                    n.proc,
-                    flash_machine::ProcState::Halted | flash_machine::ProcState::Dead
-                )
-        });
-        if all_done && !m.ext().recovery_active() {
-            let fault_pending = fault.is_some() && !m.ext().report.completed();
-            if fault_pending && detect_wait < 10_000 {
-                detect_wait += 1; // up to 500ms of simulated detection time
-                continue;
-            }
-            finished = true;
-            break;
-        }
-        if out == RunOutcome::Drained {
-            finished = true;
-            break;
-        }
-    }
+    // Run until every compile reaches a terminal state and, after a fault,
+    // until the background kernel monitoring detected it and recovery
+    // completed (see `drive` for the limits).
+    let finished = drive(&mut prep, &mut { faulted }) != DriveExit::OutOfBudget;
 
     // OS recovery (Section 4.6): page reinitialization + modeled cost.
-    let failed_cells = layout.failed_cells(&m.st().failed_nodes);
-    {
-        let now = m.now();
-        let st = m.st_mut();
-        for &cell in &failed_cells {
-            st.obs.record(
-                flash_obs::Domain::Hive,
-                now,
-                flash_obs::TraceEvent::HiveCell {
-                    cell: cell as u16,
-                    what: "cell_failed",
-                    value: layout.members(cell).len() as u64,
-                },
-            );
-        }
-    }
-    let lines_reinitialized = if fault.is_some() {
-        os::os_recover(&mut m)
+    let failed_cells = os::record_failed_cells(&mut prep.m, &prep.layout);
+    let (lines_reinitialized, os_time) = if faulted {
+        let live_cells = prep.hive.n_cells - failed_cells.len();
+        (
+            os::os_recover(&mut prep.m),
+            prep.hive.os_recovery_time(live_cells),
+        )
     } else {
-        0
+        (0, SimDuration::ZERO)
     };
-    let live_cells = hive.n_cells - failed_cells.len();
-    let os_time = if fault.is_some() {
-        hive.os_recovery_time(live_cells)
-    } else {
-        SimDuration::ZERO
-    };
-
-    let server_failed = failed_cells.contains(&0);
-    let compiles = client_nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &node)| {
-            let cell = i + 1;
-            let (state, files_done) = os::task_result(&m, node).unwrap_or((TaskState::Running, 0));
-            CompileOutcome {
-                cell,
-                state,
-                files_done,
-                affected: server_failed || failed_cells.contains(&cell),
-            }
-        })
-        .collect();
-
     EndToEndOutcome {
-        compiles,
-        recovery: m.ext().report.clone(),
+        compiles: prep.compiles(),
+        recovery: prep.m.ext().report.clone(),
         os_time,
         lines_reinitialized,
         finished,
-        trace_hash: m.st().obs.merged_hash(),
+        trace_hash: prep.m.st().obs.merged_hash(),
     }
 }
 

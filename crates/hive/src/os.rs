@@ -222,6 +222,26 @@ pub fn os_recover(m: &mut FcMachine) -> u64 {
     cleared
 }
 
+/// Records one `cell_failed` trace event per cell that lost hardware (its
+/// value is the cell's node count) and returns those cells.
+pub fn record_failed_cells(m: &mut FcMachine, layout: &CellLayout) -> Vec<usize> {
+    let failed_cells = layout.failed_cells(&m.st().failed_nodes);
+    let now = m.now();
+    let obs = &mut m.st_mut().obs;
+    for &cell in &failed_cells {
+        obs.record(
+            flash_obs::Domain::Hive,
+            now,
+            flash_obs::TraceEvent::HiveCell {
+                cell: cell as u16,
+                what: "cell_failed",
+                value: layout.members(cell).len() as u64,
+            },
+        );
+    }
+    failed_cells
+}
+
 /// Reads a compile task's final state from a machine node's workload.
 /// Returns `None` for nodes not running a [`CompileTask`].
 pub fn task_result(m: &FcMachine, node: NodeId) -> Option<(TaskState, u32)> {

@@ -7,18 +7,25 @@
 //! [`prepare_kv_serving`] boots, [`PreparedKv::warm_to_percent`] runs to a
 //! checkpoint, [`PreparedKv::fork`] deep-copies, and
 //! [`finish_kv_serving`] drives to the terminal state — forked runs hash
-//! bit-identically to from-scratch runs with the same seed.
+//! bit-identically to from-scratch runs with the same seed. The drive is
+//! the shared [`flash_core::drive`] loop: [`PreparedKv`] is a
+//! [`Harness`] whose after-slice hook is the post-recovery repair pass,
+//! and [`PreparedKv::collect`] ends the run. The chaos campaign drives the
+//! same harness with its own fault injector.
 
 use crate::config::KvConfig;
 use crate::placement::{ChunkDirectory, RepairSummary};
 use crate::shard::KvShard;
 use flash_coherence::{LineAddr, NodeSet, LINES_PER_PAGE};
-use flash_core::{build_machine, FcMachine, RecoveryConfig, RecoveryReport};
+use flash_core::{
+    all_terminal, build_machine, drive, total_progress, warm_until, DriveExit, FcMachine, Harness,
+    RecoveryConfig, RecoveryReport, DRIVE_SLICE,
+};
 use flash_hive::{os, CellLayout, HiveConfig};
-use flash_machine::{FaultSpec, Idle, MachineParams, ProcState};
+use flash_machine::{FaultSpec, Idle, MachineParams};
 use flash_net::NodeId;
 use flash_obs::{Domain, TraceEvent};
-use flash_sim::{LatencyHistogram, RunOutcome, SimDuration};
+use flash_sim::{LatencyHistogram, SimDuration};
 
 /// Aggregated user-visible serving statistics for one run.
 #[derive(Clone, Debug)]
@@ -225,22 +232,10 @@ impl PreparedKv {
     /// across shards. Idempotent once the threshold is reached.
     pub fn warm_to_percent(&mut self, pct: u32) {
         let threshold = self.kv.total_requests() * u64::from(pct) / 100;
-        let mut guard = 0;
-        loop {
-            let done: u64 = self
-                .shard_nodes
-                .iter()
-                .map(|n| self.m.st().nodes[n.index()].workload.progress())
-                .sum();
-            if done >= threshold {
-                break;
-            }
-            self.m.run_for(SimDuration::from_micros(50));
-            guard += 1;
-            if guard > 2_000_000 {
-                break;
-            }
-        }
+        let shards = &self.shard_nodes;
+        warm_until(&mut self.m, DRIVE_SLICE, |m| {
+            total_progress(m, shards) >= threshold
+        });
     }
 
     /// Deep-copies the warm experiment — one fork per fault.
@@ -248,15 +243,9 @@ impl PreparedKv {
         self.clone()
     }
 
-    /// Read access to the underlying machine.
-    pub fn machine(&self) -> &FcMachine {
-        &self.m
-    }
-
-    /// Mutable access to the underlying machine (campaign drivers arm
-    /// faults and step the run themselves).
-    pub fn machine_mut(&mut self) -> &mut FcMachine {
-        &mut self.m
+    /// The cell layout.
+    pub fn layout(&self) -> &CellLayout {
+        &self.layout
     }
 
     /// The boot node hosting each cell's shard.
@@ -269,15 +258,6 @@ impl PreparedKv {
         &self.directory
     }
 
-    /// Whether every shard has reached a terminal state (halted after
-    /// draining its budget, or dead with its cell).
-    pub fn shards_done(&self) -> bool {
-        self.shard_nodes.iter().all(|n| {
-            let node = &self.m.st().nodes[n.index()];
-            !node.is_alive() || matches!(node.proc, ProcState::Halted | ProcState::Dead)
-        })
-    }
-
     /// The service-level reaction to a completed hardware recovery, run
     /// once per recovery completion edge: reinitialize incoherent pages
     /// (the OS page service, before user serving resumes in earnest),
@@ -285,8 +265,7 @@ impl PreparedKv {
     /// and install the new placement into surviving shards. Returns the
     /// repair summary when a pass ran.
     ///
-    /// Drivers stepping the machine themselves must call this every slice;
-    /// [`finish_kv_serving`] does.
+    /// [`Harness::after_slice`] runs it after every drive slice.
     pub fn post_recovery_pass(&mut self) -> Option<RepairSummary> {
         let completed_now = self.m.ext().report.completed() && !self.m.ext().recovery_active();
         let rising = completed_now && !self.last_recovery_completed;
@@ -298,29 +277,7 @@ impl PreparedKv {
         let failed_cells = self.layout.failed_cells(&self.m.st().failed_nodes);
         let live_cells = self.kv.n_cells - failed_cells.len();
         self.os_time += self.hive.os_recovery_time(live_cells);
-        let now_ns = self.m.now().as_nanos();
-        let summary =
-            self.directory
-                .on_cells_failed(&failed_cells, now_ns, self.kv.repair_ns_per_chunk);
-        {
-            let now = self.m.now();
-            let st = self.m.st_mut();
-            for &c in &summary.reconfigured {
-                let (what, value) = match self.directory.placement.primary(c) {
-                    Some(p) => ("reconfigured", p as u64),
-                    None => ("lost", 0),
-                };
-                st.obs.record(
-                    Domain::Hive,
-                    now,
-                    TraceEvent::KvChunk {
-                        chunk: c as u16,
-                        what,
-                        value,
-                    },
-                );
-            }
-        }
+        let summary = self.reconcile_directory();
         if !summary.reconfigured.is_empty() {
             let placement = self.directory.placement.clone();
             let st = self.m.st_mut();
@@ -338,14 +295,14 @@ impl PreparedKv {
         Some(summary)
     }
 
-    /// Reconciles the replication directory against the machine's final
-    /// failed-cell set. The repair pass normally runs at every recovery
-    /// completion, but a fault cascade can end the run with no live OS
-    /// instance left to run it (machine halted, every cell dead, recovery
-    /// still in flight); the end-of-run accounting must still classify
-    /// those chunks — data on an unrepaired dead cell is lost data, not a
-    /// stale directory entry.
-    fn reconcile_directory(&mut self) {
+    /// Reconciles the replication directory against the machine's
+    /// failed-cell set and records each reconfigured (or lost) chunk. Runs
+    /// in every repair pass and once more at the end of the run: a fault
+    /// cascade can end the run with no live OS instance left to run a pass
+    /// (machine halted, every cell dead, recovery still in flight), and
+    /// the end-of-run accounting must still classify those chunks — data on
+    /// an unrepaired dead cell is lost data, not a stale directory entry.
+    fn reconcile_directory(&mut self) -> RepairSummary {
         let failed_cells = self.layout.failed_cells(&self.m.st().failed_nodes);
         let now_ns = self.m.now().as_nanos();
         let summary =
@@ -368,13 +325,17 @@ impl PreparedKv {
                 },
             );
         }
+        summary
     }
 
-    /// Collects the run outcome: aggregates shard statistics, records the
-    /// per-shard resolution trace events, folds latency histograms into
-    /// the machine metrics, and evaluates the serving invariants. Call
-    /// once, at the end of the run.
+    /// Ends the run and collects its outcome: a last post-recovery pass,
+    /// one `cell_failed` event per failed cell, the directory reconcile,
+    /// aggregated shard statistics and per-shard resolution trace events,
+    /// latency histograms folded into the machine metrics, and the serving
+    /// invariants. Call once, after the drive.
     pub fn collect(&mut self, finished: bool, faulted: bool) -> KvOutcome {
+        self.post_recovery_pass();
+        os::record_failed_cells(&mut self.m, &self.layout);
         self.reconcile_directory();
         let mut stats = KvStats {
             arrivals: 0,
@@ -588,52 +549,32 @@ impl PreparedKv {
 /// terminal state: optional fault injection, hardware recovery, the OS +
 /// replication-repair pass, and outcome accounting.
 pub fn finish_kv_serving(mut prep: PreparedKv, fault: Option<FaultSpec>) -> KvOutcome {
-    if let Some(spec) = fault.clone() {
+    let faulted = fault.is_some();
+    if let Some(spec) = fault {
         let at = prep.m.now() + SimDuration::from_nanos(1);
         prep.m.schedule_fault(at, spec);
     }
+    let finished = drive(&mut prep, &mut { faulted }) != DriveExit::OutOfBudget;
+    prep.collect(finished, faulted)
+}
 
-    let mut finished = false;
-    let mut detect_wait = 0u32;
-    let budget = 400_000; // x 50us = 20s of simulated time
-    for _ in 0..budget {
-        let out = prep.m.run_for(SimDuration::from_micros(50));
-        prep.post_recovery_pass();
-        if prep.shards_done() && !prep.m.ext().recovery_active() {
-            let fault_pending = fault.is_some() && !prep.m.ext().report.completed();
-            if fault_pending && detect_wait < 10_000 {
-                detect_wait += 1; // up to 500ms of simulated detection time
-                continue;
-            }
-            finished = true;
-            break;
-        }
-        if out == RunOutcome::Drained {
-            finished = true;
-            break;
-        }
-    }
-    prep.post_recovery_pass();
-
-    let failed_cells = prep.layout.failed_cells(&prep.m.st().failed_nodes);
-    {
-        let now = prep.m.now();
-        let layout = prep.layout.clone();
-        let st = prep.m.st_mut();
-        for &cell in &failed_cells {
-            st.obs.record(
-                Domain::Hive,
-                now,
-                TraceEvent::HiveCell {
-                    cell: cell as u16,
-                    what: "cell_failed",
-                    value: layout.members(cell).len() as u64,
-                },
-            );
-        }
+impl Harness for PreparedKv {
+    fn machine(&self) -> &FcMachine {
+        &self.m
     }
 
-    prep.collect(finished, fault.is_some())
+    fn machine_mut(&mut self) -> &mut FcMachine {
+        &mut self.m
+    }
+
+    /// Every shard halted after draining its budget, or died with its cell.
+    fn workload_done(&self) -> bool {
+        all_terminal(&self.m, &self.shard_nodes)
+    }
+
+    fn after_slice(&mut self) -> bool {
+        self.post_recovery_pass().is_some()
+    }
 }
 
 /// Runs one full KV serving experiment: boot, warm (for fault runs),
