@@ -32,14 +32,12 @@
 
 use crate::Stopwatch;
 use flash_core::{
-    finish_fault_experiment, prepare_fault_experiment, random_fault, ExperimentConfig,
+    finish_fault_experiment, prepare_fault_experiment, random_fault, run_indexed, ExperimentConfig,
     ExperimentOutcome, FaultKind, RecoveryConfig,
 };
 use flash_hive::{finish_parallel_make, prepare_parallel_make, EndToEndOutcome, HiveConfig};
 use flash_machine::MachineParams;
 use flash_sim::DetRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Shape of a checkpoint/fork sweep.
 #[derive(Clone, Copy, Debug)]
@@ -117,51 +115,7 @@ where
     P: Fn(usize) -> C + Sync,
     F: Fn(usize, C) -> Vec<R> + Sync,
 {
-    let slots: Vec<Mutex<Option<Vec<R>>>> = (0..n_groups).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers.max(1).min(n_groups.max(1)) {
-            s.spawn(|| loop {
-                let g = next.fetch_add(1, Ordering::Relaxed);
-                if g >= n_groups {
-                    break;
-                }
-                let ckpt = prepare(g);
-                let out = run_group(g, ckpt);
-                *slots[g].lock().expect("sweep result lock poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("sweep result lock poisoned")
-                .expect("group completed")
-        })
-        .collect()
-}
-
-/// Flattens per-group results (each holding `kinds × K` runs in `(kind,
-/// fork)` order) into per-kind runs ordered by run index, trimmed to
-/// `runs_per_kind`.
-fn aggregate<O>(
-    groups: Vec<Vec<SweepRun<O>>>,
-    kinds: &[FaultKind],
-    cfg: &SweepConfig,
-) -> Vec<SweepRun<O>> {
-    let mut flat: Vec<SweepRun<O>> = groups.into_iter().flatten().collect();
-    // Order by (kind position, run index); drop the overshoot of the last
-    // group so each kind has exactly `runs_per_kind` runs.
-    let pos = |k: FaultKind| {
-        kinds
-            .iter()
-            .position(|&x| x as u64 == k as u64)
-            .expect("sweep runs only carry fault kinds from the configured kind list")
-    };
-    flat.sort_by_key(|r| (pos(r.kind), r.run));
-    flat.retain(|r| r.run < cfg.runs_per_kind);
-    flat
+    run_indexed(workers, n_groups, |g| run_group(g, prepare(g)))
 }
 
 /// The one sweep enumerator. Checkpoint group `g` builds its warm state
@@ -207,7 +161,16 @@ fn sweep<W, O: Send>(
             out
         },
     );
-    aggregate(groups, kinds, cfg)
+    // Order by (kind position, run index), whatever the worker count.
+    let pos = |k: FaultKind| {
+        kinds
+            .iter()
+            .position(|&x| x as u64 == k as u64)
+            .expect("sweep runs only carry fault kinds from the configured kind list")
+    };
+    let mut runs: Vec<SweepRun<O>> = groups.into_iter().flatten().collect();
+    runs.sort_by_key(|r| (pos(r.kind), r.run));
+    runs
 }
 
 /// Sweeps the Section 5.2 validation experiment (Table 5.3 methodology):
@@ -312,23 +275,15 @@ pub fn time_fault_sweep(
     Vec<SweepRun<ExperimentOutcome>>,
     SweepTiming,
 ) {
-    let sw = Stopwatch::start();
-    let forked = sweep_fault_experiments(cfg, kinds, &make_cfg);
-    let forked_secs = sw.secs();
-
-    let sw = Stopwatch::start();
-    let scratch = sweep(cfg, kinds, &[0], &make_cfg, |ecfg, _, kind, rng| {
-        let fault = random_fault(kind, ecfg.params.n_nodes, rng);
-        flash_core::run_fault_experiment(ecfg, fault)
-    });
-    let scratch_secs = sw.secs();
-
-    let timing = SweepTiming {
-        runs: forked.len(),
-        forked_secs,
-        scratch_secs,
-    };
-    (forked, scratch, timing)
+    time_pair(
+        || sweep_fault_experiments(cfg, kinds, &make_cfg),
+        || {
+            sweep(cfg, kinds, &[0], &make_cfg, |ecfg, _, kind, rng| {
+                let fault = random_fault(kind, ecfg.params.n_nodes, rng);
+                flash_core::run_fault_experiment(ecfg, fault)
+            })
+        },
+    )
 }
 
 /// Times [`sweep_parallel_make`] against the equivalent from-scratch loop:
@@ -347,30 +302,40 @@ pub fn time_parallel_make_sweep(
     Vec<SweepRun<EndToEndOutcome>>,
     SweepTiming,
 ) {
-    let sw = Stopwatch::start();
-    let forked = sweep_parallel_make(cfg, kinds, stages, params, hive, recovery);
-    let forked_secs = sw.secs();
-
     let stages = if stages.is_empty() { &[30] } else { stages };
-    let sw = Stopwatch::start();
-    let scratch = sweep(
-        cfg,
-        kinds,
-        stages,
-        |g| g,
-        |&mut g, pct, kind, rng| {
-            let fault = random_fault(kind, params.n_nodes, rng);
-            let mut prep = prepare_parallel_make(params, hive, recovery, g);
-            prep.warm_to_percent(pct);
-            finish_parallel_make(prep, Some(fault))
+    time_pair(
+        || sweep_parallel_make(cfg, kinds, stages, params, hive, recovery),
+        || {
+            sweep(
+                cfg,
+                kinds,
+                stages,
+                |g| g,
+                |&mut g, pct, kind, rng| {
+                    let fault = random_fault(kind, params.n_nodes, rng);
+                    let mut prep = prepare_parallel_make(params, hive, recovery, g);
+                    prep.warm_to_percent(pct);
+                    finish_parallel_make(prep, Some(fault))
+                },
+            )
         },
-    );
-    let scratch_secs = sw.secs();
+    )
+}
 
+/// Runs `forked`, then `scratch`, timing each.
+fn time_pair<O>(
+    forked: impl FnOnce() -> Vec<SweepRun<O>>,
+    scratch: impl FnOnce() -> Vec<SweepRun<O>>,
+) -> (Vec<SweepRun<O>>, Vec<SweepRun<O>>, SweepTiming) {
+    let sw = Stopwatch::start();
+    let forked = forked();
+    let forked_secs = sw.secs();
+    let sw = Stopwatch::start();
+    let scratch = scratch();
     let timing = SweepTiming {
         runs: forked.len(),
         forked_secs,
-        scratch_secs,
+        scratch_secs: sw.secs(),
     };
     (forked, scratch, timing)
 }

@@ -21,17 +21,15 @@ use crate::invariants::{self, GrayFacts, RunContext, Violation};
 use crate::schedule::{generate, GeneratorConfig, Mode, Schedule};
 use flash_coherence::{LineAddr, NodeSet, PageAddr};
 use flash_core::{
-    all_terminal, any_progress, drive, prepare_fault_experiment, run_slices, run_to_quiescence,
+    all_terminal, drive, prepare_fault_experiment, run_indexed, run_slices, run_to_quiescence,
     warm_until, DriveExit, ExperimentConfig, FcMachine, Harness, RecoveryConfig, DRIVE_SLICE,
     OS_WINDOW_RECOVERY, SETTLE,
 };
-use flash_hive::{os, prepare_parallel_make, HiveConfig, TaskState};
+use flash_hive::{os, prepare_parallel_make, CellLayout, HiveConfig, TaskState};
 use flash_hivekv::{prepare_kv_serving, KvConfig, KvStats};
 use flash_machine::{FaultSpec, MachineParams};
 use flash_net::NodeId;
 use flash_sim::{DetRng, RunOutcome};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// The three-way containment verdict of one run (the revised oracle: a
 /// fail-slow fault may legitimately go undetected, so "no recovery ran" is
@@ -218,6 +216,24 @@ fn run_machine_schedule(s: &Schedule) -> RunRecord {
     finalize(&m, s, finished, &inj, Vec::new())
 }
 
+/// Warms a celled harness until any of `nodes` (one compile or shard each,
+/// `ops` operations long) passes 30% of its operations, then arms `s`.
+fn warm_and_arm(
+    s: &Schedule,
+    h: &mut impl Harness,
+    nodes: &[NodeId],
+    ops: u64,
+    cells: &CellLayout,
+) -> Injector {
+    let threshold = ops * 3 / 10;
+    warm_until(h.machine_mut(), DRIVE_SLICE, |m| {
+        nodes
+            .iter()
+            .any(|n| m.st().nodes[n.index()].workload.progress() >= threshold)
+    });
+    Injector::new(s, h.machine_mut(), Some(cells.clone()))
+}
+
 /// The campaign's parallel make: four cells, short compiles.
 fn campaign_hive_config() -> HiveConfig {
     HiveConfig {
@@ -238,13 +254,8 @@ fn run_hive_schedule(s: &Schedule) -> RunRecord {
     let hive = campaign_hive_config();
     let params = schedule_params(MachineParams::table_5_1(), s);
     let mut prep = prepare_parallel_make(params, &hive, RecoveryConfig::default(), s.seed);
-    let clients = prep.client_nodes().to_vec();
-    let threshold = hive.ops_per_task() * 3 / 10;
-    warm_until(prep.machine_mut(), DRIVE_SLICE, |m| {
-        any_progress(m, &clients, threshold)
-    });
-    let layout = prep.layout().clone();
-    let mut inj = Injector::new(s, prep.machine_mut(), Some(layout.clone()));
+    let (clients, layout) = (prep.client_nodes().to_vec(), prep.layout().clone());
+    let mut inj = warm_and_arm(s, &mut prep, &clients, hive.ops_per_task(), &layout);
     let finished = drive(&mut prep, &mut inj) != DriveExit::OutOfBudget;
 
     // OS recovery pass. Each OS-window fault gets to be detected and
@@ -298,13 +309,8 @@ fn run_kv_schedule(s: &Schedule) -> RunRecord {
     let kv = KvConfig::campaign();
     let params = schedule_params(MachineParams::table_5_1(), s);
     let mut prep = prepare_kv_serving(params, &kv, RecoveryConfig::default(), s.seed);
-    let shards = prep.shard_nodes().to_vec();
-    let threshold = kv.requests_per_shard * 3 / 10;
-    warm_until(prep.machine_mut(), DRIVE_SLICE, |m| {
-        any_progress(m, &shards, threshold)
-    });
-    let cells = Some(prep.layout().clone());
-    let mut inj = Injector::new(s, prep.machine_mut(), cells);
+    let (shards, layout) = (prep.shard_nodes().to_vec(), prep.layout().clone());
+    let mut inj = warm_and_arm(s, &mut prep, &shards, kv.requests_per_shard, &layout);
     let finished = match drive(&mut prep, &mut inj) {
         DriveExit::Settled => true,
         DriveExit::OutOfBudget => false,
@@ -400,36 +406,18 @@ pub fn per_run_seed(master_seed: u64, i: u64) -> u64 {
         .next_u64()
 }
 
-/// Runs a randomized campaign, fanning runs across `workers` threads via a
-/// shared work counter. Results are keyed by run index, so the report is
-/// identical whatever the worker count.
+/// Runs a randomized campaign, fanning runs across `workers` threads.
+/// Results are keyed by run index, so the report is identical whatever the
+/// worker count.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let start = std::time::Instant::now();
     let workers = cfg.workers.max(1);
-    let next = AtomicU64::new(0);
-    let slots: Mutex<Vec<Option<RunRecord>>> = Mutex::new((0..cfg.runs).map(|_| None).collect());
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cfg.runs {
-                    break;
-                }
-                let seed = per_run_seed(cfg.master_seed, i);
-                let schedule = generate(seed, &cfg.generator);
-                let record = run_schedule(&schedule);
-                slots.lock().expect("campaign result lock")[i as usize] = Some(record);
-            });
-        }
+    let records = run_indexed(workers, cfg.runs as usize, |i| {
+        run_schedule(&generate(
+            per_run_seed(cfg.master_seed, i as u64),
+            &cfg.generator,
+        ))
     });
-
-    let records: Vec<RunRecord> = slots
-        .into_inner()
-        .expect("campaign result lock")
-        .into_iter()
-        .map(|r| r.expect("every run index filled"))
-        .collect();
     let mut phase_hits = [0u64; 4];
     let mut os_recovery_hits = 0;
     for r in &records {

@@ -14,7 +14,9 @@
 //! * [`run_to_quiescence`] is the validation experiment's drive: short
 //!   steps while faults wait to be armed, then one run to the horizon;
 //! * [`run_slices`] is the bounded slice loop behind [`warm_until`] and
-//!   the Hive campaign's OS recovery window.
+//!   the Hive campaign's OS recovery window;
+//! * [`run_indexed`] fans independent runs (campaign runs, sweep groups)
+//!   across worker threads.
 //!
 //! Slice lengths are part of the trace, not tuning: a fault armed on a
 //! recovery-phase entry is timed from the end of the slice that observed
@@ -24,6 +26,8 @@ use crate::experiment::FcMachine;
 use flash_machine::ProcState;
 use flash_net::NodeId;
 use flash_sim::{RunOutcome, SimDuration, SimTime};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Simulated time a run gets after warm-up (and the most a warm-up gets).
 pub const RUN_BUDGET: SimDuration = SimDuration::from_secs(20);
@@ -194,17 +198,37 @@ pub fn all_terminal(m: &FcMachine, nodes: &[NodeId]) -> bool {
     })
 }
 
-/// Whether the workload progress of any node in `nodes` reached `ops`.
-pub fn any_progress(m: &FcMachine, nodes: &[NodeId], ops: u64) -> bool {
-    nodes
-        .iter()
-        .any(|n| m.st().nodes[n.index()].workload.progress() >= ops)
-}
-
 /// Summed workload progress of `nodes`.
 pub fn total_progress(m: &FcMachine, nodes: &[NodeId]) -> u64 {
     nodes
         .iter()
         .map(|n| m.st().nodes[n.index()].workload.progress())
         .sum()
+}
+
+/// Runs `run(i)` for every `i < n` on up to `workers` threads that claim
+/// indices from a shared counter, and returns the results in index order,
+/// so the output is the same whatever the worker count.
+pub fn run_indexed<R: Send>(workers: usize, n: usize, run: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..workers.clamp(1, n.max(1)) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                *slots[i].lock().expect("run slot lock") = Some(run(i));
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("run slot lock")
+                .expect("every index ran")
+        })
+        .collect()
 }

@@ -199,40 +199,26 @@ pub fn prepare_parallel_make(
 
     let lines_per_node = m.st().layout.lines_per_node();
     let client_nodes: Vec<NodeId> = (1..hive.n_cells).map(|c| layout.boot_node(c)).collect();
-    // Every node hosts a slice of its cell's kernel; peers poll the first
-    // kernel line of every other node (Hive cells read each other's kernel
-    // structures, and a cell's own kernel spans all its nodes — Section
-    // 3.3). This is also what detects failures of non-boot cell members.
-    let kernel_line = |node: NodeId| os::own_region(node, lines_per_node, params.protected_lines).0;
-    {
-        let st = m.st_mut();
-        let n_all = params.n_nodes;
-        let peers_of = move |me: NodeId| -> Vec<u64> {
-            (0..n_all)
-                .map(|i| NodeId(i as u16))
-                .filter(|&b| b != me)
-                .map(kernel_line)
-                .collect()
-        };
-        // The server's background activity also dirties the shared file
-        // data, creating cross-cell recall traffic.
-        st.nodes[server.index()].workload =
-            Box::new(ServerLoop::new(placement.server_data, 20_000).with_monitor(peers_of(server)));
-        for &client in &client_nodes {
-            let own = os::own_region(client, lines_per_node, params.protected_lines);
-            let task = CompileTask::new(
-                server,
-                hive.files_per_task,
-                hive.blocks_per_file,
-                hive.out_blocks,
-                hive.compute_ns,
-                placement.server_data,
-                own,
-                hive.cross_writes.then_some(placement.scratch),
-            )
-            .with_monitor(peers_of(client));
-            st.nodes[client.index()].workload = Box::new(task);
-        }
+    // Every kernel polls its peers' kernel lines. The server's background
+    // activity also dirties the shared file data, creating cross-cell
+    // recall traffic.
+    let server_loop = ServerLoop::new(placement.server_data, 20_000)
+        .with_monitor(os::peer_kernel_lines(&m, server));
+    m.st_mut().nodes[server.index()].workload = Box::new(server_loop);
+    for &client in &client_nodes {
+        let own = os::own_region(client, lines_per_node, params.protected_lines);
+        let task = CompileTask::new(
+            server,
+            hive.files_per_task,
+            hive.blocks_per_file,
+            hive.out_blocks,
+            hive.compute_ns,
+            placement.server_data,
+            own,
+            hive.cross_writes.then_some(placement.scratch),
+        )
+        .with_monitor(os::peer_kernel_lines(&m, client));
+        m.st_mut().nodes[client.index()].workload = Box::new(task);
     }
     m.set_event_budget(4_000_000_000);
     m.start();

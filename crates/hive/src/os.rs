@@ -181,6 +181,20 @@ pub fn own_region(node: NodeId, lines_per_node: u64, protected_lines: u64) -> (u
     (lo, hi)
 }
 
+/// The kernel lines a kernel on `me` polls: the first kernel line of every
+/// other node. Hive cells read each other's kernel structures, and a cell's
+/// own kernel spans all its nodes (Section 3.3), so this is also what
+/// detects failures of non-boot cell members.
+pub fn peer_kernel_lines(m: &FcMachine, me: NodeId) -> Vec<u64> {
+    let lines_per_node = m.st().layout.lines_per_node();
+    let protected_lines = m.st().params.protected_lines;
+    (0..m.st().num_nodes())
+        .map(|i| NodeId(i as u16))
+        .filter(|&b| b != me)
+        .map(|b| own_region(b, lines_per_node, protected_lines).0)
+        .collect()
+}
+
 /// The OS-level recovery pass of Section 4.6, run after the hardware
 /// recovery interrupt: reinitializes pages with incoherent lines through
 /// the MAGIC service and acknowledges the interrupt. Returns the number of

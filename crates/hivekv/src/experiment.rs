@@ -28,7 +28,7 @@ use flash_obs::{Domain, TraceEvent};
 use flash_sim::{LatencyHistogram, SimDuration};
 
 /// Aggregated user-visible serving statistics for one run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct KvStats {
     /// Requests admitted across all shards.
     pub arrivals: u64,
@@ -159,8 +159,11 @@ pub fn prepare_kv_serving(
 
     let n_nodes = params.n_nodes;
     let shard_nodes: Vec<NodeId> = (0..kv.n_cells).map(|c| layout.boot_node(c)).collect();
-    let kernel_line = |node: NodeId| os::own_region(node, lines_per_node, params.protected_lines).0;
     let directory = ChunkDirectory::new(kv.chunks, kv.n_cells, kv.replication);
+    let peers: Vec<Vec<u64>> = shard_nodes
+        .iter()
+        .map(|&node| os::peer_kernel_lines(&m, node))
+        .collect();
     {
         let now = m.now();
         let st = m.st_mut();
@@ -178,12 +181,7 @@ pub fn prepare_kv_serving(
                     .restrict(flash_coherence::PageAddr(p), NodeSet::all_below(n_nodes));
             }
         }
-        for (c, &node) in shard_nodes.iter().enumerate() {
-            let peers: Vec<u64> = (0..n_nodes)
-                .map(|i| NodeId(i as u16))
-                .filter(|&b| b != node)
-                .map(kernel_line)
-                .collect();
+        for (c, (&node, peers)) in shard_nodes.iter().zip(peers).enumerate() {
             let shard = KvShard::new(
                 c as u16,
                 kv,
@@ -251,11 +249,6 @@ impl PreparedKv {
     /// The boot node hosting each cell's shard.
     pub fn shard_nodes(&self) -> &[NodeId] {
         &self.shard_nodes
-    }
-
-    /// The replication directory (harness-side placement ground truth).
-    pub fn directory(&self) -> &ChunkDirectory {
-        &self.directory
     }
 
     /// The service-level reaction to a completed hardware recovery, run
@@ -338,19 +331,11 @@ impl PreparedKv {
         os::record_failed_cells(&mut self.m, &self.layout);
         self.reconcile_directory();
         let mut stats = KvStats {
-            arrivals: 0,
-            ok: 0,
-            errors: 0,
-            unserved: 0,
-            acked_puts: 0,
             chunks_lost: self.directory.chunks_lost,
             rereplications: self.directory.rereplications,
             failovers: self.directory.failovers,
-            lat_ok: LatencyHistogram::new(),
-            lat_unaffected_ok: LatencyHistogram::new(),
-            lat_err: LatencyHistogram::new(),
-            clamped_latency: 0,
             duration_ns: self.m.now().as_nanos(),
+            ..KvStats::default()
         };
         let now = self.m.now();
         for &node in &self.shard_nodes.clone() {
@@ -377,37 +362,19 @@ impl PreparedKv {
                 // unresolved is a user-visible error.
                 stats.unserved += self.kv.requests_per_shard.saturating_sub(s.resolved());
             }
-            st.obs.record(
-                Domain::Hive,
-                now,
-                TraceEvent::KvRequest {
+            for (what, value) in [("resolved", s.resolved()), ("errors", s.errors)] {
+                let ev = TraceEvent::KvRequest {
                     node: node.0,
-                    what: "resolved",
-                    value: s.resolved(),
-                },
-            );
-            st.obs.record(
-                Domain::Hive,
-                now,
-                TraceEvent::KvRequest {
-                    node: node.0,
-                    what: "errors",
-                    value: s.errors,
-                },
-            );
+                    what,
+                    value,
+                };
+                st.obs.record(Domain::Hive, now, ev);
+            }
         }
-        {
-            let st = self.m.st_mut();
-            st.obs
-                .metrics
-                .merge_histogram("kv_request_ns", &stats.lat_ok);
-            st.obs
-                .metrics
-                .merge_histogram("kv_request_unaffected_ns", &stats.lat_unaffected_ok);
-            st.obs
-                .metrics
-                .merge_histogram("kv_request_error_ns", &stats.lat_err);
-        }
+        let metrics = &mut self.m.st_mut().obs.metrics;
+        metrics.merge_histogram("kv_request_ns", &stats.lat_ok);
+        metrics.merge_histogram("kv_request_unaffected_ns", &stats.lat_unaffected_ok);
+        metrics.merge_histogram("kv_request_error_ns", &stats.lat_err);
         let checks = self.kv_checks(finished, faulted, &stats);
         KvOutcome {
             stats,
