@@ -21,21 +21,13 @@ impl RecoveryExt {
         sched: Sched<'_, '_>,
     ) {
         self.nodes[node as usize].phase = Phase::InBarrier(id);
-        {
-            let bar = self.nodes[node as usize]
-                .bars
-                .entry(id)
-                .or_insert_with(|| BarState {
-                    ok: true,
-                    ..BarState::default()
-                });
-            if bar.self_joined {
-                return;
-            }
-            bar.self_joined = true;
-            bar.ok &= ok;
+        let bar = self.nodes[node as usize].bar(id);
+        if bar.self_joined {
+            return;
         }
-        self.bump_progress(st, node, sched);
+        bar.self_joined = true;
+        bar.ok &= ok;
+        self.bump_progress(node, sched);
         self.maybe_send_up(st, node, id, sched);
     }
 
@@ -52,17 +44,9 @@ impl RecoveryExt {
             self.nodes[node as usize].stashed_ups.push((from, id, ok));
             return;
         }
-        {
-            let bar = self.nodes[node as usize]
-                .bars
-                .entry(id)
-                .or_insert_with(|| BarState {
-                    ok: true,
-                    ..BarState::default()
-                });
-            bar.ups.insert(from);
-            bar.ok &= ok;
-        }
+        let bar = self.nodes[node as usize].bar(id);
+        bar.ups.insert(NodeId(from));
+        bar.ok &= ok;
         self.maybe_send_up(st, node, id, sched);
     }
 
@@ -73,29 +57,18 @@ impl RecoveryExt {
         id: BarrierId,
         sched: Sched<'_, '_>,
     ) {
-        let Some(tree) = self.nodes[node as usize].tree.clone() else {
+        let rec = &self.nodes[node as usize];
+        let Some(tree) = &rec.tree else {
             return;
         };
-        let children: Vec<u16> = tree.children[node as usize].iter().map(|c| c.0).collect();
-        let (joined, have_all, ok, released) = {
-            let bar = self.nodes[node as usize]
-                .bars
-                .entry(id)
-                .or_insert_with(|| BarState {
-                    ok: true,
-                    ..BarState::default()
-                });
-            (
-                bar.self_joined,
-                children.iter().all(|c| bar.ups.contains(c)),
-                bar.ok,
-                bar.released,
-            )
-        };
-        if !joined || !have_all || released {
+        let bar = &rec.bars[id as usize];
+        let have_all = tree.children[node as usize]
+            .iter()
+            .all(|&c| bar.ups.contains(c));
+        if !bar.self_joined || !have_all || bar.released {
             return;
         }
-        let inc = self.nodes[node as usize].inc;
+        let (inc, ok, parent) = (rec.inc, bar.ok, tree.parent[node as usize]);
         if tree.is_root(NodeId(node)) {
             // The flush barrier's root additionally waits for the fabric's
             // coherence lanes to drain — standing in for CrayLink's in-order
@@ -109,7 +82,7 @@ impl RecoveryExt {
                 return;
             }
             self.release_barrier(st, node, id, ok, sched);
-        } else if let Some(parent) = tree.parent[node as usize] {
+        } else if let Some(parent) = parent {
             let msg = RecMsg::BarUp { inc, id, ok };
             self.send(st, node, parent.0, msg, Lane::Recovery1, sched);
         }
@@ -123,24 +96,20 @@ impl RecoveryExt {
         ok: bool,
         sched: Sched<'_, '_>,
     ) {
-        {
-            let bar = self.nodes[node as usize]
-                .bars
-                .entry(id)
-                .or_insert_with(|| BarState {
-                    ok: true,
-                    ..BarState::default()
-                });
-            if bar.released {
-                return;
-            }
-            bar.released = true;
-        }
-        let Some(tree) = self.nodes[node as usize].tree.clone() else {
+        // A release that arrives before this node has its tree (before P3)
+        // is dropped: P3 starts every barrier fresh.
+        let rec = &mut self.nodes[node as usize];
+        let Some(tree) = &rec.tree else {
             return;
         };
-        let inc = self.nodes[node as usize].inc;
-        for c in &tree.children[node as usize] {
+        let children = tree.children[node as usize].clone();
+        let bar = rec.bar(id);
+        if bar.released {
+            return;
+        }
+        bar.released = true;
+        let inc = rec.inc;
+        for c in &children {
             let msg = RecMsg::BarDown { inc, id, ok };
             self.send(st, node, c.0, msg, Lane::Recovery1, sched);
         }
@@ -175,7 +144,7 @@ impl RecoveryExt {
                 ok,
             },
         );
-        self.bump_progress(st, node, sched);
+        self.bump_progress(node, sched);
         match id {
             BarrierId::Drain1 => {
                 // Second vote: still quiet since the first vote?
@@ -204,22 +173,10 @@ impl RecoveryExt {
                     // agreement (never observed to happen in the paper's
                     // experiments either, but supported).
                     st.counters.incr("drain_agreement_restarts");
-                    let bars = &mut self.nodes[node as usize].bars;
-                    bars.insert(
-                        BarrierId::Drain1,
-                        BarState {
-                            ok: true,
-                            ..BarState::default()
-                        },
-                    );
-                    bars.insert(
-                        BarrierId::Drain2,
-                        BarState {
-                            ok: true,
-                            ..BarState::default()
-                        },
-                    );
-                    self.start_drain_wait(st, node, sched);
+                    let rec = &mut self.nodes[node as usize];
+                    *rec.bar(BarrierId::Drain1) = BarState::default();
+                    *rec.bar(BarrierId::Drain2) = BarState::default();
+                    self.start_drain_wait(node, sched);
                 }
             }
             BarrierId::Routes => self.start_flush(st, node, sched),

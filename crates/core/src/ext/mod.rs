@@ -27,12 +27,13 @@
 //!
 //! The implementation is split across this module tree:
 //!
-//! * [`mod@self`] — shared types ([`RecEv`], [`Step`], the per-node record)
-//!   and the [`RecoveryExt`] state plus its cross-phase plumbing.
+//! * [`mod@self`] — shared types ([`RecEv`], [`Step`], the per-node and
+//!   incarnation records) and the [`RecoveryExt`] state plus its
+//!   cross-phase plumbing, including the phase-edge bookkeeping behind
+//!   [`RecoveryReport`].
 //! * `init` — phase 1 (recovery initiation) and phase 2 (dissemination).
 //! * `phases` — phase 3 (interconnect) and phase 4 (coherence) recovery.
 //! * `barrier` — the BFT barrier tree shared by phases 3 and 4.
-//! * `report` — phase-completion bookkeeping for [`RecoveryReport`].
 //! * `driver` — the [`flash_machine::Extension`] impl wiring triggers,
 //!   timed events, and recovery messages into the state machine.
 
@@ -40,16 +41,15 @@ mod barrier;
 mod driver;
 mod init;
 mod phases;
-mod report;
 
 use crate::config::{PhaseEntries, RecoveryConfig, RecoveryReport};
 use crate::msg::{BarrierId, RecMsg};
 use crate::view::{Tree, View};
 use flash_coherence::NodeSet;
 use flash_machine::{Ev, MachineState};
-use flash_net::{Lane, NodeId, RouterId, UGraph};
+use flash_net::{Lane, NodeId, RouterId};
 use flash_sim::{Scheduler, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Timed events private to the recovery algorithm.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -129,8 +129,9 @@ pub enum Step {
 }
 
 /// Per-node recovery phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum Phase {
+    #[default]
     Idle,
     DropIn,
     Explore,
@@ -145,12 +146,25 @@ enum Phase {
     Shut,
 }
 
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 struct BarState {
-    ups: HashSet<u16>,
+    ups: NodeSet,
     self_joined: bool,
     ok: bool,
     released: bool,
+}
+
+impl Default for BarState {
+    /// A barrier nobody has joined yet; its vote is the AND of every
+    /// arrival's, so it opens at `true`.
+    fn default() -> Self {
+        BarState {
+            ups: NodeSet::new(),
+            self_joined: false,
+            ok: true,
+            released: false,
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -159,13 +173,13 @@ struct PingState {
     retries: u32,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct NodeRec {
     inc: u32,
     phase: Phase,
     view: View,
     // --- exploration ---
-    visited: HashSet<u16>,
+    visited: NodeSet,
     pending_pings: HashMap<u16, PingState>,
     routes: HashMap<u16, Vec<RouterId>>,
     cwn: Vec<u16>,
@@ -176,7 +190,8 @@ struct NodeRec {
     computing_round: bool,
     // --- barriers / P3 / P4 ---
     tree: Option<Tree>,
-    bars: HashMap<BarrierId, BarState>,
+    /// Indexed by `BarrierId as usize`.
+    bars: [BarState; 5],
     stashed_ups: Vec<(u16, BarrierId, bool)>,
     vote1_at: Option<SimTime>,
     drain_attempt: u32,
@@ -184,34 +199,38 @@ struct NodeRec {
 }
 
 impl NodeRec {
-    fn new() -> Self {
-        NodeRec {
-            inc: 0,
-            phase: Phase::Idle,
-            view: View::new(),
-            visited: HashSet::new(),
-            pending_pings: HashMap::new(),
-            routes: HashMap::new(),
-            cwn: Vec::new(),
-            round: 0,
-            inbox: HashMap::new(),
-            bound: None,
-            computing_round: false,
-            tree: None,
-            bars: HashMap::new(),
-            stashed_ups: Vec::new(),
-            vote1_at: None,
-            drain_attempt: 0,
-            progress: 0,
-        }
-    }
-
     fn reset_for(&mut self, inc: u32) {
         let progress = self.progress + 1;
-        *self = NodeRec::new();
+        *self = NodeRec::default();
         self.inc = inc;
         self.progress = progress;
     }
+
+    fn bar(&mut self, id: BarrierId) -> &mut BarState {
+        &mut self.bars[id as usize]
+    }
+}
+
+/// Machine-wide bookkeeping of one incarnation. A restart replaces it
+/// wholesale.
+#[derive(Clone, Debug, Default)]
+struct Incarnation {
+    /// The incarnation number (0 before the first recovery).
+    inc: u32,
+    /// Nodes that entered this incarnation.
+    started: NodeSet,
+    /// Nodes that finished phase `i + 1`, at index `i`.
+    done: [NodeSet; 4],
+    /// First entry into each phase.
+    entries: PhaseEntries,
+}
+
+/// Whether every live node is in `set` (vacuously true once all are dead).
+fn all_live_in(st: &St, set: &NodeSet) -> bool {
+    st.nodes
+        .iter()
+        .filter(|n| n.is_alive())
+        .all(|n| set.contains(n.id))
 }
 
 type Sched<'a, 'b> = &'a mut Scheduler<'b, Ev<RecEv>>;
@@ -229,20 +248,13 @@ pub struct RecoveryExt {
     /// Algorithm parameters.
     pub cfg: RecoveryConfig,
     nodes: Vec<NodeRec>,
-    design: Option<UGraph>,
     /// Hive failure units: when set, a node whose unit lost any member
     /// shuts itself down after recovery (Section 3.3).
     units: Option<Vec<NodeSet>>,
     /// Execution summary.
     pub report: RecoveryReport,
-    entries: PhaseEntries,
-    max_inc: u32,
+    cur: Incarnation,
     active: bool,
-    started: HashSet<u16>,
-    done_p1: HashSet<u16>,
-    done_p2: HashSet<u16>,
-    done_p3: HashSet<u16>,
-    done_p4: HashSet<u16>,
 }
 
 impl RecoveryExt {
@@ -250,18 +262,11 @@ impl RecoveryExt {
     pub fn new(n_nodes: usize, cfg: RecoveryConfig) -> Self {
         RecoveryExt {
             cfg,
-            nodes: (0..n_nodes).map(|_| NodeRec::new()).collect(),
-            design: None,
+            nodes: vec![NodeRec::default(); n_nodes],
             units: None,
             report: RecoveryReport::default(),
-            entries: PhaseEntries::default(),
-            max_inc: 0,
+            cur: Incarnation::default(),
             active: false,
-            started: HashSet::new(),
-            done_p1: HashSet::new(),
-            done_p2: HashSet::new(),
-            done_p3: HashSet::new(),
-            done_p4: HashSet::new(),
         }
     }
 
@@ -284,7 +289,7 @@ impl RecoveryExt {
 
     /// The current incarnation number (0 before the first recovery).
     pub fn incarnation(&self) -> u32 {
-        self.max_inc
+        self.cur.inc
     }
 
     /// Machine-wide first-entry times of the recovery phases for the
@@ -292,40 +297,7 @@ impl RecoveryExt {
     /// External drivers — fault campaigns in particular — poll this
     /// between run slices to arm faults *inside* a chosen phase.
     pub fn phase_entries(&self) -> PhaseEntries {
-        self.entries
-    }
-
-    /// One human-readable line per node of recovery-internal state
-    /// (phase, incarnation, view, exchange partners): the triage view used
-    /// when a campaign reproduction stalls mid-recovery.
-    pub fn debug_node_states(&self) -> Vec<String> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                format!(
-                    "n{i}: phase={:?} inc={} round={} bound={:?} inbox={:?} down={:?} cwn={:?} pings={:?} bars={:?}",
-                    r.phase,
-                    r.inc,
-                    r.round,
-                    r.bound,
-                    r.inbox.keys().collect::<Vec<_>>(),
-                    r.view.node_down.iter().map(|n| n.0).collect::<Vec<_>>(),
-                    r.cwn,
-                    r.pending_pings.keys().collect::<Vec<_>>(),
-                    r.bars
-                        .iter()
-                        .map(|(id, b)| (format!("{id:?}"), b.self_joined, b.released))
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect()
-    }
-
-    fn design(&mut self, st: &St) -> UGraph {
-        self.design
-            .get_or_insert_with(|| st.fabric.design_graph().clone())
-            .clone()
+        self.cur.entries
     }
 
     // ------------------------------------------------------------------
@@ -341,14 +313,12 @@ impl RecoveryExt {
         lane: Lane,
         sched: Sched<'_, '_>,
     ) {
-        let route = match self.nodes[from as usize].routes.get(&to) {
+        let rec = &self.nodes[from as usize];
+        let route = match rec.routes.get(&to) {
             Some(r) => Some(r.clone()),
-            None => {
-                let design = self.design(st);
-                self.nodes[from as usize]
-                    .view
-                    .route_between(&design, NodeId(from), NodeId(to))
-            }
+            None => rec
+                .view
+                .route_between(st.fabric.design_graph(), NodeId(from), NodeId(to)),
         };
         let Some(route) = route else {
             st.counters.incr("recovery_msg_unroutable");
@@ -357,38 +327,62 @@ impl RecoveryExt {
         st.send_recovery(NodeId(from), NodeId(to), route, lane, msg, sched);
     }
 
-    /// Records a P`from`→P`to` transition for `node` in the Recovery trace
-    /// domain; `to == 0` records only the exit (recovery complete).
-    fn record_phase_edge(&self, st: &mut St, node: u16, from: u8, to: u8, now: SimTime) {
+    /// `node` finished phase `phase` (1..=4) at `now`: traces the exit (and
+    /// the next phase's entry before P4), adds the node to the phase's done
+    /// set, stamps the next phase's first entry, and stamps `report.phases`
+    /// for every phase that all live nodes have now finished.
+    fn phase_done(&mut self, st: &mut St, node: u16, phase: u8, now: SimTime) {
         let incarnation = self.nodes[node as usize].inc;
         st.obs.record(
             flash_obs::Domain::Recovery,
             now,
             flash_obs::TraceEvent::PhaseExit {
                 node,
-                phase: from,
+                phase,
                 incarnation,
             },
         );
-        if to != 0 {
+        let entries = &mut self.cur.entries;
+        let next = match phase {
+            1 => Some(&mut entries.p2),
+            2 => Some(&mut entries.p3),
+            3 => Some(&mut entries.p4),
+            _ => None,
+        };
+        if let Some(entered) = next {
+            entered.get_or_insert(now);
             st.obs.record(
                 flash_obs::Domain::Recovery,
                 now,
                 flash_obs::TraceEvent::PhaseEnter {
                     node,
-                    phase: to,
+                    phase: phase + 1,
                     incarnation,
                 },
             );
         }
+        self.cur.done[phase as usize - 1].insert(NodeId(node));
+        let p = &mut self.report.phases;
+        for (done_at, done) in [
+            &mut p.p1_done,
+            &mut p.p2_done,
+            &mut p.p3_done,
+            &mut p.p4_done,
+        ]
+        .into_iter()
+        .zip(&self.cur.done)
+        {
+            if done_at.is_none() && all_live_in(st, done) {
+                *done_at = Some(now);
+            }
+        }
     }
 
-    fn bump_progress(&mut self, st: &St, node: u16, sched: Sched<'_, '_>) {
+    fn bump_progress(&mut self, node: u16, sched: Sched<'_, '_>) {
         let rec = &mut self.nodes[node as usize];
         rec.progress += 1;
         let stamp = rec.progress;
         let inc = rec.inc;
-        let _ = st;
         sched.after(
             self.cfg.watchdog,
             Ev::Ext(RecEv::Watchdog { node, inc, stamp }),

@@ -3,7 +3,7 @@
 //! recovery (cache flush, directory scan, resume) — paper, Sections 4.5
 //! and 4.6.
 
-use super::{BarState, Phase, RecEv, RecoveryExt, Sched, St, Step};
+use super::{all_live_in, Phase, RecEv, RecoveryExt, Sched, St, Step};
 use crate::msg::{BarrierId, RecMsg};
 use crate::view::View;
 use flash_coherence::NodeSet;
@@ -50,13 +50,7 @@ impl RecoveryExt {
                 self.send(st, node, m, msg, Lane::Recovery1, sched);
             }
         }
-        self.record_phase_edge(st, node, 2, 3, sched.now());
-        self.done_p2.insert(node);
-        self.mark_phase_progress(st, sched.now());
-        if self.entries.p3.is_none() {
-            self.entries.p3 = Some(sched.now());
-        }
-        let design = self.design(st);
+        self.phase_done(st, node, 2, sched.now());
         let rec = &self.nodes[node as usize];
         let inc = rec.inc;
         let view = rec.view.clone();
@@ -78,20 +72,7 @@ impl RecoveryExt {
         st.nodes[node as usize].node_map.reprogram(&effective);
 
         // Barrier tree for the rest of the algorithm.
-        let tree = view.bft_tree(&design);
-        self.nodes[node as usize].tree = Some(tree);
-        self.nodes[node as usize].bars = BarrierId::ALL
-            .iter()
-            .map(|&id| {
-                (
-                    id,
-                    BarState {
-                        ok: true,
-                        ..BarState::default()
-                    },
-                )
-            })
-            .collect();
+        self.nodes[node as usize].tree = Some(view.bft_tree(st.fabric.design_graph()));
         // Process any barrier joins that raced ahead of us.
         let stashed = std::mem::take(&mut self.nodes[node as usize].stashed_ups);
         for (from, id, ok) in stashed {
@@ -127,13 +108,13 @@ impl RecoveryExt {
         live
     }
 
-    pub(super) fn start_drain_wait(&mut self, st: &mut St, node: u16, sched: Sched<'_, '_>) {
+    pub(super) fn start_drain_wait(&mut self, node: u16, sched: Sched<'_, '_>) {
         let rec = &mut self.nodes[node as usize];
         rec.phase = Phase::Drain1Wait;
         rec.drain_attempt += 1;
         rec.vote1_at = None;
         let (inc, attempt) = (rec.inc, rec.drain_attempt);
-        self.bump_progress(st, node, sched);
+        self.bump_progress(node, sched);
         sched.immediately(Ev::Ext(RecEv::DrainPoll { node, inc, attempt }));
     }
 
@@ -168,11 +149,10 @@ impl RecoveryExt {
         node: u16,
         sched: Sched<'_, '_>,
     ) {
-        let design = self.design(st);
         let view = self.nodes[node as usize].view.clone();
         // Router graph from probed-alive links; a dead node's router still
         // routes traffic.
-        let n = design.len();
+        let n = st.fabric.design_graph().len();
         let mut g = UGraph::new(n);
         let mut alive = vec![false; n];
         for &(a, b) in &view.links_up {
@@ -202,15 +182,8 @@ impl RecoveryExt {
     // ------------------------------------------------------------------
 
     pub(super) fn start_flush(&mut self, st: &mut St, node: u16, sched: Sched<'_, '_>) {
-        self.record_phase_edge(st, node, 3, 4, sched.now());
-        self.done_p3.insert(node);
-        self.mark_phase_progress(st, sched.now());
-        if self.report.p4_started_at.is_none() {
-            self.report.p4_started_at = Some(sched.now());
-        }
-        if self.entries.p4.is_none() {
-            self.entries.p4 = Some(sched.now());
-        }
+        self.phase_done(st, node, 3, sched.now());
+        self.report.p4_started_at.get_or_insert(sched.now());
         st.nodes[node as usize].mode = MagicMode::Recovery;
         // With HAL-style end-to-end interconnect reliability the flush step
         // is eliminated (paper, Section 6.3); caches stay warm and the
@@ -224,7 +197,7 @@ impl RecoveryExt {
         };
         let inc = self.nodes[node as usize].inc;
         self.nodes[node as usize].phase = Phase::FlushWalk;
-        self.bump_progress(st, node, sched);
+        self.bump_progress(node, sched);
         sched.after(
             flash_sim::SimDuration::from_nanos(walk_ns),
             Ev::Ext(RecEv::StepDone {
@@ -252,9 +225,7 @@ impl RecoveryExt {
     }
 
     pub(super) fn start_scan(&mut self, st: &mut St, node: u16, sched: Sched<'_, '_>) {
-        if self.report.flush_done_at.is_none() {
-            self.report.flush_done_at = Some(sched.now());
-        }
+        self.report.flush_done_at.get_or_insert(sched.now());
         let marked = if self.cfg.reliable_interconnect {
             let failed = self.nodes[node as usize].view.failed_nodes();
             st.nodes[node as usize].dir.scan_and_prune(&failed)
@@ -267,7 +238,7 @@ impl RecoveryExt {
         let scan_ns = st.layout.lines_per_node() * st.params.magic.costs.dir_scan_per_line_ns;
         let inc = self.nodes[node as usize].inc;
         self.nodes[node as usize].phase = Phase::Scan;
-        self.bump_progress(st, node, sched);
+        self.bump_progress(node, sched);
         sched.after(
             flash_sim::SimDuration::from_nanos(scan_ns),
             Ev::Ext(RecEv::StepDone {
@@ -279,25 +250,24 @@ impl RecoveryExt {
     }
 
     pub(super) fn complete_recovery(&mut self, st: &mut St, node: u16, sched: Sched<'_, '_>) {
-        self.record_phase_edge(st, node, 4, 0, sched.now());
-        let view = self.nodes[node as usize].view.clone();
-        let doomed = {
-            let effective = self.effective_live(&view);
-            !effective.contains(NodeId(node))
-        };
+        let doomed = !self
+            .effective_live(&self.nodes[node as usize].view)
+            .contains(NodeId(node));
         if doomed {
-            // Clean shutdown of the whole failure unit (Section 3.3).
+            // Clean shutdown of the whole failure unit (Section 3.3). It
+            // comes before `phase_done` (it traces nothing), so the phase
+            // times count the node as dead, not as an unfinished survivor.
             self.report.nodes_shut_down += 1;
             self.nodes[node as usize].phase = Phase::Shut;
             st.apply_fault(&FaultSpec::Node(NodeId(node)), sched.now());
-        } else {
+        }
+        self.phase_done(st, node, 4, sched.now());
+        if !doomed {
             self.report.nodes_resumed += 1;
             self.nodes[node as usize].phase = Phase::Idle;
             st.resume_after_recovery(NodeId(node), sched);
         }
-        self.done_p4.insert(node);
-        self.mark_phase_progress(st, sched.now());
-        if self.done_for_all(st, &self.done_p4) {
+        if all_live_in(st, &self.cur.done[3]) {
             self.active = false;
         }
     }
