@@ -180,12 +180,26 @@ impl PhaseEntries {
     }
 }
 
-/// Summary of one recovery execution.
+/// Summary of the hardware recovery runs on one machine.
+///
+/// `phases`, `flush_done_at`, `p4_started_at` and `wave_complete_at`
+/// describe the most recent *episode*: the span from a first trigger to P4
+/// completion, across any restarts inside it. A trigger after a completed
+/// episode clears them. The counters accumulate over every episode until
+/// [`crate::RecoveryExt::reset_report`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecoveryReport {
-    /// Phase completion times of the final (successful) incarnation.
+    /// Phase completion times of the most recent episode. `pN_done` is the
+    /// first time every live node had finished phase N in *any*
+    /// incarnation of the episode, so after a restart the phases need not
+    /// come from one incarnation: a second death during P4 leaves
+    /// `p1_done`–`p3_done` from the first incarnation and `p4_done` from
+    /// the last.
     pub phases: PhaseTimes,
-    /// Number of algorithm restarts (additional faults / watchdogs).
+    /// Number of incarnations after the first. That counts the algorithm
+    /// restarts (additional faults, watchdogs), but also every fresh
+    /// episode after a completed one, since it too opens a new
+    /// incarnation: two clean episodes report one restart.
     pub restarts: u32,
     /// Lines marked incoherent by the directory scans.
     pub lines_marked_incoherent: u64,
@@ -198,13 +212,14 @@ pub struct RecoveryReport {
     pub nodes_shut_down: u32,
     /// Whether the whole-machine shutdown heuristic fired.
     pub machine_halted: bool,
-    /// Time of the cache-flush barrier completion (start of the directory
-    /// scans), for the Figure 5.6 writeback/scan split.
+    /// Time of the episode's first cache-flush barrier completion (start
+    /// of the directory scans), for the Figure 5.6 writeback/scan split.
     pub flush_done_at: Option<SimTime>,
-    /// Time the flush step started (P4 entry).
+    /// Time the episode's flush step first started (P4 entry).
     pub p4_started_at: Option<SimTime>,
-    /// Time at which every live node had entered recovery (the trigger
-    /// wave's completion; §4.2's speculative pings accelerate this).
+    /// Time at which every live node had entered the episode's recovery
+    /// (the trigger wave's completion; §4.2's speculative pings accelerate
+    /// this).
     pub wave_complete_at: Option<SimTime>,
 }
 
