@@ -4,7 +4,8 @@
 //! at equal N — once through the checkpoint/fork engine, once from scratch
 //! with identical seeds — asserts every forked run's trace hash is
 //! bit-identical to its from-scratch twin, and reports the wall-clock
-//! speedup. The committed numbers live in `BENCH_sweep_fork.json`.
+//! speedup. The rows land in `target/bench-results/sweep_fork.json`; the
+//! committed numbers live in `BENCH_sweep_fork.json`.
 //!
 //! Environment knobs:
 //!
@@ -12,33 +13,38 @@
 //!   speedup is prelude-amortization, so tiny N underreports it — the CI
 //!   smoke run at `FLASH_RUNS=5` exercises the path and the determinism
 //!   assertion, not the speedup);
-//! * `FLASH_BENCH_JSON=path` — additionally write the results as JSON;
-//! * `FLASH_BENCH_CHECK=path` — compare against the committed
-//!   `BENCH_sweep_fork.json` and exit non-zero if either sweep falls below
-//!   its derated `floor_speedup`.
+//! * `FLASH_BENCH_CHECK=path` — exit 1 unless each sweep's speedup reaches
+//!   its `floor` in a committed sheet such as `BENCH_sweep_fork.json`
+//!   ([`flash_bench::ResultSheet::check_floors`]).
 
 use flash_bench::{
-    banner, runs_from_env, table_5_3_experiment, table_5_4_hive, time_fault_sweep,
-    time_parallel_make_sweep, Stopwatch, SweepConfig, SweepTiming, DEFAULT_MAKE_STAGES,
+    banner, runs_from_env, scratch_fault_sweep, scratch_parallel_make_sweep,
+    sweep_fault_experiments, sweep_parallel_make, table_5_3_experiment, table_5_4_hive,
+    ResultSheet, Stopwatch, SweepConfig, SweepRun, DEFAULT_MAKE_STAGES,
 };
 use flash_core::{FaultKind, RecoveryConfig};
 use flash_machine::MachineParams;
 
-struct Arm {
-    name: &'static str,
-    timing: SweepTiming,
-    mismatches: usize,
-}
-
-fn check_hashes<O>(
-    forked: &[flash_bench::SweepRun<O>],
-    scratch: &[flash_bench::SweepRun<O>],
+/// Times the forked sweep and then its from-scratch twin, counts the runs
+/// whose trace hashes differ between the two, prints the arm and appends
+/// it to `sheet`. Returns the mismatch count.
+fn arm<O>(
+    sheet: &mut ResultSheet,
+    name: &str,
+    forked: impl FnOnce() -> Vec<SweepRun<O>>,
+    scratch: impl FnOnce() -> Vec<SweepRun<O>>,
     hash: impl Fn(&O) -> u64,
 ) -> usize {
+    let sw = Stopwatch::start();
+    let forked = forked();
+    let forked_s = sw.secs();
+    let sw = Stopwatch::start();
+    let scratch = scratch();
+    let scratch_s = sw.secs();
     assert_eq!(forked.len(), scratch.len(), "unequal N between arms");
-    forked
+    let mismatches = forked
         .iter()
-        .zip(scratch)
+        .zip(&scratch)
         .filter(|(f, s)| {
             let differ = hash(&f.outcome) != hash(&s.outcome);
             if differ {
@@ -49,112 +55,48 @@ fn check_hashes<O>(
             }
             differ
         })
-        .count()
-}
-
-fn emit_json(path: &str, runs: u64, arms: &[Arm]) {
-    let mut s = String::from("{\n  \"schema\": \"flash-bench/sweep-fork/v1\",\n");
-    s.push_str(&format!("  \"runs_per_kind\": {runs},\n  \"sweeps\": [\n"));
-    for (i, a) in arms.iter().enumerate() {
-        let sep = if i + 1 == arms.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"runs\": {}, \"forked_s\": {:.4}, \
-             \"scratch_s\": {:.4}, \"speedup\": {:.3}, \"hash_mismatches\": {}}}{}\n",
-            a.name,
-            a.timing.runs,
-            a.timing.forked_secs,
-            a.timing.scratch_secs,
-            a.timing.speedup(),
-            a.mismatches,
-            sep,
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, s) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        println!("results written to {path}");
-    }
-}
-
-/// Pulls `"name": ... "floor_speedup": x` pairs out of the committed
-/// baseline (same line-wise idiom as the sim-speed bench checker).
-fn parse_floors(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let Some(nk) = line.find("\"name\":") else {
-            continue;
-        };
-        let rest = &line[nk + 7..];
-        let Some(start) = rest.find('"') else {
-            continue;
-        };
-        let Some(end) = rest[start + 1..].find('"') else {
-            continue;
-        };
-        let name = rest[start + 1..start + 1 + end].to_string();
-        let Some(fk) = line.find("\"floor_speedup\":") else {
-            continue;
-        };
-        let rest = line[fk + 16..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.'))
-            .unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].parse() {
-            out.push((name, v));
-        }
-    }
-    out
-}
-
-fn check_floors(path: &str, arms: &[Arm]) -> usize {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read baseline {path}: {e}");
-            return 1;
-        }
-    };
-    let floors = parse_floors(&text);
-    let mut regressions = 0;
-    for a in arms {
-        let Some((_, floor)) = floors.iter().find(|(n, _)| n == a.name) else {
-            println!("check {:<28} no floor_speedup entry, skipped", a.name);
-            continue;
-        };
-        let s = a.timing.speedup();
-        let verdict = if s < *floor {
-            regressions += 1;
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "check {:<28} {s:.2}x vs floor {floor:.2}x {verdict}",
-            a.name
-        );
-    }
-    regressions
+        .count();
+    let speedup = scratch_s / forked_s.max(1e-12);
+    let runs = forked.len() as f64;
+    println!("{name:<28} {runs:>6} {forked_s:>9.2}s {scratch_s:>9.2}s {speedup:>8.2}x");
+    sheet.push(
+        name,
+        &[runs, forked_s, scratch_s, speedup, mismatches as f64],
+    );
+    mismatches
 }
 
 fn main() {
+    let reproduces = "engine behind Tables 5.3/5.4 at paper-scale run counts";
     banner(
         "sweep_fork: checkpoint/fork sweep vs. from-scratch at equal N",
-        "engine behind Tables 5.3/5.4 at paper-scale run counts",
+        reproduces,
     );
     let runs = runs_from_env(64);
     let mut cfg = SweepConfig::new(runs as usize);
     cfg.forks_per_checkpoint = 8;
     let sw = Stopwatch::start();
+    let columns = [
+        "runs",
+        "forked_s",
+        "scratch_s",
+        "speedup",
+        "hash_mismatches",
+    ];
+    let mut sheet = ResultSheet::new("sweep_fork", reproduces, &columns);
+    println!(
+        "\n{:<28} {:>6} {:>10} {:>10} {:>9}",
+        "sweep", "runs", "forked", "scratch", "speedup"
+    );
 
     // Arm 1: the Table 5.3 validation sweep, all five fault types.
-    let (forked, scratch, timing) = time_fault_sweep(&cfg, &FaultKind::ALL, table_5_3_experiment);
-    let mismatches = check_hashes(&forked, &scratch, |o| o.trace_hash);
-    let validation = Arm {
-        name: "validation_table_5_3",
-        timing,
-        mismatches,
-    };
+    let mut mismatches = arm(
+        &mut sheet,
+        "validation_table_5_3",
+        || sweep_fault_experiments(&cfg, &FaultKind::ALL, table_5_3_experiment),
+        || scratch_fault_sweep(&cfg, &FaultKind::ALL, table_5_3_experiment),
+        |o| o.trace_hash,
+    );
 
     // Arm 2: the Table 5.4 end-to-end sweep over the injection ladder.
     let kinds = [
@@ -163,53 +105,24 @@ fn main() {
         FaultKind::Link,
         FaultKind::InfiniteLoop,
     ];
-    let (forked, scratch, timing) = time_parallel_make_sweep(
-        &cfg,
-        &kinds,
-        DEFAULT_MAKE_STAGES,
+    let (params, hive, recovery) = (
         MachineParams::table_5_1(),
-        &table_5_4_hive(),
+        table_5_4_hive(),
         RecoveryConfig::default(),
     );
-    let mismatches = check_hashes(&forked, &scratch, |o| o.trace_hash);
-    let end_to_end = Arm {
-        name: "end_to_end_table_5_4",
-        timing,
-        mismatches,
-    };
-
-    let arms = [validation, end_to_end];
-    println!(
-        "\n{:<28} {:>6} {:>10} {:>10} {:>9}",
-        "sweep", "runs", "forked", "scratch", "speedup"
+    mismatches += arm(
+        &mut sheet,
+        "end_to_end_table_5_4",
+        || sweep_parallel_make(&cfg, &kinds, DEFAULT_MAKE_STAGES, params, &hive, recovery),
+        || scratch_parallel_make_sweep(&cfg, &kinds, DEFAULT_MAKE_STAGES, params, &hive, recovery),
+        |o| o.trace_hash,
     );
-    let mut total_mismatches = 0;
-    for a in &arms {
-        total_mismatches += a.mismatches;
-        println!(
-            "{:<28} {:>6} {:>9.2}s {:>9.2}s {:>8.2}x",
-            a.name,
-            a.timing.runs,
-            a.timing.forked_secs,
-            a.timing.scratch_secs,
-            a.timing.speedup()
-        );
-    }
     println!("[{:.1}s host total]", sw.secs());
 
-    if let Ok(path) = std::env::var("FLASH_BENCH_JSON") {
-        emit_json(&path, runs, &arms);
-    }
+    sheet.write();
     assert_eq!(
-        total_mismatches, 0,
+        mismatches, 0,
         "every forked run must hash identically to its from-scratch twin"
     );
-    if let Ok(path) = std::env::var("FLASH_BENCH_CHECK") {
-        let regressions = check_floors(&path, &arms);
-        if regressions > 0 {
-            eprintln!("{regressions} sweep(s) below their committed floor_speedup in {path}");
-            std::process::exit(1);
-        }
-        println!("speedup floor check passed vs {path}");
-    }
+    sheet.check_floors("speedup");
 }

@@ -1,11 +1,13 @@
 //! # flash-bench — the paper's evaluation, regenerated
 //!
 //! One benchmark target per table and figure of the paper's Section 5 (plus
-//! the Section 6.2 firewall-overhead claim and two ablations of design
+//! the Section 6.2 firewall-overhead claim and ablations of design
 //! choices). The figure/table targets are `harness = false` binaries that
 //! run simulated experiments and print the same rows/series the paper
-//! reports — in *simulated* time; `criterion_sim_speed` measures host-side
-//! simulator throughput with a self-contained min-of-N timing harness.
+//! reports — in *simulated* time. Two targets measure *host* time instead:
+//! `sim_speed` (simulator throughput, min-of-N) and `sweep_fork` (the
+//! checkpoint/fork speedup). Both write a [`ResultSheet`] and gate through
+//! [`ResultSheet::check_floors`] against a committed `BENCH_*.json` sheet.
 //!
 //! | target | reproduces |
 //! |---|---|
@@ -17,6 +19,12 @@
 //! | `table_6_1_firewall_overhead` | §6.2 firewall cost (< 7 %) |
 //! | `ablation_speculative_ping` | §4.2 trigger-wave speedup |
 //! | `ablation_bft_hints` | §4.3 deferred-BFT hint scheduling |
+//! | `ablation_reliable_interconnect` | §6.3 HAL-style reliable interconnect |
+//! | `ablation_diameter_bound` | §4.3 tighter dissemination diameter bound |
+//! | `ablation_upgrade` | ownership upgrades (not a paper figure) |
+//! | `campaign_sweep` | multi-fault chaos campaign (§4.1/§5.3 generalized) |
+//! | `sim_speed` | host-side simulator throughput (not a paper result) |
+//! | `sweep_fork` | checkpoint/fork vs. from-scratch sweep speedup |
 //!
 //! Run everything with `cargo bench -p flash-bench`; each target accepts a
 //! `FLASH_RUNS` environment variable to scale the run counts.
@@ -29,9 +37,8 @@ pub use results::{
     FAULT_CLASSES,
 };
 pub use sweep::{
-    fault_rng_seed, run_checkpoint_groups, sweep_fault_experiments, sweep_parallel_make,
-    time_fault_sweep, time_parallel_make_sweep, SweepConfig, SweepRun, SweepTiming,
-    DEFAULT_MAKE_STAGES,
+    fault_rng_seed, run_checkpoint_groups, scratch_fault_sweep, scratch_parallel_make_sweep,
+    sweep_fault_experiments, sweep_parallel_make, SweepConfig, SweepRun, DEFAULT_MAKE_STAGES,
 };
 
 use flash_core::{ExperimentConfig, FaultKind};

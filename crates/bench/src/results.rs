@@ -129,6 +129,142 @@ impl ResultSheet {
             Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
         }
     }
+
+    /// Reads back a sheet written by [`ResultSheet::to_json`], which puts
+    /// the columns and each row on a line of their own. Other top-level
+    /// keys are ignored, so a committed baseline can carry a note and a
+    /// history.
+    pub fn parse(text: &str) -> Result<ResultSheet, String> {
+        let mut sheet = ResultSheet::new("", "", &[]);
+        let mut in_rows = false;
+        for line in text.lines() {
+            if in_rows {
+                if let Some(rest) = line.trim_start().strip_prefix("{\"label\": ") {
+                    let row = json_row(rest)?;
+                    if row.values.len() != sheet.columns.len() {
+                        return Err(format!("row {:?}: row/column mismatch", row.label));
+                    }
+                    sheet.rows.push(row);
+                } else {
+                    in_rows = false;
+                }
+            } else if let Some(rest) = line.strip_prefix("  \"bench\": ") {
+                sheet.bench = json_str(rest)?.0;
+            } else if let Some(rest) = line.strip_prefix("  \"reproduces\": ") {
+                sheet.reproduces = json_str(rest)?.0;
+            } else if let Some(mut rest) = line.strip_prefix("  \"columns\": [") {
+                while rest.starts_with('"') {
+                    let (column, tail) = json_str(rest)?;
+                    sheet.columns.push(column);
+                    rest = tail.trim_start_matches(", ");
+                }
+            } else if line == "  \"rows\": [" {
+                in_rows = true;
+            }
+        }
+        if sheet.columns.is_empty() {
+            return Err("no \"columns\" line".to_string());
+        }
+        Ok(sheet)
+    }
+
+    /// The value in row `label`, column `column`.
+    pub fn value(&self, label: &str, column: &str) -> Option<f64> {
+        let col = self.columns.iter().position(|c| c == column)?;
+        let row = self.rows.iter().find(|r| r.label == label)?;
+        Some(row.values[col])
+    }
+
+    /// The one bench gate. When `FLASH_BENCH_CHECK` names a committed
+    /// sheet, every row of this sheet must reach that sheet's `floor` in
+    /// `column` (higher is better); otherwise the process exits 1.
+    pub fn check_floors(&self, column: &str) {
+        let Some(path) = std::env::var_os("FLASH_BENCH_CHECK").map(PathBuf::from) else {
+            return;
+        };
+        let failures = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| ResultSheet::parse(&text))
+            .map_or_else(
+                |e| vec![format!("{}: {e}", path.display())],
+                |committed| rows_below_floor(self, &committed, column),
+            );
+        for f in &failures {
+            eprintln!("FLOOR CHECK FAILED {f}");
+        }
+        if !failures.is_empty() {
+            std::process::exit(1);
+        }
+        println!("floor check passed: {column} vs {}", path.display());
+    }
+}
+
+/// The rows of `fresh` whose `column` falls below `committed`'s `floor`
+/// for the same label, or that have no finite committed floor (so renaming
+/// a row cannot silently drop its gate). One message per failing row.
+fn rows_below_floor(fresh: &ResultSheet, committed: &ResultSheet, column: &str) -> Vec<String> {
+    let mut failures = Vec::new();
+    for row in &fresh.rows {
+        let value = fresh.value(&row.label, column).unwrap_or(f64::NAN);
+        match committed.value(&row.label, "floor") {
+            Some(floor) if floor.is_finite() => {
+                if value < floor || value.is_nan() {
+                    failures.push(format!(
+                        "{}: {column} {value} below floor {floor}",
+                        row.label
+                    ));
+                }
+            }
+            _ => failures.push(format!("{}: no committed floor", row.label)),
+        }
+    }
+    failures
+}
+
+/// Reads one row line of [`ResultSheet::to_json`] after its `{"label": `.
+fn json_row(s: &str) -> Result<Row, String> {
+    let (label, rest) = json_str(s)?;
+    let (values, _) = rest
+        .strip_prefix(", \"values\": [")
+        .and_then(|v| v.split_once(']'))
+        .ok_or_else(|| format!("row {label:?}: no values"))?;
+    let values = values
+        .split(", ")
+        .filter(|v| !v.is_empty())
+        .map(|v| match v {
+            "null" => Ok(f64::NAN),
+            v => v.parse().map_err(|e| format!("row {label:?}: {v:?}: {e}")),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Row { label, values })
+}
+
+/// Reads the JSON string literal at the start of `s`, undoing
+/// [`json_escape_str`]; returns it and the text after its closing quote.
+fn json_str(s: &str) -> Result<(String, &str), String> {
+    let mut chars = s
+        .strip_prefix('"')
+        .ok_or("expected a string")?
+        .char_indices();
+    let mut out = String::new();
+    while let Some((i, c)) = chars.next() {
+        out.push(match c {
+            '"' => return Ok((out, &s[i + 2..])),
+            '\\' => match chars.next().ok_or("unterminated string")?.1 {
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).map(|(_, h)| h).collect();
+                    let code = u32::from_str_radix(&hex, 16).map_err(|e| e.to_string())?;
+                    char::from_u32(code).ok_or("bad \\u escape")?
+                }
+                e => e,
+            },
+            c => c,
+        });
+    }
+    Err("unterminated string".to_string())
 }
 
 /// The fault classes of the per-class result sheets, in row order. A run
@@ -311,16 +447,34 @@ fn workspace_root() -> PathBuf {
 mod tests {
     use super::*;
 
+    /// `to_json` writes valid JSON — Rust's `{:?}` would emit
+    /// `\u{e9}`-style escapes no parser accepts — and `parse` reads back
+    /// everything it writes, escapes and non-finite values included.
     #[test]
     fn sheet_roundtrip_structure() {
-        let mut s = ResultSheet::new("fig_x", "Figure X", &["a", "b"]);
-        s.push("row1", &[1.0, 2.5]);
-        s.push("row2", &[3.0, f64::NAN]);
+        let mut s = ResultSheet::new("tête", "Ta\tble \"5.4\" — «é»", &["μs", "naïve"]);
+        s.push("nœud\n№1 \\ [x]\u{1}", &[1.0, 2.5e-7]);
+        s.push("row2", &[70573622.0, f64::NAN]);
         let json = s.to_json();
-        assert!(json.contains("\"bench\": \"fig_x\""));
-        assert!(json.contains("\"columns\": [\"a\", \"b\"]"));
-        assert!(json.contains("[1, 2.5]"));
-        assert!(json.contains("null"), "non-finite values become null");
+        assert!(!json.contains("\\u{"), "Rust-style escapes leaked: {json}");
+        // Non-ASCII passes through raw (valid JSON is UTF-8); control
+        // characters use standard escapes; non-finite values become null.
+        assert!(json.contains("\"bench\": \"tête\""));
+        assert!(json.contains("Ta\\tble \\\"5.4\\\" — «é»"));
+        assert!(json.contains("\"columns\": [\"μs\", \"naïve\"]"));
+        assert!(json.contains("\"nœud\\n№1 \\\\ [x]\\u0001\""));
+        assert!(json.contains("[70573622, null]"));
+        let back = ResultSheet::parse(&json).unwrap();
+        assert_eq!(back.bench, s.bench);
+        assert_eq!(back.reproduces, s.reproduces);
+        assert_eq!(back.columns, s.columns);
+        assert_eq!(back.rows.len(), 2);
+        assert_eq!(back.rows[0].label, s.rows[0].label);
+        assert_eq!(back.rows[0].values, s.rows[0].values);
+        assert_eq!(back.value("row2", "μs"), Some(70573622.0));
+        assert!(back.value("row2", "naïve").unwrap().is_nan());
+        assert_eq!(back.value("row2", "missing"), None);
+        assert_eq!(back.value("missing", "μs"), None);
     }
 
     #[test]
@@ -330,20 +484,45 @@ mod tests {
         s.push("r", &[1.0, 2.0]);
     }
 
-    /// Non-ASCII and control characters must serialize as valid JSON —
-    /// Rust's `{:?}` would emit `\u{e9}`-style escapes no parser accepts.
     #[test]
-    fn non_ascii_labels_emit_valid_json() {
-        let mut s = ResultSheet::new("tête", "Ta\tble 5.4 — «é»", &["μs", "naïve"]);
-        s.push("nœud\n№1", &[1.0, 2.0]);
-        let json = s.to_json();
-        assert!(!json.contains("\\u{"), "Rust-style escapes leaked: {json}");
-        // Non-ASCII passes through raw (valid JSON is UTF-8); control
-        // characters use standard short escapes.
-        assert!(json.contains("\"bench\": \"tête\""));
-        assert!(json.contains("Ta\\tble 5.4 — «é»"));
-        assert!(json.contains("\"columns\": [\"μs\", \"naïve\"]"));
-        assert!(json.contains("\"nœud\\n№1\""));
+    fn floor_gate_fails_low_and_missing_rows() {
+        let mut committed = ResultSheet::new("b", "", &["speedup", "floor"]);
+        for (label, floor) in [
+            ("at", 2.0),
+            ("above", 2.0),
+            ("below", 2.0),
+            ("nan", f64::NAN),
+        ] {
+            committed.push(label, &[3.0, floor]);
+        }
+        let mut fresh = ResultSheet::new("b", "", &["speedup"]);
+        fresh.push("at", &[2.0]);
+        fresh.push("above", &[3.0]);
+        assert!(rows_below_floor(&fresh, &committed, "speedup").is_empty());
+        fresh.push("below", &[1.9]);
+        fresh.push("renamed", &[9.0]);
+        fresh.push("nan", &[9.0]);
+        let failures = rows_below_floor(&fresh, &committed, "speedup");
+        assert_eq!(failures.len(), 3, "{failures:?}");
+        assert!(failures[0].starts_with("below: speedup 1.9 below floor 2"));
+        assert_eq!(failures[1], "renamed: no committed floor");
+        assert_eq!(failures[2], "nan: no committed floor");
+    }
+
+    /// The committed host-time baselines are sheets the gate can read:
+    /// each has a `floor` column and a finite floor on every row.
+    #[test]
+    fn committed_baselines_parse_with_floors() {
+        for (file, rows) in [("BENCH_sim_speed.json", 7), ("BENCH_sweep_fork.json", 2)] {
+            let text = std::fs::read_to_string(workspace_root().join(file)).unwrap();
+            let sheet = ResultSheet::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+            assert!(sheet.columns.iter().any(|c| c == "floor"), "{file}");
+            assert_eq!(sheet.rows.len(), rows, "{file}");
+            for row in &sheet.rows {
+                let floor = sheet.value(&row.label, "floor").unwrap();
+                assert!(floor.is_finite() && floor > 0.0, "{file}: {}", row.label);
+            }
+        }
     }
 
     #[test]

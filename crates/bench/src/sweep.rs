@@ -30,7 +30,6 @@
 //! flattening orders runs by `(kind, run index)` — so the output is
 //! bit-identical whatever the worker count or OS scheduling.
 
-use crate::Stopwatch;
 use flash_core::{
     finish_fault_experiment, prepare_fault_experiment, random_fault, run_indexed, ExperimentConfig,
     ExperimentOutcome, FaultKind, RecoveryConfig,
@@ -242,102 +241,45 @@ pub fn sweep_parallel_make(
     )
 }
 
-/// Host-side wall-clock comparison of the forked sweep against the
-/// from-scratch equivalent at equal N — the speedup evidence recorded in
-/// `BENCH_sweep_fork.json`.
-#[derive(Clone, Copy, Debug)]
-pub struct SweepTiming {
-    /// Total runs completed on each side.
-    pub runs: usize,
-    /// Host seconds for the checkpoint/fork sweep.
-    pub forked_secs: f64,
-    /// Host seconds for the same runs executed from scratch.
-    pub scratch_secs: f64,
-}
-
-impl SweepTiming {
-    /// Wall-clock speedup of forking over from-scratch.
-    pub fn speedup(&self) -> f64 {
-        self.scratch_secs / self.forked_secs.max(1e-12)
-    }
-}
-
-/// Times [`sweep_fault_experiments`] against the equivalent from-scratch
-/// loop (same seeds, same faults, same outcomes), returning both result
-/// sets and the timing. Used by the `sweep_fork` bench and the CI smoke
-/// job.
-pub fn time_fault_sweep(
+/// The from-scratch twin of [`sweep_fault_experiments`]: the same runs
+/// (same seeds, same faults), each booting and filling its own machine.
+/// The reference the fork-determinism checks compare against, and the
+/// "before" arm the `sweep_fork` bench times.
+pub fn scratch_fault_sweep(
     cfg: &SweepConfig,
     kinds: &[FaultKind],
     make_cfg: impl Fn(u64) -> ExperimentConfig + Sync,
-) -> (
-    Vec<SweepRun<ExperimentOutcome>>,
-    Vec<SweepRun<ExperimentOutcome>>,
-    SweepTiming,
-) {
-    time_pair(
-        || sweep_fault_experiments(cfg, kinds, &make_cfg),
-        || {
-            sweep(cfg, kinds, &[0], &make_cfg, |ecfg, _, kind, rng| {
-                let fault = random_fault(kind, ecfg.params.n_nodes, rng);
-                flash_core::run_fault_experiment(ecfg, fault)
-            })
-        },
-    )
+) -> Vec<SweepRun<ExperimentOutcome>> {
+    sweep(cfg, kinds, &[0], &make_cfg, |ecfg, _, kind, rng| {
+        let fault = random_fault(kind, ecfg.params.n_nodes, rng);
+        flash_core::run_fault_experiment(ecfg, fault)
+    })
 }
 
-/// Times [`sweep_parallel_make`] against the equivalent from-scratch loop:
-/// each scratch run boots its own machine, warms it to the run's injection
-/// rung and finishes — same seeds, same faults, same outcomes. Returns
-/// both result sets and the timing.
-pub fn time_parallel_make_sweep(
+/// The from-scratch twin of [`sweep_parallel_make`]: each run boots its
+/// own machine, warms it to the run's injection rung and finishes — same
+/// seeds, same faults, same outcomes.
+pub fn scratch_parallel_make_sweep(
     cfg: &SweepConfig,
     kinds: &[FaultKind],
     stages: &[u32],
     params: MachineParams,
     hive: &HiveConfig,
     recovery: RecoveryConfig,
-) -> (
-    Vec<SweepRun<EndToEndOutcome>>,
-    Vec<SweepRun<EndToEndOutcome>>,
-    SweepTiming,
-) {
+) -> Vec<SweepRun<EndToEndOutcome>> {
     let stages = if stages.is_empty() { &[30] } else { stages };
-    time_pair(
-        || sweep_parallel_make(cfg, kinds, stages, params, hive, recovery),
-        || {
-            sweep(
-                cfg,
-                kinds,
-                stages,
-                |g| g,
-                |&mut g, pct, kind, rng| {
-                    let fault = random_fault(kind, params.n_nodes, rng);
-                    let mut prep = prepare_parallel_make(params, hive, recovery, g);
-                    prep.warm_to_percent(pct);
-                    finish_parallel_make(prep, Some(fault))
-                },
-            )
+    sweep(
+        cfg,
+        kinds,
+        stages,
+        |g| g,
+        |&mut g, pct, kind, rng| {
+            let fault = random_fault(kind, params.n_nodes, rng);
+            let mut prep = prepare_parallel_make(params, hive, recovery, g);
+            prep.warm_to_percent(pct);
+            finish_parallel_make(prep, Some(fault))
         },
     )
-}
-
-/// Runs `forked`, then `scratch`, timing each.
-fn time_pair<O>(
-    forked: impl FnOnce() -> Vec<SweepRun<O>>,
-    scratch: impl FnOnce() -> Vec<SweepRun<O>>,
-) -> (Vec<SweepRun<O>>, Vec<SweepRun<O>>, SweepTiming) {
-    let sw = Stopwatch::start();
-    let forked = forked();
-    let forked_secs = sw.secs();
-    let sw = Stopwatch::start();
-    let scratch = scratch();
-    let timing = SweepTiming {
-        runs: forked.len(),
-        forked_secs,
-        scratch_secs: sw.secs(),
-    };
-    (forked, scratch, timing)
 }
 
 #[cfg(test)]
@@ -413,15 +355,15 @@ mod tests {
         let mut cfg = SweepConfig::new(2);
         cfg.forks_per_checkpoint = 2;
         cfg.workers = 1;
-        let (forked, scratch, timing) = time_fault_sweep(&cfg, &kinds, tiny_cfg);
+        let forked = sweep_fault_experiments(&cfg, &kinds, tiny_cfg);
+        let scratch = scratch_fault_sweep(&cfg, &kinds, tiny_cfg);
+        assert_eq!(forked.len(), 2);
         assert_eq!(forked.len(), scratch.len());
         for (f, s) in forked.iter().zip(&scratch) {
             assert_eq!(f.outcome.trace_hash, s.outcome.trace_hash);
             assert_eq!(f.outcome.end_time, s.outcome.end_time);
             assert_eq!(f.outcome.bus_errors, s.outcome.bus_errors);
         }
-        assert_eq!(timing.runs, 2);
-        assert!(timing.speedup() > 0.0);
     }
 
     /// Staged end-to-end forks hash identically to from-scratch runs that
@@ -444,14 +386,9 @@ mod tests {
         cfg.forks_per_checkpoint = 2;
         cfg.workers = 1;
         let stages = [30, 70];
-        let (forked, scratch, timing) = time_parallel_make_sweep(
-            &cfg,
-            &kinds,
-            &stages,
-            params,
-            &hive,
-            RecoveryConfig::default(),
-        );
+        let recovery = RecoveryConfig::default();
+        let forked = sweep_parallel_make(&cfg, &kinds, &stages, params, &hive, recovery);
+        let scratch = scratch_parallel_make_sweep(&cfg, &kinds, &stages, params, &hive, recovery);
         assert_eq!(forked.len(), kinds.len() * 4);
         assert_eq!(forked.len(), scratch.len());
         // Both ladder rungs appear, and every forked run is bit-identical
@@ -467,17 +404,9 @@ mod tests {
                 f.kind, f.run, f.stage_pct
             );
         }
-        assert_eq!(timing.runs, forked.len());
         // Worker-count independence for the staged sweep.
         cfg.workers = 4;
-        let b = sweep_parallel_make(
-            &cfg,
-            &kinds,
-            &stages,
-            params,
-            &hive,
-            RecoveryConfig::default(),
-        );
+        let b = sweep_parallel_make(&cfg, &kinds, &stages, params, &hive, recovery);
         for (x, y) in forked.iter().zip(&b) {
             assert_eq!(x.outcome.trace_hash, y.outcome.trace_hash);
         }
