@@ -13,7 +13,7 @@
 use flash_core::FcMachine;
 use flash_core::RecMsg;
 use flash_hive::{CompileTask, TaskState};
-use flash_machine::{FaultSpec, MachineState};
+use flash_machine::{FaultSpec, MachineState, ValidationReport};
 use flash_net::{NodeId, RouterId, UGraph};
 
 /// One invariant violation found by the stack.
@@ -106,7 +106,8 @@ pub struct RunContext {
 /// Runs the full invariant stack against the machine's final state.
 pub fn check_all(m: &FcMachine, ctx: &RunContext) -> Vec<Violation> {
     let mut v = Vec::new();
-    check_oracle(m, &mut v);
+    let validation = m.st().validate();
+    check_oracle(&validation, &mut v);
     check_report(m, ctx, &mut v);
     let recovered = m.ext().report.completed() && !m.ext().report.machine_halted;
     if recovered {
@@ -121,7 +122,7 @@ pub fn check_all(m: &FcMachine, ctx: &RunContext) -> Vec<Violation> {
     if ctx.hive {
         check_rpc(m, ctx, &mut v);
     }
-    check_gray(m, ctx, &mut v);
+    check_gray(m, ctx, &validation, &mut v);
     v
 }
 
@@ -136,7 +137,12 @@ pub fn check_all(m: &FcMachine, ctx: &RunContext) -> Vec<Violation> {
 ///   must never surface as incoherent or corrupted lines;
 /// * **lossy-link liveness** — dropped packets must end in eventual
 ///   completion (timeout/NAK retry delivers) or eventual detection.
-fn check_gray(m: &FcMachine, ctx: &RunContext, out: &mut Vec<Violation>) {
+fn check_gray(
+    m: &FcMachine,
+    ctx: &RunContext,
+    validation: &ValidationReport,
+    out: &mut Vec<Violation>,
+) {
     let g = &ctx.gray;
     if !g.any() {
         return;
@@ -178,18 +184,16 @@ fn check_gray(m: &FcMachine, ctx: &RunContext, out: &mut Vec<Violation>) {
         }
     }
 
-    if !g.degraded.is_empty() && pure && ctx.finished && !halted {
-        let v = st.validate();
-        if v.marked_incoherent > 0 || !v.corrupted.is_empty() {
-            out.push(Violation::new(
-                "degraded-no-wrong-data",
-                format!(
-                    "degraded memory surfaced as wrong data: {} incoherent, {} corrupted",
-                    v.marked_incoherent,
-                    v.corrupted.len()
-                ),
-            ));
-        }
+    let wrong_data = validation.marked_incoherent > 0 || !validation.corrupted.is_empty();
+    if !g.degraded.is_empty() && pure && ctx.finished && !halted && wrong_data {
+        out.push(Violation::new(
+            "degraded-no-wrong-data",
+            format!(
+                "degraded memory surfaced as wrong data: {} incoherent, {} corrupted",
+                validation.marked_incoherent,
+                validation.corrupted.len()
+            ),
+        ));
     }
 
     if g.lossy_links > 0 && !ctx.finished && !halted && report.phases.triggered_at.is_none() {
@@ -203,8 +207,7 @@ fn check_gray(m: &FcMachine, ctx: &RunContext, out: &mut Vec<Violation>) {
 
 /// Oracle-bounded incoherence and no silent corruption (the Table 5.3
 /// checks, split into two invariants for triage).
-fn check_oracle(m: &FcMachine, out: &mut Vec<Violation>) {
-    let report = m.st().validate();
+fn check_oracle(report: &ValidationReport, out: &mut Vec<Violation>) {
     if !report.overmarked.is_empty() {
         out.push(Violation::new(
             "oracle-incoherence",

@@ -117,12 +117,51 @@ pub enum HomeIn {
     },
 }
 
+/// One line's directory entry as stored: a [`DirState`] whose sharer set,
+/// if it has one, lives in the directory's sharer pool at `slot`. Most
+/// lines are `Uncached` or owned, so a line costs a few bytes here instead
+/// of a full [`NodeSet`] (FLASH's dynamic pointer allocation does the same
+/// with its pointer/link store).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Entry {
+    Uncached,
+    Shared(u32),
+    Exclusive(NodeId),
+    PendingInvals {
+        requester: NodeId,
+        slot: u32,
+        needs_data: bool,
+    },
+    PendingRecall {
+        requester: NodeId,
+        owner: NodeId,
+        for_write: bool,
+    },
+    Incoherent,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() <= 16);
+
+impl Entry {
+    /// The sharer-pool slot this entry holds, if any.
+    fn slot(self) -> Option<u32> {
+        match self {
+            Entry::Shared(slot) | Entry::PendingInvals { slot, .. } => Some(slot),
+            _ => None,
+        }
+    }
+}
+
 /// The directory (and memory image) for the lines homed on one node.
 #[derive(Clone, Debug)]
 pub struct Directory {
     home: NodeId,
     layout: MemLayout,
-    states: Vec<DirState>,
+    entries: Vec<Entry>,
+    // Sharer sets of the lines in `Shared` or `PendingInvals`, indexed by
+    // their entry's slot; `free` lists the slots no line holds.
+    sharers: Vec<NodeSet>,
+    free: Vec<u32>,
     versions: Vec<Version>,
     counters: Counters,
     // Sorted index of lines currently in `DirState::Incoherent`, so the
@@ -138,7 +177,9 @@ impl Directory {
         Directory {
             home,
             layout,
-            states: vec![DirState::Uncached; n],
+            entries: vec![Entry::Uncached; n],
+            sharers: Vec::new(),
+            free: Vec::new(),
             versions: vec![Version::INITIAL; n],
             counters: Counters::new(),
             incoherent: Vec::new(),
@@ -152,7 +193,79 @@ impl Directory {
 
     /// Number of lines homed here.
     pub fn num_lines(&self) -> usize {
-        self.states.len()
+        self.entries.len()
+    }
+
+    /// The state of the line at local index `i`.
+    fn get(&self, i: usize) -> DirState {
+        match self.entries[i] {
+            Entry::Uncached => DirState::Uncached,
+            Entry::Shared(slot) => DirState::Shared(self.sharers[slot as usize]),
+            Entry::Exclusive(owner) => DirState::Exclusive(owner),
+            Entry::PendingInvals {
+                requester,
+                slot,
+                needs_data,
+            } => DirState::PendingInvals {
+                requester,
+                pending: self.sharers[slot as usize],
+                needs_data,
+            },
+            Entry::PendingRecall {
+                requester,
+                owner,
+                for_write,
+            } => DirState::PendingRecall {
+                requester,
+                owner,
+                for_write,
+            },
+            Entry::Incoherent => DirState::Incoherent,
+        }
+    }
+
+    /// Sets the state of the line at local index `i`. A line that keeps a
+    /// sharer set keeps its pool slot; one that drops it frees the slot.
+    fn put(&mut self, i: usize, state: DirState) {
+        let mut held = self.entries[i].slot();
+        self.entries[i] = match state {
+            DirState::Uncached => Entry::Uncached,
+            DirState::Shared(set) => Entry::Shared(self.hold(held.take(), set)),
+            DirState::Exclusive(owner) => Entry::Exclusive(owner),
+            DirState::PendingInvals {
+                requester,
+                pending,
+                needs_data,
+            } => Entry::PendingInvals {
+                requester,
+                slot: self.hold(held.take(), pending),
+                needs_data,
+            },
+            DirState::PendingRecall {
+                requester,
+                owner,
+                for_write,
+            } => Entry::PendingRecall {
+                requester,
+                owner,
+                for_write,
+            },
+            DirState::Incoherent => Entry::Incoherent,
+        };
+        if let Some(slot) = held {
+            self.free.push(slot);
+        }
+    }
+
+    /// Stores `set` in `slot`, or in a free or new pool slot if the line
+    /// held none; returns the slot used.
+    fn hold(&mut self, slot: Option<u32>, set: NodeSet) -> u32 {
+        let slot = slot.or_else(|| self.free.pop()).unwrap_or_else(|| {
+            self.sharers.push(NodeSet::new());
+            (self.sharers.len() - 1) as u32
+        });
+        self.sharers[slot as usize] = set;
+        slot
     }
 
     fn idx(&self, line: LineAddr) -> usize {
@@ -162,7 +275,7 @@ impl Directory {
 
     /// The directory state of a line.
     pub fn state(&self, line: LineAddr) -> DirState {
-        self.states[self.idx(line)]
+        self.get(self.idx(line))
     }
 
     /// The memory image's data version for a line.
@@ -197,9 +310,9 @@ impl Directory {
     }
 
     fn on_get(&mut self, i: usize, line: LineAddr, from: NodeId) -> Outcome {
-        match self.states[i] {
+        match self.get(i) {
             DirState::Uncached => {
-                self.states[i] = DirState::Shared(NodeSet::singleton(from));
+                self.put(i, DirState::Shared(NodeSet::singleton(from)));
                 Outcome::send(
                     from,
                     CohMsg::Data {
@@ -211,7 +324,7 @@ impl Directory {
             }
             DirState::Shared(mut s) => {
                 s.insert(from);
-                self.states[i] = DirState::Shared(s);
+                self.put(i, DirState::Shared(s));
                 Outcome::send(
                     from,
                     CohMsg::Data {
@@ -222,11 +335,14 @@ impl Directory {
                 )
             }
             DirState::Exclusive(owner) => {
-                self.states[i] = DirState::PendingRecall {
-                    requester: from,
-                    owner,
-                    for_write: false,
-                };
+                self.put(
+                    i,
+                    DirState::PendingRecall {
+                        requester: from,
+                        owner,
+                        for_write: false,
+                    },
+                );
                 Outcome::send(
                     owner,
                     CohMsg::Fetch {
@@ -255,7 +371,7 @@ impl Directory {
         from: NodeId,
         needs_data: bool,
     ) -> Outcome {
-        self.states[i] = DirState::Exclusive(from);
+        self.put(i, DirState::Exclusive(from));
         if needs_data {
             Outcome::send(
                 from,
@@ -274,18 +390,21 @@ impl Directory {
     /// as a sharer — otherwise its copy was invalidated or silently evicted
     /// and the request falls back to the full GetX path.
     fn on_upgrade(&mut self, i: usize, line: LineAddr, from: NodeId) -> Outcome {
-        match self.states[i] {
+        match self.get(i) {
             DirState::Shared(s) if s.contains(from) => {
                 let mut others = s;
                 others.remove(from);
                 if others.is_empty() {
                     self.grant_exclusive(i, line, from, false)
                 } else {
-                    self.states[i] = DirState::PendingInvals {
-                        requester: from,
-                        pending: others,
-                        needs_data: false,
-                    };
+                    self.put(
+                        i,
+                        DirState::PendingInvals {
+                            requester: from,
+                            pending: others,
+                            needs_data: false,
+                        },
+                    );
                     Outcome {
                         sends: others
                             .iter()
@@ -302,7 +421,7 @@ impl Directory {
     }
 
     fn on_getx(&mut self, i: usize, line: LineAddr, from: NodeId, needs_data: bool) -> Outcome {
-        match self.states[i] {
+        match self.get(i) {
             DirState::Uncached => self.grant_exclusive(i, line, from, needs_data),
             DirState::Shared(s) => {
                 let mut others = s;
@@ -310,11 +429,14 @@ impl Directory {
                 if others.is_empty() {
                     self.grant_exclusive(i, line, from, needs_data)
                 } else {
-                    self.states[i] = DirState::PendingInvals {
-                        requester: from,
-                        pending: others,
-                        needs_data,
-                    };
+                    self.put(
+                        i,
+                        DirState::PendingInvals {
+                            requester: from,
+                            pending: others,
+                            needs_data,
+                        },
+                    );
                     Outcome {
                         sends: others
                             .iter()
@@ -324,11 +446,14 @@ impl Directory {
                 }
             }
             DirState::Exclusive(owner) => {
-                self.states[i] = DirState::PendingRecall {
-                    requester: from,
-                    owner,
-                    for_write: true,
-                };
+                self.put(
+                    i,
+                    DirState::PendingRecall {
+                        requester: from,
+                        owner,
+                        for_write: true,
+                    },
+                );
                 Outcome::send(
                     owner,
                     CohMsg::Fetch {
@@ -356,14 +481,17 @@ impl Directory {
         version: Version,
         keep_shared: bool,
     ) -> Outcome {
-        match self.states[i] {
+        match self.get(i) {
             DirState::Exclusive(owner) if owner == from => {
                 self.versions[i] = version;
-                self.states[i] = if keep_shared {
-                    DirState::Shared(NodeSet::singleton(from))
-                } else {
-                    DirState::Uncached
-                };
+                self.put(
+                    i,
+                    if keep_shared {
+                        DirState::Shared(NodeSet::singleton(from))
+                    } else {
+                        DirState::Uncached
+                    },
+                );
                 Outcome::send(from, CohMsg::PutAck { line })
             }
             DirState::PendingRecall {
@@ -373,7 +501,7 @@ impl Directory {
             } if owner == from => {
                 self.versions[i] = version;
                 if for_write {
-                    self.states[i] = DirState::Exclusive(requester);
+                    self.put(i, DirState::Exclusive(requester));
                     Outcome::send(
                         requester,
                         CohMsg::Data {
@@ -387,7 +515,7 @@ impl Directory {
                     if keep_shared {
                         sharers.insert(owner);
                     }
-                    self.states[i] = DirState::Shared(sharers);
+                    self.put(i, DirState::Shared(sharers));
                     Outcome::send(
                         requester,
                         CohMsg::Data {
@@ -409,7 +537,7 @@ impl Directory {
     }
 
     fn on_inval_ack(&mut self, i: usize, line: LineAddr, from: NodeId) -> Outcome {
-        match self.states[i] {
+        match self.get(i) {
             DirState::PendingInvals {
                 requester,
                 mut pending,
@@ -419,11 +547,14 @@ impl Directory {
                 if pending.is_empty() {
                     self.grant_exclusive(i, line, requester, needs_data)
                 } else {
-                    self.states[i] = DirState::PendingInvals {
-                        requester,
-                        pending,
-                        needs_data,
-                    };
+                    self.put(
+                        i,
+                        DirState::PendingInvals {
+                            requester,
+                            pending,
+                            needs_data,
+                        },
+                    );
                     Outcome::default()
                 }
             }
@@ -443,12 +574,12 @@ impl Directory {
     /// controllers suppress replies during recovery).
     pub fn recovery_put(&mut self, line: LineAddr, version: Version) {
         let i = self.idx(line);
-        if matches!(self.states[i], DirState::Incoherent) {
+        if self.entries[i] == Entry::Incoherent {
             self.counters.incr("recovery_put_to_incoherent");
             return;
         }
         self.versions[i] = version;
-        self.states[i] = DirState::Uncached;
+        self.put(i, DirState::Uncached);
     }
 
     /// Scans the directory after the flush barrier: any line still dirty
@@ -458,18 +589,21 @@ impl Directory {
     pub fn scan_and_reset(&mut self) -> Vec<LineAddr> {
         let mut marked = Vec::new();
         let base = self.home.index() as u64 * self.layout.lines_per_node();
-        for (i, state) in self.states.iter_mut().enumerate() {
-            match state {
-                DirState::Exclusive(_) | DirState::PendingRecall { .. } => {
-                    *state = DirState::Incoherent;
+        for (i, entry) in self.entries.iter_mut().enumerate() {
+            match entry {
+                Entry::Exclusive(_) | Entry::PendingRecall { .. } => {
+                    *entry = Entry::Incoherent;
                     marked.push(LineAddr(base + i as u64));
                 }
-                DirState::Incoherent => {}
-                DirState::Uncached | DirState::Shared(_) | DirState::PendingInvals { .. } => {
-                    *state = DirState::Uncached;
+                Entry::Incoherent => {}
+                Entry::Uncached | Entry::Shared(_) | Entry::PendingInvals { .. } => {
+                    *entry = Entry::Uncached;
                 }
             }
         }
+        // No line holds a sharer set any more.
+        self.sharers.clear();
+        self.free.clear();
         self.index_marked(&marked);
         marked
     }
@@ -483,44 +617,38 @@ impl Directory {
     pub fn scan_and_prune(&mut self, failed: &NodeSet) -> Vec<LineAddr> {
         let mut marked = Vec::new();
         let base = self.home.index() as u64 * self.layout.lines_per_node();
-        for (i, state) in self.states.iter_mut().enumerate() {
-            match state {
-                DirState::Exclusive(o) if failed.contains(*o) => {
-                    *state = DirState::Incoherent;
+        for i in 0..self.entries.len() {
+            let next = match self.get(i) {
+                DirState::Exclusive(o) if failed.contains(o) => {
                     marked.push(LineAddr(base + i as u64));
+                    DirState::Incoherent
                 }
-                DirState::Exclusive(_) | DirState::Uncached | DirState::Incoherent => {}
-                DirState::Shared(s) => {
+                DirState::Exclusive(_) | DirState::Uncached | DirState::Incoherent => continue,
+                // The upgrade request of a `PendingInvals` line was
+                // cancelled at recovery initiation; un-acked sharers may
+                // still hold copies (over-approximating is safe — absent
+                // sharers simply ack the next invalidation).
+                DirState::Shared(mut s) | DirState::PendingInvals { pending: mut s, .. } => {
                     s.subtract(failed);
                     if s.is_empty() {
-                        *state = DirState::Uncached;
-                    }
-                }
-                DirState::PendingInvals { pending, .. } => {
-                    // The upgrade request was cancelled at recovery
-                    // initiation; un-acked sharers may still hold copies
-                    // (over-approximating is safe — absent sharers simply
-                    // ack the next invalidation).
-                    let mut remaining = *pending;
-                    remaining.subtract(failed);
-                    *state = if remaining.is_empty() {
                         DirState::Uncached
                     } else {
-                        DirState::Shared(remaining)
-                    };
+                        DirState::Shared(s)
+                    }
                 }
                 DirState::PendingRecall { owner, .. } => {
-                    if failed.contains(*owner) {
-                        *state = DirState::Incoherent;
+                    if failed.contains(owner) {
                         marked.push(LineAddr(base + i as u64));
+                        DirState::Incoherent
                     } else {
                         // The recall was consumed during the drain; the
                         // owner still holds its dirty copy and the
                         // requester will retry after recovery.
-                        *state = DirState::Exclusive(*owner);
+                        DirState::Exclusive(owner)
                     }
                 }
-            }
+            };
+            self.put(i, next);
         }
         self.index_marked(&marked);
         marked
@@ -531,8 +659,8 @@ impl Directory {
     /// 4.6). Returns whether the line was incoherent.
     pub fn clear_incoherent(&mut self, line: LineAddr, fresh: Version) -> bool {
         let i = self.idx(line);
-        if matches!(self.states[i], DirState::Incoherent) {
-            self.states[i] = DirState::Uncached;
+        if self.entries[i] == Entry::Incoherent {
+            self.put(i, DirState::Uncached);
             self.versions[i] = fresh;
             if let Ok(p) = self.incoherent.binary_search(&line) {
                 self.incoherent.remove(p);
@@ -547,12 +675,12 @@ impl Directory {
     /// identified a specific lost line).
     pub fn mark_incoherent(&mut self, line: LineAddr) {
         let i = self.idx(line);
-        if !matches!(self.states[i], DirState::Incoherent) {
+        if self.entries[i] != Entry::Incoherent {
             if let Err(p) = self.incoherent.binary_search(&line) {
                 self.incoherent.insert(p, line);
             }
         }
-        self.states[i] = DirState::Incoherent;
+        self.put(i, DirState::Incoherent);
     }
 
     /// The lines currently marked incoherent, in ascending address order —
@@ -576,10 +704,7 @@ impl Directory {
     /// Iterates over `(line, state)` for all lines homed here.
     pub fn iter_states(&self) -> impl Iterator<Item = (LineAddr, DirState)> + '_ {
         let base = self.home.index() as u64 * self.layout.lines_per_node();
-        self.states
-            .iter()
-            .enumerate()
-            .map(move |(i, s)| (LineAddr(base + i as u64), *s))
+        (0..self.entries.len()).map(move |i| (LineAddr(base + i as u64), self.get(i)))
     }
 }
 
@@ -936,5 +1061,199 @@ mod upgrade_tests {
         let marked = d.scan_and_reset();
         assert!(marked.is_empty());
         assert_eq!(d.incoherent_lines(), scan(&d).as_slice());
+    }
+}
+
+#[cfg(test)]
+mod storage_tests {
+    use super::*;
+    use flash_sim::DetRng;
+
+    fn set(ids: &[u16]) -> NodeSet {
+        ids.iter().map(|&i| NodeId(i)).collect()
+    }
+
+    /// Every pool slot is held by exactly one line or is free, and the held
+    /// slots are exactly those of the lines in `Shared`/`PendingInvals`.
+    fn assert_pool_consistent(d: &Directory) {
+        let mut slots: Vec<u32> = d.entries.iter().filter_map(|e| e.slot()).collect();
+        let held = slots.len();
+        let sharing = d
+            .iter_states()
+            .filter(|(_, s)| matches!(s, DirState::Shared(_) | DirState::PendingInvals { .. }))
+            .count();
+        assert_eq!(held, sharing, "a slot per line with a sharer set");
+        assert_eq!(d.sharers.len() - d.free.len(), held, "live slots");
+        slots.extend(&d.free);
+        slots.sort_unstable();
+        let all: Vec<u32> = (0..d.sharers.len() as u32).collect();
+        assert_eq!(slots, all, "each slot held once or free once");
+    }
+
+    #[test]
+    fn every_state_round_trips() {
+        let mut d = Directory::new(NodeId(0), MemLayout::new(2, 8));
+        let wide = set(&[0, 127, 128, 500, 1023]);
+        let states = [
+            DirState::Uncached,
+            DirState::Shared(wide),
+            DirState::Shared(set(&[1023])),
+            DirState::Exclusive(NodeId(1023)),
+            DirState::PendingInvals {
+                requester: NodeId(200),
+                pending: wide,
+                needs_data: true,
+            },
+            DirState::PendingInvals {
+                requester: NodeId(3),
+                pending: set(&[129]),
+                needs_data: false,
+            },
+            DirState::PendingRecall {
+                requester: NodeId(1023),
+                owner: NodeId(128),
+                for_write: true,
+            },
+            DirState::PendingRecall {
+                requester: NodeId(2),
+                owner: NodeId(5),
+                for_write: false,
+            },
+            DirState::Incoherent,
+        ];
+        // In place on one line, then each on its own line at once.
+        for &s in &states {
+            d.put(0, s);
+            assert_eq!(d.get(0), s);
+            assert_pool_consistent(&d);
+        }
+        for (i, &s) in states.iter().enumerate().take(8) {
+            d.put(i, s);
+        }
+        for (i, &s) in states.iter().enumerate().take(8) {
+            assert_eq!(d.state(LineAddr(i as u64)), s);
+        }
+        assert_pool_consistent(&d);
+    }
+
+    #[test]
+    fn slots_are_reused_and_freed() {
+        let mut d = Directory::new(NodeId(0), MemLayout::new(2, 8));
+        d.put(0, DirState::Shared(set(&[1])));
+        let slot = d.entries[0].slot();
+        assert_eq!(slot, Some(0));
+        // A line that keeps a sharer set keeps its slot.
+        d.put(0, DirState::Shared(set(&[1, 300])));
+        assert_eq!(d.entries[0].slot(), slot);
+        d.put(
+            0,
+            DirState::PendingInvals {
+                requester: NodeId(2),
+                pending: set(&[300]),
+                needs_data: false,
+            },
+        );
+        assert_eq!(d.entries[0].slot(), slot);
+        assert_eq!(d.sharers.len(), 1);
+        // Leaving for any state without a set frees the slot, and the next
+        // line to need one takes it back.
+        for end in [
+            DirState::Exclusive(NodeId(2)),
+            DirState::Uncached,
+            DirState::Incoherent,
+        ] {
+            d.put(1, DirState::Shared(set(&[4])));
+            assert_eq!(d.entries[1].slot(), Some(1));
+            d.put(1, end);
+            assert_eq!(d.free, vec![1]);
+            assert_pool_consistent(&d);
+            d.put(2, DirState::Shared(set(&[5])));
+            assert_eq!(d.entries[2].slot(), Some(1));
+            assert!(d.free.is_empty());
+            d.put(2, DirState::Uncached);
+        }
+        assert_eq!(
+            d.sharers.len(),
+            2,
+            "the pool grows only when nothing is free"
+        );
+
+        // Pruning frees the slots of lines left with no sharers.
+        let failed = set(&[7]);
+        d.put(3, DirState::Shared(set(&[7])));
+        d.put(
+            4,
+            DirState::PendingInvals {
+                requester: NodeId(1),
+                pending: set(&[7]),
+                needs_data: true,
+            },
+        );
+        d.put(5, DirState::Shared(set(&[6, 7])));
+        d.scan_and_prune(&failed);
+        assert_eq!(d.state(LineAddr(3)), DirState::Uncached);
+        assert_eq!(d.state(LineAddr(4)), DirState::Uncached);
+        assert_eq!(d.state(LineAddr(5)), DirState::Shared(set(&[6])));
+        assert_pool_consistent(&d);
+        assert_eq!(d.sharers.len() - d.free.len(), 2, "lines 0 and 5");
+
+        // The post-flush reset empties the pool.
+        d.scan_and_reset();
+        assert!(d.sharers.is_empty() && d.free.is_empty());
+        assert_pool_consistent(&d);
+    }
+
+    /// Random protocol and recovery traffic from sharers on both sides of
+    /// id 128 keeps the pool consistent after every step.
+    #[test]
+    fn random_walk_keeps_pool_consistent() {
+        let nodes = [1u16, 2, 127, 128, 600, 1023];
+        for case in 0..16u64 {
+            let mut rng = DetRng::new(0xD1E5_5107 ^ case);
+            let mut d = Directory::new(NodeId(0), MemLayout::new(2, 8));
+            let mut version = Version::INITIAL;
+            for _ in 0..400 {
+                let line = LineAddr(rng.below(8));
+                let from = NodeId(*rng.choose(&nodes).unwrap());
+                version = version.next();
+                match rng.below(20) {
+                    0..=4 => {
+                        d.handle(line, HomeIn::Get { from });
+                    }
+                    5..=7 => {
+                        d.handle(line, HomeIn::GetX { from });
+                    }
+                    8..=9 => {
+                        d.handle(line, HomeIn::Upgrade { from });
+                    }
+                    10..=11 => {
+                        let keep_shared = rng.chance(0.5);
+                        d.handle(
+                            line,
+                            HomeIn::Put {
+                                from,
+                                version,
+                                keep_shared,
+                            },
+                        );
+                    }
+                    12..=14 => {
+                        d.handle(line, HomeIn::InvalAck { from });
+                    }
+                    15 => d.recovery_put(line, version),
+                    16 => d.mark_incoherent(line),
+                    17 => {
+                        d.clear_incoherent(line, version);
+                    }
+                    18 => {
+                        d.scan_and_prune(&NodeSet::singleton(from));
+                    }
+                    _ => {
+                        d.scan_and_reset();
+                    }
+                }
+                assert_pool_consistent(&d);
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 use super::MachineState;
 use crate::oracle::ValidationReport;
 use crate::payload::Payload;
-use flash_coherence::{DirState, LineAddr};
+use flash_coherence::{DirState, LineAddr, Version};
 
 impl<R: Clone + std::fmt::Debug> MachineState<R> {
     /// Post-recovery validation against the oracle (the check of Table 5.3):
@@ -18,41 +18,50 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         // (dropped writebacks / exclusive grants) may legitimately be
         // marked incoherent even when they postdate the per-home oracle
         // snapshot.
-        let mut lost_in_transit: std::collections::HashSet<LineAddr> =
-            std::collections::HashSet::new();
-        for pkt in self.fabric.dropped_packets() {
-            if let Payload::Coh(msg) = &pkt.payload {
-                if msg.carries_sole_copy() {
-                    lost_in_transit.insert(msg.line());
-                }
-            }
-        }
-        // Collect cached copies from all live caches: exclusive (dirty)
-        // copies define a line's effective data; any live copy of the
-        // latest version proves the data still survives somewhere.
-        let mut dirty: std::collections::HashMap<LineAddr, flash_coherence::Version> =
-            std::collections::HashMap::new();
-        let mut cached: std::collections::HashSet<(LineAddr, flash_coherence::Version)> =
-            std::collections::HashSet::new();
-        for node in &self.nodes {
-            if !node.is_alive() {
-                continue;
-            }
-            for l in node.cache.iter() {
-                cached.insert((l.addr, l.version));
-                if l.exclusive {
-                    dirty.insert(l.addr, l.version);
-                }
-            }
-        }
+        let mut lost_in_transit: Vec<LineAddr> = self
+            .fabric
+            .dropped_packets()
+            .iter()
+            .filter_map(|pkt| match &pkt.payload {
+                Payload::Coh(msg) if msg.carries_sole_copy() => Some(msg.line()),
+                _ => None,
+            })
+            .collect();
+        lost_in_transit.sort_unstable();
+        let lost = |line: LineAddr| lost_in_transit.binary_search(&line).is_ok();
+        // Exclusive (dirty) copies in live caches define a line's effective
+        // data. The stable sort keeps a line's copies in node order and the
+        // walk below keeps the last one: the last node's copy wins.
+        let live = || self.nodes.iter().filter(|n| n.is_alive());
+        let mut dirty: Vec<(LineAddr, Version)> = live()
+            .flat_map(|n| n.cache.iter())
+            .filter(|l| l.exclusive)
+            .map(|l| (l.addr, l.version))
+            .collect();
+        dirty.sort_by_key(|&(line, _)| line);
+        let mut dirty = dirty.into_iter().peekable();
         let mut report = ValidationReport::default();
         for node in &self.nodes {
             if self.failed_nodes.contains(node.id) {
                 report.inaccessible += self.layout.lines_per_node();
                 continue;
             }
+            // Lines ascend across nodes, so one forward walk of `dirty`
+            // visits each line's copies in step with the scan.
             for (line, state) in node.dir.iter_states() {
                 report.lines_checked += 1;
+                let mut copy = None;
+                while let Some(&(l, v)) = dirty.peek() {
+                    if l > line {
+                        break;
+                    }
+                    if l == line {
+                        copy = Some(v);
+                    }
+                    dirty.next();
+                }
+                let expected = self.oracle.expected_version(line);
+                let mem = node.dir.mem_version(line);
                 match state {
                     DirState::Incoherent => {
                         report.marked_incoherent += 1;
@@ -64,22 +73,16 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                         // committed version actually survives somewhere
                         // (home memory or a live cache); data that exists
                         // nowhere is legitimately incoherent.
-                        let expected = self.oracle.expected_version(line);
-                        let latest_available = node.dir.mem_version(line) == expected
-                            || cached.contains(&(line, expected));
-                        if !self.oracle.may_be_incoherent(line)
-                            && !lost_in_transit.contains(&line)
-                            && latest_available
-                        {
+                        let latest_available = mem == expected
+                            || live().any(|n| {
+                                n.cache.lookup(line).is_some_and(|l| l.version == expected)
+                            });
+                        if !self.oracle.may_be_incoherent(line) && !lost(line) && latest_available {
                             report.overmarked.push(line);
                         }
                     }
                     _ => {
-                        let effective = dirty
-                            .get(&line)
-                            .copied()
-                            .unwrap_or(node.dir.mem_version(line));
-                        if effective != self.oracle.expected_version(line) {
+                        if copy.unwrap_or(mem) != expected {
                             // A stale line whose sole copy is in the drop
                             // log is detectably lost, not silent: the home
                             // never serves memory while the directory still
@@ -107,7 +110,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                                 state,
                                 DirState::Exclusive(_) | DirState::PendingRecall { .. }
                             );
-                            if guarded && (owner_dead || lost_in_transit.contains(&line)) {
+                            if guarded && (owner_dead || lost(line)) {
                                 report.lost_in_transit.push(line);
                             } else {
                                 report.corrupted.push(line);

@@ -3,7 +3,7 @@ use crate::fault::FaultSpec;
 use crate::node::ProcState;
 use crate::params::MachineParams;
 use crate::workload::{ProcOp, RandomFill, Script, Workload};
-use flash_coherence::{DirState, LineAddr, NodeSet};
+use flash_coherence::{DirState, LineAddr, NodeSet, Version};
 use flash_net::NodeId;
 use flash_sim::SimTime;
 
@@ -334,4 +334,51 @@ fn deterministic_replay() {
     };
     assert_eq!(run(42), run(42));
     assert_ne!(run(42).1, 0);
+}
+
+/// Pins which copy `validate` judges: an exclusive cached copy in a live
+/// node overrides the home memory image (the last node's copy when several
+/// claim the line), and a line never stored is expected at
+/// `Version::INITIAL`.
+#[test]
+fn validate_prefers_the_exclusive_copy_over_memory() {
+    let line = LineAddr(200); // homed on node 0
+    let mut m = tiny_machine(
+        |n| {
+            if n == NodeId(1) {
+                Box::new(Script::new([ProcOp::Write(line)]))
+            } else {
+                Box::new(Script::new([]))
+            }
+        },
+        2,
+    );
+    quiesce(&mut m);
+    // Node 1 holds the only current copy; home memory is still stale.
+    assert_eq!(m.st().nodes[0].dir.mem_version(line), Version::INITIAL);
+    assert_eq!(m.st().oracle.expected_version(line), Version(1));
+    let clean = m.st().validate();
+    assert!(clean.passed() && clean.corrupted.is_empty(), "{clean}");
+    assert!(clean.lines_checked > 0);
+
+    // A later node's stale exclusive copy wins over node 1's current one.
+    let mut stale_claim = m.clone();
+    stale_claim.st_mut().nodes[3]
+        .cache
+        .insert(line, true, Version::INITIAL);
+    assert_eq!(stale_claim.st().validate().corrupted, vec![line]);
+
+    // Memory brought current behind node 1's back: its exclusive copy is
+    // now stale and still wins, so the line is corrupted.
+    let st = m.st_mut();
+    st.nodes[0].dir.recovery_put(line, Version(2));
+    st.oracle.record_store(line, Version(2));
+    assert_eq!(m.st().validate().corrupted, vec![line]);
+
+    // Lines never stored, below and above the highest stored line, read
+    // the initial version from the dense oracle.
+    for never in [LineAddr(199), LineAddr(201), LineAddr(4 * 8192 - 1)] {
+        assert_eq!(m.st().oracle.expected_version(never), Version::INITIAL);
+    }
+    assert_eq!(m.st().oracle.written_lines(), 1);
 }

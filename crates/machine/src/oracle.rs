@@ -15,12 +15,14 @@
 //!    committed version (no silent data loss or corruption).
 
 use flash_coherence::{LineAddr, Version};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The validation oracle. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct Oracle {
-    expected: HashMap<LineAddr, Version>,
+    // Latest committed version per line, indexed by line address; lines
+    // past the end were never stored. Grows to the highest line stored.
+    expected: Vec<Version>,
     may_incoherent: HashSet<LineAddr>,
     snapshotted: bool,
 }
@@ -34,13 +36,17 @@ impl Oracle {
 
     /// Records a committed store: `line` now has latest version `v`.
     pub fn record_store(&mut self, line: LineAddr, v: Version) {
-        self.expected.insert(line, v);
+        let i = line.0 as usize;
+        if i >= self.expected.len() {
+            self.expected.resize(i + 1, Version::INITIAL);
+        }
+        self.expected[i] = v;
     }
 
     /// The latest committed version of a line.
     pub fn expected_version(&self, line: LineAddr) -> Version {
         self.expected
-            .get(&line)
+            .get(line.0 as usize)
             .copied()
             .unwrap_or(Version::INITIAL)
     }
@@ -71,9 +77,13 @@ impl Oracle {
         self.may_incoherent.len()
     }
 
-    /// Number of lines with at least one committed store.
+    /// Number of lines with at least one committed store (every store
+    /// commits a version past [`Version::INITIAL`]).
     pub fn written_lines(&self) -> usize {
-        self.expected.len()
+        self.expected
+            .iter()
+            .filter(|&&v| v != Version::INITIAL)
+            .count()
     }
 
     /// Clears the snapshot (for multi-fault experiments that re-snapshot at
