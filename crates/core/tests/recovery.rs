@@ -1,8 +1,13 @@
 //! End-to-end tests of the four-phase recovery algorithm on small machines.
 
-use flash_core::{run_fault_experiment, ExperimentConfig, FaultKind};
-use flash_machine::{FaultSpec, MachineParams};
+use flash_core::{
+    build_machine, run_fault_experiment, run_to_quiescence, ExperimentConfig, FaultKind,
+    RecoveryConfig,
+};
+use flash_machine::{FaultSpec, MachineParams, OpResult, ProcOp, Script};
+use flash_magic::BusError;
 use flash_net::{NodeId, RouterId};
+use flash_sim::SimTime;
 
 fn tiny_cfg(seed: u64) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::new(MachineParams::tiny(), seed);
@@ -120,4 +125,44 @@ fn phase_times_are_ordered() {
     );
     assert!(p1 <= p12 && p12 <= p13 && p13 <= total);
     assert!(total.as_millis_f64() > 0.0);
+}
+
+/// An uncached read still outstanding when its device node dies is saved
+/// at recovery initiation and, with no reply ever arriving, completes after
+/// recovery as `UncachedUnresolved`. That bus error counts on the machine
+/// as well as on the node, like every other bus error.
+#[test]
+fn unresolved_saved_read_counts_as_a_machine_bus_error() {
+    let dev = NodeId(2);
+    let mut m = build_machine(
+        MachineParams::tiny(),
+        RecoveryConfig::default(),
+        |n| {
+            let ops = if n == NodeId(1) {
+                vec![ProcOp::UncachedRead { dev }]
+            } else {
+                vec![]
+            };
+            Box::new(Script::new(ops))
+        },
+        3,
+    );
+    m.start();
+    // Node 1 issues at 1 ns; its request is still in the fabric when the
+    // device node fails.
+    m.schedule_fault(SimTime::from_nanos(2), FaultSpec::Node(dev));
+    assert!(run_to_quiescence(&mut m, &mut true), "machine quiesced");
+    assert!(m.ext().report.completed(), "{:?}", m.ext().report);
+    let script = m.st().nodes[1]
+        .workload
+        .as_any()
+        .and_then(|w| w.downcast_ref::<Script>())
+        .expect("node 1 runs a script");
+    assert_eq!(
+        script.results(),
+        [OpResult::BusError(BusError::UncachedUnresolved)]
+    );
+    let node_errors: u64 = m.st().nodes.iter().map(|n| n.bus_errors).sum();
+    assert_eq!(node_errors, 1);
+    assert_eq!(m.st().counters.get("bus_errors"), node_errors);
 }

@@ -22,7 +22,7 @@
 use flash_coherence::LineAddr;
 use flash_machine::{OpResult, ProcOp, Workload};
 use flash_net::NodeId;
-use flash_sim::DetRng;
+use flash_sim::{DetRng, SimTime};
 
 /// Completion state of a compile task.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -197,7 +197,7 @@ impl Workload for CompileTask {
         Some(self)
     }
 
-    fn next_op(&mut self, _node: NodeId, rng: &mut DetRng) -> ProcOp {
+    fn next_op(&mut self, _node: NodeId, _now: SimTime, rng: &mut DetRng) -> ProcOp {
         // An RPC whose outcome was unresolved across a recovery is
         // retransmitted by the end-to-end Hive RPC protocol (Section 3.3;
         // sequence numbers at the server deduplicate re-executions). This
@@ -269,7 +269,7 @@ impl Workload for CompileTask {
         }
     }
 
-    fn on_result(&mut self, _node: NodeId, result: OpResult) {
+    fn on_result(&mut self, _node: NodeId, _now: SimTime, result: OpResult) {
         self.ops_done += 1;
         match result {
             OpResult::Ok(_) => {
@@ -339,7 +339,7 @@ impl Workload for ServerLoop {
         Box::new(self.clone())
     }
 
-    fn next_op(&mut self, _node: NodeId, rng: &mut DetRng) -> ProcOp {
+    fn next_op(&mut self, _node: NodeId, _now: SimTime, rng: &mut DetRng) -> ProcOp {
         if !self.monitor.is_empty() && rng.chance(0.1) {
             let line = *rng.choose(&self.monitor).expect("nonempty");
             return ProcOp::Read(LineAddr(line));
@@ -370,25 +370,31 @@ mod tests {
         let me = NodeId(1);
         // File 1: open, 3 reads, compute, 2 writes, cross-write, close.
         assert!(matches!(
-            t.next_op(me, &mut rng),
+            t.next_op(me, SimTime::ZERO, &mut rng),
             ProcOp::UncachedRead { .. }
         ));
         for _ in 0..3 {
-            match t.next_op(me, &mut rng) {
+            match t.next_op(me, SimTime::ZERO, &mut rng) {
                 ProcOp::Read(l) => assert!(l.0 < 10),
                 other => panic!("{other:?}"),
             }
         }
-        assert!(matches!(t.next_op(me, &mut rng), ProcOp::Compute(1_000)));
+        assert!(matches!(
+            t.next_op(me, SimTime::ZERO, &mut rng),
+            ProcOp::Compute(1_000)
+        ));
         for _ in 0..2 {
-            match t.next_op(me, &mut rng) {
+            match t.next_op(me, SimTime::ZERO, &mut rng) {
                 ProcOp::Write(l) => assert!((100..110).contains(&l.0)),
                 other => panic!("{other:?}"),
             }
         }
-        assert_eq!(t.next_op(me, &mut rng), ProcOp::Write(LineAddr(5)));
+        assert_eq!(
+            t.next_op(me, SimTime::ZERO, &mut rng),
+            ProcOp::Write(LineAddr(5))
+        );
         assert!(matches!(
-            t.next_op(me, &mut rng),
+            t.next_op(me, SimTime::ZERO, &mut rng),
             ProcOp::UncachedRead { .. }
         ));
         assert_eq!(t.files_done(), 1);
@@ -396,13 +402,13 @@ mod tests {
         // File 2 runs to completion.
         let mut guard = 0;
         while t.state() == TaskState::Running {
-            let _ = t.next_op(me, &mut rng);
+            let _ = t.next_op(me, SimTime::ZERO, &mut rng);
             guard += 1;
             assert!(guard < 100);
         }
         assert_eq!(t.state(), TaskState::Completed);
         assert_eq!(t.files_done(), 2);
-        assert_eq!(t.next_op(me, &mut rng), ProcOp::Halt);
+        assert_eq!(t.next_op(me, SimTime::ZERO, &mut rng), ProcOp::Halt);
     }
 
     #[test]
@@ -410,12 +416,12 @@ mod tests {
         let mut t = task();
         let mut rng = DetRng::new(2);
         let me = NodeId(1);
-        let _ = t.next_op(me, &mut rng);
-        t.on_result(me, OpResult::Ok(None));
-        t.on_result(me, OpResult::BusError(BusError::Incoherent));
+        let _ = t.next_op(me, SimTime::ZERO, &mut rng);
+        t.on_result(me, SimTime::ZERO, OpResult::Ok(None));
+        t.on_result(me, SimTime::ZERO, OpResult::BusError(BusError::Incoherent));
         assert_eq!(t.state(), TaskState::Failed);
         assert_eq!(t.first_error(), Some(BusError::Incoherent));
-        assert_eq!(t.next_op(me, &mut rng), ProcOp::Halt);
+        assert_eq!(t.next_op(me, SimTime::ZERO, &mut rng), ProcOp::Halt);
         assert_eq!(t.progress(), 2);
     }
 
@@ -426,7 +432,7 @@ mod tests {
         let mut writes = 0;
         let mut computes = 0;
         for _ in 0..100 {
-            match s.next_op(NodeId(0), &mut rng) {
+            match s.next_op(NodeId(0), SimTime::ZERO, &mut rng) {
                 ProcOp::Write(l) => {
                     assert!(l.0 < 4);
                     writes += 1;

@@ -347,17 +347,11 @@ impl Workload for KvShard {
         Box::new(self.clone())
     }
 
-    fn next_op(&mut self, node: NodeId, rng: &mut DetRng) -> ProcOp {
-        // Time-blind fallback: behave as if the next arrival is due.
-        let now = self.next_arrival_ns.unwrap_or(0);
-        self.next_op_at(node, SimTime::from_nanos(now), rng)
-    }
-
-    fn next_op_at(&mut self, _node: NodeId, now: SimTime, rng: &mut DetRng) -> ProcOp {
+    fn next_op(&mut self, _node: NodeId, now: SimTime, rng: &mut DetRng) -> ProcOp {
         self.step(now.as_nanos(), rng)
     }
 
-    fn on_result_at(&mut self, _node: NodeId, now: SimTime, result: OpResult) {
+    fn on_result(&mut self, _node: NodeId, now: SimTime, result: OpResult) {
         let now_ns = now.as_nanos();
         match std::mem::replace(&mut self.issued, Issued::None) {
             Issued::None => {}
@@ -428,15 +422,15 @@ mod tests {
     fn drive(shard: &mut KvShard, rng: &mut DetRng, max_ops: u32) -> u64 {
         let mut now = 0u64;
         for _ in 0..max_ops {
-            match shard.next_op_at(NodeId(0), SimTime::from_nanos(now), rng) {
+            match shard.next_op(NodeId(0), SimTime::from_nanos(now), rng) {
                 ProcOp::Halt => return now,
                 ProcOp::Compute(ns) => {
-                    shard.on_result_at(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(None));
+                    shard.on_result(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(None));
                     now += ns;
                 }
                 ProcOp::Read(_) | ProcOp::Write(_) => {
                     now += 1_000; // fake service time
-                    shard.on_result_at(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(Some(0)));
+                    shard.on_result(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(Some(0)));
                 }
                 other => panic!("unexpected op {other:?}"),
             }
@@ -483,10 +477,10 @@ mod tests {
         let mut rng = DetRng::new(9);
         let mut now = 0u64;
         for _ in 0..10_000 {
-            match s.next_op_at(NodeId(0), SimTime::from_nanos(now), &mut rng) {
+            match s.next_op(NodeId(0), SimTime::from_nanos(now), &mut rng) {
                 ProcOp::Halt => break,
                 ProcOp::Compute(ns) => {
-                    s.on_result_at(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(None));
+                    s.on_result(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(None));
                     now += ns;
                 }
                 other => panic!("lost chunks must not issue memory ops, got {other:?}"),
@@ -504,10 +498,10 @@ mod tests {
         let mut now = 0u64;
         let mut first_memop_seen = false;
         for _ in 0..10_000 {
-            match s.next_op_at(NodeId(0), SimTime::from_nanos(now), &mut rng) {
+            match s.next_op(NodeId(0), SimTime::from_nanos(now), &mut rng) {
                 ProcOp::Halt => break,
                 ProcOp::Compute(ns) => {
-                    s.on_result_at(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(None));
+                    s.on_result(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(None));
                     now += ns;
                 }
                 ProcOp::Read(_) | ProcOp::Write(_) => {
@@ -518,7 +512,7 @@ mod tests {
                     } else {
                         OpResult::Ok(Some(0))
                     };
-                    s.on_result_at(NodeId(0), SimTime::from_nanos(now), result);
+                    s.on_result(NodeId(0), SimTime::from_nanos(now), result);
                 }
                 other => panic!("unexpected {other:?}"),
             }
@@ -535,10 +529,10 @@ mod tests {
         let mut now = 0u64;
         let mut incoherent_budget = 1;
         for _ in 0..10_000 {
-            match s.next_op_at(NodeId(0), SimTime::from_nanos(now), &mut rng) {
+            match s.next_op(NodeId(0), SimTime::from_nanos(now), &mut rng) {
                 ProcOp::Halt => break,
                 ProcOp::Compute(ns) => {
-                    s.on_result_at(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(None));
+                    s.on_result(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(None));
                     now += ns;
                 }
                 ProcOp::Read(_) | ProcOp::Write(_) => {
@@ -549,7 +543,7 @@ mod tests {
                     } else {
                         OpResult::Ok(Some(0))
                     };
-                    s.on_result_at(NodeId(0), SimTime::from_nanos(now), result);
+                    s.on_result(NodeId(0), SimTime::from_nanos(now), result);
                 }
                 other => panic!("unexpected {other:?}"),
             }
@@ -567,9 +561,9 @@ mod tests {
         // completing it: the recorded latency must reflect the stall.
         let mut now = 0u64;
         loop {
-            match s.next_op_at(NodeId(0), SimTime::from_nanos(now), &mut rng) {
+            match s.next_op(NodeId(0), SimTime::from_nanos(now), &mut rng) {
                 ProcOp::Compute(ns) => {
-                    s.on_result_at(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(None));
+                    s.on_result(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(None));
                     now += ns;
                 }
                 ProcOp::Read(_) | ProcOp::Write(_) => break,
@@ -577,13 +571,13 @@ mod tests {
             }
         }
         now += 1_000_000; // recovery-like stall
-        s.on_result_at(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(Some(0)));
+        s.on_result(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(Some(0)));
         // Finish the request's remaining ops promptly.
         while s.active.is_some() {
-            match s.next_op_at(NodeId(0), SimTime::from_nanos(now), &mut rng) {
+            match s.next_op(NodeId(0), SimTime::from_nanos(now), &mut rng) {
                 ProcOp::Read(_) | ProcOp::Write(_) => {
                     now += 1_000;
-                    s.on_result_at(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(Some(0)));
+                    s.on_result(NodeId(0), SimTime::from_nanos(now), OpResult::Ok(Some(0)));
                 }
                 other => panic!("unexpected {other:?}"),
             }

@@ -2,9 +2,8 @@
 //! cache-side completion paths (data grants, NAKs, upgrades, recalls and
 //! error replies).
 
-use super::proc::ProcHandlers;
 use super::{Ev, MachineState};
-use crate::node::ProcState;
+use crate::node::{PendingRemote, ProcState};
 use crate::workload::OpResult;
 use flash_coherence::{CohMsg, HomeIn, LineAddr};
 use flash_magic::{BusError, MagicMode, Trigger};
@@ -12,62 +11,11 @@ use flash_net::NodeId;
 use flash_obs::{Domain, TraceEvent};
 use flash_sim::{Scheduler, SimDuration};
 
-/// Coherence-message servicing, implemented on [`MachineState`]: the
-/// dispatch loop hands every delivered [`CohMsg`] to [`process_coh`]
-/// (home-side messages go through the directory, cache-side messages
-/// complete or intervene on the local processor's miss).
-///
-/// [`process_coh`]: CohHandlers::process_coh
-pub(crate) trait CohHandlers {
-    /// Services one delivered coherence message on node `n`.
-    fn process_coh<E: Clone + std::fmt::Debug>(
-        &mut self,
-        n: u16,
-        from: NodeId,
-        msg: CohMsg,
-        sched: &mut Scheduler<'_, Ev<E>>,
-    );
-
-    /// A data reply fills the cache and completes the blocked access.
-    fn on_data_reply<E: Clone + std::fmt::Debug>(
-        &mut self,
-        n: u16,
-        line: LineAddr,
-        version: flash_coherence::Version,
-        exclusive: bool,
-        sched: &mut Scheduler<'_, Ev<E>>,
-    );
-
-    /// A NAK backs the blocked miss off (or overflows into a trigger).
-    fn on_nak<E: Clone + std::fmt::Debug>(
-        &mut self,
-        n: u16,
-        line: LineAddr,
-        sched: &mut Scheduler<'_, Ev<E>>,
-    );
-
-    /// Completes a blocked store whose held shared copy was upgraded in
-    /// place.
-    fn on_upgrade_ack<E: Clone + std::fmt::Debug>(
-        &mut self,
-        n: u16,
-        line: LineAddr,
-        sched: &mut Scheduler<'_, Ev<E>>,
-    );
-
-    /// Completes the blocked access with a bus error (node-map miss,
-    /// incoherent line, firewall or range denial).
-    fn bus_error_completion<E: Clone + std::fmt::Debug>(
-        &mut self,
-        n: u16,
-        line: LineAddr,
-        err: BusError,
-        sched: &mut Scheduler<'_, Ev<E>>,
-    );
-}
-
-impl<R: Clone + std::fmt::Debug> CohHandlers for MachineState<R> {
-    fn process_coh<E: Clone + std::fmt::Debug>(
+impl<R: Clone + std::fmt::Debug> MachineState<R> {
+    /// Services one delivered coherence message on node `n`: home-side
+    /// messages go through the directory, cache-side messages complete or
+    /// intervene on the local processor's miss.
+    pub(super) fn process_coh<E: Clone + std::fmt::Debug>(
         &mut self,
         n: u16,
         from: NodeId,
@@ -205,50 +153,48 @@ impl<R: Clone + std::fmt::Debug> CohHandlers for MachineState<R> {
             return;
         }
 
-        // Cache-side message.
+        // Cache-side message: charge the handler, then act on it.
+        let cost_ns = match msg {
+            CohMsg::Data { .. } => costs.data_ns,
+            CohMsg::Inval { .. } | CohMsg::Fetch { .. } => costs.inval_ns,
+            CohMsg::Nak { .. }
+            | CohMsg::UpgradeAck { .. }
+            | CohMsg::PutAck { .. }
+            | CohMsg::IncoherentErr { .. }
+            | CohMsg::FirewallErr { .. } => costs.nak_ns,
+            CohMsg::Get { .. }
+            | CohMsg::GetX { .. }
+            | CohMsg::UpgradeReq { .. }
+            | CohMsg::Put { .. }
+            | CohMsg::InvalAck { .. } => {
+                // Misrouted home message (should not happen).
+                st.counters.incr("misrouted_coh");
+                return;
+            }
+        };
+        st.nodes[n as usize]
+            .occupancy
+            .occupy(now, SimDuration::from_nanos(cost_ns));
         match msg {
             CohMsg::Data {
                 line,
                 version,
                 exclusive,
-            } => {
-                st.nodes[n as usize]
-                    .occupancy
-                    .occupy(now, SimDuration::from_nanos(costs.data_ns));
-                st.on_data_reply(n, line, version, exclusive, sched);
-            }
-            CohMsg::Nak { line } => {
-                st.nodes[n as usize]
-                    .occupancy
-                    .occupy(now, SimDuration::from_nanos(costs.nak_ns));
-                st.on_nak(n, line, sched);
-            }
-            CohMsg::Inval { line } => {
-                st.nodes[n as usize]
-                    .occupancy
-                    .occupy(now, SimDuration::from_nanos(costs.inval_ns));
-                if st.nodes[n as usize].mode == MagicMode::Normal {
-                    let node = &mut st.nodes[n as usize];
-                    if node.cache.invalidate(line).is_none() {
-                        // Our copy may still be an in-flight grant: buffer
-                        // the invalidation so it is honored when the data
-                        // installs (otherwise a stale shared copy could
-                        // linger).
-                        if matches!(node.proc, ProcState::WaitMiss { line: l, .. } if l == line) {
-                            node.pending_remote
-                                .insert(line, crate::node::PendingRemote::Inval);
-                        }
+            } => st.on_data_reply(n, line, version, exclusive, sched),
+            CohMsg::Nak { line } => st.on_nak(n, line, sched),
+            CohMsg::Inval { line } if mode == MagicMode::Normal => {
+                let node = &mut st.nodes[n as usize];
+                if node.cache.invalidate(line).is_none() {
+                    // Our copy may still be an in-flight grant: buffer the
+                    // invalidation so it is honored when the data installs
+                    // (otherwise a stale shared copy could linger).
+                    if matches!(node.proc, ProcState::WaitMiss { line: l, .. } if l == line) {
+                        node.pending_remote.insert(line, PendingRemote::Inval);
                     }
-                    st.send_coh(NodeId(n), home, CohMsg::InvalAck { line }, sched);
                 }
+                st.send_coh(NodeId(n), home, CohMsg::InvalAck { line }, sched);
             }
-            CohMsg::Fetch { line, for_write } => {
-                st.nodes[n as usize]
-                    .occupancy
-                    .occupy(now, SimDuration::from_nanos(costs.inval_ns));
-                if st.nodes[n as usize].mode != MagicMode::Normal {
-                    return;
-                }
+            CohMsg::Fetch { line, for_write } if mode == MagicMode::Normal => {
                 let node = &mut st.nodes[n as usize];
                 if for_write {
                     if let Some(l) = node.cache.invalidate(line) {
@@ -292,43 +238,24 @@ impl<R: Clone + std::fmt::Debug> CohHandlers for MachineState<R> {
                 let node = &mut st.nodes[n as usize];
                 if matches!(node.proc, ProcState::WaitMiss { line: l, .. } if l == line) {
                     node.pending_remote
-                        .insert(line, crate::node::PendingRemote::Fetch { for_write });
+                        .insert(line, PendingRemote::Fetch { for_write });
                 }
             }
-            CohMsg::UpgradeAck { line } => {
-                st.nodes[n as usize]
-                    .occupancy
-                    .occupy(now, SimDuration::from_nanos(costs.nak_ns));
-                st.on_upgrade_ack(n, line, sched);
-            }
-            CohMsg::PutAck { .. } => {
-                st.nodes[n as usize]
-                    .occupancy
-                    .occupy(now, SimDuration::from_nanos(costs.nak_ns));
-            }
+            CohMsg::UpgradeAck { line } => st.on_upgrade_ack(n, line, sched),
             CohMsg::IncoherentErr { line } => {
-                st.nodes[n as usize]
-                    .occupancy
-                    .occupy(now, SimDuration::from_nanos(costs.nak_ns));
-                st.bus_error_completion(n, line, BusError::Incoherent, sched);
+                st.bus_error_completion(n, line, BusError::Incoherent, sched)
             }
             CohMsg::FirewallErr { line } => {
-                st.nodes[n as usize]
-                    .occupancy
-                    .occupy(now, SimDuration::from_nanos(costs.nak_ns));
-                st.bus_error_completion(n, line, BusError::FirewallDenied, sched);
+                st.bus_error_completion(n, line, BusError::FirewallDenied, sched)
             }
-            CohMsg::Get { .. }
-            | CohMsg::GetX { .. }
-            | CohMsg::UpgradeReq { .. }
-            | CohMsg::Put { .. }
-            | CohMsg::InvalAck { .. } => {
-                // Misrouted home message (should not happen).
-                st.counters.incr("misrouted_coh");
-            }
+            // A writeback ack costs its handler time and nothing more, and
+            // a MAGIC in recovery ignores interventions; the misrouted home
+            // messages returned above.
+            _ => {}
         }
     }
 
+    /// A data reply fills the cache and completes the blocked access.
     fn on_data_reply<E: Clone + std::fmt::Debug>(
         &mut self,
         n: u16,
@@ -390,24 +317,20 @@ impl<R: Clone + std::fmt::Debug> CohHandlers for MachineState<R> {
             "speculative_exclusive_grants",
             u64::from(write && speculative),
         );
+        let now = sched.now();
         let node = &mut st.nodes[n as usize];
-        let latency = sched.now().since(node.op_issued_at);
+        let latency = now.since(node.op_issued_at);
         if write {
             node.lat_write.record(latency);
         } else {
             node.lat_read.record(latency);
         }
-        node.naks.reset();
-        node.proc = ProcState::Ready;
-        node.workload
-            .on_result_at(NodeId(n), sched.now(), OpResult::Ok(None));
-        node.current_op = None;
+        st.finish_op(n, now, OpResult::Ok(None));
+        let node = &mut st.nodes[n as usize];
         let resume = node.occupancy.busy_until();
         // Honor any intervention that raced with this grant.
-        let pending = node.pending_remote.remove(&line);
-        #[allow(clippy::collapsible_match)]
-        match pending {
-            Some(crate::node::PendingRemote::Inval) => {
+        match node.pending_remote.remove(&line) {
+            Some(PendingRemote::Inval) if !exclusive => {
                 // The ack was already sent when the invalidation arrived. If
                 // the grant that just installed is *shared*, the
                 // invalidation is for this very copy: drop it (the processor
@@ -416,37 +339,47 @@ impl<R: Clone + std::fmt::Debug> CohHandlers for MachineState<R> {
                 // an older sharer epoch — the home processed our GetX after
                 // that invalidation round — and must be discarded, or it
                 // would destroy the freshly committed store.
-                if !exclusive {
-                    st.nodes[n as usize].cache.invalidate(line);
-                }
+                node.cache.invalidate(line);
             }
-            Some(crate::node::PendingRemote::Fetch { for_write }) => {
-                let node = &mut st.nodes[n as usize];
-                if for_write {
-                    if let Some(l) = node.cache.invalidate(line) {
-                        if l.exclusive {
-                            let put = CohMsg::Put {
-                                line,
-                                version: l.version,
-                                keep_shared: false,
-                            };
-                            st.send_coh(NodeId(n), home, put, sched);
-                        }
-                    }
-                } else if let Some(v) = node.cache.downgrade(line) {
-                    let put = CohMsg::Put {
-                        line,
-                        version: v,
-                        keep_shared: true,
-                    };
-                    st.send_coh(NodeId(n), home, put, sched);
-                }
+            Some(PendingRemote::Fetch { for_write }) => {
+                st.honor_buffered_fetch(n, line, for_write, sched);
             }
-            None => {}
+            Some(PendingRemote::Inval) | None => {}
         }
         sched.at(resume, Ev::ProcNext(n));
     }
 
+    /// Honors a recall buffered while this node's grant for `line` was in
+    /// flight, now that the grant has installed: a write recall returns an
+    /// exclusive copy to the home, a read recall downgrades it.
+    fn honor_buffered_fetch<E: Clone + std::fmt::Debug>(
+        &mut self,
+        n: u16,
+        line: LineAddr,
+        for_write: bool,
+        sched: &mut Scheduler<'_, Ev<E>>,
+    ) {
+        let cache = &mut self.nodes[n as usize].cache;
+        let answer = if for_write {
+            cache
+                .invalidate(line)
+                .filter(|l| l.exclusive)
+                .map(|l| (l.version, false))
+        } else {
+            cache.downgrade(line).map(|v| (v, true))
+        };
+        if let Some((version, keep_shared)) = answer {
+            let home = self.layout.home_of(line);
+            let put = CohMsg::Put {
+                line,
+                version,
+                keep_shared,
+            };
+            self.send_coh(NodeId(n), home, put, sched);
+        }
+    }
+
+    /// A NAK backs the blocked miss off (or overflows into a trigger).
     fn on_nak<E: Clone + std::fmt::Debug>(
         &mut self,
         n: u16,
@@ -476,6 +409,8 @@ impl<R: Clone + std::fmt::Debug> CohHandlers for MachineState<R> {
         }
     }
 
+    /// Completes a blocked store whose held shared copy was upgraded in
+    /// place.
     fn on_upgrade_ack<E: Clone + std::fmt::Debug>(
         &mut self,
         n: u16,
@@ -530,46 +465,23 @@ impl<R: Clone + std::fmt::Debug> CohHandlers for MachineState<R> {
                 return;
             }
         }
+        let now = sched.now();
         let node = &mut st.nodes[n as usize];
-        let latency = sched.now().since(node.op_issued_at);
-        node.lat_write.record(latency);
-        node.naks.reset();
-        node.proc = ProcState::Ready;
-        node.current_op = None;
-        node.workload
-            .on_result_at(NodeId(n), sched.now(), OpResult::Ok(None));
+        node.lat_write.record(now.since(node.op_issued_at));
+        st.finish_op(n, now, OpResult::Ok(None));
+        let node = &mut st.nodes[n as usize];
         let resume = node.occupancy.busy_until();
         // Honor an intervention that raced with the upgrade grant: same
         // rules as for exclusive data grants (a buffered Inval is from an
         // older epoch; a buffered Fetch is for our new ownership).
-        let pending = node.pending_remote.remove(&line);
-        match pending {
-            Some(crate::node::PendingRemote::Fetch { for_write }) => {
-                let home = st.layout.home_of(line);
-                let node = &mut st.nodes[n as usize];
-                if for_write {
-                    if let Some(l) = node.cache.invalidate(line) {
-                        let put = CohMsg::Put {
-                            line,
-                            version: l.version,
-                            keep_shared: false,
-                        };
-                        st.send_coh(NodeId(n), home, put, sched);
-                    }
-                } else if let Some(v) = node.cache.downgrade(line) {
-                    let put = CohMsg::Put {
-                        line,
-                        version: v,
-                        keep_shared: true,
-                    };
-                    st.send_coh(NodeId(n), home, put, sched);
-                }
-            }
-            Some(crate::node::PendingRemote::Inval) | None => {}
+        if let Some(PendingRemote::Fetch { for_write }) = node.pending_remote.remove(&line) {
+            st.honor_buffered_fetch(n, line, for_write, sched);
         }
         sched.at(resume, Ev::ProcNext(n));
     }
 
+    /// Completes the blocked access with a bus error (node-map miss,
+    /// incoherent line, firewall or range denial).
     fn bus_error_completion<E: Clone + std::fmt::Debug>(
         &mut self,
         n: u16,
@@ -578,30 +490,24 @@ impl<R: Clone + std::fmt::Debug> CohHandlers for MachineState<R> {
         sched: &mut Scheduler<'_, Ev<E>>,
     ) {
         let st = self;
-        let speculative = st.nodes[n as usize].current_is_speculative;
-        let node = &mut st.nodes[n as usize];
+        let node = &st.nodes[n as usize];
         let matches_line = matches!(node.proc, ProcState::WaitMiss { line: l, .. } if l == line);
         if !matches_line {
             st.counters.incr("stale_error_replies");
             return;
         }
-        if speculative {
+        if node.current_is_speculative {
             // Faults on incorrectly speculated references are discarded by
             // the processor (the firewall/error reply did its containment
             // job).
             st.complete_discarded_speculation(n, sched);
             return;
         }
-        node.bus_errors += 1;
-        node.naks.reset();
-        node.proc = ProcState::Ready;
-        node.current_op = None;
-        node.workload
-            .on_result_at(NodeId(n), sched.now(), OpResult::BusError(err));
-        st.counters.incr("bus_errors");
+        let now = sched.now();
+        st.finish_op(n, now, OpResult::BusError(err));
         st.obs.record(
             Domain::Machine,
-            sched.now(),
+            now,
             TraceEvent::BusErrorRaised {
                 node: n,
                 err: err.kind_str(),

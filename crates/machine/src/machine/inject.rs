@@ -101,16 +101,12 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
     }
 }
 
-/// Fault-injection event handling, implemented on [`MachineWorld`] (the
-/// injected fault's triggers are delivered to the extension).
-pub(crate) trait FaultHandlers<X: Extension> {
+/// Fault-injection event handling on [`MachineWorld`] (the injected fault's
+/// triggers are delivered to the extension).
+impl<X: Extension> MachineWorld<X> {
     /// Services an `Ev::Fault`: applies the physical effect and raises the
     /// triggers the fault's detection produces.
-    fn handle_fault(&mut self, spec: FaultSpec, sched: &mut Scheduler<'_, Ev<X::Ev>>);
-}
-
-impl<X: Extension> FaultHandlers<X> for MachineWorld<X> {
-    fn handle_fault(&mut self, spec: FaultSpec, sched: &mut Scheduler<'_, Ev<X::Ev>>) {
+    pub(super) fn handle_fault(&mut self, spec: FaultSpec, sched: &mut Scheduler<'_, Ev<X::Ev>>) {
         self.st.counters.incr("faults_injected");
         let mut singles: Vec<&FaultSpec> = Vec::new();
         match &spec {

@@ -6,13 +6,15 @@
 //! extension supplied by the `flash-core` crate, keeping the substrate and
 //! the paper's contribution cleanly separated.
 //!
-//! The module is split by subsystem, with the event dispatch loop in
-//! [`world`] delegating to per-subsystem handler traits:
+//! The module is split by subsystem; each file adds a plain `impl` block of
+//! handlers to [`MachineState`] or [`MachineWorld`], and the event dispatch
+//! loop in [`world`] calls them:
 //!
 //! * [`world`] — the [`MachineWorld`] dispatch loop, node-controller input
 //!   servicing and the outbound packet pump;
 //! * [`coh`] — coherence-protocol handlers (home and cache side);
-//! * [`proc`] — processor issue, uncached I/O and miss completion;
+//! * [`proc`] — processor issue, uncached I/O and `finish_op`, the one
+//!   path every operation completes through;
 //! * [`recovery`] — the recovery-support operations the extension drives
 //!   (mode switches, cache flush, router reprogramming, resume);
 //! * [`inject`] — fault arming and ground-truth mutation;
@@ -600,9 +602,8 @@ impl<X: Extension> Machine<X> {
         self.engine.set_event_budget(budget);
     }
 
-    /// Whether all live processors are quiescent (halted or dead) and no
-    /// events remain below the given horizon — used by experiments to
-    /// detect workload completion.
+    /// Whether the event queue has drained: no event of any kind is
+    /// pending, so nothing further can happen.
     pub fn is_quiescent(&self) -> bool {
         self.engine.pending() == 0
     }

@@ -9,56 +9,32 @@ use crate::workload::{OpResult, ProcOp};
 use flash_coherence::{CohMsg, LineAddr};
 use flash_magic::{BusError, MagicMode};
 use flash_net::NodeId;
-use flash_sim::{Scheduler, SimDuration};
+use flash_sim::{Scheduler, SimDuration, SimTime};
 
-/// Processor and uncached-I/O servicing, implemented on [`MachineState`].
-pub(crate) trait ProcHandlers {
+impl<R: Clone + std::fmt::Debug> MachineState<R> {
+    /// Finishes node `n`'s current operation at `now`: the processor is
+    /// ready again, the operation and its NAK count are cleared, a bus error
+    /// is counted on the node and on the machine, and the workload observes
+    /// `result`. Every completion goes through here; callers own latency
+    /// recording, tracing and scheduling the next `ProcNext`.
+    pub(super) fn finish_op(&mut self, n: u16, now: SimTime, result: OpResult) {
+        let node = &mut self.nodes[n as usize];
+        node.proc = ProcState::Ready;
+        node.current_op = None;
+        node.naks.reset();
+        if matches!(result, OpResult::BusError(_)) {
+            node.bus_errors += 1;
+            self.counters.incr("bus_errors");
+        }
+        node.workload.on_result(NodeId(n), now, result);
+    }
+
     /// The processor issues its next (or retained) operation.
-    fn proc_next<E: Clone + std::fmt::Debug>(&mut self, n: u16, sched: &mut Scheduler<'_, Ev<E>>);
-
-    /// Services one delivered uncached-I/O message on node `n`.
-    fn process_unc<E: Clone + std::fmt::Debug>(
-        &mut self,
-        n: u16,
-        from: NodeId,
-        msg: UncMsg,
-        sched: &mut Scheduler<'_, Ev<E>>,
-    );
-
-    /// Reissues a NAK'd miss.
-    fn resend_miss<E: Clone + std::fmt::Debug>(
-        &mut self,
-        n: u16,
-        line: LineAddr,
-        write: bool,
-        sched: &mut Scheduler<'_, Ev<E>>,
-    );
-
-    /// Completes an incorrectly speculated reference whose fault the
-    /// processor discards: the workload sees a normal completion.
-    fn complete_discarded_speculation<E: Clone + std::fmt::Debug>(
+    pub(super) fn proc_next<E: Clone + std::fmt::Debug>(
         &mut self,
         n: u16,
         sched: &mut Scheduler<'_, Ev<E>>,
-    );
-
-    /// Completes the current operation with a locally raised bus error.
-    fn complete_local_bus_error<E: Clone + std::fmt::Debug>(
-        &mut self,
-        n: u16,
-        err: BusError,
-        sched: &mut Scheduler<'_, Ev<E>>,
-    );
-
-    /// Chooses the request message for a (re)issued miss: reads use `Get`;
-    /// writes use the 1-flit ownership `UpgradeReq` when a shared copy is
-    /// still held (the home falls back to the full-data path if we are no
-    /// longer a listed sharer), else a full `GetX`.
-    fn write_request_for(&mut self, n: u16, line: LineAddr, write: bool) -> CohMsg;
-}
-
-impl<R: Clone + std::fmt::Debug> ProcHandlers for MachineState<R> {
-    fn proc_next<E: Clone + std::fmt::Debug>(&mut self, n: u16, sched: &mut Scheduler<'_, Ev<E>>) {
+    ) {
         let st = self;
         let now = sched.now();
         {
@@ -68,7 +44,7 @@ impl<R: Clone + std::fmt::Debug> ProcHandlers for MachineState<R> {
             }
             if node.current_op.is_none() {
                 let node_id = node.id;
-                let op = node.workload.next_op_at(node_id, now, &mut node.rng);
+                let op = node.workload.next_op(node_id, now, &mut node.rng);
                 node.current_op = Some(op);
             }
         }
@@ -83,10 +59,7 @@ impl<R: Clone + std::fmt::Debug> ProcHandlers for MachineState<R> {
                 st.nodes[n as usize].current_op = None;
             }
             ProcOp::Compute(ns) => {
-                let node = &mut st.nodes[n as usize];
-                node.current_op = None;
-                node.workload
-                    .on_result_at(NodeId(n), now, OpResult::Ok(None));
+                st.finish_op(n, now, OpResult::Ok(None));
                 sched.after(SimDuration::from_nanos(ns) + issue, Ev::ProcNext(n));
             }
             ProcOp::Read(raw) | ProcOp::Write(raw) | ProcOp::SpeculativeWrite(raw) => {
@@ -128,10 +101,7 @@ impl<R: Clone + std::fmt::Debug> ProcHandlers for MachineState<R> {
                     if write && !speculative {
                         st.oracle.record_store(line, v);
                     }
-                    let node = &mut st.nodes[n as usize];
-                    node.current_op = None;
-                    node.workload
-                        .on_result_at(NodeId(n), now, OpResult::Ok(None));
+                    st.finish_op(n, now, OpResult::Ok(None));
                     sched.after(
                         SimDuration::from_nanos(st.params.l2_hit_ns) + issue,
                         Ev::ProcNext(n),
@@ -181,9 +151,7 @@ impl<R: Clone + std::fmt::Debug> ProcHandlers for MachineState<R> {
                     } else {
                         Some(node.io_dev.read())
                     };
-                    node.current_op = None;
-                    node.workload
-                        .on_result_at(NodeId(n), now, OpResult::Ok(value));
+                    st.finish_op(n, now, OpResult::Ok(value));
                     sched.after(
                         SimDuration::from_nanos(st.params.magic.costs.uncached_ns) + issue,
                         Ev::ProcNext(n),
@@ -227,10 +195,10 @@ impl<R: Clone + std::fmt::Debug> ProcHandlers for MachineState<R> {
                 st.send_unc(NodeId(n), dev, msg, sched);
             }
         }
-        let _ = now;
     }
 
-    fn process_unc<E: Clone + std::fmt::Debug>(
+    /// Services one delivered uncached-I/O message on node `n`.
+    pub(super) fn process_unc<E: Clone + std::fmt::Debug>(
         &mut self,
         n: u16,
         from: NodeId,
@@ -273,14 +241,9 @@ impl<R: Clone + std::fmt::Debug> ProcHandlers for MachineState<R> {
                 let waiting = matches!(node.proc, ProcState::WaitUncached { tag: t, write: false, .. } if t == tag);
                 if waiting {
                     node.uncached.complete_read(tag);
-                    let latency = sched.now().since(node.op_issued_at);
-                    node.lat_uncached.record(latency);
-                    node.proc = ProcState::Ready;
-                    node.current_op = None;
-                    node.workload
-                        .on_result_at(NodeId(n), sched.now(), OpResult::Ok(Some(value)));
-                    let resume = node.occupancy.busy_until();
-                    sched.at(resume, Ev::ProcNext(n));
+                    node.lat_uncached.record(now.since(node.op_issued_at));
+                    st.finish_op(n, now, OpResult::Ok(Some(value)));
+                    sched.at(st.nodes[n as usize].occupancy.busy_until(), Ev::ProcNext(n));
                 } else if node.uncached.deliver_late(tag, value) {
                     st.counters.incr("late_uncached_replies_saved");
                 } else {
@@ -288,39 +251,24 @@ impl<R: Clone + std::fmt::Debug> ProcHandlers for MachineState<R> {
                 }
             }
             UncMsg::WriteAck { tag } => {
-                let node = &mut st.nodes[n as usize];
-                let waiting = matches!(node.proc, ProcState::WaitUncached { tag: t, write: true, .. } if t == tag);
+                let waiting = matches!(st.nodes[n as usize].proc, ProcState::WaitUncached { tag: t, write: true, .. } if t == tag);
                 if waiting {
-                    node.proc = ProcState::Ready;
-                    node.current_op = None;
-                    node.workload
-                        .on_result_at(NodeId(n), sched.now(), OpResult::Ok(None));
-                    let resume = node.occupancy.busy_until();
-                    sched.at(resume, Ev::ProcNext(n));
+                    st.finish_op(n, now, OpResult::Ok(None));
+                    sched.at(st.nodes[n as usize].occupancy.busy_until(), Ev::ProcNext(n));
                 }
             }
             UncMsg::IoDenied { tag } => {
-                let node = &mut st.nodes[n as usize];
-                let waiting =
-                    matches!(node.proc, ProcState::WaitUncached { tag: t, .. } if t == tag);
+                let waiting = matches!(st.nodes[n as usize].proc, ProcState::WaitUncached { tag: t, .. } if t == tag);
                 if waiting {
-                    node.bus_errors += 1;
-                    node.proc = ProcState::Ready;
-                    node.current_op = None;
-                    node.workload.on_result_at(
-                        NodeId(n),
-                        sched.now(),
-                        OpResult::BusError(BusError::ForeignUncachedIo),
-                    );
-                    st.counters.incr("bus_errors");
-                    let resume = node.occupancy.busy_until();
-                    sched.at(resume, Ev::ProcNext(n));
+                    st.finish_op(n, now, OpResult::BusError(BusError::ForeignUncachedIo));
+                    sched.at(st.nodes[n as usize].occupancy.busy_until(), Ev::ProcNext(n));
                 }
             }
         }
     }
 
-    fn resend_miss<E: Clone + std::fmt::Debug>(
+    /// Reissues a NAK'd miss.
+    pub(super) fn resend_miss<E: Clone + std::fmt::Debug>(
         &mut self,
         n: u16,
         line: LineAddr,
@@ -337,45 +285,39 @@ impl<R: Clone + std::fmt::Debug> ProcHandlers for MachineState<R> {
         self.send_coh(NodeId(n), home, msg, sched);
     }
 
-    fn complete_discarded_speculation<E: Clone + std::fmt::Debug>(
+    /// Completes an incorrectly speculated reference whose fault the
+    /// processor discards: the workload sees a normal completion.
+    pub(super) fn complete_discarded_speculation<E: Clone + std::fmt::Debug>(
         &mut self,
         n: u16,
         sched: &mut Scheduler<'_, Ev<E>>,
     ) {
-        let node = &mut self.nodes[n as usize];
-        node.naks.reset();
-        node.current_op = None;
-        node.current_is_speculative = false;
-        node.proc = ProcState::Ready;
-        node.workload
-            .on_result_at(NodeId(n), sched.now(), OpResult::Ok(None));
+        let now = sched.now();
+        self.nodes[n as usize].current_is_speculative = false;
+        self.finish_op(n, now, OpResult::Ok(None));
         self.counters.incr("speculative_faults_discarded");
-        let resume = self.nodes[n as usize]
-            .occupancy
-            .busy_until()
-            .max(sched.now());
+        let resume = self.nodes[n as usize].occupancy.busy_until().max(now);
         sched.at(resume, Ev::ProcNext(n));
     }
 
+    /// Completes the current operation with a locally raised bus error.
     fn complete_local_bus_error<E: Clone + std::fmt::Debug>(
         &mut self,
         n: u16,
         err: BusError,
         sched: &mut Scheduler<'_, Ev<E>>,
     ) {
-        let node = &mut self.nodes[n as usize];
-        node.bus_errors += 1;
-        node.current_op = None;
-        node.proc = ProcState::Ready;
-        node.workload
-            .on_result_at(NodeId(n), sched.now(), OpResult::BusError(err));
-        self.counters.incr("bus_errors");
+        self.finish_op(n, sched.now(), OpResult::BusError(err));
         sched.after(
             SimDuration::from_nanos(self.params.proc_issue_ns),
             Ev::ProcNext(n),
         );
     }
 
+    /// Chooses the request message for a (re)issued miss: reads use `Get`;
+    /// writes use the 1-flit ownership `UpgradeReq` when a shared copy is
+    /// still held (the home falls back to the full-data path if we are no
+    /// longer a listed sharer), else a full `GetX`.
     fn write_request_for(&mut self, n: u16, line: LineAddr, write: bool) -> CohMsg {
         if !write {
             return CohMsg::Get { line };

@@ -175,43 +175,24 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         }
         // Saved uncached read emulation.
         if let Some(tag) = self.nodes[i].saved_unc_read.take() {
-            let saved = self.nodes[i].uncached.take_saved(tag);
-            let node_ref = &mut self.nodes[i];
-            node_ref.proc = ProcState::Ready;
-            node_ref.current_op = None;
-            match saved {
-                Some(flash_magic::SavedRead::Arrived(v)) => {
-                    node_ref
-                        .workload
-                        .on_result_at(node, now, OpResult::Ok(Some(v)));
-                }
-                _ => {
-                    node_ref.bus_errors += 1;
-                    node_ref.workload.on_result_at(
-                        node,
-                        now,
-                        OpResult::BusError(BusError::UncachedUnresolved),
-                    );
-                }
-            }
+            let result = match self.nodes[i].uncached.take_saved(tag) {
+                Some(flash_magic::SavedRead::Arrived(v)) => OpResult::Ok(Some(v)),
+                _ => OpResult::BusError(BusError::UncachedUnresolved),
+            };
+            self.finish_op(node.0, now, result);
             sched.immediately(Ev::ProcNext(node.0));
             return;
         }
-        let node_ref = &mut self.nodes[i];
-        match node_ref.current_op {
+        match self.nodes[i].current_op {
             Some(ProcOp::UncachedWrite { .. }) => {
                 // A pending uncached write's ack was lost in recovery; the
                 // write is nonidempotent and must not be retried — treat it
                 // as completed (see DESIGN.md).
-                node_ref.proc = ProcState::Ready;
-                node_ref.current_op = None;
-                node_ref
-                    .workload
-                    .on_result_at(node, now, OpResult::Ok(None));
+                self.finish_op(node.0, now, OpResult::Ok(None));
             }
             _ => {
                 // Cacheable ops (or none): reissue from current_op.
-                node_ref.proc = ProcState::Ready;
+                self.nodes[i].proc = ProcState::Ready;
             }
         }
         sched.immediately(Ev::ProcNext(node.0));

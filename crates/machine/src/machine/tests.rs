@@ -2,13 +2,24 @@ use super::{Extension, Machine, NullExtension};
 use crate::fault::FaultSpec;
 use crate::node::ProcState;
 use crate::params::MachineParams;
-use crate::workload::{ProcOp, RandomFill, Script, Workload};
+use crate::workload::{OpResult, ProcOp, RandomFill, Script, Workload};
 use flash_coherence::{DirState, LineAddr, NodeSet, Version};
+use flash_magic::BusError;
 use flash_net::NodeId;
 use flash_sim::SimTime;
 
 fn quiesce<X: Extension>(m: &mut Machine<X>) {
     m.run_until(SimTime::MAX);
+}
+
+/// The results node `n`'s [`Script`] observed, one per op in op order.
+fn script_results<X: Extension>(m: &Machine<X>, n: usize) -> &[OpResult] {
+    m.st().nodes[n]
+        .workload
+        .as_any()
+        .and_then(|w| w.downcast_ref::<Script>())
+        .expect("node runs a script")
+        .results()
 }
 
 fn tiny_machine(
@@ -187,6 +198,11 @@ fn io_guard_denies_foreign_uncached() {
         .set_allowed(NodeSet::singleton(NodeId(0)));
     quiesce(&mut m);
     assert_eq!(m.st().nodes[3].bus_errors, 1);
+    assert_eq!(m.st().counters.get("bus_errors"), 1);
+    assert_eq!(
+        script_results(&m, 3),
+        [OpResult::BusError(BusError::ForeignUncachedIo)]
+    );
     assert_eq!(m.st().counters.get("io_guard_denials"), 1);
     assert_eq!(m.st().nodes[0].io_dev.reads, 0, "device untouched");
 }
@@ -209,6 +225,11 @@ fn firewall_denies_unauthorized_exclusive_fetch() {
         .restrict(line.page(), NodeSet::singleton(NodeId(0)));
     quiesce(&mut m);
     assert_eq!(m.st().nodes[2].bus_errors, 1);
+    assert_eq!(m.st().counters.get("bus_errors"), 1);
+    assert_eq!(
+        script_results(&m, 2),
+        [OpResult::BusError(BusError::FirewallDenied)]
+    );
     assert_eq!(m.st().counters.get("firewall_denials"), 1);
     assert!(m.st().nodes[2].cache.lookup(line).is_none());
     // Reads are unaffected by the firewall.
@@ -236,6 +257,14 @@ fn range_check_bus_errors_wild_writes() {
     );
     quiesce(&mut m);
     assert_eq!(m.st().nodes[0].bus_errors, 1, "write denied, read allowed");
+    assert_eq!(m.st().counters.get("bus_errors"), 1);
+    assert_eq!(
+        script_results(&m, 0),
+        [
+            OpResult::BusError(BusError::RangeViolation),
+            OpResult::Ok(None)
+        ]
+    );
 }
 
 #[test]
@@ -274,6 +303,11 @@ fn node_map_blocks_requests_to_failed_homes() {
     m.st_mut().nodes[0].node_map.set_available(NodeId(3), false);
     quiesce(&mut m);
     assert_eq!(m.st().nodes[0].bus_errors, 1);
+    assert_eq!(m.st().counters.get("bus_errors"), 1);
+    assert_eq!(
+        script_results(&m, 0),
+        [OpResult::BusError(BusError::DeadHome)]
+    );
     assert_eq!(m.st().counters.get("node_map_bus_errors"), 1);
 }
 

@@ -1,12 +1,8 @@
 //! The event dispatch loop: [`MachineWorld`] plugs the machine into the
-//! simulation engine and delegates each event to its subsystem's handler
-//! trait ([`NodeHandlers`] here, [`CohHandlers`](super::coh::CohHandlers)
-//! and [`ProcHandlers`](super::proc::ProcHandlers) on the state, and
-//! [`FaultHandlers`](super::inject::FaultHandlers) for injection).
+//! simulation engine and hands each event to its subsystem's handler — the
+//! node-controller servicing here, the coherence and processor handlers on
+//! [`MachineState`], and fault injection in [`inject`](super::inject).
 
-use super::coh::CohHandlers;
-use super::inject::FaultHandlers;
-use super::proc::ProcHandlers;
 use super::{Ev, Extension, MachineState};
 use crate::node::{OutPkt, ProcState};
 use crate::payload::Payload;
@@ -196,24 +192,9 @@ impl<X: Extension> World for MachineWorld<X> {
 /// Node-controller servicing: input-queue wakes, inbound packet dispatch
 /// and the outbound pump. Lives on [`MachineWorld`] (not the bare state)
 /// because truncated packets and recovery messages reach the extension.
-pub(crate) trait NodeHandlers<X: Extension> {
+impl<X: Extension> MachineWorld<X> {
     /// Services one input packet on a node controller, if idle and
     /// available.
-    fn node_wake(&mut self, n: u16, sched: &mut Scheduler<'_, Ev<X::Ev>>);
-
-    /// Dispatches one delivered packet to its payload's subsystem.
-    fn process_packet(
-        &mut self,
-        n: u16,
-        pkt: Packet<Payload<X::Msg>>,
-        sched: &mut Scheduler<'_, Ev<X::Ev>>,
-    );
-
-    /// Drains a node's outbound lane queue into the fabric.
-    fn pump(&mut self, n: u16, lane_idx: u8, sched: &mut Scheduler<'_, Ev<X::Ev>>);
-}
-
-impl<X: Extension> NodeHandlers<X> for MachineWorld<X> {
     fn node_wake(&mut self, n: u16, sched: &mut Scheduler<'_, Ev<X::Ev>>) {
         let now = sched.now();
         if self.wake_at[n as usize] == Some(now) {
@@ -247,6 +228,7 @@ impl<X: Extension> NodeHandlers<X> for MachineWorld<X> {
         }
     }
 
+    /// Dispatches one delivered packet to its payload's subsystem.
     fn process_packet(
         &mut self,
         n: u16,
@@ -311,6 +293,7 @@ impl<X: Extension> NodeHandlers<X> for MachineWorld<X> {
         }
     }
 
+    /// Drains a node's outbound lane queue into the fabric.
     fn pump(&mut self, n: u16, lane_idx: u8, sched: &mut Scheduler<'_, Ev<X::Ev>>) {
         let now = sched.now();
         let lane = Lane::from_index(lane_idx as usize);

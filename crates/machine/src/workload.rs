@@ -52,33 +52,18 @@ pub enum OpResult {
 /// remaining, results observed, internal counters) alongside the rest of the
 /// machine, and a forked run resumes from exactly that cursor.
 pub trait Workload: std::fmt::Debug {
-    /// Produces the next operation for `node`.
-    fn next_op(&mut self, node: NodeId, rng: &mut DetRng) -> ProcOp;
-
-    /// Time-aware variant of [`Workload::next_op`]: the machine calls this,
-    /// passing the simulated issue time. The default delegates to
-    /// `next_op`, so time-blind workloads implement only that. Open-loop
-    /// workloads (request generators with a fixed arrival schedule)
-    /// override this to compare `now` against their next arrival.
-    fn next_op_at(&mut self, node: NodeId, now: SimTime, rng: &mut DetRng) -> ProcOp {
-        let _ = now;
-        self.next_op(node, rng)
-    }
+    /// Produces the next operation for `node`, issued at simulated time
+    /// `now`. Open-loop workloads (request generators with a fixed arrival
+    /// schedule) compare `now` against their next arrival; others ignore it.
+    fn next_op(&mut self, node: NodeId, now: SimTime, rng: &mut DetRng) -> ProcOp;
 
     /// Deep-copies the workload, cursor included (checkpoint support).
     fn clone_box(&self) -> Box<dyn Workload>;
 
-    /// Observes the completion (or bus-erroring) of the previous operation.
-    fn on_result(&mut self, _node: NodeId, _result: OpResult) {}
-
-    /// Time-aware variant of [`Workload::on_result`]: the machine calls
-    /// this, passing the simulated completion time. The default delegates
-    /// to `on_result`. Latency-measuring workloads override this to
-    /// compute `now - scheduled_arrival` per request.
-    fn on_result_at(&mut self, node: NodeId, now: SimTime, result: OpResult) {
-        let _ = now;
-        self.on_result(node, result);
-    }
+    /// Observes the completion (or bus-erroring) of the previous operation
+    /// at simulated time `now`. Latency-measuring workloads compute
+    /// `now - scheduled_arrival` per request.
+    fn on_result(&mut self, _node: NodeId, _now: SimTime, _result: OpResult) {}
 
     /// A monotone progress counter (completed operations); experiment
     /// harnesses poll this to decide when to inject faults.
@@ -194,7 +179,7 @@ impl Workload for RandomFill {
         Some(self)
     }
 
-    fn next_op(&mut self, _node: NodeId, rng: &mut DetRng) -> ProcOp {
+    fn next_op(&mut self, _node: NodeId, _now: SimTime, rng: &mut DetRng) -> ProcOp {
         if self.ops_left == 0 {
             return ProcOp::Halt;
         }
@@ -219,7 +204,7 @@ impl Workload for RandomFill {
         }
     }
 
-    fn on_result(&mut self, _node: NodeId, result: OpResult) {
+    fn on_result(&mut self, _node: NodeId, _now: SimTime, result: OpResult) {
         self.completed += 1;
         if matches!(result, OpResult::BusError(_)) {
             self.bus_errors += 1;
@@ -268,11 +253,11 @@ impl Workload for Script {
         Some(self)
     }
 
-    fn next_op(&mut self, _node: NodeId, _rng: &mut DetRng) -> ProcOp {
+    fn next_op(&mut self, _node: NodeId, _now: SimTime, _rng: &mut DetRng) -> ProcOp {
         self.ops.pop_front().unwrap_or(ProcOp::Halt)
     }
 
-    fn on_result(&mut self, _node: NodeId, result: OpResult) {
+    fn on_result(&mut self, _node: NodeId, _now: SimTime, result: OpResult) {
         self.results.push(result);
     }
 }
@@ -286,7 +271,7 @@ impl Workload for Idle {
         Box::new(*self)
     }
 
-    fn next_op(&mut self, _node: NodeId, _rng: &mut DetRng) -> ProcOp {
+    fn next_op(&mut self, _node: NodeId, _now: SimTime, _rng: &mut DetRng) -> ProcOp {
         ProcOp::Halt
     }
 }
@@ -302,7 +287,7 @@ mod tests {
         let mut reads = 0;
         let mut writes = 0;
         for _ in 0..100 {
-            match w.next_op(NodeId(0), &mut rng) {
+            match w.next_op(NodeId(0), SimTime::ZERO, &mut rng) {
                 ProcOp::Read(l) => {
                     assert!((10..20).contains(&l.0));
                     reads += 1;
@@ -316,14 +301,18 @@ mod tests {
         }
         assert_eq!(reads + writes, 100);
         assert!(writes > 20 && reads > 20, "roughly mixed");
-        assert_eq!(w.next_op(NodeId(0), &mut rng), ProcOp::Halt);
+        assert_eq!(w.next_op(NodeId(0), SimTime::ZERO, &mut rng), ProcOp::Halt);
     }
 
     #[test]
     fn random_fill_counts_results() {
         let mut w = RandomFill::new(1, 0.0, 0, 1);
-        w.on_result(NodeId(0), OpResult::Ok(None));
-        w.on_result(NodeId(0), OpResult::BusError(BusError::DeadHome));
+        w.on_result(NodeId(0), SimTime::ZERO, OpResult::Ok(None));
+        w.on_result(
+            NodeId(0),
+            SimTime::ZERO,
+            OpResult::BusError(BusError::DeadHome),
+        );
         assert_eq!(w.completed(), 2);
         assert_eq!(w.bus_errors(), 1);
     }
@@ -332,17 +321,26 @@ mod tests {
     fn script_plays_in_order_then_halts() {
         let mut s = Script::new([ProcOp::Read(LineAddr(1)), ProcOp::Compute(50)]);
         let mut rng = DetRng::new(0);
-        assert_eq!(s.next_op(NodeId(0), &mut rng), ProcOp::Read(LineAddr(1)));
+        assert_eq!(
+            s.next_op(NodeId(0), SimTime::ZERO, &mut rng),
+            ProcOp::Read(LineAddr(1))
+        );
         assert!(!s.is_drained());
-        assert_eq!(s.next_op(NodeId(0), &mut rng), ProcOp::Compute(50));
+        assert_eq!(
+            s.next_op(NodeId(0), SimTime::ZERO, &mut rng),
+            ProcOp::Compute(50)
+        );
         assert!(s.is_drained());
-        assert_eq!(s.next_op(NodeId(0), &mut rng), ProcOp::Halt);
-        s.on_result(NodeId(0), OpResult::Ok(None));
+        assert_eq!(s.next_op(NodeId(0), SimTime::ZERO, &mut rng), ProcOp::Halt);
+        s.on_result(NodeId(0), SimTime::ZERO, OpResult::Ok(None));
         assert_eq!(s.results().len(), 1);
     }
 
     #[test]
     fn idle_halts() {
-        assert_eq!(Idle.next_op(NodeId(0), &mut DetRng::new(0)), ProcOp::Halt);
+        assert_eq!(
+            Idle.next_op(NodeId(0), SimTime::ZERO, &mut DetRng::new(0)),
+            ProcOp::Halt
+        );
     }
 }

@@ -7,7 +7,8 @@
 //! ```
 //!
 //! `fault` is one of `node`, `router`, `link`, `loop`, `false-alarm`
-//! (default `node`).
+//! (default `node`). The run panics unless it finishes and every compile
+//! on a cell the fault did not affect completes.
 
 use flash::core::RecoveryConfig;
 use flash::hive::{run_parallel_make, HiveConfig, TaskState};
@@ -73,9 +74,8 @@ fn main() {
         "incoherent lines reinitialized by the OS: {}",
         out.lines_reinitialized
     );
-    println!(
-        "\nunaffected compiles all completed: {}",
-        out.unaffected_all_completed()
-    );
+    let unaffected = out.unaffected_all_completed();
+    println!("\nunaffected compiles all completed: {unaffected}");
     assert!(out.finished);
+    assert!(unaffected, "a compile the fault did not touch failed");
 }
