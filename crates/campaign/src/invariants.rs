@@ -206,8 +206,18 @@ fn check_gray(
 }
 
 /// Oracle-bounded incoherence and no silent corruption (the Table 5.3
-/// checks, split into two invariants for triage).
+/// checks, split into two invariants for triage). A failure the full drop
+/// log may explain is flagged as such as well.
 fn check_oracle(report: &ValidationReport, out: &mut Vec<Violation>) {
+    if report.inconclusive() {
+        out.push(Violation::new(
+            "oracle-inconclusive",
+            format!(
+                "{} coherence drops past the drop log: the failing lines may have been lost in transit",
+                report.unlogged_drops
+            ),
+        ));
+    }
     if !report.overmarked.is_empty() {
         out.push(Violation::new(
             "oracle-incoherence",

@@ -124,22 +124,52 @@ impl NodeSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Iterates over members in ascending order.
+    /// Iterates over members in ascending order, one word at a time: each
+    /// step takes the lowest set bit of the current word, and empty words
+    /// cost one test each.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..Self::CAPACITY as u16)
-            .filter(move |&i| self.contains(NodeId(i)))
-            .map(NodeId)
+        Iter {
+            words: &self.bits,
+            word: 0,
+            bits: self.bits[0],
+        }
     }
 
     /// The smallest member, if any.
     pub fn first(&self) -> Option<NodeId> {
-        self.iter().next()
+        let w = self.bits.iter().position(|&w| w != 0)?;
+        Some(NodeId(
+            (w * 64 + self.bits[w].trailing_zeros() as usize) as u16,
+        ))
     }
 
     fn slot(node: NodeId) -> (usize, u64) {
         let i = node.index();
         assert!(i < Self::CAPACITY, "node id {i} exceeds NodeSet capacity");
         (i / 64, 1u64 << (i % 64))
+    }
+}
+
+/// The members of a [`NodeSet`] in ascending order.
+struct Iter<'a> {
+    words: &'a [u64; WORDS],
+    /// Index of the word `bits` came from.
+    word: usize,
+    /// The members of `words[word]` not yet yielded.
+    bits: u64,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        while self.bits == 0 {
+            self.word += 1;
+            self.bits = *self.words.get(self.word)?;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(NodeId((self.word * 64 + bit) as u16))
     }
 }
 
@@ -226,6 +256,51 @@ mod tests {
     fn oversized_id_panics() {
         let mut s = NodeSet::new();
         s.insert(NodeId(1024));
+    }
+
+    /// The bit-at-a-time scan `iter` replaced, kept as the reference.
+    fn bit_scan(s: &NodeSet) -> Vec<NodeId> {
+        (0..NodeSet::CAPACITY as u16)
+            .filter(|&i| s.contains(NodeId(i)))
+            .map(NodeId)
+            .collect()
+    }
+
+    fn assert_matches_bit_scan(s: &NodeSet) {
+        let scan = bit_scan(s);
+        assert_eq!(s.iter().collect::<Vec<_>>(), scan, "{s:?}");
+        assert_eq!(s.first(), scan.first().copied(), "{s:?}");
+        assert_eq!(s.len(), scan.len(), "{s:?}");
+    }
+
+    #[test]
+    fn iter_matches_bit_scan_at_word_edges() {
+        assert_matches_bit_scan(&NodeSet::new());
+        assert_matches_bit_scan(&NodeSet::all_below(NodeSet::CAPACITY));
+        let edges = [0u16, 63, 64, 127, 1023];
+        for &e in &edges {
+            assert_matches_bit_scan(&NodeSet::singleton(NodeId(e)));
+        }
+        assert_matches_bit_scan(&edges.iter().map(|&i| NodeId(i)).collect());
+        let mut holes = NodeSet::all_below(NodeSet::CAPACITY);
+        for &e in &edges {
+            holes.remove(NodeId(e));
+        }
+        assert_matches_bit_scan(&holes);
+    }
+
+    #[test]
+    fn iter_matches_bit_scan_on_random_sets() {
+        // Sparse, dense and word-clustered sets from a fixed seed.
+        let mut rng = flash_sim::DetRng::new(20);
+        for case in 0..200 {
+            let mut s = NodeSet::new();
+            let span = [64, 200, 1024][case % 3];
+            for _ in 0..rng.below(300) {
+                s.insert(NodeId(rng.below(span) as u16));
+            }
+            assert_matches_bit_scan(&s);
+        }
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl RecoveryExt {
         let n = st.fabric.design_graph().len();
         let mut g = UGraph::new(n);
         let mut alive = vec![false; n];
-        for &(a, b) in &view.links_up {
+        for (a, b) in view.links_up.iter() {
             g.add_edge(a, b);
             alive[a as usize] = true;
             alive[b as usize] = true;

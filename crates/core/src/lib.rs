@@ -54,4 +54,4 @@ pub use lifecycle::{
     SETTLE,
 };
 pub use msg::{BarrierId, RecMsg};
-pub use view::{Tree, View};
+pub use view::{LinkSet, Tree, View};

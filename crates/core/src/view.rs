@@ -4,9 +4,95 @@
 //! (closest-working-neighbor graph, dissemination round bound, breadth-first
 //! tree for the barriers).
 
+use core::fmt;
 use flash_coherence::NodeSet;
 use flash_net::{NodeId, RouterId, UGraph, MAX_SOURCE_HOPS};
-use std::collections::BTreeSet;
+
+/// A link as its canonical `(min, max)` router pair.
+type Link = (u16, u16);
+
+/// A set of links, kept as a vector sorted ascending: membership is a
+/// binary search, iteration is ascending, and [`View::merge`] joins two
+/// sets in one linear walk.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct LinkSet {
+    links: Vec<Link>,
+}
+
+impl LinkSet {
+    /// Creates an empty set.
+    pub fn new() -> Self {
+        LinkSet::default()
+    }
+
+    /// Membership test for a canonical `(min, max)` pair.
+    pub fn contains(&self, link: &Link) -> bool {
+        self.links.binary_search(link).is_ok()
+    }
+
+    /// Adds a canonical pair; returns whether it was newly inserted.
+    pub fn insert(&mut self, link: Link) -> bool {
+        match self.links.binary_search(&link) {
+            Ok(_) => false,
+            Err(at) => {
+                self.links.insert(at, link);
+                true
+            }
+        }
+    }
+
+    /// Removes a canonical pair; returns whether it was present.
+    pub fn remove(&mut self, link: &Link) -> bool {
+        match self.links.binary_search(link) {
+            Ok(at) => {
+                self.links.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Iterates over the links in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = Link> + '_ {
+        self.links.iter().copied()
+    }
+
+    /// `(a − a_not) ∪ (b − b_not)` in one merge-walk of the four sorted
+    /// vectors.
+    fn union_of_differences(a: &Self, a_not: &Self, b: &Self, b_not: &Self) -> Self {
+        let mut links = Vec::with_capacity(a.links.len() + b.links.len());
+        let mut a = minus(&a.links, &a_not.links).peekable();
+        let mut b = minus(&b.links, &b_not.links).peekable();
+        while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
+            if x <= y {
+                a.next();
+            }
+            if y <= x {
+                b.next();
+            }
+            links.push(x.min(y));
+        }
+        links.extend(a.chain(b));
+        LinkSet { links }
+    }
+}
+
+/// The members of sorted `a` not in sorted `not`, ascending.
+fn minus<'a>(a: &'a [Link], not: &'a [Link]) -> impl Iterator<Item = Link> + 'a {
+    let mut j = 0;
+    a.iter().copied().filter(move |k| {
+        while not.get(j).is_some_and(|n| n < k) {
+            j += 1;
+        }
+        not.get(j) != Some(k)
+    })
+}
+
+impl fmt::Debug for LinkSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(&self.links).finish()
+    }
+}
 
 /// A node's (partial) knowledge of the machine's health. Knowledge is
 /// three-valued per component (up / down / unknown); `merge` is the join of
@@ -19,12 +105,12 @@ pub struct View {
     /// Nodes known failed (no ping response, or router dead).
     pub node_down: NodeSet,
     /// Links probed alive, as canonical `(min, max)` router pairs.
-    pub links_up: BTreeSet<(u16, u16)>,
+    pub links_up: LinkSet,
     /// Links probed dead.
-    pub links_down: BTreeSet<(u16, u16)>,
+    pub links_down: LinkSet,
 }
 
-fn canon(a: RouterId, b: RouterId) -> (u16, u16) {
+fn canon(a: RouterId, b: RouterId) -> Link {
     (a.0.min(b.0), a.0.max(b.0))
 }
 
@@ -69,21 +155,37 @@ impl View {
     }
 
     /// Merges another view into this one; returns whether anything changed.
+    ///
+    /// The join, for nodes and links alike: down′ = down ∪ other.down and
+    /// up′ = (up − other.down) ∪ (other.up − down′). This is what recording
+    /// each of `other`'s downs and then each of its ups with the `set_*`
+    /// calls gives, also for views whose up and down sets overlap.
     pub fn merge(&mut self, other: &View) -> bool {
-        let before = self.clone();
-        for n in other.node_down.iter() {
-            self.set_node_down(n);
-        }
-        for n in other.node_up.iter() {
-            self.set_node_up(n);
-        }
-        for &(a, b) in &other.links_down {
-            self.set_link_down(RouterId(a), RouterId(b));
-        }
-        for &(a, b) in &other.links_up {
-            self.set_link_up(RouterId(a), RouterId(b));
-        }
-        *self != before
+        let mut node_down = self.node_down;
+        node_down.union_with(&other.node_down);
+        let mut node_up = self.node_up;
+        node_up.subtract(&other.node_down);
+        let mut fresh_up = other.node_up;
+        fresh_up.subtract(&node_down);
+        node_up.union_with(&fresh_up);
+        let none = LinkSet::new();
+        let links_down =
+            LinkSet::union_of_differences(&self.links_down, &none, &other.links_down, &none);
+        let links_up = LinkSet::union_of_differences(
+            &self.links_up,
+            &other.links_down,
+            &other.links_up,
+            &links_down,
+        );
+        let changed = node_down != self.node_down
+            || node_up != self.node_up
+            || links_down != self.links_down
+            || links_up != self.links_up;
+        self.node_down = node_down;
+        self.node_up = node_up;
+        self.links_down = links_down;
+        self.links_up = links_up;
+        changed
     }
 
     /// Nodes known up.
@@ -454,6 +556,105 @@ mod tests {
         assert_eq!(v.root(), None);
         assert_eq!(v.round_bound(&design(2, 2)), 0);
         assert_eq!(v.bft_tree(&design(2, 2)).root, None);
+    }
+
+    /// The merge `View::merge` replaced: record each of `other`'s downs,
+    /// then each of its ups, one `set_*` call at a time.
+    fn sequential_merge(v: &mut View, other: &View) -> bool {
+        let before = v.clone();
+        for n in other.node_down.iter() {
+            v.set_node_down(n);
+        }
+        for n in other.node_up.iter() {
+            v.set_node_up(n);
+        }
+        for (a, b) in other.links_down.iter() {
+            v.set_link_down(RouterId(a), RouterId(b));
+        }
+        for (a, b) in other.links_up.iter() {
+            v.set_link_up(RouterId(a), RouterId(b));
+        }
+        *v != before
+    }
+
+    /// A view that writes its public fields directly, so a node or link
+    /// may sit in both its up and its down set.
+    fn raw_view(rng: &mut flash_sim::DetRng, nodes: u64, routers: u64) -> View {
+        let mut v = View::new();
+        for _ in 0..rng.below(2 * nodes) {
+            let n = NodeId(rng.below(nodes) as u16);
+            if rng.chance(0.5) {
+                v.node_up.insert(n);
+            } else {
+                v.node_down.insert(n);
+            }
+        }
+        for _ in 0..rng.below(4 * routers) {
+            let (a, b) = (rng.below(routers) as u16, rng.below(routers) as u16);
+            let link = (a.min(b), a.max(b));
+            if rng.chance(0.5) {
+                v.links_up.insert(link);
+            } else {
+                v.links_down.insert(link);
+            }
+        }
+        v
+    }
+
+    fn assert_merge_matches_sequential(a: &View, b: &View) {
+        let mut want = a.clone();
+        let want_changed = sequential_merge(&mut want, b);
+        let mut got = a.clone();
+        let got_changed = got.merge(b);
+        assert_eq!(got, want, "merge of {a:?} with {b:?}");
+        assert_eq!(got_changed, want_changed, "changed flag, {a:?} with {b:?}");
+        let up: Vec<_> = got.links_up.iter().collect();
+        assert!(
+            up.windows(2).all(|w| w[0] < w[1]),
+            "links_up ascends: {up:?}"
+        );
+        let down: Vec<_> = got.links_down.iter().collect();
+        assert!(down.windows(2).all(|w| w[0] < w[1]), "links_down ascends");
+    }
+
+    #[test]
+    fn merge_matches_sequential_set_calls() {
+        let mut rng = flash_sim::DetRng::new(20);
+        for case in 0..300 {
+            let (nodes, routers) = [(4, 4), (16, 16), (128, 128)][case % 3];
+            let a = raw_view(&mut rng, nodes, routers);
+            let b = raw_view(&mut rng, nodes, routers);
+            assert_merge_matches_sequential(&a, &b);
+            assert_merge_matches_sequential(&a, &a);
+            assert_merge_matches_sequential(&a, &View::new());
+            assert_merge_matches_sequential(&View::new(), &a);
+        }
+    }
+
+    #[test]
+    fn merge_handles_overlapping_up_and_down() {
+        // Node 1 and link (0, 1) are both up and down in `a`; node 2 and
+        // link (1, 2) are both up and down in `b`.
+        let mut a = View::new();
+        a.node_up.insert(NodeId(1));
+        a.node_down.insert(NodeId(1));
+        a.links_up.insert((0, 1));
+        a.links_down.insert((0, 1));
+        let mut b = View::new();
+        b.node_up.insert(NodeId(2));
+        b.node_down.insert(NodeId(2));
+        b.links_up.insert((1, 2));
+        b.links_down.insert((1, 2));
+        assert_merge_matches_sequential(&a, &b);
+        assert_merge_matches_sequential(&b, &a);
+        let mut ab = a.clone();
+        assert!(ab.merge(&b));
+        // `a`'s overlap survives (nothing in `b` removes it); `b`'s does
+        // not come across, since its down wins.
+        assert!(ab.node_up.contains(NodeId(1)) && ab.node_down.contains(NodeId(1)));
+        assert!(!ab.node_up.contains(NodeId(2)) && ab.node_down.contains(NodeId(2)));
+        assert!(ab.links_up.contains(&(0, 1)) && !ab.links_up.contains(&(1, 2)));
+        assert!(!ab.merge(&b), "a second merge changes nothing");
     }
 
     #[test]

@@ -40,7 +40,10 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             .collect();
         dirty.sort_by_key(|&(line, _)| line);
         let mut dirty = dirty.into_iter().peekable();
-        let mut report = ValidationReport::default();
+        let mut report = ValidationReport {
+            unlogged_drops: self.fabric.dropped_unlogged(),
+            ..ValidationReport::default()
+        };
         for node in &self.nodes {
             if self.failed_nodes.contains(node.id) {
                 report.inaccessible += self.layout.lines_per_node();

@@ -393,6 +393,7 @@ fn validate_prefers_the_exclusive_copy_over_memory() {
     assert_eq!(m.st().oracle.expected_version(line), Version(1));
     let clean = m.st().validate();
     assert!(clean.passed() && clean.corrupted.is_empty(), "{clean}");
+    assert_eq!(clean.unlogged_drops, 0);
     assert!(clean.lines_checked > 0);
 
     // A later node's stale exclusive copy wins over node 1's current one.

@@ -110,6 +110,13 @@ pub struct ValidationReport {
     /// into recovery and the line is then marked incoherent. Runs ending
     /// before any such access land here instead of `corrupted`.
     pub lost_in_transit: Vec<LineAddr>,
+    /// Coherence packets the fabric dropped after its drop log filled.
+    /// Validation cannot see whether they carried a line's sole copy, so
+    /// such a line may show up in `corrupted` or `overmarked` instead of
+    /// `lost_in_transit`: a failure is then [`inconclusive`].
+    ///
+    /// [`inconclusive`]: ValidationReport::inconclusive
+    pub unlogged_drops: u64,
     /// Lines checked in total.
     pub lines_checked: u64,
     /// Lines found marked incoherent.
@@ -123,21 +130,38 @@ impl ValidationReport {
     pub fn passed(&self) -> bool {
         self.overmarked.is_empty() && self.corrupted.is_empty()
     }
+
+    /// Whether the run failed but the failure may be an artifact of the
+    /// full drop log (see [`ValidationReport::unlogged_drops`]). Not a
+    /// pass: the failing lines are unexplained either way.
+    pub fn inconclusive(&self) -> bool {
+        !self.passed() && self.unlogged_drops > 0
+    }
 }
 
 impl std::fmt::Display for ValidationReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "checked={} marked_incoherent={} inaccessible={} overmarked={} corrupted={} lost_in_transit={} => {}",
+            "checked={} marked_incoherent={} inaccessible={} overmarked={} corrupted={} lost_in_transit={}",
             self.lines_checked,
             self.marked_incoherent,
             self.inaccessible,
             self.overmarked.len(),
             self.corrupted.len(),
             self.lost_in_transit.len(),
-            if self.passed() { "PASS" } else { "FAIL" }
-        )
+        )?;
+        if self.unlogged_drops > 0 {
+            write!(f, " unlogged_drops={}", self.unlogged_drops)?;
+        }
+        let verdict = if self.passed() {
+            "PASS"
+        } else if self.inconclusive() {
+            "INCONCLUSIVE"
+        } else {
+            "FAIL"
+        };
+        write!(f, " => {verdict}")
     }
 }
 
@@ -180,5 +204,24 @@ mod tests {
         r.corrupted.push(LineAddr(2));
         assert!(!r.passed());
         assert!(r.to_string().contains("FAIL"));
+    }
+
+    #[test]
+    fn unlogged_drops_make_a_failure_inconclusive() {
+        let mut r = ValidationReport {
+            unlogged_drops: 3,
+            ..ValidationReport::default()
+        };
+        assert!(r.passed() && !r.inconclusive(), "nothing to explain");
+        assert!(r.to_string().ends_with("unlogged_drops=3 => PASS"), "{r}");
+        r.corrupted.push(LineAddr(2));
+        assert!(!r.passed() && r.inconclusive());
+        assert!(
+            r.to_string().ends_with("unlogged_drops=3 => INCONCLUSIVE"),
+            "{r}"
+        );
+        r.unlogged_drops = 0;
+        assert!(!r.inconclusive());
+        assert!(r.to_string().ends_with("lost_in_transit=0 => FAIL"), "{r}");
     }
 }

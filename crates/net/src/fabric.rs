@@ -31,6 +31,11 @@ use flash_obs::{Domain, Recorder, TraceEvent};
 use flash_sim::{Counters, DetRng, SimDuration, SimTime};
 use std::collections::VecDeque;
 
+/// How many dropped coherence-lane packets the fabric keeps for the
+/// validation oracle; later drops are only counted. Small in this crate's
+/// own tests, so they can fill it.
+const DROP_LOG_CAP: usize = if cfg!(test) { 4 } else { 1_000_000 };
+
 /// Timing and sizing parameters of the interconnect.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NetParams {
@@ -238,6 +243,7 @@ pub struct Fabric<P> {
     counters: Counters,
     graph: UGraph,
     dropped: Vec<Packet<P>>,
+    dropped_unlogged: u64,
 }
 
 impl<P: std::fmt::Debug> Fabric<P> {
@@ -292,6 +298,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
             counters: Counters::new(),
             graph,
             dropped: Vec::new(),
+            dropped_unlogged: 0,
         }
     }
 
@@ -568,6 +575,12 @@ impl<P: std::fmt::Debug> Fabric<P> {
         &self.dropped
     }
 
+    /// Coherence-lane packets dropped after the drop log
+    /// ([`Fabric::dropped_packets`]) filled, which it therefore lacks.
+    pub fn dropped_unlogged(&self) -> u64 {
+        self.dropped_unlogged
+    }
+
     /// Bookkeeping for a packet still inside the fabric (queued or in
     /// transit); `None` once it has been delivered or dropped.
     pub fn packet_meta(&self, id: PacketId) -> Option<PacketMeta> {
@@ -670,9 +683,14 @@ impl<P: std::fmt::Debug> Fabric<P> {
         obs.record(Domain::Net, now, TraceEvent::PacketDropped { reason });
         obs.metrics.incr("net_packets_dropped");
         // Keep a bounded log of dropped packets: the incoherence oracle
-        // inspects it for lost sole-copy writebacks and grants.
-        if pkt.lane.is_coherence() && self.dropped.len() < 1_000_000 {
-            self.dropped.push(pkt);
+        // inspects it for lost sole-copy writebacks and grants, and learns
+        // from the count how many it cannot inspect.
+        if pkt.lane.is_coherence() {
+            if self.dropped.len() < DROP_LOG_CAP {
+                self.dropped.push(pkt);
+            } else {
+                self.dropped_unlogged += 1;
+            }
         }
     }
 
@@ -1194,6 +1212,34 @@ mod tests {
         engine.run(&mut w, flash_sim::SimTime::MAX);
         assert!(w.notes.is_empty());
         assert!(w.fabric.counters().get("drop_dead_router") >= 1);
+    }
+
+    #[test]
+    fn drops_past_the_log_cap_are_counted() {
+        let (mut w, mut engine) = net(2, 1);
+        w.fabric
+            .fail_link_between(RouterId(0), RouterId(1), flash_sim::SimTime::ZERO);
+        for i in 0..DROP_LOG_CAP as u32 + 3 {
+            let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Request, 9, i);
+            send(&mut w, &mut engine, pkt, NodeId(0));
+            engine.run(&mut w, flash_sim::SimTime::MAX);
+        }
+        // Recovery-lane drops are neither logged nor counted.
+        let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Recovery1, 9, 99);
+        send(&mut w, &mut engine, pkt, NodeId(0));
+        engine.run(&mut w, flash_sim::SimTime::MAX);
+        assert_eq!(
+            w.fabric.counters().get("packets_dropped"),
+            DROP_LOG_CAP as u64 + 4
+        );
+        let logged: Vec<u32> = w
+            .fabric
+            .dropped_packets()
+            .iter()
+            .map(|p| p.payload)
+            .collect();
+        assert_eq!(logged, (0..DROP_LOG_CAP as u32).collect::<Vec<_>>());
+        assert_eq!(w.fabric.dropped_unlogged(), 3);
     }
 
     #[test]
