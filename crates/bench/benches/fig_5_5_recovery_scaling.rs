@@ -16,7 +16,7 @@ use flash_core::{run_fault_experiment, ExperimentConfig};
 use flash_machine::{FaultSpec, MachineParams, TopologyKind};
 use flash_net::NodeId;
 
-fn recovery_times(n: usize, topology: TopologyKind, seed: u64, total_ops: u64) -> [f64; 4] {
+fn recovery_times(n: usize, topology: TopologyKind, seed: u64) -> [f64; 4] {
     let mut params = MachineParams::table_5_1();
     params.n_nodes = n;
     params.topology = topology;
@@ -24,7 +24,7 @@ fn recovery_times(n: usize, topology: TopologyKind, seed: u64, total_ops: u64) -
     params.l2_mb = 1.0;
     let mut cfg = ExperimentConfig::new(params, seed);
     cfg.fill_ops = 100;
-    cfg.total_ops = total_ops;
+    cfg.total_ops = 3_000;
     let out = run_fault_experiment(&cfg, FaultSpec::Node(NodeId(1)));
     assert!(out.passed(), "n={n} {topology:?}: {}", out.validation);
     let p = out.recovery.phases;
@@ -55,7 +55,7 @@ fn main() {
     );
     let mut mesh_p2 = Vec::new();
     for &n in &sizes {
-        let t = recovery_times(n, TopologyKind::Mesh2D, 7, 3_000);
+        let t = recovery_times(n, TopologyKind::Mesh2D, 7);
         mesh_p2.push(t[1] - t[0]);
         sheet.push(format!("mesh/nodes={n}"), &t);
         println!(
@@ -73,7 +73,7 @@ fn main() {
         if !n.is_power_of_two() {
             continue;
         }
-        let t = recovery_times(n, TopologyKind::Hypercube, 7, 3_000);
+        let t = recovery_times(n, TopologyKind::Hypercube, 7);
         sheet.push(format!("hypercube/nodes={n}"), &t);
         let cube_p2 = t[1] - t[0];
         println!(
@@ -92,14 +92,8 @@ fn main() {
             "{:>6} {:>12} {:>12} {:>12} {:>12} {:>9}",
             "nodes", "P1 [ms]", "P1,2 [ms]", "P1,2,3 [ms]", "total [ms]", "P2/total"
         );
-        // The big arms run 600 total ops instead of 3000: the phase times
-        // under test are workload-light (detection + the recovery rounds),
-        // while post-fault check traffic scales with nodes*ops and at 512+
-        // nodes turns the drain into a 100M+-event retry storm that can
-        // even tip a mid-storm watchdog restart — a valid execution, but
-        // tens of minutes of host time for no additional signal.
         for &n in &[512usize, 1024] {
-            let t = recovery_times(n, TopologyKind::Mesh2D, 7, 600);
+            let t = recovery_times(n, TopologyKind::Mesh2D, 7);
             let p2_share = (t[1] - t[0]) / t[3];
             sheet.push(format!("mesh/nodes={n}"), &t);
             println!(

@@ -7,6 +7,7 @@ use flash_core::{Faults, FcMachine};
 use flash_hive::CellLayout;
 use flash_machine::FaultSpec;
 use flash_net::NodeId;
+use flash_obs::Counter;
 use flash_sim::{SimDuration, SimTime};
 
 /// The fault side of one run.
@@ -94,9 +95,9 @@ impl Injector {
             if node.firewall.may_write(line.page(), victim) {
                 let v = node.dir.mem_version(line).next();
                 node.dir.recovery_put(line, v);
-                st.counters.incr("wild_writes_landed");
+                st.counters.incr(Counter::WildWritesLanded);
             } else {
-                st.counters.incr("wild_writes_blocked");
+                st.counters.incr(Counter::WildWritesBlocked);
             }
             self.detectable = true;
         }

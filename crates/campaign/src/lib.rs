@@ -173,6 +173,11 @@ mod tests {
             r.violations
         );
         assert!(!r.trace.is_empty(), "failures must capture the trace");
+        // The post-mortem snapshot sums every layer's counters: the
+        // fabric's traffic and the machine's landed wild write.
+        for counter in ["\"packets_sent\": ", "\"wild_writes_landed\": 1"] {
+            assert!(r.metrics_json.contains(counter), "{}", r.metrics_json);
+        }
 
         let t = triage(&r, None);
         assert!(t.reproduced, "seed replay must reproduce the violation");

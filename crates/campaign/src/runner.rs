@@ -150,15 +150,16 @@ fn finalize(
     let mut violations = invariants::check_all(m, &ctx);
     violations.extend(extra);
     let obs = &m.st().obs;
-    // Flight-recorder mode: the event tail and metrics snapshot are only
-    // materialized for failing runs (the post-mortem input).
+    // Flight-recorder mode: the event tail and metrics snapshot (every
+    // layer's counters summed, plus the histograms) are only materialized
+    // for failing runs (the post-mortem input).
     let (trace, trace_tail_json, metrics_json) = if violations.is_empty() {
         (String::new(), String::new(), String::new())
     } else {
         (
             obs.render(),
             flash_obs::tail_json(obs, 64),
-            obs.metrics.snapshot_json(),
+            obs.metrics.snapshot_json(&m.st().counters_total()),
         )
     };
     RunRecord {

@@ -20,7 +20,7 @@ use crate::line::{LineAddr, MemLayout, Version};
 use crate::msg::CohMsg;
 use crate::nodeset::NodeSet;
 use flash_net::NodeId;
-use flash_sim::Counters;
+use flash_net::{Counter, Counters};
 
 /// Directory state of one line.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -191,11 +191,6 @@ impl Directory {
         self.home
     }
 
-    /// Number of lines homed here.
-    pub fn num_lines(&self) -> usize {
-        self.entries.len()
-    }
-
     /// The state of the line at local index `i`.
     fn get(&self, i: usize) -> DirState {
         match self.entries[i] {
@@ -352,11 +347,11 @@ impl Directory {
                 )
             }
             DirState::PendingInvals { .. } | DirState::PendingRecall { .. } => {
-                self.counters.incr("naks_sent");
+                self.counters.incr(Counter::NaksSent);
                 Outcome::send(from, CohMsg::Nak { line })
             }
             DirState::Incoherent => {
-                self.counters.incr("incoherent_accesses");
+                self.counters.incr(Counter::IncoherentAccesses);
                 Outcome::send(from, CohMsg::IncoherentErr { line })
             }
         }
@@ -414,7 +409,7 @@ impl Directory {
                 }
             }
             _ => {
-                self.counters.incr("upgrade_fallbacks");
+                self.counters.incr(Counter::UpgradeFallbacks);
                 self.on_getx(i, line, from, true)
             }
         }
@@ -463,11 +458,11 @@ impl Directory {
                 )
             }
             DirState::PendingInvals { .. } | DirState::PendingRecall { .. } => {
-                self.counters.incr("naks_sent");
+                self.counters.incr(Counter::NaksSent);
                 Outcome::send(from, CohMsg::Nak { line })
             }
             DirState::Incoherent => {
-                self.counters.incr("incoherent_accesses");
+                self.counters.incr(Counter::IncoherentAccesses);
                 Outcome::send(from, CohMsg::IncoherentErr { line })
             }
         }
@@ -530,7 +525,7 @@ impl Directory {
                 // Stale or duplicate writeback (e.g. after a recovery reset):
                 // acknowledge so the writer can forget the line, change
                 // nothing.
-                self.counters.incr("unexpected_puts");
+                self.counters.incr(Counter::UnexpectedPuts);
                 Outcome::send(from, CohMsg::PutAck { line })
             }
         }
@@ -559,7 +554,7 @@ impl Directory {
                 }
             }
             _ => {
-                self.counters.incr("unexpected_inval_acks");
+                self.counters.incr(Counter::UnexpectedInvalAcks);
                 Outcome::default()
             }
         }
@@ -575,7 +570,7 @@ impl Directory {
     pub fn recovery_put(&mut self, line: LineAddr, version: Version) {
         let i = self.idx(line);
         if self.entries[i] == Entry::Incoherent {
-            self.counters.incr("recovery_put_to_incoherent");
+            self.counters.incr(Counter::RecoveryPutToIncoherent);
             return;
         }
         self.versions[i] = version;

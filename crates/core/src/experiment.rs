@@ -150,15 +150,10 @@ pub fn finish_fault_experiment(mut m: FcMachine, fault: FaultSpec) -> Experiment
     // Phase C: run to quiescence (workload completion + recovery + drain).
     let finished = run_to_quiescence(&mut m, &mut true);
 
-    let bus_errors = m.st().counters.get("bus_errors");
-    let (busy_ns, services) = m.st().occupancy_totals();
-    let st = m.st_mut();
-    st.obs.metrics.add("magic_busy_ns_total", busy_ns);
-    st.obs.metrics.add("magic_services_total", services);
     ExperimentOutcome {
         validation: m.st().validate(),
         recovery: m.ext().report.clone(),
-        bus_errors,
+        bus_errors: m.st().counters.get("bus_errors"),
         end_time: m.now(),
         finished,
         trace_dropped: m.st().obs.dropped_total(),

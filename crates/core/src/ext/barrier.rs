@@ -6,6 +6,7 @@ use super::{BarState, Phase, RecEv, RecoveryExt, Sched, St, Step};
 use crate::msg::{BarrierId, RecMsg};
 use flash_machine::Ev;
 use flash_net::{Lane, NodeId};
+use flash_obs::Counter;
 
 impl RecoveryExt {
     // ------------------------------------------------------------------
@@ -172,7 +173,7 @@ impl RecoveryExt {
                     // Stalled traffic was still moving: restart the
                     // agreement (never observed to happen in the paper's
                     // experiments either, but supported).
-                    st.counters.incr("drain_agreement_restarts");
+                    st.counters.incr(Counter::DrainAgreementRestarts);
                     let rec = &mut self.nodes[node as usize];
                     *rec.bar(BarrierId::Drain1) = BarState::default();
                     *rec.bar(BarrierId::Drain2) = BarState::default();

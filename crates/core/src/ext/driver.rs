@@ -7,6 +7,7 @@ use crate::msg::{BarrierId, RecMsg};
 use flash_machine::{Ev, Extension};
 use flash_magic::{MagicMode, Trigger};
 use flash_net::{Lane, NodeId, RouterId, MAX_SOURCE_HOPS};
+use flash_obs::Counter;
 use flash_sim::Scheduler;
 
 impl Extension for RecoveryExt {
@@ -26,7 +27,7 @@ impl Extension for RecoveryExt {
         let rec = &self.nodes[node.index()];
         match rec.phase {
             Phase::Idle => {
-                st.counters.incr("recovery_triggers");
+                st.counters.incr(Counter::RecoveryTriggers);
                 // Concurrent independent triggers (many nodes timing out on
                 // the same dead home) join the active incarnation; a fresh
                 // fault after a completed recovery starts a new one.
@@ -42,7 +43,7 @@ impl Extension for RecoveryExt {
                 // Already recovering: only evidence of a *new* fault
                 // restarts the algorithm.
                 if matches!(trig, Trigger::TruncatedPacket | Trigger::AssertionFailure) {
-                    st.counters.incr("recovery_restarts_trigger");
+                    st.counters.incr(Counter::RecoveryRestartsTrigger);
                     let inc = self.cur.inc.max(rec.inc) + 1;
                     self.start(st, node.0, inc, sched);
                 }
@@ -182,7 +183,7 @@ impl Extension for RecoveryExt {
                 }
                 // No progress for a whole watchdog period: treat as an
                 // additional failure and restart.
-                st.counters.incr("recovery_watchdog_restarts");
+                st.counters.incr(Counter::RecoveryWatchdogRestarts);
                 let new_inc = self.cur.inc.max(inc) + 1;
                 self.start(st, node, new_inc, sched);
             }

@@ -7,6 +7,7 @@ use super::{all_live_in, Incarnation, Phase, PingState, RecEv, RecoveryExt, Sche
 use crate::msg::RecMsg;
 use flash_machine::Ev;
 use flash_net::{Lane, LinkProbe, NodeId, RouterId};
+use flash_obs::Counter;
 
 impl RecoveryExt {
     // ------------------------------------------------------------------
@@ -51,7 +52,7 @@ impl RecoveryExt {
             }
             self.report.phases.triggered_at = Some(sched.now());
         }
-        st.counters.incr("recovery_starts");
+        st.counters.incr(Counter::RecoveryStarts);
         st.obs.record(
             flash_obs::Domain::Recovery,
             sched.now(),

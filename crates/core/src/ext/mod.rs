@@ -48,6 +48,7 @@ use crate::view::{Tree, View};
 use flash_coherence::NodeSet;
 use flash_machine::{Ev, MachineState};
 use flash_net::{Lane, NodeId, RouterId};
+use flash_obs::Counter;
 use flash_sim::{Scheduler, SimTime};
 use std::collections::HashMap;
 
@@ -321,7 +322,7 @@ impl RecoveryExt {
                 .route_between(st.fabric.design_graph(), NodeId(from), NodeId(to)),
         };
         let Some(route) = route else {
-            st.counters.incr("recovery_msg_unroutable");
+            st.counters.incr(Counter::RecoveryMsgUnroutable);
             return;
         };
         st.send_recovery(NodeId(from), NodeId(to), route, lane, msg, sched);

@@ -10,6 +10,7 @@ use flash_coherence::NodeSet;
 use flash_machine::{Ev, FaultSpec};
 use flash_magic::MagicMode;
 use flash_net::{Lane, NodeId, RouterId, UGraph};
+use flash_obs::Counter;
 
 impl RecoveryExt {
     // ------------------------------------------------------------------
@@ -234,7 +235,7 @@ impl RecoveryExt {
         };
         self.report.lines_marked_incoherent += marked.len() as u64;
         st.counters
-            .add("lines_marked_incoherent", marked.len() as u64);
+            .add(Counter::LinesMarkedIncoherent, marked.len() as u64);
         let scan_ns = st.layout.lines_per_node() * st.params.magic.costs.dir_scan_per_line_ns;
         let inc = self.nodes[node as usize].inc;
         self.nodes[node as usize].phase = Phase::Scan;

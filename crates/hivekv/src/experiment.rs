@@ -24,7 +24,7 @@ use flash_core::{
 use flash_hive::{os, CellLayout, HiveConfig};
 use flash_machine::{FaultSpec, Idle, MachineParams};
 use flash_net::NodeId;
-use flash_obs::{Domain, TraceEvent};
+use flash_obs::{Domain, Hist, TraceEvent};
 use flash_sim::{LatencyHistogram, SimDuration};
 
 /// Aggregated user-visible serving statistics for one run.
@@ -372,9 +372,9 @@ impl PreparedKv {
             }
         }
         let metrics = &mut self.m.st_mut().obs.metrics;
-        metrics.merge_histogram("kv_request_ns", &stats.lat_ok);
-        metrics.merge_histogram("kv_request_unaffected_ns", &stats.lat_unaffected_ok);
-        metrics.merge_histogram("kv_request_error_ns", &stats.lat_err);
+        metrics.merge_histogram(Hist::KvRequestNs, &stats.lat_ok);
+        metrics.merge_histogram(Hist::KvRequestUnaffectedNs, &stats.lat_unaffected_ok);
+        metrics.merge_histogram(Hist::KvRequestErrorNs, &stats.lat_err);
         let checks = self.kv_checks(finished, faulted, &stats);
         KvOutcome {
             stats,

@@ -8,7 +8,7 @@ use crate::workload::OpResult;
 use flash_coherence::{CohMsg, HomeIn, LineAddr};
 use flash_magic::{BusError, MagicMode, Trigger};
 use flash_net::NodeId;
-use flash_obs::{Domain, TraceEvent};
+use flash_obs::{Counter, Domain, TraceEvent};
 use flash_sim::{Scheduler, SimDuration};
 
 impl<R: Clone + std::fmt::Debug> MachineState<R> {
@@ -59,7 +59,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                         st.nodes[n as usize]
                             .occupancy
                             .occupy(now, SimDuration::from_nanos(extra));
-                        st.counters.incr("degraded_accesses");
+                        st.counters.incr(Counter::DegradedAccesses);
                         if nak_turn
                             && matches!(
                                 msg,
@@ -68,7 +68,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                                     | CohMsg::UpgradeReq { .. }
                             )
                         {
-                            st.counters.incr("degraded_naks");
+                            st.counters.incr(Counter::DegradedNaks);
                             st.send_coh(NodeId(n), from, CohMsg::Nak { line }, sched);
                             return;
                         }
@@ -85,7 +85,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                             .occupancy
                             .occupy(now, SimDuration::from_nanos(costs.getx_ns + fw_cost));
                         if !st.nodes[n as usize].firewall.may_write(line.page(), from) {
-                            st.counters.incr("firewall_denials");
+                            st.counters.incr(Counter::FirewallDenials);
                             st.obs.record(
                                 Domain::Coherence,
                                 now,
@@ -141,9 +141,9 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                         .occupy(now, SimDuration::from_nanos(costs.put_ns));
                     if let CohMsg::Put { version, .. } = msg {
                         st.nodes[n as usize].dir.recovery_put(line, version);
-                        st.counters.incr("recovery_puts_absorbed");
+                        st.counters.incr(Counter::RecoveryPutsAbsorbed);
                     } else {
-                        st.counters.incr("drained_requests");
+                        st.counters.incr(Counter::DrainedRequests);
                     }
                 }
                 MagicMode::Dead | MagicMode::InfiniteLoop => {
@@ -168,7 +168,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             | CohMsg::Put { .. }
             | CohMsg::InvalAck { .. } => {
                 // Misrouted home message (should not happen).
-                st.counters.incr("misrouted_coh");
+                st.counters.incr(Counter::MisroutedCoh);
                 return;
             }
         };
@@ -271,7 +271,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             _ => (false, false),
         };
         if !expecting || st.nodes[n as usize].mode != MagicMode::Normal {
-            st.counters.incr("stale_data_replies");
+            st.counters.incr(Counter::StaleDataReplies);
             // The request this reply answers was cancelled (NAK'd at
             // recovery initiation, or bus-errored). An *exclusive* reply
             // carries the only trusted copy — MAGIC returns it to the home
@@ -314,7 +314,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         // processor discarded the wrong-path store, but the node now holds
         // the only trusted copy (Section 3.3's hazard).
         st.counters.add(
-            "speculative_exclusive_grants",
+            Counter::SpeculativeExclusiveGrants,
             u64::from(write && speculative),
         );
         let now = sched.now();
@@ -391,12 +391,12 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         let epoch = match node.proc {
             ProcState::WaitMiss { line: l, epoch, .. } if l == line => epoch,
             _ => {
-                self.counters.incr("stale_naks");
+                self.counters.incr(Counter::StaleNaks);
                 return;
             }
         };
         if node.naks.record_nak(threshold) {
-            self.counters.incr("nak_overflows");
+            self.counters.incr(Counter::NakOverflows);
             sched.immediately(Ev::TriggerNow {
                 node: n,
                 trig: Trigger::NakOverflow { line },
@@ -427,7 +427,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             // us the owner, and our clean shared copy is now the only
             // trusted one. Return it as a writeback so no data is ever
             // stranded (mirrors the cancelled exclusive-grant bounce).
-            st.counters.incr("stale_upgrade_acks");
+            st.counters.incr(Counter::StaleUpgradeAcks);
             let version = st.nodes[n as usize]
                 .cache
                 .invalidate(line)
@@ -459,7 +459,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                 // Our copy vanished between request and grant (cannot
                 // normally happen — the home only acks listed sharers);
                 // recover by refetching in full.
-                st.counters.incr("upgrade_ack_without_copy");
+                st.counters.incr(Counter::UpgradeAckWithoutCopy);
                 let home = st.layout.home_of(line);
                 st.send_coh(NodeId(n), home, CohMsg::GetX { line }, sched);
                 return;
@@ -493,7 +493,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         let node = &st.nodes[n as usize];
         let matches_line = matches!(node.proc, ProcState::WaitMiss { line: l, .. } if l == line);
         if !matches_line {
-            st.counters.incr("stale_error_replies");
+            st.counters.incr(Counter::StaleErrorReplies);
             return;
         }
         if node.current_is_speculative {

@@ -9,7 +9,7 @@ use crate::node::{DegradedRange, ProcState};
 use flash_coherence::LineAddr;
 use flash_magic::{MagicMode, Trigger};
 use flash_net::NodeId;
-use flash_obs::{Domain, TraceEvent};
+use flash_obs::{Counter, Domain, TraceEvent};
 use flash_sim::{Scheduler, SimDuration, SimTime};
 
 impl<R: Clone + std::fmt::Debug> MachineState<R> {
@@ -107,7 +107,7 @@ impl<X: Extension> MachineWorld<X> {
     /// Services an `Ev::Fault`: applies the physical effect and raises the
     /// triggers the fault's detection produces.
     pub(super) fn handle_fault(&mut self, spec: FaultSpec, sched: &mut Scheduler<'_, Ev<X::Ev>>) {
-        self.st.counters.incr("faults_injected");
+        self.st.counters.incr(Counter::FaultsInjected);
         let mut singles: Vec<&FaultSpec> = Vec::new();
         match &spec {
             FaultSpec::Multi(list) => singles.extend(list.iter()),

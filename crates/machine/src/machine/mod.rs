@@ -53,7 +53,8 @@ use crate::workload::Workload;
 use flash_coherence::{CohMsg, MemLayout, NodeSet};
 use flash_magic::Trigger;
 use flash_net::{Fabric, Hypercube, Lane, Mesh2D, NodeId, SourceRoute, Topology};
-use flash_sim::{Counters, DetRng, Engine, RunOutcome, Scheduler, SimDuration, SimTime};
+use flash_obs::{Counter, Counters, Hist};
+use flash_sim::{DetRng, Engine, RunOutcome, Scheduler, SimDuration, SimTime};
 
 /// Events driving the machine, generic over the extension's event type `E`.
 #[derive(Clone, Debug)]
@@ -167,7 +168,7 @@ impl Extension for NullExtension {
         _trig: Trigger,
         _sched: &mut Scheduler<'_, Ev<()>>,
     ) {
-        st.counters.incr("ignored_triggers");
+        st.counters.incr(Counter::IgnoredTriggers);
     }
     fn on_event(
         &mut self,
@@ -203,7 +204,8 @@ pub struct MachineState<R> {
     pub nodes: Vec<NodeCtx<R>>,
     /// The validation oracle.
     pub oracle: Oracle,
-    /// Machine-level statistics.
+    /// Machine-level counters; [`MachineState::counters_total`] adds the
+    /// fabric's and every directory's.
     pub counters: Counters,
     /// Ground-truth set of failed nodes (fault injector's view).
     pub failed_nodes: NodeSet,
@@ -293,6 +295,17 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             Some(v) => v,
             None => self.invariant_failure(what),
         }
+    }
+
+    /// The machine's, the fabric's and every directory's counters summed:
+    /// the one counter report of a run.
+    pub fn counters_total(&self) -> Counters {
+        let mut total = self.counters.clone();
+        total.merge(self.fabric.counters());
+        for n in &self.nodes {
+            total.merge(n.dir.counters());
+        }
+        total
     }
 
     /// Nodes that are operational according to ground truth.
@@ -432,7 +445,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         );
         self.obs
             .metrics
-            .observe("magic_handler_ns", SimDuration::from_nanos(cost_ns));
+            .observe(Hist::MagicHandlerNs, SimDuration::from_nanos(cost_ns));
     }
 
     /// Total controller busy time and services across all nodes, for
@@ -478,11 +491,6 @@ impl<X: Extension + Clone> Checkpoint<X> {
     /// called any number of times; forks are independent.
     pub fn fork(&self) -> Machine<X> {
         self.0.clone()
-    }
-
-    /// Simulated time at which the snapshot was taken.
-    pub fn taken_at(&self) -> SimTime {
-        self.0.now()
     }
 
     /// Read access to the snapshotted machine state (inspection only).
@@ -547,17 +555,12 @@ impl<X: Extension> Machine<X> {
             .st
             .obs
             .metrics
-            .observe_count("engine_queue_depth", self.engine.pending() as u64);
+            .observe_count(Hist::EngineQueueDepth, self.engine.pending() as u64);
     }
 
     /// Schedules a fault at an absolute time.
     pub fn schedule_fault(&mut self, at: SimTime, spec: FaultSpec) {
         self.engine.schedule_at(at, Ev::Fault(spec));
-    }
-
-    /// Schedules an extension event at an absolute time.
-    pub fn schedule_ext(&mut self, at: SimTime, ev: X::Ev) {
-        self.engine.schedule_at(at, Ev::Ext(ev));
     }
 
     /// Read access to the machine state.
@@ -600,11 +603,5 @@ impl<X: Extension> Machine<X> {
     /// Sets the engine's livelock guard.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.engine.set_event_budget(budget);
-    }
-
-    /// Whether the event queue has drained: no event of any kind is
-    /// pending, so nothing further can happen.
-    pub fn is_quiescent(&self) -> bool {
-        self.engine.pending() == 0
     }
 }

@@ -9,6 +9,7 @@ use crate::workload::{OpResult, ProcOp};
 use flash_coherence::{CohMsg, LineAddr};
 use flash_magic::{BusError, MagicMode};
 use flash_net::NodeId;
+use flash_obs::Counter;
 use flash_sim::{Scheduler, SimDuration, SimTime};
 
 impl<R: Clone + std::fmt::Debug> MachineState<R> {
@@ -24,7 +25,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         node.naks.reset();
         if matches!(result, OpResult::BusError(_)) {
             node.bus_errors += 1;
-            self.counters.incr("bus_errors");
+            self.counters.incr(Counter::BusErrors);
         }
         node.workload.on_result(NodeId(n), now, result);
     }
@@ -111,7 +112,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                 // Miss path: node-map check, then request to the home.
                 let home = st.layout.home_of(line);
                 if !st.nodes[n as usize].node_map.is_available(home) {
-                    st.counters.incr("node_map_bus_errors");
+                    st.counters.incr(Counter::NodeMapBusErrors);
                     if speculative {
                         st.complete_discarded_speculation(n, sched);
                     } else {
@@ -159,7 +160,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                     return;
                 }
                 if !st.nodes[n as usize].node_map.is_available(dev) {
-                    st.counters.incr("node_map_bus_errors");
+                    st.counters.incr(Counter::NodeMapBusErrors);
                     st.complete_local_bus_error(n, BusError::DeadHome, sched);
                     return;
                 }
@@ -217,7 +218,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                     return; // consumed during recovery; requester is saved-read
                 }
                 if !st.nodes[n as usize].io_guard.allows(from) {
-                    st.counters.incr("io_guard_denials");
+                    st.counters.incr(Counter::IoGuardDenials);
                     st.send_unc(NodeId(n), from, UncMsg::IoDenied { tag }, sched);
                     return;
                 }
@@ -229,7 +230,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                     return;
                 }
                 if !st.nodes[n as usize].io_guard.allows(from) {
-                    st.counters.incr("io_guard_denials");
+                    st.counters.incr(Counter::IoGuardDenials);
                     st.send_unc(NodeId(n), from, UncMsg::IoDenied { tag }, sched);
                     return;
                 }
@@ -245,9 +246,9 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                     st.finish_op(n, now, OpResult::Ok(Some(value)));
                     sched.at(st.nodes[n as usize].occupancy.busy_until(), Ev::ProcNext(n));
                 } else if node.uncached.deliver_late(tag, value) {
-                    st.counters.incr("late_uncached_replies_saved");
+                    st.counters.incr(Counter::LateUncachedRepliesSaved);
                 } else {
-                    st.counters.incr("stale_uncached_replies");
+                    st.counters.incr(Counter::StaleUncachedReplies);
                 }
             }
             UncMsg::WriteAck { tag } => {
@@ -277,7 +278,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
     ) {
         let home = self.layout.home_of(line);
         if !self.nodes[n as usize].node_map.is_available(home) {
-            self.counters.incr("node_map_bus_errors");
+            self.counters.incr(Counter::NodeMapBusErrors);
             self.complete_local_bus_error(n, BusError::DeadHome, sched);
             return;
         }
@@ -295,7 +296,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         let now = sched.now();
         self.nodes[n as usize].current_is_speculative = false;
         self.finish_op(n, now, OpResult::Ok(None));
-        self.counters.incr("speculative_faults_discarded");
+        self.counters.incr(Counter::SpeculativeFaultsDiscarded);
         let resume = self.nodes[n as usize].occupancy.busy_until().max(now);
         sched.at(resume, Ev::ProcNext(n));
     }
@@ -324,7 +325,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         }
         match self.nodes[n as usize].cache.lookup(line) {
             Some(l) if !l.exclusive && self.params.upgrades_enabled => {
-                self.counters.incr("upgrade_requests");
+                self.counters.incr(Counter::UpgradeRequests);
                 CohMsg::UpgradeReq { line }
             }
             Some(l) if !l.exclusive => {

@@ -9,7 +9,7 @@ use crate::payload::Payload;
 use flash_coherence::{CohMsg, LineAddr};
 use flash_magic::Trigger;
 use flash_net::{DeliveryNote, Lane, NetEv, NodeId, Packet, Route, SendError};
-use flash_obs::{Domain, TraceEvent};
+use flash_obs::{Counter, Domain, TraceEvent};
 use flash_sim::{Scheduler, SimDuration, SimTime, World};
 
 /// The [`World`] implementation: machine state + extension.
@@ -109,7 +109,7 @@ impl<X: Extension> World for MachineWorld<X> {
                         _ => LineAddr(0),
                     };
                     let trig = Trigger::MemOpTimeout { line };
-                    self.st.counters.incr("timeout_triggers");
+                    self.st.counters.incr(Counter::TimeoutTriggers);
                     self.st.obs.record(
                         Domain::Machine,
                         sched.now(),
@@ -157,7 +157,7 @@ impl<X: Extension> World for MachineWorld<X> {
                     return;
                 };
                 let trig = Trigger::HeartbeatTimeout;
-                self.st.counters.incr("heartbeat_triggers");
+                self.st.counters.incr(Counter::HeartbeatTriggers);
                 self.st.obs.record(
                     Domain::Machine,
                     sched.now(),
@@ -245,7 +245,7 @@ impl<X: Extension> MachineWorld<X> {
             st.nodes[n as usize]
                 .occupancy
                 .occupy(now, SimDuration::from_nanos(costs.error_ns));
-            st.counters.incr("truncated_dispatches");
+            st.counters.incr(Counter::TruncatedDispatches);
             st.record_dispatch(n, "error", costs.error_ns, now);
             // A data-carrying coherence packet that was truncated names the
             // line whose data flits were lost; it can be marked directly.

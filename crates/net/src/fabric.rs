@@ -25,10 +25,10 @@ use crate::graph::UGraph;
 use crate::ids::{Lane, LinkId, NodeId, PacketId, RouterId};
 use crate::packet::{Packet, Route};
 use crate::routing::{Hop, RoutingTables};
-use crate::slab::{PacketMeta, PacketSlab};
+use crate::slab::PacketSlab;
 use crate::topology::Topology;
-use flash_obs::{Domain, Recorder, TraceEvent};
-use flash_sim::{Counters, DetRng, SimDuration, SimTime};
+use flash_obs::{Counter, Counters, Domain, Hist, Recorder, TraceEvent};
+use flash_sim::{DetRng, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// How many dropped coherence-lane packets the fabric keeps for the
@@ -147,8 +147,8 @@ enum Target {
     Node(NodeId),
     /// Into a router output queue.
     Queue { router: u16, nbr: u8 },
-    /// Dropped (with the given counter name).
-    Sink(&'static str),
+    /// Dropped (counted under the given reason).
+    Sink(Counter),
 }
 
 /// A neighbor entry in a router's adjacency list.
@@ -344,10 +344,10 @@ impl<P: std::fmt::Debug> Fabric<P> {
         let lane = pkt.lane;
         let q = &mut self.inj_queues[node.index()][lane.index()];
         if !q.has_space(pkt.flits, self.params.node_out_flits) {
-            self.counters.incr("inject_full");
+            self.counters.incr(Counter::InjectFull);
             return Err(SendError::Full(pkt));
         }
-        pkt.id = self.slab.alloc(now);
+        pkt.id = self.slab.alloc();
         let id = pkt.id;
         if lane.is_coherence() {
             self.in_flight_coherence += 1;
@@ -356,7 +356,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
         let newly_head = q.q.is_empty();
         let (dst, flits) = (pkt.dst, pkt.flits);
         q.q.push_back(pkt);
-        self.counters.incr("packets_sent");
+        self.counters.incr(Counter::PacketsSent);
         obs.record(
             Domain::Net,
             now,
@@ -370,14 +370,14 @@ impl<P: std::fmt::Debug> Fabric<P> {
         // Only an idle queue needs a kick: a non-empty queue already has a
         // TryMove/Arrived chain in flight that will reach this packet.
         if newly_head {
-            obs.metrics.incr("net_trymove_kicks");
+            self.counters.incr(Counter::NetTrymoveKicks);
             q.head_since = now;
             out.push((
                 SimDuration::ZERO,
                 NetEv::TryMove(QueueRef::Inj { node: node.0 }, lane),
             ));
         } else {
-            obs.metrics.incr("net_trymove_coalesced");
+            self.counters.incr(Counter::NetTrymoveCoalesced);
         }
         Ok(id)
     }
@@ -529,16 +529,6 @@ impl<P: std::fmt::Debug> Fabric<P> {
         }
     }
 
-    /// Installs new routing tables (the interconnect-recovery step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table dimensions do not match the fabric.
-    pub fn install_tables(&mut self, tables: RoutingTables) {
-        assert_eq!(tables.num_routers(), self.n_routers);
-        self.tables = tables;
-    }
-
     /// Read access to the installed routing tables.
     pub fn tables(&self) -> &RoutingTables {
         &self.tables
@@ -581,17 +571,6 @@ impl<P: std::fmt::Debug> Fabric<P> {
         self.dropped_unlogged
     }
 
-    /// Bookkeeping for a packet still inside the fabric (queued or in
-    /// transit); `None` once it has been delivered or dropped.
-    pub fn packet_meta(&self, id: PacketId) -> Option<PacketMeta> {
-        self.slab.get(id).copied()
-    }
-
-    /// Number of packets currently inside the fabric on any lane.
-    pub fn in_flight_packets(&self) -> usize {
-        self.slab.live()
-    }
-
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
@@ -627,7 +606,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
                     if dst.0 == at.0 {
                         Target::Node(dst)
                     } else {
-                        Target::Sink("drop_misroute")
+                        Target::Sink(Counter::DropMisroute)
                     }
                 }
                 Hop::Toward(v) => match self.nbr_index(at, v) {
@@ -635,10 +614,10 @@ impl<P: std::fmt::Debug> Fabric<P> {
                         router: at.0,
                         nbr: j,
                     },
-                    None => Target::Sink("drop_misroute"),
+                    None => Target::Sink(Counter::DropMisroute),
                 },
-                Hop::Discard => Target::Sink("drop_discard"),
-                Hop::Unreachable => Target::Sink("drop_unreachable"),
+                Hop::Discard => Target::Sink(Counter::DropDiscard),
+                Hop::Unreachable => Target::Sink(Counter::DropUnreachable),
             },
             Route::Source { hops, consumed } => {
                 let idx = usize::from(consumed) + usize::from(consumes_hop);
@@ -650,7 +629,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
                             router: at.0,
                             nbr: j,
                         },
-                        None => Target::Sink("drop_bad_source_route"),
+                        None => Target::Sink(Counter::DropBadSourceRoute),
                     }
                 }
             }
@@ -664,24 +643,23 @@ impl<P: std::fmt::Debug> Fabric<P> {
             .map(|i| i as u8)
     }
 
-    fn drop_packet(
-        &mut self,
-        pkt: Packet<P>,
-        reason: &'static str,
-        now: SimTime,
-        obs: &mut Recorder,
-    ) {
+    fn drop_packet(&mut self, pkt: Packet<P>, reason: Counter, now: SimTime, obs: &mut Recorder) {
         if let Some(meta) = self.slab.release(pkt.id) {
             self.counters
-                .add("links_crossed", u64::from(meta.links_crossed));
+                .add(Counter::LinksCrossed, u64::from(meta.links_crossed));
         }
         if pkt.lane.is_coherence() {
             self.in_flight_coherence -= 1;
         }
         self.counters.incr(reason);
-        self.counters.incr("packets_dropped");
-        obs.record(Domain::Net, now, TraceEvent::PacketDropped { reason });
-        obs.metrics.incr("net_packets_dropped");
+        self.counters.incr(Counter::PacketsDropped);
+        obs.record(
+            Domain::Net,
+            now,
+            TraceEvent::PacketDropped {
+                reason: reason.name(),
+            },
+        );
         // Keep a bounded log of dropped packets: the incoherence oracle
         // inspects it for lost sole-copy writebacks and grants, and learns
         // from the count how many it cannot inspect.
@@ -712,7 +690,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
                     q.q.drain(..).collect()
                 };
                 for pkt in drained {
-                    self.drop_packet(pkt, "drop_dead_router_buffer", now, obs);
+                    self.drop_packet(pkt, Counter::DropDeadRouterBuffer, now, obs);
                 }
                 return;
             }
@@ -727,7 +705,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
                     q.q.drain(..).collect()
                 };
                 for pkt in drained {
-                    self.drop_packet(pkt, "drop_dead_router_buffer", now, obs);
+                    self.drop_packet(pkt, Counter::DropDeadRouterBuffer, now, obs);
                 }
                 return;
             }
@@ -763,9 +741,9 @@ impl<P: std::fmt::Debug> Fabric<P> {
                 (pkt, more)
             };
             let reason = if link_dead {
-                "drop_blackhole_link"
+                Counter::DropBlackholeLink
             } else {
-                "drop_dead_router"
+                Counter::DropDeadRouter
             };
             self.drop_packet(pkt, reason, now, obs);
             if more {
@@ -807,7 +785,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
                     let more = !q.q.is_empty();
                     (pkt, more)
                 };
-                self.drop_packet(pkt, "drop_stall_discard", now, obs);
+                self.drop_packet(pkt, Counter::DropStallDiscard, now, obs);
                 if more {
                     out.push((SimDuration::ZERO, NetEv::TryMove(qr, lane)));
                 }
@@ -856,7 +834,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
                     let more = !q.q.is_empty();
                     (pkt, more)
                 };
-                self.drop_packet(pkt, "drop_lossy_link", now, obs);
+                self.drop_packet(pkt, Counter::DropLossyLink, now, obs);
                 if more {
                     out.push((SimDuration::ZERO, NetEv::TryMove(qr, lane)));
                 }
@@ -935,7 +913,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
                 if failed_at > transit.send_time {
                     pkt.truncated = true;
                     pkt.flits = 1; // Header only; data flits were lost.
-                    self.counters.incr("packets_truncated");
+                    self.counters.incr(Counter::PacketsTruncated);
                 }
             }
         }
@@ -971,13 +949,13 @@ impl<P: std::fmt::Debug> Fabric<P> {
             Target::Node(nd) => {
                 let q = &mut self.node_in[nd.index()][lane.index()];
                 if q.sink {
-                    self.drop_packet(pkt, "drop_dead_node", now, obs);
+                    self.drop_packet(pkt, Counter::DropDeadNode, now, obs);
                     return;
                 }
                 let mut hops = 0u8;
                 if let Some(meta) = self.slab.release(pkt.id) {
                     self.counters
-                        .add("links_crossed", u64::from(meta.links_crossed));
+                        .add(Counter::LinksCrossed, u64::from(meta.links_crossed));
                     hops = meta.links_crossed.min(u32::from(u8::MAX)) as u8;
                 }
                 if lane.is_coherence() {
@@ -987,7 +965,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
                 q.flits += pkt.flits;
                 let truncated = pkt.truncated;
                 q.q.push_back(pkt);
-                self.counters.incr("packets_delivered");
+                self.counters.incr(Counter::PacketsDelivered);
                 obs.record(
                     Domain::Net,
                     now,
@@ -999,12 +977,12 @@ impl<P: std::fmt::Debug> Fabric<P> {
                     },
                 );
                 obs.metrics
-                    .observe_count("net_packet_hops", u64::from(hops));
+                    .observe_count(Hist::NetPacketHops, u64::from(hops));
                 delivered.push(DeliveryNote { node: nd, lane });
             }
             Target::Queue { router, nbr } => {
                 if self.router_failed[router as usize].is_some() {
-                    self.drop_packet(pkt, "drop_dead_router", now, obs);
+                    self.drop_packet(pkt, Counter::DropDeadRouter, now, obs);
                     return;
                 }
                 let q = &mut self.out_queues[router as usize][nbr as usize][lane.index()];
@@ -1014,14 +992,14 @@ impl<P: std::fmt::Debug> Fabric<P> {
                 // A non-empty downstream queue already has an event chain
                 // (in-transit Arrived or a blocked-head retry poll) in flight.
                 if newly_head {
-                    obs.metrics.incr("net_trymove_kicks");
+                    self.counters.incr(Counter::NetTrymoveKicks);
                     q.head_since = now;
                     out.push((
                         SimDuration::ZERO,
                         NetEv::TryMove(QueueRef::Out { router, nbr }, lane),
                     ));
                 } else {
-                    obs.metrics.incr("net_trymove_coalesced");
+                    self.counters.incr(Counter::NetTrymoveCoalesced);
                 }
             }
             Target::Sink(reason) => {

@@ -49,5 +49,8 @@ pub use graph::UGraph;
 pub use ids::{Lane, LinkId, NodeId, PacketId, RouterId};
 pub use packet::{Packet, Route, SourceRoute, MAX_SOURCE_HOPS};
 pub use routing::{channel_dependencies_acyclic, up_down_tables, Hop, RoutingTables};
-pub use slab::PacketMeta;
 pub use topology::{Hypercube, LinkSpec, Mesh2D, Topology};
+
+// The counter registry the fabric writes, re-exported for the directory
+// layer above it, which reaches flash-obs only through this crate.
+pub use flash_obs::{Counter, Counters};

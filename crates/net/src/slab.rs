@@ -1,15 +1,12 @@
 //! Per-packet bookkeeping, interned in a slab keyed by [`PacketId`].
 
 use crate::ids::PacketId;
-use flash_sim::SimTime;
 
 /// Bookkeeping the fabric keeps for each in-flight packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PacketMeta {
-    /// When the packet was accepted into its injection queue.
-    pub injected_at: SimTime,
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct PacketMeta {
     /// Router-to-router link crossings taken so far.
-    pub links_crossed: u32,
+    pub(crate) links_crossed: u32,
 }
 
 #[derive(Clone, Debug)]
@@ -32,16 +29,12 @@ struct Slot {
 pub(crate) struct PacketSlab {
     slots: Vec<Slot>,
     free: Vec<u32>,
-    live: usize,
 }
 
 impl PacketSlab {
     /// Interns metadata for a newly injected packet, returning its id.
-    pub(crate) fn alloc(&mut self, injected_at: SimTime) -> PacketId {
-        let meta = PacketMeta {
-            injected_at,
-            links_crossed: 0,
-        };
+    pub(crate) fn alloc(&mut self) -> PacketId {
+        let meta = PacketMeta::default();
         let slot = match self.free.pop() {
             Some(s) => {
                 let sl = &mut self.slots[s as usize];
@@ -58,7 +51,6 @@ impl PacketSlab {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.live += 1;
         PacketId(u64::from(slot) | (u64::from(self.slots[slot as usize].gen) << 32))
     }
 
@@ -70,12 +62,7 @@ impl PacketSlab {
         (s.live && s.gen == gen).then_some(slot)
     }
 
-    /// Metadata for a live packet; `None` once the packet retired.
-    pub(crate) fn get(&self, id: PacketId) -> Option<&PacketMeta> {
-        self.decode(id).map(|s| &self.slots[s].meta)
-    }
-
-    /// Mutable metadata for a live packet.
+    /// Mutable metadata for a live packet; `None` once the packet retired.
     pub(crate) fn get_mut(&mut self, id: PacketId) -> Option<&mut PacketMeta> {
         self.decode(id).map(|s| &mut self.slots[s].meta)
     }
@@ -88,13 +75,7 @@ impl PacketSlab {
         s.live = false;
         s.gen = s.gen.wrapping_add(1);
         self.free.push(slot as u32);
-        self.live -= 1;
         Some(s.meta)
-    }
-
-    /// Number of live (in-flight) packets.
-    pub(crate) fn live(&self) -> usize {
-        self.live
     }
 }
 
@@ -105,33 +86,31 @@ mod tests {
     #[test]
     fn alloc_lookup_release_roundtrip() {
         let mut slab = PacketSlab::default();
-        let a = slab.alloc(SimTime::from_nanos(5));
-        let b = slab.alloc(SimTime::from_nanos(6));
+        let a = slab.alloc();
+        let b = slab.alloc();
         assert_ne!(a, b);
-        assert_eq!(slab.live(), 2);
         slab.get_mut(a).unwrap().links_crossed = 3;
-        assert_eq!(slab.get(a).unwrap().links_crossed, 3);
+        assert_eq!(slab.get_mut(a).unwrap().links_crossed, 3);
         let meta = slab.release(a).unwrap();
-        assert_eq!(meta.injected_at, SimTime::from_nanos(5));
         assert_eq!(meta.links_crossed, 3);
-        assert_eq!(slab.live(), 1);
         // The released id is stale: lookups miss, double-release is a no-op.
-        assert!(slab.get(a).is_none());
+        assert!(slab.get_mut(a).is_none());
         assert!(slab.release(a).is_none());
-        assert!(slab.get(b).is_some());
+        assert!(slab.get_mut(b).is_some());
     }
 
     #[test]
     fn slots_recycle_with_fresh_generations() {
         let mut slab = PacketSlab::default();
-        let a = slab.alloc(SimTime::ZERO);
+        let a = slab.alloc();
+        slab.get_mut(a).unwrap().links_crossed = 7;
         slab.release(a);
-        let b = slab.alloc(SimTime::from_nanos(1));
-        // Same slot, different generation → different id.
+        let b = slab.alloc();
+        // Same slot, different generation → different id, fresh metadata.
         assert_eq!(a.0 & 0xFFFF_FFFF, b.0 & 0xFFFF_FFFF);
         assert_ne!(a, b);
-        assert!(slab.get(a).is_none());
-        assert_eq!(slab.get(b).unwrap().injected_at, SimTime::from_nanos(1));
+        assert!(slab.get_mut(a).is_none());
+        assert_eq!(slab.get_mut(b).unwrap().links_crossed, 0);
     }
 
     #[test]
@@ -140,7 +119,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let mut live = Vec::new();
         for round in 0..1_000u64 {
-            let id = slab.alloc(SimTime::from_nanos(round));
+            let id = slab.alloc();
             assert!(seen.insert(id), "id reused: {id:?}");
             live.push(id);
             if round % 3 == 0 {
@@ -148,6 +127,6 @@ mod tests {
                 slab.release(id);
             }
         }
-        assert_eq!(slab.live(), live.len());
+        assert!(live.iter().all(|&id| slab.get_mut(id).is_some()));
     }
 }

@@ -14,9 +14,11 @@
 //!   from `flash-sim`) plus a global sequence counter, so the merged
 //!   trace is totally ordered and bit-identical across campaign worker
 //!   counts. Disabled domains cost one load + branch per record call.
-//! * [`Metrics`] — counters and fixed-bucket latency histograms
-//!   (handler occupancy, queue depth, per-phase latency), allocation-free
-//!   on the steady-state hot path and a single branch when disabled.
+//! * [`Counter`] / [`Counters`] — the typed event counters the machine,
+//!   the fabric and each directory keep (NAKs, denials, bus errors,
+//!   drops); [`Hist`] / [`Metrics`] — fixed-bucket histograms (handler
+//!   occupancy, queue depth, hops, KV latency), a single branch when
+//!   disabled.
 //! * Exporters — [`chrome_trace_json`] (Perfetto / `chrome://tracing`),
 //!   [`phase_timeline`] (the per-node P1–P4 table), and [`tail_json`]
 //!   (the flight-recorder tail campaign post-mortems embed on invariant
@@ -25,8 +27,8 @@
 //! # Examples
 //!
 //! ```
-//! use flash_obs::{chrome_trace_json, Domain, Recorder, TraceEvent};
-//! use flash_sim::SimTime;
+//! use flash_obs::{chrome_trace_json, Domain, Hist, Recorder, TraceEvent};
+//! use flash_sim::{SimDuration, SimTime};
 //!
 //! let mut rec = Recorder::new();
 //! rec.record(
@@ -34,7 +36,7 @@
 //!     SimTime::from_nanos(250),
 //!     TraceEvent::PhaseEnter { node: 0, phase: 1, incarnation: 1 },
 //! );
-//! rec.metrics.incr("recovery_starts");
+//! rec.metrics.observe(Hist::MagicHandlerNs, SimDuration::from_nanos(140));
 //! let json = chrome_trace_json(&rec);
 //! assert!(json.contains("\"name\": \"P1\""));
 //! ```
@@ -52,7 +54,7 @@ pub use export::{
     chrome_trace_json, json_escape_str, latency_summary, phase_rows, phase_timeline, tail_json,
     PhaseRow,
 };
-pub use metrics::{Metrics, Quantiles};
+pub use metrics::{Counter, Counters, Hist, Metrics, Quantiles};
 pub use recorder::{fnv1a, MergedEvent, Recorder, DEFAULT_SHARD_CAPACITY};
 
 // The generic ring backend the recorder shards are built on, re-exported

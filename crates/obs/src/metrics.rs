@@ -1,9 +1,261 @@
-//! The metrics registry: named counters plus fixed-bucket latency
-//! histograms, allocation-free on the steady-state hot path (names are
-//! `&'static str` literals found by address comparison first) and a single
-//! branch when disabled.
+//! The metrics registry: typed event counters ([`Counter`], [`Counters`])
+//! and typed latency histograms ([`Hist`], [`Metrics`]). Every key is an
+//! enum variant indexing a fixed array, so a write is one add and a
+//! misspelt write does not compile; [`Counters::get`], the one read by
+//! name, panics on a name no [`Counter`] declares.
 
-use flash_sim::{Counters, LatencyHistogram, SimDuration};
+use flash_sim::{LatencyHistogram, SimDuration};
+use std::fmt;
+
+/// Declares a key enum whose variants are listed in name order, with
+/// `ALL`, `COUNT` and `name()`.
+macro_rules! keys {
+    ($(#[$meta:meta])* $ty:ident { $($(#[$doc:meta])* $var:ident = $name:literal,)* }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[$doc])* $var,)*
+        }
+
+        impl $ty {
+            /// Every variant, in name order.
+            pub const ALL: &'static [$ty] = &[$($ty::$var,)*];
+            /// Number of variants.
+            pub const COUNT: usize = Self::ALL.len();
+
+            /// The snake_case name reports print (and, for a [`Counter`],
+            /// the one [`Counters::get`] reads).
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$var => $name,)*
+                }
+            }
+        }
+    };
+}
+
+keys! {
+    /// An event counter. The machine, the fabric and each directory keep a
+    /// [`Counters`] of their own; the paper's containment hardware is judged
+    /// by these counts (NAK overflows, firewall and I/O-guard denials, bus
+    /// errors, packets lost on dead links).
+    Counter {
+        /// Operations that ended in a bus error (machine).
+        BusErrors = "bus_errors",
+        /// Requests that hit a degraded node's slow lines (machine).
+        DegradedAccesses = "degraded_accesses",
+        /// Spurious NAKs a degraded node sent (machine).
+        DegradedNaks = "degraded_naks",
+        /// Drain-agreement rounds restarted by moving traffic (machine).
+        DrainAgreementRestarts = "drain_agreement_restarts",
+        /// Coherence requests fielded without reply during recovery (machine).
+        DrainedRequests = "drained_requests",
+        /// Packets dropped: a source route named a non-neighbour (fabric).
+        DropBadSourceRoute = "drop_bad_source_route",
+        /// Packets dropped into a failed link (fabric).
+        DropBlackholeLink = "drop_blackhole_link",
+        /// Packets delivered to a dead node and discarded (fabric).
+        DropDeadNode = "drop_dead_node",
+        /// Packets sent toward a failed router (fabric).
+        DropDeadRouter = "drop_dead_router",
+        /// Packets lost from a failed router's buffers (fabric).
+        DropDeadRouterBuffer = "drop_dead_router_buffer",
+        /// Packets sunk by a programmed routing discard (fabric).
+        DropDiscard = "drop_discard",
+        /// Packets lost on a lossy link (fabric).
+        DropLossyLink = "drop_lossy_link",
+        /// Packets the routing tables sent nowhere valid (fabric).
+        DropMisroute = "drop_misroute",
+        /// Source-routed packets discarded after stalling (fabric).
+        DropStallDiscard = "drop_stall_discard",
+        /// Packets with no route to their destination (fabric).
+        DropUnreachable = "drop_unreachable",
+        /// Faults injected (machine).
+        FaultsInjected = "faults_injected",
+        /// Exclusive requests the firewall refused (machine).
+        FirewallDenials = "firewall_denials",
+        /// Recovery triggers raised by the heartbeat audit (machine).
+        HeartbeatTriggers = "heartbeat_triggers",
+        /// Triggers an extension without recovery ignored (machine).
+        IgnoredTriggers = "ignored_triggers",
+        /// Accesses to lines marked incoherent (directory).
+        IncoherentAccesses = "incoherent_accesses",
+        /// Sends refused by a full injection queue (fabric).
+        InjectFull = "inject_full",
+        /// Uncached accesses the I/O guard refused (machine).
+        IoGuardDenials = "io_guard_denials",
+        /// Uncached replies kept for a read that already timed out (machine).
+        LateUncachedRepliesSaved = "late_uncached_replies_saved",
+        /// Lines recovery marked incoherent (machine).
+        LinesMarkedIncoherent = "lines_marked_incoherent",
+        /// Router-to-router link crossings of finished packets (fabric).
+        LinksCrossed = "links_crossed",
+        /// Coherence messages that reached the wrong home (machine).
+        MisroutedCoh = "misrouted_coh",
+        /// NAK counters that overflowed their threshold (machine).
+        NakOverflows = "nak_overflows",
+        /// NAKs a home sent to a busy or locked line's requester (directory).
+        NaksSent = "naks_sent",
+        /// Enqueues behind a queue head whose event chain was in flight (fabric).
+        NetTrymoveCoalesced = "net_trymove_coalesced",
+        /// Enqueues into an idle queue that scheduled a move (fabric).
+        NetTrymoveKicks = "net_trymove_kicks",
+        /// Accesses the node map refused (machine).
+        NodeMapBusErrors = "node_map_bus_errors",
+        /// Packets delivered to a node (fabric).
+        PacketsDelivered = "packets_delivered",
+        /// Packets dropped, for any reason (fabric).
+        PacketsDropped = "packets_dropped",
+        /// Packets injected (fabric).
+        PacketsSent = "packets_sent",
+        /// Packets cut to their header by a link failing under them (fabric).
+        PacketsTruncated = "packets_truncated",
+        /// Recovery messages with no route to send them by (machine).
+        RecoveryMsgUnroutable = "recovery_msg_unroutable",
+        /// Recovery writebacks to lines already incoherent (directory).
+        RecoveryPutToIncoherent = "recovery_put_to_incoherent",
+        /// Writebacks absorbed while the home was recovering (machine).
+        RecoveryPutsAbsorbed = "recovery_puts_absorbed",
+        /// Recovery restarts on evidence of a new fault (machine).
+        RecoveryRestartsTrigger = "recovery_restarts_trigger",
+        /// Recovery episodes begun by any node (machine).
+        RecoveryStarts = "recovery_starts",
+        /// Triggers that started recovery (machine).
+        RecoveryTriggers = "recovery_triggers",
+        /// Recovery restarts by the no-progress watchdog (machine).
+        RecoveryWatchdogRestarts = "recovery_watchdog_restarts",
+        /// Exclusive grants that reached a speculative store (machine).
+        SpeculativeExclusiveGrants = "speculative_exclusive_grants",
+        /// Wrong-path faults the processor discarded (machine).
+        SpeculativeFaultsDiscarded = "speculative_faults_discarded",
+        /// Data replies for a request no longer outstanding (machine).
+        StaleDataReplies = "stale_data_replies",
+        /// Error replies for a request no longer outstanding (machine).
+        StaleErrorReplies = "stale_error_replies",
+        /// NAKs for a request no longer outstanding (machine).
+        StaleNaks = "stale_naks",
+        /// Uncached replies nobody waited for (machine).
+        StaleUncachedReplies = "stale_uncached_replies",
+        /// Upgrade acks for a cancelled upgrade (machine).
+        StaleUpgradeAcks = "stale_upgrade_acks",
+        /// Memory-operation timeouts that raised a trigger (machine).
+        TimeoutTriggers = "timeout_triggers",
+        /// Truncated packets a node controller dispatched (machine).
+        TruncatedDispatches = "truncated_dispatches",
+        /// Invalidation acks the directory did not expect (directory).
+        UnexpectedInvalAcks = "unexpected_inval_acks",
+        /// Stale or duplicate writebacks (directory).
+        UnexpectedPuts = "unexpected_puts",
+        /// Upgrade acks that found no shared copy to upgrade (machine).
+        UpgradeAckWithoutCopy = "upgrade_ack_without_copy",
+        /// Upgrades the home served as a full exclusive fetch (directory).
+        UpgradeFallbacks = "upgrade_fallbacks",
+        /// Upgrade requests issued (machine).
+        UpgradeRequests = "upgrade_requests",
+        /// Wild writes the firewall stopped (machine).
+        WildWritesBlocked = "wild_writes_blocked",
+        /// Wild writes that corrupted memory (machine).
+        WildWritesLanded = "wild_writes_landed",
+    }
+}
+
+keys! {
+    /// A latency or size histogram of [`Metrics`].
+    Hist {
+        /// Pending events in the engine queue, sampled once per run slice.
+        EngineQueueDepth = "engine_queue_depth",
+        /// KV requests that failed.
+        KvRequestErrorNs = "kv_request_error_ns",
+        /// KV requests that succeeded.
+        KvRequestNs = "kv_request_ns",
+        /// Successful KV requests to shards no fault touched.
+        KvRequestUnaffectedNs = "kv_request_unaffected_ns",
+        /// MAGIC handler occupancy per dispatch.
+        MagicHandlerNs = "magic_handler_ns",
+        /// Link crossings per delivered packet.
+        NetPacketHops = "net_packet_hops",
+    }
+}
+
+/// One value per [`Counter`]. Writes are always on: the counts are part of
+/// what a run reports, not optional tracing.
+///
+/// # Examples
+///
+/// ```
+/// use flash_obs::{Counter, Counters};
+///
+/// let mut c = Counters::new();
+/// c.add(Counter::PacketsSent, 3);
+/// c.incr(Counter::PacketsSent);
+/// assert_eq!(c.get("packets_sent"), 4);
+/// assert_eq!(c.get("packets_dropped"), 0);
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Counters([u64; Counter::COUNT]);
+
+impl Default for Counters {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Counters {
+    /// All counters at zero.
+    pub fn new() -> Self {
+        Counters([0; Counter::COUNT])
+    }
+
+    /// Adds `n` to counter `c`.
+    #[inline]
+    pub fn add(&mut self, c: Counter, n: u64) {
+        self.0[c as usize] += n;
+    }
+
+    /// Adds one to counter `c`.
+    #[inline]
+    pub fn incr(&mut self, c: Counter) {
+        self.add(c, 1);
+    }
+
+    /// Reads the counter named `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no [`Counter`] has that name, so a misspelt read fails
+    /// loudly instead of reading zero.
+    pub fn get(&self, name: &str) -> u64 {
+        match Counter::ALL.binary_search_by(|c| c.name().cmp(name)) {
+            Ok(i) => self.0[i],
+            Err(_) => panic!("no counter named {name:?}"),
+        }
+    }
+
+    /// Adds every counter of `other` into this set.
+    pub fn merge(&mut self, other: &Counters) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+    }
+
+    /// The non-zero counters, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
+        Counter::ALL
+            .iter()
+            .zip(self.0)
+            .filter(|&(_, v)| v != 0)
+            .map(|(&c, v)| (c, v))
+    }
+}
+
+impl fmt::Display for Counters {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (c, v) in self.iter() {
+            writeln!(f, "{}: {v}", c.name())?;
+        }
+        Ok(())
+    }
+}
 
 /// Tail-latency quantiles extracted from a fixed-bucket histogram by
 /// nearest rank: each field is the top edge of the bucket containing the
@@ -40,26 +292,23 @@ impl Quantiles {
     }
 }
 
-/// Counters and histograms recorded alongside the trace.
+/// Histograms recorded alongside the trace, one per [`Hist`]; a single
+/// branch when disabled.
 ///
 /// # Examples
 ///
 /// ```
-/// use flash_obs::Metrics;
+/// use flash_obs::{Hist, Metrics};
 /// use flash_sim::SimDuration;
 ///
 /// let mut m = Metrics::new();
-/// m.incr("handler_dispatches");
-/// m.observe("handler_cost_ns", SimDuration::from_nanos(140));
-/// assert_eq!(m.counters().get("handler_dispatches"), 1);
-/// assert_eq!(m.histogram("handler_cost_ns").unwrap().total(), 1);
+/// m.observe(Hist::MagicHandlerNs, SimDuration::from_nanos(140));
+/// assert_eq!(m.histogram(Hist::MagicHandlerNs).total(), 1);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
     enabled: bool,
-    counters: Counters,
-    /// Insertion-ordered; snapshots sort by name on demand.
-    hists: Vec<(&'static str, LatencyHistogram)>,
+    hists: [LatencyHistogram; Hist::COUNT],
 }
 
 impl Metrics {
@@ -67,18 +316,13 @@ impl Metrics {
     pub fn new() -> Self {
         Metrics {
             enabled: true,
-            counters: Counters::new(),
-            hists: Vec::new(),
+            ..Metrics::default()
         }
     }
 
     /// Creates a disabled registry: every record call is one branch.
     pub fn disabled() -> Self {
-        Metrics {
-            enabled: false,
-            counters: Counters::new(),
-            hists: Vec::new(),
-        }
+        Metrics::default()
     }
 
     /// Enables or disables recording.
@@ -91,98 +335,57 @@ impl Metrics {
         self.enabled
     }
 
-    /// Adds `n` to counter `name`.
+    /// Records a duration sample into histogram `h`.
     #[inline]
-    pub fn add(&mut self, name: &'static str, n: u64) {
+    pub fn observe(&mut self, h: Hist, d: SimDuration) {
         if self.enabled {
-            self.counters.add(name, n);
-        }
-    }
-
-    /// Adds one to counter `name`.
-    #[inline]
-    pub fn incr(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Records a duration sample into histogram `name`.
-    #[inline]
-    pub fn observe(&mut self, name: &'static str, d: SimDuration) {
-        if self.enabled {
-            self.hist_mut(name).record(d);
+            self.hists[h as usize].record(d);
         }
     }
 
     /// Records a dimensionless count (queue depth, hop count) into
-    /// histogram `name`, using the histogram's power-of-two buckets.
+    /// histogram `h`, using the histogram's power-of-two buckets.
     #[inline]
-    pub fn observe_count(&mut self, name: &'static str, value: u64) {
-        self.observe(name, SimDuration::from_nanos(value));
+    pub fn observe_count(&mut self, h: Hist, value: u64) {
+        self.observe(h, SimDuration::from_nanos(value));
     }
 
-    fn hist_mut(&mut self, name: &'static str) -> &mut LatencyHistogram {
-        // Address comparison first: the same call site passes the same
-        // literal, so the steady state never allocates or compares bytes.
-        if let Some(i) = self.hists.iter().position(|e| std::ptr::eq(e.0, name)) {
-            return &mut self.hists[i].1;
-        }
-        if let Some(i) = self.hists.iter().position(|e| e.0 == name) {
-            return &mut self.hists[i].1;
-        }
-        self.hists.push((name, LatencyHistogram::new()));
-        &mut self.hists.last_mut().expect("just pushed").1
-    }
-
-    /// The counter set.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// Looks up a histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
-        self.hists.iter().find(|e| e.0 == name).map(|e| &e.1)
-    }
-
-    /// Iterates over all (name, histogram) pairs in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &LatencyHistogram)> {
-        let mut sorted: Vec<_> = self.hists.iter().map(|e| (e.0, &e.1)).collect();
-        sorted.sort_unstable_by_key(|e| e.0);
-        sorted.into_iter()
-    }
-
-    /// Nearest-rank tail quantiles (p50/p95/p99/p999/max) for histogram
-    /// `name`, or `None` if it was never recorded.
-    pub fn quantiles(&self, name: &str) -> Option<Quantiles> {
-        self.histogram(name).map(Quantiles::of)
-    }
-
-    /// Merges a foreign histogram into histogram `name`, bucket-wise.
-    /// Used to fold workload-local histograms (such as each KV serving
-    /// shard's latencies) into the machine's registry at collection time.
-    pub fn merge_histogram(&mut self, name: &'static str, h: &LatencyHistogram) {
+    /// Merges a foreign histogram into histogram `h`, bucket-wise. Used to
+    /// fold workload-local histograms (such as each KV serving shard's
+    /// latencies) into the machine's registry at collection time.
+    pub fn merge_histogram(&mut self, h: Hist, other: &LatencyHistogram) {
         if self.enabled {
-            self.hist_mut(name).merge(h);
+            self.hists[h as usize].merge(other);
         }
     }
 
-    /// A deterministic JSON snapshot: name-sorted counters, plus per
-    /// histogram the total and p50/p90/p95/p99/p999/max upper bounds in
-    /// nanoseconds.
-    pub fn snapshot_json(&self) -> String {
+    /// Histogram `h`.
+    pub fn histogram(&self, h: Hist) -> &LatencyHistogram {
+        &self.hists[h as usize]
+    }
+
+    /// A deterministic JSON snapshot: the non-zero `counters` in name
+    /// order, plus per non-empty histogram the total and
+    /// p50/p90/p95/p99/p999/max upper bounds in nanoseconds.
+    pub fn snapshot_json(&self, counters: &Counters) -> String {
         use std::fmt::Write;
         let mut out = String::from("{\"counters\": {");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
+        for (i, (c, v)) in counters.iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(out, "{sep}\"{}\": {v}", crate::json_escape_str(k));
+            let _ = write!(out, "{sep}\"{}\": {v}", c.name());
         }
         out.push_str("}, \"histograms\": {");
-        for (i, (k, h)) in self.histograms().enumerate() {
+        let recorded = Hist::ALL
+            .iter()
+            .zip(&self.hists)
+            .filter(|e| e.1.total() > 0);
+        for (i, (k, h)) in recorded.enumerate() {
             let sep = if i == 0 { "" } else { ", " };
             let q = Quantiles::of(h);
             let _ = write!(
                 out,
                 "{sep}\"{}\": {{\"total\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}}}",
-                crate::json_escape_str(k),
+                k.name(),
                 q.total,
                 q.p50_ns,
                 h.quantile_upper_bound(0.90).as_nanos(),
@@ -202,27 +405,61 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_metrics_record_nothing() {
-        let mut m = Metrics::disabled();
-        m.incr("x");
-        m.observe("h", SimDuration::from_nanos(5));
-        assert_eq!(m.counters().get("x"), 0);
-        assert!(m.histogram("h").is_none());
-        m.set_enabled(true);
-        m.incr("x");
-        assert_eq!(m.counters().get("x"), 1);
+    fn key_names_are_unique_nonempty_and_ascending() {
+        let counters: Vec<_> = Counter::ALL.iter().map(|c| c.name()).collect();
+        let hists: Vec<_> = Hist::ALL.iter().map(|h| h.name()).collect();
+        for names in [counters, hists] {
+            assert!(names.iter().all(|n| !n.is_empty()));
+            // Strictly ascending implies unique, and lets `Counters::get`
+            // binary-search and snapshots print in name order unsorted.
+            assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        }
+        for (i, c) in Counter::ALL.iter().enumerate() {
+            assert_eq!(*c as usize, i, "{c:?}");
+        }
+        for (i, h) in Hist::ALL.iter().enumerate() {
+            assert_eq!(*h as usize, i, "{h:?}");
+        }
     }
 
     #[test]
-    fn histograms_found_by_name_across_addresses() {
-        let mut m = Metrics::new();
-        m.observe_count("depth", 4);
-        // The same name from a runtime string (different address) must hit
-        // the same histogram via the content fallback.
-        let name: &'static str = "depth";
-        m.observe_count(name, 8);
-        assert_eq!(m.histogram("depth").unwrap().total(), 2);
-        assert_eq!(m.histograms().count(), 1);
+    fn counters_get_round_trips_every_name() {
+        let mut c = Counters::new();
+        for (i, &k) in Counter::ALL.iter().enumerate() {
+            c.add(k, i as u64 + 1);
+        }
+        for (i, &k) in Counter::ALL.iter().enumerate() {
+            assert_eq!(c.get(k.name()), i as u64 + 1, "{k:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no counter named \"packet_sent\"")]
+    fn counters_get_panics_on_an_undeclared_name() {
+        Counters::new().get("packet_sent");
+    }
+
+    #[test]
+    fn counters_merge_adds_and_iter_skips_zeros() {
+        let mut a = Counters::new();
+        a.incr(Counter::BusErrors);
+        let mut b = Counters::new();
+        b.add(Counter::BusErrors, 2);
+        b.incr(Counter::NaksSent);
+        a.merge(&b);
+        let got: Vec<_> = a.iter().collect();
+        assert_eq!(got, [(Counter::BusErrors, 3), (Counter::NaksSent, 1)]);
+        assert_eq!(a.to_string(), "bus_errors: 3\nnaks_sent: 1\n");
+    }
+
+    #[test]
+    fn disabled_metrics_record_nothing() {
+        let mut m = Metrics::disabled();
+        m.observe(Hist::MagicHandlerNs, SimDuration::from_nanos(5));
+        assert_eq!(m.histogram(Hist::MagicHandlerNs).total(), 0);
+        m.set_enabled(true);
+        m.observe(Hist::MagicHandlerNs, SimDuration::from_nanos(5));
+        assert_eq!(m.histogram(Hist::MagicHandlerNs).total(), 1);
     }
 
     #[test]
@@ -233,17 +470,18 @@ mod tests {
         // rank ceil(q*1000) <= 999), while p999 (rank 999) is still fast
         // and max is the outlier's bucket edge.
         for _ in 0..999 {
-            m.observe("req", SimDuration::from_nanos(100));
+            m.observe(Hist::KvRequestNs, SimDuration::from_nanos(100));
         }
-        m.observe("req", SimDuration::from_nanos(1_500_000));
-        let q = m.quantiles("req").expect("histogram exists");
+        m.observe(Hist::KvRequestNs, SimDuration::from_nanos(1_500_000));
+        let q = Quantiles::of(m.histogram(Hist::KvRequestNs));
         assert_eq!(q.total, 1000);
         assert_eq!(q.p50_ns, 127);
         assert_eq!(q.p95_ns, 127);
         assert_eq!(q.p99_ns, 127);
         assert_eq!(q.p999_ns, 127);
         assert_eq!(q.max_ns, 2_097_151);
-        assert!(m.quantiles("never_recorded").is_none());
+        let never = Quantiles::of(m.histogram(Hist::KvRequestErrorNs));
+        assert_eq!(never, Quantiles::default());
     }
 
     #[test]
@@ -252,11 +490,11 @@ mod tests {
         // 998 fast + 2 slow: rank ceil(0.999*1000) = 999 lands on the
         // first slow sample, so p999 must report the slow bucket.
         for _ in 0..998 {
-            m.observe("req", SimDuration::from_nanos(100));
+            m.observe(Hist::KvRequestNs, SimDuration::from_nanos(100));
         }
-        m.observe("req", SimDuration::from_nanos(1_500_000));
-        m.observe("req", SimDuration::from_nanos(1_500_000));
-        let q = m.quantiles("req").expect("histogram exists");
+        m.observe(Hist::KvRequestNs, SimDuration::from_nanos(1_500_000));
+        m.observe(Hist::KvRequestNs, SimDuration::from_nanos(1_500_000));
+        let q = Quantiles::of(m.histogram(Hist::KvRequestNs));
         assert_eq!(q.p99_ns, 127);
         assert_eq!(q.p999_ns, 2_097_151);
         assert_eq!(q.max_ns, 2_097_151);
@@ -264,33 +502,33 @@ mod tests {
 
     #[test]
     fn merge_histogram_folds_foreign_samples_in() {
-        use flash_sim::LatencyHistogram;
         let mut local = LatencyHistogram::new();
         local.record(SimDuration::from_nanos(100));
         local.record(SimDuration::from_nanos(5_000));
         let mut m = Metrics::new();
-        m.observe("req", SimDuration::from_nanos(100));
-        m.merge_histogram("req", &local);
-        assert_eq!(m.histogram("req").unwrap().total(), 3);
+        m.observe(Hist::KvRequestNs, SimDuration::from_nanos(100));
+        m.merge_histogram(Hist::KvRequestNs, &local);
+        assert_eq!(m.histogram(Hist::KvRequestNs).total(), 3);
         // A disabled registry ignores merges like any other record call.
         let mut off = Metrics::disabled();
-        off.merge_histogram("req", &local);
-        assert!(off.histogram("req").is_none());
+        off.merge_histogram(Hist::KvRequestNs, &local);
+        assert_eq!(off.histogram(Hist::KvRequestNs).total(), 0);
     }
 
     #[test]
     fn snapshot_is_sorted_and_deterministic() {
+        let mut c = Counters::new();
+        c.incr(Counter::WildWritesLanded);
+        c.incr(Counter::BusErrors);
         let mut m = Metrics::new();
-        m.incr("zeta");
-        m.incr("alpha");
-        m.observe("lat", SimDuration::from_nanos(100));
-        let a = m.snapshot_json();
-        let b = m.snapshot_json();
-        assert_eq!(a, b);
-        let alpha = a.find("alpha").unwrap();
-        let zeta = a.find("zeta").unwrap();
-        assert!(alpha < zeta, "counters must be name-sorted: {a}");
-        assert!(a.contains("\"total\": 1"), "{a}");
+        m.observe(Hist::NetPacketHops, SimDuration::from_nanos(100));
+        let a = m.snapshot_json(&c);
+        assert_eq!(a, m.snapshot_json(&c));
+        let first = a.find("bus_errors").unwrap();
+        let last = a.find("wild_writes_landed").unwrap();
+        assert!(first < last, "counters must be name-sorted: {a}");
+        assert!(a.contains("\"net_packet_hops\": {\"total\": 1"), "{a}");
+        assert!(!a.contains("naks_sent") && !a.contains("kv_request"), "{a}");
     }
 
     /// Cross-check pinning [`Quantiles::of`] to the one canonical

@@ -19,7 +19,7 @@ pub struct MergedEvent {
     pub event: TraceEvent,
 }
 
-/// The sharded trace recorder plus its metrics registry.
+/// The sharded trace recorder plus its histograms.
 ///
 /// Recording is deterministic: events carry a global sequence number
 /// assigned in dispatch order, so [`Recorder::merged`] yields one total
@@ -54,7 +54,7 @@ pub struct Recorder {
     shards: [TraceBuffer<(u64, TraceEvent)>; Domain::COUNT],
     next_seq: u64,
     mask: u8,
-    /// The metrics registry riding along with the trace.
+    /// The histograms riding along with the trace.
     pub metrics: Metrics,
 }
 
@@ -118,11 +118,6 @@ impl Recorder {
         } else {
             self.mask &= !domain.bit();
         }
-    }
-
-    /// Whether a domain records.
-    pub fn domain_enabled(&self, domain: Domain) -> bool {
-        self.mask & domain.bit() != 0
     }
 
     /// Whether any domain records.

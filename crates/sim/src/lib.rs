@@ -9,7 +9,7 @@
 //!   tie-breaking;
 //! * [`Engine`] / [`World`] / [`Scheduler`] — the event loop;
 //! * [`DetRng`] — reproducible randomness for workloads and fault injection;
-//! * [`Counters`], [`Summary`], [`LatencyHistogram`] — statistics.
+//! * [`LatencyHistogram`] — power-of-two latency buckets.
 //!
 //! Determinism is a hard requirement: a fault-injection experiment is
 //! identified by a (configuration, seed) pair and must replay identically so
@@ -55,6 +55,6 @@ mod trace;
 pub use engine::{Engine, RunOutcome, Scheduler, World};
 pub use queue::EventQueue;
 pub use rng::DetRng;
-pub use stats::{Counters, LatencyHistogram, Summary};
+pub use stats::LatencyHistogram;
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceBuffer;

@@ -1,187 +1,6 @@
-//! Lightweight statistics helpers used across the simulator: counters,
-//! running summaries and fixed-bucket histograms of simulated durations.
+//! Fixed-bucket histograms of simulated durations.
 
 use crate::time::SimDuration;
-use std::fmt;
-
-/// A named set of monotonically increasing event counters.
-///
-/// Counter names are `&'static str` literals, so the hot path (a handful of
-/// counters bumped once per simulated event) scans a small flat vector
-/// comparing *addresses* first — the same call site always passes the same
-/// literal — and falls back to content comparison only for names minted at
-/// a different address (e.g. the same literal in another crate).
-///
-/// # Examples
-///
-/// ```
-/// use flash_sim::Counters;
-///
-/// let mut c = Counters::new();
-/// c.add("packets_sent", 3);
-/// c.incr("packets_sent");
-/// assert_eq!(c.get("packets_sent"), 4);
-/// assert_eq!(c.get("never_touched"), 0);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Counters {
-    /// Insertion-ordered; [`Counters::iter`] sorts on demand.
-    entries: Vec<(&'static str, u64)>,
-}
-
-impl Counters {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to counter `name`, creating it if absent.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| std::ptr::eq(e.0, name)) {
-            e.1 += n;
-            return;
-        }
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == name) {
-            e.1 += n;
-            return;
-        }
-        self.entries.push((name, n));
-    }
-
-    /// Adds one to counter `name`.
-    pub fn incr(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
-    /// Reads counter `name`; untouched counters read as zero.
-    pub fn get(&self, name: &str) -> u64 {
-        self.entries
-            .iter()
-            .find(|e| e.0 == name)
-            .map(|e| e.1)
-            .unwrap_or(0)
-    }
-
-    /// Iterates over all (name, value) pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        let mut sorted = self.entries.clone();
-        sorted.sort_unstable_by_key(|e| e.0);
-        sorted.into_iter()
-    }
-}
-
-impl PartialEq for Counters {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-impl Eq for Counters {}
-
-impl fmt::Display for Counters {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in self.iter() {
-            writeln!(f, "{k}: {v}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Running summary (count/min/max/mean) of a stream of samples.
-///
-/// # Examples
-///
-/// ```
-/// use flash_sim::Summary;
-///
-/// let mut s = Summary::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.record(x);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert_eq!(s.mean(), 2.0);
-/// ```
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Records a simulated duration, in milliseconds.
-    pub fn record_duration_ms(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the samples; 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Minimum sample; 0 if empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum sample; 0 if empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} min={:.3} max={:.3}",
-            self.count,
-            self.mean(),
-            self.min(),
-            self.max()
-        )
-    }
-}
 
 /// A power-of-two-bucketed histogram of nanosecond durations.
 ///
@@ -274,39 +93,6 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate() {
-        let mut a = Counters::new();
-        a.incr("x");
-        a.add("y", 5);
-        a.add("y", 2);
-        a.incr("z");
-        assert_eq!(a.get("x"), 1);
-        assert_eq!(a.get("y"), 7);
-        assert_eq!(a.get("z"), 1);
-        assert_eq!(a.iter().count(), 3);
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        s.record(10.0);
-        s.record(-2.0);
-        s.record(4.0);
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.min(), -2.0);
-        assert_eq!(s.max(), 10.0);
-        assert!((s.mean() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_records_durations() {
-        let mut s = Summary::new();
-        s.record_duration_ms(SimDuration::from_millis(3));
-        assert_eq!(s.mean(), 3.0);
-    }
 
     #[test]
     fn histogram_buckets_by_magnitude() {

@@ -65,7 +65,8 @@ fn main() {
     );
     println!("\nper-node recovery phase timeline:");
     println!("{}", phase_timeline(obs));
-    println!("metrics snapshot:\n{}", obs.metrics.snapshot_json());
+    let snapshot = obs.metrics.snapshot_json(&m.st().counters_total());
+    println!("metrics snapshot:\n{snapshot}");
     println!(
         "wrote {} ({} bytes) — load it in Perfetto or chrome://tracing",
         out_path,
