@@ -539,23 +539,12 @@ impl<X: Extension> Machine<X> {
 
     /// Runs until the horizon passes or the event queue drains.
     pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        self.sample_queue_depth();
         self.engine.run(&mut self.world, horizon)
     }
 
     /// Runs for the given additional duration.
     pub fn run_for(&mut self, d: SimDuration) -> RunOutcome {
         self.run_until(self.engine.now() + d)
-    }
-
-    /// Feeds the engine's pending-event count into the queue-depth
-    /// histogram (one sample per run slice — cheap, not per event).
-    fn sample_queue_depth(&mut self) {
-        self.world
-            .st
-            .obs
-            .metrics
-            .observe_count(Hist::EngineQueueDepth, self.engine.pending() as u64);
     }
 
     /// Schedules a fault at an absolute time.

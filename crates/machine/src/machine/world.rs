@@ -330,7 +330,7 @@ impl<X: Extension> MachineWorld<X> {
                 &mut self.net_out,
                 &mut self.st.obs,
             ) {
-                Ok(_) => {
+                Ok(()) => {
                     for (d, e) in self.net_out.drain(..) {
                         sched.after(d, Ev::Net(e));
                     }

@@ -22,10 +22,9 @@
 //!   guaranteeing that the recovery lanes cannot clog (Section 4.1).
 
 use crate::graph::UGraph;
-use crate::ids::{Lane, LinkId, NodeId, PacketId, RouterId};
+use crate::ids::{Lane, LinkId, NodeId, RouterId};
 use crate::packet::{Packet, Route};
 use crate::routing::{Hop, RoutingTables};
-use crate::slab::PacketSlab;
 use crate::topology::Topology;
 use flash_obs::{Counter, Counters, Domain, Hist, Recorder, TraceEvent};
 use flash_sim::{DetRng, SimDuration, SimTime};
@@ -83,21 +82,27 @@ pub enum NetEv {
     Arrived(QueueRef, Lane),
 }
 
-/// Identifies one packet queue in the fabric.
+/// Identifies one packet queue in the fabric: an opaque index into its
+/// queue table. Node `i`'s injection queue is index `i`; each router's
+/// output ports follow, router by router, in adjacency order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueRef {
-    /// Router `router`'s output queue toward its `nbr`-th neighbor.
-    Out {
-        /// Router index.
-        router: u16,
-        /// Neighbor (port) index within the router's adjacency list.
-        nbr: u8,
-    },
-    /// Node `node`'s injection queue.
-    Inj {
-        /// Node index.
-        node: u16,
-    },
+pub struct QueueRef(u32);
+
+impl QueueRef {
+    #[inline]
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Where a queue sits: the router buffering it, the router a packet
+/// leaving it lands on, and the link it crosses (`None` for a node's
+/// injection queue, which its own router buffers and lands on).
+#[derive(Clone, Copy, Debug)]
+struct Wire {
+    at: RouterId,
+    to: RouterId,
+    link: Option<LinkId>,
 }
 
 /// Notification that a packet has been placed into a node's input queue.
@@ -130,10 +135,10 @@ pub enum SendError<P> {
     Full(Packet<P>),
 }
 
-impl<P: std::fmt::Debug> std::fmt::Display for SendError<P> {
+impl<P> std::fmt::Display for SendError<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SendError::Full(p) => write!(f, "injection queue full for packet {:?}", p.id),
+            SendError::Full(p) => write!(f, "injection queue full for a packet to {}", p.dst),
         }
     }
 }
@@ -146,7 +151,7 @@ enum Target {
     /// Into a node's input queue.
     Node(NodeId),
     /// Into a router output queue.
-    Queue { router: u16, nbr: u8 },
+    Queue(QueueRef),
     /// Dropped (counted under the given reason).
     Sink(Counter),
 }
@@ -216,14 +221,12 @@ impl<P> InQueue<P> {
 /// [`NetEv`]s into [`Fabric::handle`] and schedules the `(delay, NetEv)`
 /// pairs the fabric pushes into its `out` argument.
 ///
-/// Cloning a `Fabric` (for checkpoint/fork) deep-copies every queue, the
-/// packet slab and all failure state, so a clone evolves identically to
-/// the original under the same event sequence.
+/// Cloning a `Fabric` (for checkpoint/fork) deep-copies every queue and
+/// all failure state, so a clone evolves identically to the original
+/// under the same event sequence.
 #[derive(Clone, Debug)]
 pub struct Fabric<P> {
     params: NetParams,
-    n_routers: usize,
-    n_nodes: usize,
     adj: Vec<Vec<Nbr>>,
     link_failed: Vec<Option<SimTime>>,
     // Gray-failure state: per-link drop probability in parts per million
@@ -234,10 +237,12 @@ pub struct Fabric<P> {
     loss_rng: DetRng,
     router_failed: Vec<Option<SimTime>>,
     tables: RoutingTables,
-    out_queues: Vec<Vec<[OutQueue<P>; Lane::COUNT]>>,
-    inj_queues: Vec<[OutQueue<P>; Lane::COUNT]>,
+    // Every injection and router output queue, indexed by `QueueRef`, with
+    // each queue's wiring; `first_port[r]` is router `r`'s first port.
+    queues: Vec<[OutQueue<P>; Lane::COUNT]>,
+    wires: Vec<Wire>,
+    first_port: Vec<u32>,
     node_in: Vec<[InQueue<P>; Lane::COUNT]>,
-    slab: PacketSlab,
     in_flight_coherence: i64,
     last_coherence_delivery: Vec<SimTime>,
     counters: Counters,
@@ -267,32 +272,40 @@ impl<P: std::fmt::Debug> Fabric<P> {
         for list in &mut adj {
             list.sort_by_key(|n| n.router);
         }
-        let out_queues = (0..n_routers)
-            .map(|r| {
-                (0..adj[r].len())
-                    .map(|_| std::array::from_fn(|_| OutQueue::new()))
-                    .collect()
+        let mut wires: Vec<Wire> = (0..n_nodes as u16)
+            .map(|i| Wire {
+                at: RouterId(i),
+                to: RouterId(i),
+                link: None,
             })
             .collect();
+        let mut first_port = Vec::with_capacity(n_routers);
+        for (r, nbrs) in adj.iter().enumerate() {
+            first_port.push(wires.len() as u32);
+            wires.extend(nbrs.iter().map(|n| Wire {
+                at: RouterId(r as u16),
+                to: n.router,
+                link: Some(n.link),
+            }));
+        }
         let graph = UGraph::from_edges(n_routers, links.iter().map(|l| (l.a.0, l.b.0)));
         Fabric {
             params,
-            n_routers,
-            n_nodes,
             adj,
             link_failed: vec![None; links.len()],
             link_loss_ppm: vec![0; links.len()],
             loss_rng: DetRng::new(0xF055_11AE),
             router_failed: vec![None; n_routers],
             tables: topo.initial_tables(),
-            out_queues,
-            inj_queues: (0..n_nodes)
+            queues: wires
+                .iter()
                 .map(|_| std::array::from_fn(|_| OutQueue::new()))
                 .collect(),
+            wires,
+            first_port,
             node_in: (0..n_nodes)
                 .map(|_| std::array::from_fn(|_| InQueue::new()))
                 .collect(),
-            slab: PacketSlab::default(),
             in_flight_coherence: 0,
             last_coherence_delivery: vec![SimTime::ZERO; n_nodes],
             counters: Counters::new(),
@@ -309,12 +322,12 @@ impl<P: std::fmt::Debug> Fabric<P> {
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.n_nodes
+        self.node_in.len()
     }
 
     /// Number of routers.
     pub fn num_routers(&self) -> usize {
-        self.n_routers
+        self.adj.len()
     }
 
     /// The full (design-time) connectivity graph, failures ignored.
@@ -327,7 +340,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
         &self.adj[r.index()]
     }
 
-    /// Injects a packet, assigning it a fresh id.
+    /// Injects a packet.
     ///
     /// # Errors
     ///
@@ -336,50 +349,33 @@ impl<P: std::fmt::Debug> Fabric<P> {
     pub fn try_send(
         &mut self,
         node: NodeId,
-        mut pkt: Packet<P>,
+        pkt: Packet<P>,
         now: SimTime,
         out: &mut Vec<(SimDuration, NetEv)>,
         obs: &mut Recorder,
-    ) -> Result<PacketId, SendError<P>> {
-        let lane = pkt.lane;
-        let q = &mut self.inj_queues[node.index()][lane.index()];
+    ) -> Result<(), SendError<P>> {
+        let (lane, inj) = (pkt.lane, QueueRef(u32::from(node.0)));
+        let q = &self.queues[inj.index()][lane.index()];
         if !q.has_space(pkt.flits, self.params.node_out_flits) {
             self.counters.incr(Counter::InjectFull);
             return Err(SendError::Full(pkt));
         }
-        pkt.id = self.slab.alloc();
-        let id = pkt.id;
         if lane.is_coherence() {
             self.in_flight_coherence += 1;
         }
-        q.flits += pkt.flits;
-        let newly_head = q.q.is_empty();
-        let (dst, flits) = (pkt.dst, pkt.flits);
-        q.q.push_back(pkt);
         self.counters.incr(Counter::PacketsSent);
         obs.record(
             Domain::Net,
             now,
             TraceEvent::PacketSent {
                 src: node.0,
-                dst: dst.0,
+                dst: pkt.dst.0,
                 lane: lane.index() as u8,
-                flits,
+                flits: pkt.flits,
             },
         );
-        // Only an idle queue needs a kick: a non-empty queue already has a
-        // TryMove/Arrived chain in flight that will reach this packet.
-        if newly_head {
-            self.counters.incr(Counter::NetTrymoveKicks);
-            q.head_since = now;
-            out.push((
-                SimDuration::ZERO,
-                NetEv::TryMove(QueueRef::Inj { node: node.0 }, lane),
-            ));
-        } else {
-            self.counters.incr(Counter::NetTrymoveCoalesced);
-        }
-        Ok(id)
+        self.enqueue(inj, pkt, now, out);
+        Ok(())
     }
 
     /// Handles one fabric event, pushing follow-up events into `out` and
@@ -434,13 +430,10 @@ impl<P: std::fmt::Debug> Fabric<P> {
     /// Marks the link between two routers failed (black hole). Returns
     /// `false` if the routers are not adjacent.
     pub fn fail_link_between(&mut self, a: RouterId, b: RouterId, now: SimTime) -> bool {
-        let Some(nbr) = self.adj[a.index()].iter().find(|n| n.router == b) else {
+        let Some(l) = self.link_between(a, b) else {
             return false;
         };
-        let slot = &mut self.link_failed[nbr.link.index()];
-        if slot.is_none() {
-            *slot = Some(now);
-        }
+        self.link_failed[l.index()].get_or_insert(now);
         true
     }
 
@@ -450,21 +443,18 @@ impl<P: std::fmt::Debug> Fabric<P> {
     /// `drop_ppm == 0` restores reliability. Returns `false` if the routers
     /// are not adjacent.
     pub fn set_link_loss_between(&mut self, a: RouterId, b: RouterId, drop_ppm: u32) -> bool {
-        let Some(nbr) = self.adj[a.index()].iter().find(|n| n.router == b) else {
+        let Some(l) = self.link_between(a, b) else {
             return false;
         };
-        self.link_loss_ppm[nbr.link.index()] = drop_ppm;
+        self.link_loss_ppm[l.index()] = drop_ppm;
         true
     }
 
     /// The armed loss rate (ppm) of the link between two routers; 0 for
     /// reliable links and non-adjacent pairs.
     pub fn link_loss_between(&self, a: RouterId, b: RouterId) -> u32 {
-        self.adj[a.index()]
-            .iter()
-            .find(|n| n.router == b)
-            .map(|n| self.link_loss_ppm[n.link.index()])
-            .unwrap_or(0)
+        self.link_between(a, b)
+            .map_or(0, |l| self.link_loss_ppm[l.index()])
     }
 
     /// Seeds the deterministic RNG that decides per-packet drops on lossy
@@ -476,10 +466,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
 
     /// Marks a router failed: buffered and arriving packets are sunk.
     pub fn fail_router(&mut self, r: RouterId, now: SimTime) {
-        let slot = &mut self.router_failed[r.index()];
-        if slot.is_none() {
-            *slot = Some(now);
-        }
+        self.router_failed[r.index()].get_or_insert(now);
     }
 
     /// Marks a node dead (`sink == true`): packets delivered to it are
@@ -506,11 +493,8 @@ impl<P: std::fmt::Debug> Fabric<P> {
     /// Whether the link between two adjacent routers is alive. Returns
     /// `false` for non-adjacent pairs.
     pub fn link_alive_between(&self, a: RouterId, b: RouterId) -> bool {
-        self.adj[a.index()]
-            .iter()
-            .find(|n| n.router == b)
-            .map(|n| self.link_failed[n.link.index()].is_none())
-            .unwrap_or(false)
+        self.link_between(a, b)
+            .is_some_and(|l| self.link_failed[l.index()].is_none())
     }
 
     /// Link-level probe from `from` across its `nbr`-th port: the physical
@@ -575,27 +559,6 @@ impl<P: std::fmt::Debug> Fabric<P> {
     // Internals
     // ------------------------------------------------------------------
 
-    fn queue(&mut self, qr: QueueRef, lane: Lane) -> &mut OutQueue<P> {
-        match qr {
-            QueueRef::Out { router, nbr } => {
-                &mut self.out_queues[router as usize][nbr as usize][lane.index()]
-            }
-            QueueRef::Inj { node } => &mut self.inj_queues[node as usize][lane.index()],
-        }
-    }
-
-    /// The router a packet leaving queue `qr` lands on, plus the link it
-    /// crosses (`None` for injection).
-    fn downstream(&self, qr: QueueRef) -> (RouterId, Option<LinkId>) {
-        match qr {
-            QueueRef::Out { router, nbr } => {
-                let n = self.adj[router as usize][nbr as usize];
-                (n.router, Some(n.link))
-            }
-            QueueRef::Inj { node } => (RouterId(node), None),
-        }
-    }
-
     /// Decides where a packet will be placed after landing on `at`.
     /// `consumes_hop` is true when the move crosses a router-to-router link
     /// (source routes consume one hop per link crossing).
@@ -609,13 +572,9 @@ impl<P: std::fmt::Debug> Fabric<P> {
                         Target::Sink(Counter::DropMisroute)
                     }
                 }
-                Hop::Toward(v) => match self.nbr_index(at, v) {
-                    Some(j) => Target::Queue {
-                        router: at.0,
-                        nbr: j,
-                    },
-                    None => Target::Sink(Counter::DropMisroute),
-                },
+                Hop::Toward(v) => self
+                    .port(at, v)
+                    .map_or(Target::Sink(Counter::DropMisroute), Target::Queue),
                 Hop::Discard => Target::Sink(Counter::DropDiscard),
                 Hop::Unreachable => Target::Sink(Counter::DropUnreachable),
             },
@@ -624,30 +583,49 @@ impl<P: std::fmt::Debug> Fabric<P> {
                 if idx >= hops.len() {
                     Target::Node(NodeId(at.0))
                 } else {
-                    match self.nbr_index(at, hops[idx]) {
-                        Some(j) => Target::Queue {
-                            router: at.0,
-                            nbr: j,
-                        },
-                        None => Target::Sink(Counter::DropBadSourceRoute),
-                    }
+                    self.port(at, hops[idx])
+                        .map_or(Target::Sink(Counter::DropBadSourceRoute), Target::Queue)
                 }
             }
         }
     }
 
-    fn nbr_index(&self, at: RouterId, to: RouterId) -> Option<u8> {
-        self.adj[at.index()]
+    /// The link joining two routers, if they are adjacent.
+    fn link_between(&self, a: RouterId, b: RouterId) -> Option<LinkId> {
+        self.adj[a.index()]
             .iter()
-            .position(|n| n.router == to)
-            .map(|i| i as u8)
+            .find(|n| n.router == b)
+            .map(|n| n.link)
+    }
+
+    /// Router `at`'s output queue toward its neighbor `to`, if adjacent.
+    fn port(&self, at: RouterId, to: RouterId) -> Option<QueueRef> {
+        let j = self.adj[at.index()].iter().position(|n| n.router == to)?;
+        Some(QueueRef(self.first_port[at.index()] + j as u32))
+    }
+
+    /// The reserved-flit count of `target`'s queue on `lane`, and whether
+    /// `flits` more fit into it; `None` for a sink. A dead node's input
+    /// queue always has room: it discards what arrives.
+    fn reservation(&mut self, target: Target, lane: Lane, flits: u32) -> Option<(&mut u32, bool)> {
+        match target {
+            Target::Node(nd) => {
+                let q = &mut self.node_in[nd.index()][lane.index()];
+                let room = q.sink || q.flits + q.reserved + flits <= self.params.node_in_flits;
+                Some((&mut q.reserved, room))
+            }
+            Target::Queue(qr) => {
+                let q = &mut self.queues[qr.index()][lane.index()];
+                let room = q.has_space(flits, self.params.out_queue_flits);
+                Some((&mut q.reserved, room))
+            }
+            Target::Sink(_) => None,
+        }
     }
 
     fn drop_packet(&mut self, pkt: Packet<P>, reason: Counter, now: SimTime, obs: &mut Recorder) {
-        if let Some(meta) = self.slab.release(pkt.id) {
-            self.counters
-                .add(Counter::LinksCrossed, u64::from(meta.links_crossed));
-        }
+        self.counters
+            .add(Counter::LinksCrossed, u64::from(pkt.links_crossed));
         if pkt.lane.is_coherence() {
             self.in_flight_coherence -= 1;
         }
@@ -672,6 +650,53 @@ impl<P: std::fmt::Debug> Fabric<P> {
         }
     }
 
+    /// Appends `pkt` to queue `qr` on its lane. Only an idle queue needs a
+    /// kick: a non-empty one already has an event chain (an in-transit
+    /// Arrived or a blocked-head retry poll) in flight that will reach it.
+    fn enqueue(
+        &mut self,
+        qr: QueueRef,
+        pkt: Packet<P>,
+        now: SimTime,
+        out: &mut Vec<(SimDuration, NetEv)>,
+    ) {
+        let lane = pkt.lane;
+        let q = &mut self.queues[qr.index()][lane.index()];
+        q.flits += pkt.flits;
+        let newly_head = q.q.is_empty();
+        q.q.push_back(pkt);
+        if newly_head {
+            self.counters.incr(Counter::NetTrymoveKicks);
+            q.head_since = now;
+            out.push((SimDuration::ZERO, NetEv::TryMove(qr, lane)));
+        } else {
+            self.counters.incr(Counter::NetTrymoveCoalesced);
+        }
+    }
+
+    /// Drops the head packet of queue `qr` on `lane`, then kicks the queue
+    /// again if another packet waits behind it. The one discard action of
+    /// a router: black holes, stall discards, sinks and lossy links.
+    fn drop_head(
+        &mut self,
+        qr: QueueRef,
+        lane: Lane,
+        reason: Counter,
+        now: SimTime,
+        out: &mut Vec<(SimDuration, NetEv)>,
+        obs: &mut Recorder,
+    ) {
+        let q = &mut self.queues[qr.index()][lane.index()];
+        let pkt = q.q.pop_front().expect("head checked");
+        q.flits -= pkt.flits;
+        q.head_since = now;
+        let more = !q.q.is_empty();
+        self.drop_packet(pkt, reason, now, obs);
+        if more {
+            out.push((SimDuration::ZERO, NetEv::TryMove(qr, lane)));
+        }
+    }
+
     fn try_move(
         &mut self,
         qr: QueueRef,
@@ -680,141 +705,88 @@ impl<P: std::fmt::Debug> Fabric<P> {
         out: &mut Vec<(SimDuration, NetEv)>,
         obs: &mut Recorder,
     ) {
-        // A dead router's buffers are lost: drain everything.
-        if let QueueRef::Out { router, .. } = qr {
-            if self.router_failed[router as usize].is_some() {
-                let drained: Vec<Packet<P>> = {
-                    let q = self.queue(qr, lane);
-                    q.in_transit = None;
-                    q.flits = 0;
-                    q.q.drain(..).collect()
-                };
-                for pkt in drained {
-                    self.drop_packet(pkt, Counter::DropDeadRouterBuffer, now, obs);
-                }
-                return;
-            }
-        }
-        // A node attached to a dead router cannot inject.
-        if let QueueRef::Inj { node } = qr {
-            if self.router_failed[node as usize].is_some() {
-                let drained: Vec<Packet<P>> = {
-                    let q = self.queue(qr, lane);
-                    q.in_transit = None;
-                    q.flits = 0;
-                    q.q.drain(..).collect()
-                };
-                for pkt in drained {
-                    self.drop_packet(pkt, Counter::DropDeadRouterBuffer, now, obs);
-                }
-                return;
-            }
-        }
-
-        let (head_flits, is_source, head_since, busy, empty) = {
-            let q = self.queue(qr, lane);
-            match (&q.in_transit, q.q.front()) {
-                (Some(_), _) => (0, false, q.head_since, true, false),
-                (None, None) => (0, false, q.head_since, false, true),
-                (None, Some(p)) => (p.flits, p.is_source_routed(), q.head_since, false, false),
-            }
-        };
-        if busy || empty {
-            return;
-        }
-
-        let (land_router, link) = self.downstream(qr);
-
-        // Black-hole semantics: a dead link or dead landing router sinks the
-        // packet at forwarding time.
-        let link_dead = link
-            .map(|l| self.link_failed[l.index()].is_some())
-            .unwrap_or(false);
-        let router_dead = self.router_failed[land_router.index()].is_some();
-        if link_dead || router_dead {
-            let (pkt, more) = {
-                let q = self.queue(qr, lane);
-                let pkt = q.q.pop_front().expect("head checked");
-                q.flits -= pkt.flits;
-                q.head_since = now;
-                let more = !q.q.is_empty();
-                (pkt, more)
-            };
-            let reason = if link_dead {
-                Counter::DropBlackholeLink
-            } else {
-                Counter::DropDeadRouter
-            };
-            self.drop_packet(pkt, reason, now, obs);
-            if more {
-                out.push((SimDuration::ZERO, NetEv::TryMove(qr, lane)));
+        let wire = self.wires[qr.index()];
+        let q = &mut self.queues[qr.index()][lane.index()];
+        // A dead router's buffers are lost, and a node attached to a dead
+        // router cannot inject: drain everything.
+        if self.router_failed[wire.at.index()].is_some() {
+            q.in_transit = None;
+            q.flits = 0;
+            for pkt in std::mem::take(&mut q.q) {
+                self.drop_packet(pkt, Counter::DropDeadRouterBuffer, now, obs);
             }
             return;
         }
-
-        // Decide downstream placement and check space.
+        if q.in_transit.is_some() {
+            return;
+        }
         // `Route` is `Copy` (inline source-route hops), so inspecting the
         // head costs no allocation.
-        let consumes_hop = matches!(qr, QueueRef::Out { .. });
-        let (head_dst, head_route) = {
-            let pkt = self.queue(qr, lane).q.front().expect("head checked");
-            (pkt.dst, pkt.route)
+        let Some(head) = q.q.front() else {
+            return;
         };
-        let target = self.decide(land_router, head_dst, head_route, consumes_hop);
-        let space = match target {
-            Target::Node(nd) => {
-                let q = &self.node_in[nd.index()][lane.index()];
-                q.sink || q.flits + q.reserved + head_flits <= self.params.node_in_flits
-            }
-            Target::Queue { router, nbr } => {
-                let q = &self.out_queues[router as usize][nbr as usize][lane.index()];
-                q.flits + q.reserved + head_flits <= self.params.out_queue_flits
-            }
-            Target::Sink(_) => true,
-        };
-
-        if !space {
-            // Blocked. Source-routed packets are stall-discarded; others poll.
-            let waited = now.since(head_since);
-            if is_source && waited.as_nanos() > self.params.stall_timeout_ns {
-                let (pkt, more) = {
-                    let q = self.queue(qr, lane);
-                    let pkt = q.q.pop_front().expect("head checked");
-                    q.flits -= pkt.flits;
-                    q.head_since = now;
-                    let more = !q.q.is_empty();
-                    (pkt, more)
-                };
-                self.drop_packet(pkt, Counter::DropStallDiscard, now, obs);
-                if more {
-                    out.push((SimDuration::ZERO, NetEv::TryMove(qr, lane)));
+        let (dst, route, flits) = (head.dst, head.route, head.flits);
+        let waited = now.since(q.head_since);
+        match self.next_target(wire, lane, dst, route, flits, waited) {
+            None => out.push((
+                SimDuration::from_nanos(self.params.retry_ns),
+                NetEv::TryMove(qr, lane),
+            )),
+            Some(Target::Sink(reason)) => self.drop_head(qr, lane, reason, now, out, obs),
+            Some(target) => {
+                // Reserve downstream space and start the transit.
+                if let Some((reserved, _)) = self.reservation(target, lane, flits) {
+                    *reserved += flits;
                 }
-            } else {
-                out.push((
-                    SimDuration::from_nanos(self.params.retry_ns),
-                    NetEv::TryMove(qr, lane),
-                ));
+                let base = if wire.link.is_some() {
+                    self.params.hop_latency_ns
+                } else {
+                    self.params.inject_ns
+                };
+                let latency = base + self.params.flit_ns * u64::from(flits);
+                self.queues[qr.index()][lane.index()].in_transit = Some(Transit {
+                    send_time: now,
+                    target,
+                });
+                out.push((SimDuration::from_nanos(latency), NetEv::Arrived(qr, lane)));
             }
-            return;
         }
+    }
 
-        // Immediate sinks don't need transit.
-        if let Target::Sink(reason) = target {
-            let (pkt, more) = {
-                let q = self.queue(qr, lane);
-                let pkt = q.q.pop_front().expect("head checked");
-                q.flits -= pkt.flits;
-                q.head_since = now;
-                let more = !q.q.is_empty();
-                (pkt, more)
-            };
-            self.drop_packet(pkt, reason, now, obs);
-            if more {
-                out.push((SimDuration::ZERO, NetEv::TryMove(qr, lane)));
-            }
-            return;
+    /// Where the head packet of a queue wired as `wire` goes next: a target
+    /// with room for it, a sink that drops it now, or `None` to poll again
+    /// after `retry_ns`. `waited` is how long it has been the head.
+    fn next_target(
+        &mut self,
+        wire: Wire,
+        lane: Lane,
+        dst: NodeId,
+        route: Route,
+        flits: u32,
+        waited: SimDuration,
+    ) -> Option<Target> {
+        // Black-hole semantics: a dead link or dead landing router sinks the
+        // packet at forwarding time.
+        if wire
+            .link
+            .is_some_and(|l| self.link_failed[l.index()].is_some())
+        {
+            return Some(Target::Sink(Counter::DropBlackholeLink));
         }
-
+        if self.router_failed[wire.to.index()].is_some() {
+            return Some(Target::Sink(Counter::DropDeadRouter));
+        }
+        let target = self.decide(wire.to, dst, route, wire.link.is_some());
+        // Immediate sinks need no transit.
+        let Some((_, room)) = self.reservation(target, lane, flits) else {
+            return Some(target);
+        };
+        if !room {
+            // Blocked. Source-routed packets are stall-discarded; others poll.
+            let stalled = matches!(route, Route::Source { .. })
+                && waited.as_nanos() > self.params.stall_timeout_ns;
+            return stalled.then_some(Target::Sink(Counter::DropStallDiscard));
+        }
         // Lossy-link gray failure: the crossing is committed, so roll the
         // loss RNG exactly once per packet actually traversing the link
         // (injection legs have no router-router link and are never lossy).
@@ -822,46 +794,13 @@ impl<P: std::fmt::Debug> Fabric<P> {
         // hardware's acknowledged transfer service (the paper's reliable
         // dying-gasp discipline), so a lossy link slows recovery down but
         // cannot make it livelock on lost dissemination rounds.
-        if let Some(l) = link {
-            let lossy_lane = matches!(lane, Lane::Request | Lane::Reply);
+        if let Some(l) = wire.link {
             let ppm = self.link_loss_ppm[l.index()];
-            if lossy_lane && ppm > 0 && self.loss_rng.below(1_000_000) < u64::from(ppm) {
-                let (pkt, more) = {
-                    let q = self.queue(qr, lane);
-                    let pkt = q.q.pop_front().expect("head checked");
-                    q.flits -= pkt.flits;
-                    q.head_since = now;
-                    let more = !q.q.is_empty();
-                    (pkt, more)
-                };
-                self.drop_packet(pkt, Counter::DropLossyLink, now, obs);
-                if more {
-                    out.push((SimDuration::ZERO, NetEv::TryMove(qr, lane)));
-                }
-                return;
+            if lane.is_coherence() && ppm > 0 && self.loss_rng.below(1_000_000) < u64::from(ppm) {
+                return Some(Target::Sink(Counter::DropLossyLink));
             }
         }
-
-        // Reserve downstream space and start the transit.
-        match target {
-            Target::Node(nd) => self.node_in[nd.index()][lane.index()].reserved += head_flits,
-            Target::Queue { router, nbr } => {
-                self.out_queues[router as usize][nbr as usize][lane.index()].reserved += head_flits
-            }
-            Target::Sink(_) => unreachable!(),
-        }
-        let latency = match qr {
-            QueueRef::Out { .. } => {
-                self.params.hop_latency_ns + self.params.flit_ns * head_flits as u64
-            }
-            QueueRef::Inj { .. } => self.params.inject_ns + self.params.flit_ns * head_flits as u64,
-        };
-        let q = self.queue(qr, lane);
-        q.in_transit = Some(Transit {
-            send_time: now,
-            target,
-        });
-        out.push((SimDuration::from_nanos(latency), NetEv::Arrived(qr, lane)));
+        Some(target)
     }
 
     fn arrived(
@@ -873,62 +812,37 @@ impl<P: std::fmt::Debug> Fabric<P> {
         delivered: &mut Vec<DeliveryNote>,
         obs: &mut Recorder,
     ) {
-        let (mut pkt, transit, more) = {
-            let q = self.queue(qr, lane);
-            let Some(transit) = q.in_transit.take() else {
-                // The queue was drained (e.g. router died mid-transit).
-                return;
-            };
-            let Some(pkt) = q.q.pop_front() else {
-                return;
-            };
-            q.flits -= pkt.flits;
-            q.head_since = now;
-            let more = !q.q.is_empty();
-            (pkt, transit, more)
+        let q = &mut self.queues[qr.index()][lane.index()];
+        let Some(transit) = q.in_transit.take() else {
+            // The queue was drained (e.g. router died mid-transit).
+            return;
         };
+        let Some(mut pkt) = q.q.pop_front() else {
+            return;
+        };
+        q.flits -= pkt.flits;
+        q.head_since = now;
         // The vacated queue may move its next head. An emptied queue needs no
         // event: the next enqueue into it schedules its own TryMove.
-        if more {
+        if !q.q.is_empty() {
             out.push((SimDuration::ZERO, NetEv::TryMove(qr, lane)));
         }
-
-        // Unreserve downstream.
-        match transit.target {
-            Target::Node(nd) => {
-                let q = &mut self.node_in[nd.index()][lane.index()];
-                q.reserved = q.reserved.saturating_sub(pkt.flits);
-            }
-            Target::Queue { router, nbr } => {
-                let q = &mut self.out_queues[router as usize][nbr as usize][lane.index()];
-                q.reserved = q.reserved.saturating_sub(pkt.flits);
-            }
-            Target::Sink(_) => {}
+        if let Some((reserved, _)) = self.reservation(transit.target, lane, 0) {
+            *reserved = reserved.saturating_sub(pkt.flits);
         }
-
-        // Truncation: the link failed while the packet was on the wire.
-        let (_, link) = self.downstream(qr);
-        if let Some(l) = link {
-            if let Some(failed_at) = self.link_failed[l.index()] {
-                if failed_at > transit.send_time {
-                    pkt.truncated = true;
-                    pkt.flits = 1; // Header only; data flits were lost.
-                    self.counters.incr(Counter::PacketsTruncated);
-                }
+        if let Some(l) = self.wires[qr.index()].link {
+            // Truncation: the link failed while the packet was on the wire.
+            if self.link_failed[l.index()].is_some_and(|at| at > transit.send_time) {
+                pkt.truncated = true;
+                pkt.flits = 1; // Header only; data flits were lost.
+                self.counters.incr(Counter::PacketsTruncated);
             }
-        }
-
-        // Source routes consume a hop per link crossing; the slab tracks
-        // crossings for every packet.
-        if matches!(qr, QueueRef::Out { .. }) {
+            // Source routes consume a hop per link crossing.
             if let Route::Source { consumed, .. } = &mut pkt.route {
                 *consumed += 1;
             }
-            if let Some(meta) = self.slab.get_mut(pkt.id) {
-                meta.links_crossed += 1;
-            }
+            pkt.links_crossed += 1;
         }
-
         self.place(pkt, lane, transit.target, now, out, delivered, obs);
     }
 
@@ -952,12 +866,9 @@ impl<P: std::fmt::Debug> Fabric<P> {
                     self.drop_packet(pkt, Counter::DropDeadNode, now, obs);
                     return;
                 }
-                let mut hops = 0u8;
-                if let Some(meta) = self.slab.release(pkt.id) {
-                    self.counters
-                        .add(Counter::LinksCrossed, u64::from(meta.links_crossed));
-                    hops = meta.links_crossed.min(u32::from(u8::MAX)) as u8;
-                }
+                self.counters
+                    .add(Counter::LinksCrossed, u64::from(pkt.links_crossed));
+                let hops = pkt.links_crossed.min(u32::from(u8::MAX)) as u8;
                 if lane.is_coherence() {
                     self.in_flight_coherence -= 1;
                     self.last_coherence_delivery[nd.index()] = now;
@@ -980,27 +891,12 @@ impl<P: std::fmt::Debug> Fabric<P> {
                     .observe_count(Hist::NetPacketHops, u64::from(hops));
                 delivered.push(DeliveryNote { node: nd, lane });
             }
-            Target::Queue { router, nbr } => {
-                if self.router_failed[router as usize].is_some() {
+            Target::Queue(qr) => {
+                if self.router_failed[self.wires[qr.index()].at.index()].is_some() {
                     self.drop_packet(pkt, Counter::DropDeadRouter, now, obs);
                     return;
                 }
-                let q = &mut self.out_queues[router as usize][nbr as usize][lane.index()];
-                q.flits += pkt.flits;
-                let newly_head = q.q.is_empty();
-                q.q.push_back(pkt);
-                // A non-empty downstream queue already has an event chain
-                // (in-transit Arrived or a blocked-head retry poll) in flight.
-                if newly_head {
-                    self.counters.incr(Counter::NetTrymoveKicks);
-                    q.head_since = now;
-                    out.push((
-                        SimDuration::ZERO,
-                        NetEv::TryMove(QueueRef::Out { router, nbr }, lane),
-                    ));
-                } else {
-                    self.counters.incr(Counter::NetTrymoveCoalesced);
-                }
+                self.enqueue(qr, pkt, now, out);
             }
             Target::Sink(reason) => {
                 self.drop_packet(pkt, reason, now, obs);
@@ -1050,21 +946,26 @@ mod tests {
         )
     }
 
-    fn send(
+    /// Offers `pkt` to `node`'s injection queue and schedules the events
+    /// the fabric asks for.
+    fn offer(
         world: &mut NetWorld,
         engine: &mut Engine<NetEv>,
         pkt: Packet<u32>,
         node: NodeId,
-    ) -> PacketId {
+    ) -> Result<(), SendError<u32>> {
         let mut out = Vec::new();
-        let id = world
+        let sent = world
             .fabric
-            .try_send(node, pkt, engine.now(), &mut out, &mut world.obs)
-            .expect("send ok");
+            .try_send(node, pkt, engine.now(), &mut out, &mut world.obs);
         for (delay, e) in out {
             engine.schedule_after(delay, e);
         }
-        id
+        sent
+    }
+
+    fn send(world: &mut NetWorld, engine: &mut Engine<NetEv>, pkt: Packet<u32>, node: NodeId) {
+        offer(world, engine, pkt, node).expect("send ok");
     }
 
     fn conservation_ok(f: &Fabric<u32>) -> bool {
@@ -1077,7 +978,7 @@ mod tests {
         let (mut w, mut engine) = net(4, 4);
         let pkt = Packet::table_routed(NodeId(0), NodeId(15), Lane::Request, 9, 0xBEEF);
         send(&mut w, &mut engine, pkt, NodeId(0));
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert_eq!(w.notes.len(), 1);
         assert_eq!(w.notes[0].1.node, NodeId(15));
         assert!(w.notes[0].0 > 0, "delivery takes time");
@@ -1093,7 +994,7 @@ mod tests {
         let (mut w, mut engine) = net(2, 2);
         let pkt = Packet::table_routed(NodeId(1), NodeId(1), Lane::Reply, 2, 7);
         send(&mut w, &mut engine, pkt, NodeId(1));
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert_eq!(w.notes.len(), 1);
         assert_eq!(
             w.fabric.pop_input(NodeId(1), Lane::Reply).unwrap().payload,
@@ -1105,10 +1006,10 @@ mod tests {
     fn dead_link_black_holes_table_traffic() {
         let (mut w, mut engine) = net(2, 1);
         w.fabric
-            .fail_link_between(RouterId(0), RouterId(1), flash_sim::SimTime::ZERO);
+            .fail_link_between(RouterId(0), RouterId(1), SimTime::ZERO);
         let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Request, 9, 1);
         send(&mut w, &mut engine, pkt, NodeId(0));
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert!(w.notes.is_empty());
         assert_eq!(w.fabric.counters().get("drop_blackhole_link"), 1);
         assert_eq!(w.fabric.in_flight_coherence(), 0);
@@ -1128,7 +1029,7 @@ mod tests {
         );
         let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Request, 9, 1);
         send(&mut w, &mut engine, pkt, NodeId(0));
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert!(w.notes.is_empty());
         assert_eq!(w.fabric.counters().get("drop_lossy_link"), 1);
         assert_eq!(w.fabric.in_flight_coherence(), 0);
@@ -1138,7 +1039,7 @@ mod tests {
         assert!(w.fabric.set_link_loss_between(RouterId(0), RouterId(1), 0));
         let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Request, 9, 2);
         send(&mut w, &mut engine, pkt, NodeId(0));
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert_eq!(w.notes.len(), 1);
 
         // Half rate: the seeded stream drops a plausible fraction of 100
@@ -1151,7 +1052,7 @@ mod tests {
         for i in 0..100 {
             let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Request, 2, i);
             send(&mut w, &mut engine, pkt, NodeId(0));
-            engine.run(&mut w, flash_sim::SimTime::MAX);
+            engine.run(&mut w, SimTime::MAX);
             let _ = w.fabric.pop_input(NodeId(1), Lane::Request);
         }
         let dropped = w.fabric.counters().get("drop_lossy_link");
@@ -1170,10 +1071,10 @@ mod tests {
         send(&mut w, &mut engine, pkt, NodeId(0));
         // Injection completes at 10 + 9*10 = 100ns; the link transit runs
         // from 100 to 100 + 40 + 90 = 230ns. Fail the link at 150ns.
-        engine.run(&mut w, flash_sim::SimTime::from_nanos(150));
+        engine.run(&mut w, SimTime::from_nanos(150));
         w.fabric
             .fail_link_between(RouterId(0), RouterId(1), engine.now());
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert_eq!(w.notes.len(), 1, "truncated packet is still delivered");
         let got = w.fabric.pop_input(NodeId(1), Lane::Request).unwrap();
         assert!(got.truncated);
@@ -1184,10 +1085,10 @@ mod tests {
     #[test]
     fn dead_router_sinks_traffic() {
         let (mut w, mut engine) = net(3, 1);
-        w.fabric.fail_router(RouterId(1), flash_sim::SimTime::ZERO);
+        w.fabric.fail_router(RouterId(1), SimTime::ZERO);
         let pkt = Packet::table_routed(NodeId(0), NodeId(2), Lane::Request, 9, 1);
         send(&mut w, &mut engine, pkt, NodeId(0));
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert!(w.notes.is_empty());
         assert!(w.fabric.counters().get("drop_dead_router") >= 1);
     }
@@ -1196,16 +1097,16 @@ mod tests {
     fn drops_past_the_log_cap_are_counted() {
         let (mut w, mut engine) = net(2, 1);
         w.fabric
-            .fail_link_between(RouterId(0), RouterId(1), flash_sim::SimTime::ZERO);
+            .fail_link_between(RouterId(0), RouterId(1), SimTime::ZERO);
         for i in 0..DROP_LOG_CAP as u32 + 3 {
             let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Request, 9, i);
             send(&mut w, &mut engine, pkt, NodeId(0));
-            engine.run(&mut w, flash_sim::SimTime::MAX);
+            engine.run(&mut w, SimTime::MAX);
         }
         // Recovery-lane drops are neither logged nor counted.
         let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Recovery1, 9, 99);
         send(&mut w, &mut engine, pkt, NodeId(0));
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert_eq!(
             w.fabric.counters().get("packets_dropped"),
             DROP_LOG_CAP as u64 + 4
@@ -1226,7 +1127,7 @@ mod tests {
         w.fabric.set_node_sink(NodeId(1), true);
         let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Request, 9, 1);
         send(&mut w, &mut engine, pkt, NodeId(0));
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert!(w.notes.is_empty());
         assert_eq!(w.fabric.counters().get("drop_dead_node"), 1);
         assert_eq!(w.fabric.in_flight_coherence(), 0);
@@ -1237,11 +1138,11 @@ mod tests {
         // 2x2 mesh: table route 0 -> 3 goes X-first through router 1.
         let (mut w, mut engine) = net(2, 2);
         w.fabric
-            .fail_link_between(RouterId(0), RouterId(1), flash_sim::SimTime::ZERO);
+            .fail_link_between(RouterId(0), RouterId(1), SimTime::ZERO);
         // Table-routed packet dies in the black hole.
         let pkt = Packet::table_routed(NodeId(0), NodeId(3), Lane::Request, 9, 1);
         send(&mut w, &mut engine, pkt, NodeId(0));
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert!(w.notes.is_empty());
         // Source-routed packet detours 0 -> 2 -> 3.
         let pkt = Packet::source_routed(
@@ -1253,7 +1154,7 @@ mod tests {
             2,
         );
         send(&mut w, &mut engine, pkt, NodeId(0));
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert_eq!(w.notes.len(), 1);
         assert_eq!(w.notes[0].1.node, NodeId(3));
         assert_eq!(w.notes[0].1.lane, Lane::Recovery0);
@@ -1267,22 +1168,15 @@ mod tests {
         let mut sent = 0;
         for i in 0..14 {
             let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Request, 9, i);
-            let mut out = Vec::new();
-            if w.fabric
-                .try_send(NodeId(0), pkt, engine.now(), &mut out, &mut w.obs)
-                .is_ok()
-            {
+            if offer(&mut w, &mut engine, pkt, NodeId(0)).is_ok() {
                 sent += 1;
-            }
-            for (d, e) in out {
-                engine.schedule_after(d, e);
             }
             // Let the fabric drain the injection queue between sends
             // (injection serialization takes 100ns per 9-flit packet).
             let h = engine.now() + SimDuration::from_nanos(200);
             engine.run(&mut w, h);
         }
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert_eq!(sent, 14);
         assert_eq!(w.notes.len(), 14, "all packets eventually delivered");
         assert_eq!(w.fabric.input_len(NodeId(1), Lane::Request), 14);
@@ -1299,13 +1193,7 @@ mod tests {
         // 29 packets of 9 flits exceed the 256-flit ejection queue (28 fit).
         for i in 0..29 {
             let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Request, 9, i);
-            let mut out = Vec::new();
-            let _ = w
-                .fabric
-                .try_send(NodeId(0), pkt, engine.now(), &mut out, &mut w.obs);
-            for (d, e) in out {
-                engine.schedule_after(d, e);
-            }
+            let _ = offer(&mut w, &mut engine, pkt, NodeId(0));
             let h = engine.now() + SimDuration::from_nanos(200);
             engine.run(&mut w, h);
         }
@@ -1328,13 +1216,7 @@ mod tests {
         // Fill node 1's Recovery0 ejection queue (256 flits / 1 flit each).
         for i in 0..256 {
             let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Recovery0, 1, i);
-            let mut out = Vec::new();
-            let _ = w
-                .fabric
-                .try_send(NodeId(0), pkt, engine.now(), &mut out, &mut w.obs);
-            for (d, e) in out {
-                engine.schedule_after(d, e);
-            }
+            let _ = offer(&mut w, &mut engine, pkt, NodeId(0));
             let h = engine.now() + SimDuration::from_nanos(100);
             engine.run(&mut w, h);
         }
@@ -1359,28 +1241,25 @@ mod tests {
     fn probe_reports_component_health() {
         let (mut w, _) = net(3, 1);
         assert_eq!(w.fabric.probe(RouterId(0), 0), LinkProbe::Alive);
-        w.fabric.fail_router(RouterId(1), flash_sim::SimTime::ZERO);
+        w.fabric.fail_router(RouterId(1), SimTime::ZERO);
         assert_eq!(w.fabric.probe(RouterId(0), 0), LinkProbe::RouterDead);
         w.fabric
-            .fail_link_between(RouterId(0), RouterId(1), flash_sim::SimTime::ZERO);
+            .fail_link_between(RouterId(0), RouterId(1), SimTime::ZERO);
         assert_eq!(w.fabric.probe(RouterId(0), 0), LinkProbe::LinkDead);
         assert_eq!(w.fabric.probe(RouterId(0), 5), LinkProbe::NoSuchLink);
     }
 
     #[test]
     fn inject_queue_full_returns_packet() {
-        let (mut w, engine) = net(2, 1);
+        let (mut w, mut engine) = net(2, 1);
         // Inject queue holds 64 flits = 7 packets of 9; do not run events.
         let mut rejected = None;
         for i in 0..8 {
             let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Request, 9, i);
-            let mut out = Vec::new();
-            match w
-                .fabric
-                .try_send(NodeId(0), pkt, engine.now(), &mut out, &mut w.obs)
-            {
-                Ok(_) => {}
-                Err(SendError::Full(p)) => rejected = Some(p),
+            if let Err(e) = offer(&mut w, &mut engine, pkt, NodeId(0)) {
+                assert_eq!(e.to_string(), "injection queue full for a packet to n1");
+                let SendError::Full(p) = e;
+                rejected = Some(p);
             }
         }
         let p = rejected.expect("eighth packet rejected");
@@ -1394,7 +1273,7 @@ mod tests {
         w.fabric.tables_mut().discard_destination(RouterId(2));
         let pkt = Packet::table_routed(NodeId(0), NodeId(2), Lane::Request, 9, 1);
         send(&mut w, &mut engine, pkt, NodeId(0));
-        engine.run(&mut w, flash_sim::SimTime::MAX);
+        engine.run(&mut w, SimTime::MAX);
         assert!(w.notes.is_empty());
         assert_eq!(w.fabric.counters().get("drop_discard"), 1);
     }
@@ -1405,13 +1284,7 @@ mod tests {
         // Fill the Request ejection queue.
         for i in 0..28 {
             let pkt = Packet::table_routed(NodeId(0), NodeId(1), Lane::Request, 9, i);
-            let mut out = Vec::new();
-            let _ = w
-                .fabric
-                .try_send(NodeId(0), pkt, engine.now(), &mut out, &mut w.obs);
-            for (d, e) in out {
-                engine.schedule_after(d, e);
-            }
+            let _ = offer(&mut w, &mut engine, pkt, NodeId(0));
             engine.run(&mut w, engine.now() + SimDuration::from_nanos(200));
         }
         engine.run(&mut w, engine.now() + SimDuration::from_micros(20));
@@ -1435,33 +1308,9 @@ mod tests {
             1234
         );
     }
-}
 
-#[cfg(test)]
-mod conservation_props {
-    use super::*;
-    use crate::topology::Mesh2D;
-    use flash_sim::{DetRng, Engine, Scheduler, SimTime, World};
-
-    struct NetWorld {
-        fabric: Fabric<u32>,
-        obs: Recorder,
-        delivered: u64,
-    }
-
-    impl World for NetWorld {
-        type Ev = NetEv;
-        fn dispatch(&mut self, ev: NetEv, sched: &mut Scheduler<'_, NetEv>) {
-            let mut out = Vec::new();
-            let mut del = Vec::new();
-            self.fabric
-                .handle(ev, sched.now(), &mut out, &mut del, &mut self.obs);
-            self.delivered += del.len() as u64;
-            for (d, e) in out {
-                sched.after(d, e);
-            }
-        }
-    }
+    /// The 48 cases' merged trace hashes, folded in case order.
+    const CONSERVATION_TRACE_PIN: u64 = 0xdf2d_0f80_207f_2ca6;
 
     /// Packet conservation under random traffic and random failures:
     /// every injected packet is eventually delivered or dropped —
@@ -1470,6 +1319,7 @@ mod conservation_props {
     /// stand in for the original property-based formulation.
     #[test]
     fn packets_are_conserved() {
+        let mut folded = 0u64;
         for case in 0..48u64 {
             let mut rng = DetRng::new(0xC017_5EED ^ case);
             let n_sends = 1 + rng.index(79);
@@ -1480,20 +1330,13 @@ mod conservation_props {
             let dead_link = rng.chance(0.5).then(|| rng.index(17));
             let fail_after = rng.below(30);
 
-            let topo = Mesh2D::new(4, 3);
-            let links = topo.links();
-            let mut w = NetWorld {
-                fabric: Fabric::new(&topo, NetParams::default()),
-                obs: {
-                    // Trace the net domain here too: the instrumented path
-                    // must uphold conservation under random failures.
-                    let mut r = Recorder::new();
-                    r.set_domain_enabled(Domain::Net, true);
-                    r
-                },
-                delivered: 0,
-            };
-            let mut engine: Engine<NetEv> = Engine::new();
+            let links = Mesh2D::new(4, 3).links();
+            let (mut w, mut engine) = net(4, 3);
+            // Trace the net domain here too: the instrumented path must
+            // uphold conservation under random failures, and the complete
+            // trace pins every send, drop and delivery.
+            w.obs = Recorder::with_capacity(1 << 12);
+            w.obs.set_domain_enabled(Domain::Net, true);
             engine.set_event_budget(5_000_000);
             let mut sent = 0u64;
             for (i, (src, dst)) in sends.iter().enumerate() {
@@ -1509,21 +1352,11 @@ mod conservation_props {
                 }
                 let lane = Lane::from_index(rng.index(2)); // coherence lanes
                 let pkt = Packet::table_routed(NodeId(*src), NodeId(*dst), lane, 9, i as u32);
-                let mut out = Vec::new();
-                if w.fabric
-                    .try_send(NodeId(*src), pkt, engine.now(), &mut out, &mut w.obs)
-                    .is_ok()
-                {
+                if offer(&mut w, &mut engine, pkt, NodeId(*src)).is_ok() {
                     sent += 1;
                 }
-                for (d, e) in out {
-                    engine.schedule_after(d, e);
-                }
                 // Drain receivers as we go so ejection queues don't fill.
-                engine.run(
-                    &mut w,
-                    engine.now() + flash_sim::SimDuration::from_micros(5),
-                );
+                engine.run(&mut w, engine.now() + SimDuration::from_micros(5));
                 for n in 0..12u16 {
                     while w.fabric.pop_input(NodeId(n), Lane::Request).is_some() {}
                     while w.fabric.pop_input(NodeId(n), Lane::Reply).is_some() {}
@@ -1546,6 +1379,12 @@ mod conservation_props {
                 sent
             );
             assert_eq!(w.fabric.in_flight_coherence(), 0, "case {case}");
+            assert_eq!(w.obs.dropped_total(), 0, "case {case}: trace incomplete");
+            folded = (folded ^ w.obs.merged_hash()).wrapping_mul(0x0000_0100_0000_01b3);
         }
+        assert_eq!(
+            folded, CONSERVATION_TRACE_PIN,
+            "conservation traces moved: {folded:#018x}"
+        );
     }
 }

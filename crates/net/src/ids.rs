@@ -17,11 +17,6 @@ pub struct RouterId(pub u16);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinkId(pub u32);
 
-/// Unique identifier for a packet, assigned at injection; used for tracing
-/// and by the incoherence oracle.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PacketId(pub u64);
-
 impl NodeId {
     /// The raw index.
     #[inline]
@@ -69,11 +64,6 @@ impl fmt::Display for RouterId {
 impl fmt::Debug for LinkId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "l{}", self.0)
-    }
-}
-impl fmt::Debug for PacketId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "p{}", self.0)
     }
 }
 
@@ -154,7 +144,6 @@ mod tests {
         assert_eq!(NodeId(3).to_string(), "n3");
         assert_eq!(RouterId(7).to_string(), "r7");
         assert_eq!(format!("{:?}", LinkId(1)), "l1");
-        assert_eq!(format!("{:?}", PacketId(9)), "p9");
     }
 
     #[test]

@@ -41,12 +41,11 @@ mod graph;
 mod ids;
 mod packet;
 mod routing;
-mod slab;
 mod topology;
 
 pub use fabric::{DeliveryNote, Fabric, LinkProbe, Nbr, NetEv, NetParams, QueueRef, SendError};
 pub use graph::UGraph;
-pub use ids::{Lane, LinkId, NodeId, PacketId, RouterId};
+pub use ids::{Lane, LinkId, NodeId, RouterId};
 pub use packet::{Packet, Route, SourceRoute, MAX_SOURCE_HOPS};
 pub use routing::{channel_dependencies_acyclic, up_down_tables, Hop, RoutingTables};
 pub use topology::{Hypercube, LinkSpec, Mesh2D, Topology};

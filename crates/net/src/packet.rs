@@ -1,6 +1,6 @@
 //! Packets and routing modes.
 
-use crate::ids::{Lane, NodeId, PacketId, RouterId};
+use crate::ids::{Lane, NodeId, RouterId};
 
 /// Maximum number of hops a source-routed packet may specify, mirroring the
 /// CrayLink limit that forces the initial recovery phases to use only local
@@ -108,8 +108,6 @@ pub enum Route {
 /// + 128 B data).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Packet<P> {
-    /// Unique id assigned at injection.
-    pub id: PacketId,
     /// Sending node.
     pub src: NodeId,
     /// Destination node.
@@ -124,22 +122,25 @@ pub struct Packet<P> {
     /// survived but the data flits are lost (delivered with "parity error
     /// bits set" in FLASH terms).
     pub truncated: bool,
+    /// Router-to-router links crossed so far: 0 when built, counted by the
+    /// fabric, and added to its `links_crossed` counter when the packet is
+    /// delivered or dropped.
+    pub links_crossed: u32,
     /// The payload carried (opaque to the interconnect).
     pub payload: P,
 }
 
 impl<P> Packet<P> {
-    /// Creates a table-routed packet. The id is assigned by the fabric at
-    /// injection; callers pass `PacketId::default()`.
+    /// Creates a table-routed packet.
     pub fn table_routed(src: NodeId, dst: NodeId, lane: Lane, flits: u32, payload: P) -> Self {
         Packet {
-            id: PacketId::default(),
             src,
             dst,
             lane,
             flits: flits.max(1),
             route: Route::Table,
             truncated: false,
+            links_crossed: 0,
             payload,
         }
     }
@@ -159,7 +160,6 @@ impl<P> Packet<P> {
         payload: P,
     ) -> Self {
         Packet {
-            id: PacketId::default(),
             src,
             dst,
             lane,
@@ -169,6 +169,7 @@ impl<P> Packet<P> {
                 consumed: 0,
             },
             truncated: false,
+            links_crossed: 0,
             payload,
         }
     }

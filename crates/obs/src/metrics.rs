@@ -162,8 +162,6 @@ keys! {
 keys! {
     /// A latency or size histogram of [`Metrics`].
     Hist {
-        /// Pending events in the engine queue, sampled once per run slice.
-        EngineQueueDepth = "engine_queue_depth",
         /// KV requests that failed.
         KvRequestErrorNs = "kv_request_error_ns",
         /// KV requests that succeeded.

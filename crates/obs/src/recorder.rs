@@ -91,10 +91,11 @@ impl Recorder {
     }
 
     /// Creates a fully disabled recorder: every record call is one load +
-    /// branch, metrics off.
+    /// branch, metrics off. Its shards hold one record each, should a
+    /// domain be enabled later.
     pub fn disabled() -> Self {
         Recorder {
-            shards: std::array::from_fn(|_| TraceBuffer::disabled()),
+            shards: std::array::from_fn(|_| TraceBuffer::new(1)),
             next_seq: 0,
             mask: 0,
             metrics: Metrics::disabled(),
@@ -104,9 +105,6 @@ impl Recorder {
     /// Enables every domain (and metrics) — used by trace-dump tooling.
     pub fn enable_all(&mut self) {
         self.mask = 0xff;
-        for s in &mut self.shards {
-            s.set_enabled(true);
-        }
         self.metrics.set_enabled(true);
     }
 
@@ -114,7 +112,6 @@ impl Recorder {
     pub fn set_domain_enabled(&mut self, domain: Domain, enabled: bool) {
         if enabled {
             self.mask |= domain.bit();
-            self.shards[domain.index()].set_enabled(true);
         } else {
             self.mask &= !domain.bit();
         }

@@ -28,43 +28,21 @@ use std::collections::VecDeque;
 pub struct TraceBuffer<E> {
     entries: VecDeque<(SimTime, E)>,
     capacity: usize,
-    enabled: bool,
     dropped: u64,
 }
 
 impl<E> TraceBuffer<E> {
-    /// Creates an enabled trace holding at most `capacity` records.
+    /// Creates a trace holding at most `capacity` records.
     pub fn new(capacity: usize) -> Self {
         TraceBuffer {
             entries: VecDeque::with_capacity(capacity.min(4096)),
             capacity: capacity.max(1),
-            enabled: true,
             dropped: 0,
         }
     }
 
-    /// Creates a disabled (zero-overhead) trace.
-    pub fn disabled() -> Self {
-        let mut t = TraceBuffer::new(1);
-        t.enabled = false;
-        t
-    }
-
-    /// Enables or disables recording.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records an event (dropping the oldest record when full).
     pub fn record(&mut self, at: SimTime, event: E) {
-        if !self.enabled {
-            return;
-        }
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
             self.dropped += 1;
@@ -132,17 +110,6 @@ mod tests {
         assert_eq!(t.dropped(), 7);
         let tail: Vec<u32> = t.iter().map(|(_, e)| *e).collect();
         assert_eq!(tail, vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn disabled_records_nothing() {
-        let mut t = TraceBuffer::disabled();
-        t.record(SimTime::ZERO, 1);
-        assert!(t.is_empty());
-        assert!(!t.is_enabled());
-        t.set_enabled(true);
-        t.record(SimTime::ZERO, 2);
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! OS-window arming paths (generated campaigns at these sizes draw only
 //! steady events).
 //!
+//! Those runs trace with the default mask, which leaves the hot domains
+//! (Sim, Net, Coherence, Magic) off, so one more run traces every domain
+//! into rings large enough to drop nothing: its hash covers every fabric
+//! send, drop and delivery.
+//!
 //! A trace hash does not cover the [`RecoveryReport`], the phase-entry
 //! times or the incarnation number, which the recovery extension fills in
 //! beside the trace. Those are pinned here as well: for the per-kind
@@ -26,10 +31,12 @@ use flash::campaign::{
 };
 use flash::core::{
     build_machine, finish_fault_experiment, prepare_fault_experiment, random_fault,
-    run_fault_experiment, ExperimentConfig, FaultKind, RecoveryConfig, RecoveryReport,
+    run_fault_experiment, run_to_quiescence, warm_until, ExperimentConfig, FaultKind,
+    RecoveryConfig, RecoveryReport,
 };
 use flash::machine::{FaultSpec, MachineParams, RandomFill};
 use flash::net::NodeId;
+use flash::obs::Recorder;
 use flash::sim::{DetRng, SimDuration, SimTime};
 
 /// A short Table 5.3 experiment on the 8-node Table 5.1 machine.
@@ -163,6 +170,66 @@ fn every_fault_kind_keeps_its_trace_hash() {
             "{kind:?}: recovery report moved"
         );
     }
+}
+
+/// Machine seed 10 and the Router fault of fault seed `0x61` (router 6),
+/// traced with every domain on: the merged hash and the number of events
+/// dispatched. Seed 10 is the first machine seed whose quick run also
+/// drains a dead router's buffer.
+const FULL_TRACE_PIN: (u64, u64) = (0x2a25_2396_b75b_1c83, 72_505);
+
+/// Ring capacity per domain for the full trace; the run retains every
+/// record.
+const FULL_TRACE_CAPACITY: usize = 1 << 22;
+
+#[test]
+fn router_fault_keeps_its_full_trace_hash() {
+    let cfg = quick_experiment(10);
+    let (layout, prot) = (cfg.params.layout(), cfg.params.protected_lines);
+    let (total_ops, write_fraction) = (cfg.total_ops, cfg.write_fraction);
+    let mut m = build_machine(
+        cfg.params,
+        cfg.recovery,
+        move |_| {
+            Box::new(RandomFill::valid_system_range(
+                total_ops,
+                write_fraction,
+                layout,
+                prot,
+            ))
+        },
+        cfg.seed,
+    );
+    let mut rec = Recorder::with_capacity(FULL_TRACE_CAPACITY);
+    rec.enable_all();
+    m.st_mut().obs = rec;
+    m.set_event_budget(2_000_000_000);
+    m.start();
+    warm_until(&mut m, SimDuration::from_micros(20), |m| {
+        m.st()
+            .nodes
+            .iter()
+            .all(|n| n.workload.progress() >= cfg.fill_ops)
+    });
+    let fault = fault_of(FaultKind::Router, 0x61);
+    m.schedule_fault(m.now() + SimDuration::from_nanos(1), fault);
+    assert!(run_to_quiescence(&mut m, &mut true), "did not drain");
+    assert!(m.ext().report.completed(), "{:?}", m.ext().report);
+    let validation = m.st().validate();
+    assert!(validation.passed(), "{validation}");
+    // The run reaches both dead-router paths: packets sunk on landing at
+    // the dead router, and its buffers drained.
+    let c = m.st().fabric.counters();
+    assert!(c.get("drop_dead_router") > 0, "{c}");
+    assert!(c.get("drop_dead_router_buffer") > 0, "{c}");
+    let obs = &m.st().obs;
+    assert_eq!(obs.dropped_total(), 0, "the full trace must be complete");
+    let got = (obs.merged_hash(), m.events_processed());
+    assert_eq!(
+        got, FULL_TRACE_PIN,
+        "full trace (hash, events) moved: ({:#018x}, {})",
+        got.0, got.1
+    );
 }
 
 /// [`report_figures`] of `multi_fault.rs`'s majority failure: nodes 1–5
