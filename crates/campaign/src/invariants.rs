@@ -347,8 +347,7 @@ fn check_versions(st: &MachineState<RecMsg>, out: &mut Vec<Violation>) {
         if st.failed_nodes.contains(node.id) {
             continue;
         }
-        for (line, _) in node.dir.iter_states() {
-            let mem = node.dir.mem_version(line);
+        for (line, mem) in node.dir.iter_versions() {
             let expected = st.oracle.expected_version(line);
             if mem > expected {
                 out.push(Violation::new(

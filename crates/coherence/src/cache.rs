@@ -23,11 +23,71 @@ pub struct CachedLine {
     pub version: Version,
 }
 
+/// One way of a set, packed into 16 bytes: the line's version, its address
+/// (as a `u32`, checked on insert) and a state byte of the flags below.
+#[derive(Clone, Copy, Debug, Default)]
+struct Way {
+    version: u64,
+    line: u32,
+    state: u8,
+}
+
+/// The way holds a line.
+const VALID: u8 = 1;
+/// The line is held exclusive (and so dirty).
+const EXCLUSIVE: u8 = 2;
+/// Set in way 0's state only: way 1 is the least-recently-used way.
+const LRU_IS_1: u8 = 4;
+
+impl Way {
+    fn is_valid(&self) -> bool {
+        self.state & VALID != 0
+    }
+
+    fn holds(&self, addr: LineAddr) -> bool {
+        self.is_valid() && u64::from(self.line) == addr.0
+    }
+
+    fn is_exclusive(&self) -> bool {
+        self.state & EXCLUSIVE != 0
+    }
+
+    fn line(&self) -> Option<CachedLine> {
+        self.is_valid().then(|| CachedLine {
+            addr: LineAddr(u64::from(self.line)),
+            exclusive: self.is_exclusive(),
+            version: Version(self.version),
+        })
+    }
+}
+
 #[derive(Clone, Copy, Debug, Default)]
 struct Set {
-    ways: [Option<CachedLine>; 2],
+    ways: [Way; 2],
+}
+
+const _: () = assert!(std::mem::size_of::<Way>() == 16);
+const _: () = assert!(std::mem::size_of::<Set>() <= 32);
+
+impl Set {
     /// Index of the least-recently-used way.
-    lru: u8,
+    fn lru(&self) -> usize {
+        usize::from(self.ways[0].state & LRU_IS_1 != 0)
+    }
+
+    /// Marks `way` most recently used.
+    fn used(&mut self, way: usize) {
+        if way == 0 {
+            self.ways[0].state |= LRU_IS_1;
+        } else {
+            self.ways[0].state &= !LRU_IS_1;
+        }
+    }
+
+    /// The first way holding `addr`.
+    fn find(&self, addr: LineAddr) -> Option<usize> {
+        (0..2).find(|&w| self.ways[w].holds(addr))
+    }
 }
 
 /// The result of inserting a line into the cache.
@@ -97,25 +157,18 @@ impl L2Cache {
     }
 
     /// Looks up a line without touching LRU state.
-    pub fn lookup(&self, addr: LineAddr) -> Option<&CachedLine> {
+    pub fn lookup(&self, addr: LineAddr) -> Option<CachedLine> {
         let set = &self.sets[self.set_of(addr)];
-        set.ways.iter().flatten().find(|l| l.addr == addr)
+        set.find(addr).and_then(|w| set.ways[w].line())
     }
 
     /// Looks up a line, marking it most recently used.
     pub fn touch(&mut self, addr: LineAddr) -> Option<CachedLine> {
         let si = self.set_of(addr);
         let set = &mut self.sets[si];
-        for (w, slot) in set.ways.iter().enumerate() {
-            if let Some(l) = slot {
-                if l.addr == addr {
-                    let l = *l;
-                    set.lru = (w as u8) ^ 1;
-                    return Some(l);
-                }
-            }
-        }
-        None
+        let w = set.find(addr)?;
+        set.used(w);
+        set.ways[w].line()
     }
 
     /// Installs a line (shared or exclusive), possibly evicting the LRU way.
@@ -124,34 +177,30 @@ impl L2Cache {
     /// # Panics
     ///
     /// Panics (debug) if the line is already present — callers must not
-    /// double-install.
+    /// double-install. Panics if the line address does not fit in 32 bits.
     pub fn insert(&mut self, addr: LineAddr, exclusive: bool, version: Version) -> InsertOutcome {
         debug_assert!(self.lookup(addr).is_none(), "line already cached");
+        let new = Way {
+            version: version.0,
+            line: u32::try_from(addr.0).expect("line address fits the cache's 32-bit tag"),
+            state: VALID | if exclusive { EXCLUSIVE } else { 0 },
+        };
         let si = self.set_of(addr);
         let set = &mut self.sets[si];
-        let new = CachedLine {
-            addr,
-            exclusive,
-            version,
+        // A free way, else the LRU way's line is the victim.
+        let (w, victim) = match (0..2).find(|&w| !set.ways[w].is_valid()) {
+            Some(w) => (w, None),
+            None => (set.lru(), set.ways[set.lru()].line()),
         };
-        // Free way?
-        for (w, slot) in set.ways.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(new);
-                set.lru = (w as u8) ^ 1;
+        set.ways[w] = new;
+        set.used(w);
+        match victim {
+            None => {
                 self.len += 1;
-                return InsertOutcome::Installed;
+                InsertOutcome::Installed
             }
-        }
-        // Evict the LRU way.
-        let victim_way = set.lru as usize;
-        let victim = set.ways[victim_way].take().expect("full set has lines");
-        set.ways[victim_way] = Some(new);
-        set.lru = (victim_way as u8) ^ 1;
-        if victim.exclusive {
-            InsertOutcome::EvictedDirty(victim)
-        } else {
-            InsertOutcome::EvictedClean(victim.addr)
+            Some(victim) if victim.exclusive => InsertOutcome::EvictedDirty(victim),
+            Some(victim) => InsertOutcome::EvictedClean(victim.addr),
         }
     }
 
@@ -161,33 +210,22 @@ impl L2Cache {
     pub fn store(&mut self, addr: LineAddr) -> Option<Version> {
         let si = self.set_of(addr);
         let set = &mut self.sets[si];
-        for (w, slot) in set.ways.iter_mut().enumerate() {
-            if let Some(l) = slot {
-                if l.addr == addr && l.exclusive {
-                    l.version = l.version.next();
-                    set.lru = (w as u8) ^ 1;
-                    return Some(l.version);
-                }
-            }
-        }
-        None
+        let w = (0..2).find(|&w| set.ways[w].holds(addr) && set.ways[w].is_exclusive())?;
+        set.ways[w].version += 1;
+        set.used(w);
+        Some(Version(set.ways[w].version))
     }
 
     /// Removes a line (invalidation), returning the removed copy if present.
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<CachedLine> {
         let si = self.set_of(addr);
         let set = &mut self.sets[si];
-        for slot in set.ways.iter_mut() {
-            if let Some(l) = slot {
-                if l.addr == addr {
-                    let out = *l;
-                    *slot = None;
-                    self.len -= 1;
-                    return Some(out);
-                }
-            }
-        }
-        None
+        let w = set.find(addr)?;
+        let out = set.ways[w].line();
+        // Way 0 keeps the set's LRU bit.
+        set.ways[w].state &= LRU_IS_1;
+        self.len -= 1;
+        out
     }
 
     /// Upgrades a shared copy to exclusive ownership (after an
@@ -195,13 +233,12 @@ impl L2Cache {
     /// copy's version, or `None` if the line is absent or already exclusive.
     pub fn upgrade(&mut self, addr: LineAddr) -> Option<Version> {
         let si = self.set_of(addr);
-        for l in self.sets[si].ways.iter_mut().flatten() {
-            if l.addr == addr && !l.exclusive {
-                l.exclusive = true;
-                return Some(l.version);
-            }
-        }
-        None
+        let way = self.sets[si]
+            .ways
+            .iter_mut()
+            .find(|way| way.holds(addr) && !way.is_exclusive())?;
+        way.state |= EXCLUSIVE;
+        Some(Version(way.version))
     }
 
     /// Downgrades an exclusive line to a clean shared copy (after the home
@@ -209,38 +246,30 @@ impl L2Cache {
     /// written back, or `None` if the line is absent or already shared.
     pub fn downgrade(&mut self, addr: LineAddr) -> Option<Version> {
         let si = self.set_of(addr);
-        for l in self.sets[si].ways.iter_mut().flatten() {
-            if l.addr == addr && l.exclusive {
-                l.exclusive = false;
-                return Some(l.version);
-            }
-        }
-        None
+        let way = self.sets[si]
+            .ways
+            .iter_mut()
+            .find(|way| way.holds(addr) && way.is_exclusive())?;
+        way.state &= !EXCLUSIVE;
+        Some(Version(way.version))
     }
 
     /// The recovery cache flush: returns all dirty (exclusive) lines for
     /// writeback and empties the whole cache (paper, Section 4.5: "after the
     /// cache flush step all processor caches in the system are empty").
     pub fn flush_all(&mut self) -> Vec<CachedLine> {
-        let mut dirty = Vec::new();
-        for set in &mut self.sets {
-            for slot in set.ways.iter_mut() {
-                if let Some(l) = slot.take() {
-                    if l.exclusive {
-                        dirty.push(l);
-                    }
-                }
-            }
-            set.lru = 0;
-        }
+        let mut dirty: Vec<CachedLine> = self.iter().filter(|l| l.exclusive).collect();
+        self.sets.fill(Set::default());
         self.len = 0;
         dirty.sort_by_key(|l| l.addr);
         dirty
     }
 
-    /// Iterates over all cached lines (set order).
-    pub fn iter(&self) -> impl Iterator<Item = &CachedLine> + '_ {
-        self.sets.iter().flat_map(|s| s.ways.iter().flatten())
+    /// Iterates over all cached lines (set order, then way order).
+    pub fn iter(&self) -> impl Iterator<Item = CachedLine> + '_ {
+        self.sets
+            .iter()
+            .flat_map(|s| s.ways.iter().filter_map(Way::line))
     }
 }
 
@@ -332,6 +361,155 @@ mod tests {
     fn with_mb_sizes() {
         assert_eq!(L2Cache::with_mb(1.0).capacity(), 8192);
         assert_eq!(L2Cache::with_mb(0.5).capacity(), 4096);
+    }
+
+    /// The cache before ways were packed: two `Option<CachedLine>` and an
+    /// LRU byte per set. The differential test below holds the packed cache
+    /// to it.
+    struct Reference {
+        sets: Vec<([Option<CachedLine>; 2], usize)>,
+    }
+
+    impl Reference {
+        fn new(capacity_lines: usize) -> Self {
+            Reference {
+                sets: vec![([None; 2], 0); capacity_lines.max(2).div_ceil(2)],
+            }
+        }
+
+        fn set(&mut self, addr: LineAddr) -> &mut ([Option<CachedLine>; 2], usize) {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(addr.0 % n) as usize]
+        }
+
+        fn way(&mut self, addr: LineAddr, want: impl Fn(&CachedLine) -> bool) -> Option<usize> {
+            let (ways, _) = self.set(addr);
+            (0..2).find(|&w| ways[w].is_some_and(|l| l.addr == addr && want(&l)))
+        }
+
+        fn lookup(&mut self, addr: LineAddr) -> Option<CachedLine> {
+            let w = self.way(addr, |_| true)?;
+            self.set(addr).0[w]
+        }
+
+        fn touch(&mut self, addr: LineAddr) -> Option<CachedLine> {
+            let w = self.way(addr, |_| true)?;
+            let set = self.set(addr);
+            set.1 = w ^ 1;
+            set.0[w]
+        }
+
+        fn insert(&mut self, addr: LineAddr, exclusive: bool, version: Version) -> InsertOutcome {
+            let new = Some(CachedLine {
+                addr,
+                exclusive,
+                version,
+            });
+            let (ways, lru) = self.set(addr);
+            if let Some(w) = (0..2).find(|&w| ways[w].is_none()) {
+                ways[w] = new;
+                *lru = w ^ 1;
+                return InsertOutcome::Installed;
+            }
+            let victim = ways[*lru].take().unwrap();
+            ways[*lru] = new;
+            *lru ^= 1;
+            if victim.exclusive {
+                InsertOutcome::EvictedDirty(victim)
+            } else {
+                InsertOutcome::EvictedClean(victim.addr)
+            }
+        }
+
+        fn store(&mut self, addr: LineAddr) -> Option<Version> {
+            let w = self.way(addr, |l| l.exclusive)?;
+            let set = self.set(addr);
+            let l = set.0[w].as_mut().unwrap();
+            l.version = l.version.next();
+            set.1 = w ^ 1;
+            Some(l.version)
+        }
+
+        fn invalidate(&mut self, addr: LineAddr) -> Option<CachedLine> {
+            let w = self.way(addr, |_| true)?;
+            self.set(addr).0[w].take()
+        }
+
+        fn regrade(&mut self, addr: LineAddr, to_exclusive: bool) -> Option<Version> {
+            let w = self.way(addr, |l| l.exclusive != to_exclusive)?;
+            let l = self.set(addr).0[w].as_mut().unwrap();
+            l.exclusive = to_exclusive;
+            Some(l.version)
+        }
+
+        fn flush_all(&mut self) -> Vec<CachedLine> {
+            let mut dirty: Vec<CachedLine> = self.iter().filter(|l| l.exclusive).collect();
+            self.sets.fill(([None; 2], 0));
+            dirty.sort_by_key(|l| l.addr);
+            dirty
+        }
+
+        fn iter(&self) -> impl Iterator<Item = CachedLine> + '_ {
+            self.sets
+                .iter()
+                .flat_map(|(ways, _)| ways.iter().flatten().copied())
+        }
+    }
+
+    #[test]
+    fn packed_cache_matches_the_option_cache() {
+        for case in 0..48u64 {
+            let mut rng = flash_sim::DetRng::new(0x2CAC4E ^ case);
+            let capacity = [2, 6, 16, 64][case as usize % 4];
+            let span = capacity as u64 * [2, 4, 64][case as usize % 3];
+            let mut packed = L2Cache::new(capacity);
+            let mut reference = Reference::new(capacity);
+            for step in 0..600 {
+                let addr = LineAddr(rng.below(span));
+                let version = Version(rng.below(1000));
+                let ctx = format!("case {case} step {step} {addr:?}");
+                match rng.below(16) {
+                    0..=3 => {
+                        if reference.lookup(addr).is_none() {
+                            let exclusive = rng.chance(0.5);
+                            assert_eq!(
+                                packed.insert(addr, exclusive, version),
+                                reference.insert(addr, exclusive, version),
+                                "{ctx}"
+                            );
+                        }
+                    }
+                    4..=5 => assert_eq!(packed.touch(addr), reference.touch(addr), "{ctx}"),
+                    6..=7 => assert_eq!(packed.lookup(addr), reference.lookup(addr), "{ctx}"),
+                    8..=9 => assert_eq!(packed.store(addr), reference.store(addr), "{ctx}"),
+                    10..=11 => {
+                        assert_eq!(packed.invalidate(addr), reference.invalidate(addr), "{ctx}")
+                    }
+                    12 => assert_eq!(packed.upgrade(addr), reference.regrade(addr, true), "{ctx}"),
+                    13 => assert_eq!(
+                        packed.downgrade(addr),
+                        reference.regrade(addr, false),
+                        "{ctx}"
+                    ),
+                    14 => assert!(packed.iter().eq(reference.iter()), "{ctx}"),
+                    _ => {
+                        if rng.chance(0.1) {
+                            assert_eq!(packed.flush_all(), reference.flush_all(), "{ctx}");
+                        }
+                    }
+                }
+                assert_eq!(packed.len(), reference.iter().count(), "{ctx}");
+            }
+            assert!(packed.iter().eq(reference.iter()), "case {case}");
+            assert_eq!(packed.flush_all(), reference.flush_all(), "case {case}");
+            assert!(packed.is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit tag")]
+    fn line_past_32_bits_panics() {
+        L2Cache::new(8).insert(LineAddr(1 << 32), false, Version(0));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use crate::line::{LineAddr, MemLayout, Version};
 use crate::msg::CohMsg;
 use crate::nodeset::NodeSet;
+use crate::pool::NodeSetPool;
 use flash_net::NodeId;
 use flash_net::{Counter, Counters};
 
@@ -159,9 +160,8 @@ pub struct Directory {
     layout: MemLayout,
     entries: Vec<Entry>,
     // Sharer sets of the lines in `Shared` or `PendingInvals`, indexed by
-    // their entry's slot; `free` lists the slots no line holds.
-    sharers: Vec<NodeSet>,
-    free: Vec<u32>,
+    // their entry's slot, at the machine's width.
+    sharers: NodeSetPool,
     versions: Vec<Version>,
     counters: Counters,
     // Sorted index of lines currently in `DirState::Incoherent`, so the
@@ -178,8 +178,7 @@ impl Directory {
             home,
             layout,
             entries: vec![Entry::Uncached; n],
-            sharers: Vec::new(),
-            free: Vec::new(),
+            sharers: NodeSetPool::new(layout.num_nodes()),
             versions: vec![Version::INITIAL; n],
             counters: Counters::new(),
             incoherent: Vec::new(),
@@ -192,10 +191,11 @@ impl Directory {
     }
 
     /// The state of the line at local index `i`.
+    #[inline]
     fn get(&self, i: usize) -> DirState {
         match self.entries[i] {
             Entry::Uncached => DirState::Uncached,
-            Entry::Shared(slot) => DirState::Shared(self.sharers[slot as usize]),
+            Entry::Shared(slot) => DirState::Shared(self.sharers.get(slot)),
             Entry::Exclusive(owner) => DirState::Exclusive(owner),
             Entry::PendingInvals {
                 requester,
@@ -203,7 +203,7 @@ impl Directory {
                 needs_data,
             } => DirState::PendingInvals {
                 requester,
-                pending: self.sharers[slot as usize],
+                pending: self.sharers.get(slot),
                 needs_data,
             },
             Entry::PendingRecall {
@@ -225,7 +225,7 @@ impl Directory {
         let mut held = self.entries[i].slot();
         self.entries[i] = match state {
             DirState::Uncached => Entry::Uncached,
-            DirState::Shared(set) => Entry::Shared(self.hold(held.take(), set)),
+            DirState::Shared(set) => Entry::Shared(self.sharers.hold(held.take(), &set)),
             DirState::Exclusive(owner) => Entry::Exclusive(owner),
             DirState::PendingInvals {
                 requester,
@@ -233,7 +233,7 @@ impl Directory {
                 needs_data,
             } => Entry::PendingInvals {
                 requester,
-                slot: self.hold(held.take(), pending),
+                slot: self.sharers.hold(held.take(), &pending),
                 needs_data,
             },
             DirState::PendingRecall {
@@ -248,19 +248,8 @@ impl Directory {
             DirState::Incoherent => Entry::Incoherent,
         };
         if let Some(slot) = held {
-            self.free.push(slot);
+            self.sharers.release(slot);
         }
-    }
-
-    /// Stores `set` in `slot`, or in a free or new pool slot if the line
-    /// held none; returns the slot used.
-    fn hold(&mut self, slot: Option<u32>, set: NodeSet) -> u32 {
-        let slot = slot.or_else(|| self.free.pop()).unwrap_or_else(|| {
-            self.sharers.push(NodeSet::new());
-            (self.sharers.len() - 1) as u32
-        });
-        self.sharers[slot as usize] = set;
-        slot
     }
 
     fn idx(&self, line: LineAddr) -> usize {
@@ -598,7 +587,6 @@ impl Directory {
         }
         // No line holds a sharer set any more.
         self.sharers.clear();
-        self.free.clear();
         self.index_marked(&marked);
         marked
     }
@@ -700,6 +688,13 @@ impl Directory {
     pub fn iter_states(&self) -> impl Iterator<Item = (LineAddr, DirState)> + '_ {
         let base = self.home.index() as u64 * self.layout.lines_per_node();
         (0..self.entries.len()).map(move |i| (LineAddr(base + i as u64), self.get(i)))
+    }
+
+    /// Iterates over `(line, memory version)` for all lines homed here, in
+    /// ascending line order, without decoding any directory state.
+    pub fn iter_versions(&self) -> impl Iterator<Item = (LineAddr, Version)> + '_ {
+        let base = self.home.index() as u64 * self.layout.lines_per_node();
+        (base..).map(LineAddr).zip(self.versions.iter().copied())
     }
 }
 
@@ -1078,16 +1073,17 @@ mod storage_tests {
             .filter(|(_, s)| matches!(s, DirState::Shared(_) | DirState::PendingInvals { .. }))
             .count();
         assert_eq!(held, sharing, "a slot per line with a sharer set");
-        assert_eq!(d.sharers.len() - d.free.len(), held, "live slots");
-        slots.extend(&d.free);
+        let free = d.sharers.free_slots();
+        assert_eq!(d.sharers.slots() - free.len(), held, "live slots");
+        slots.extend(free);
         slots.sort_unstable();
-        let all: Vec<u32> = (0..d.sharers.len() as u32).collect();
+        let all: Vec<u32> = (0..d.sharers.slots() as u32).collect();
         assert_eq!(slots, all, "each slot held once or free once");
     }
 
     #[test]
     fn every_state_round_trips() {
-        let mut d = Directory::new(NodeId(0), MemLayout::new(2, 8));
+        let mut d = Directory::new(NodeId(0), MemLayout::new(1024, 8));
         let wide = set(&[0, 127, 128, 500, 1023]);
         let states = [
             DirState::Uncached,
@@ -1133,7 +1129,7 @@ mod storage_tests {
 
     #[test]
     fn slots_are_reused_and_freed() {
-        let mut d = Directory::new(NodeId(0), MemLayout::new(2, 8));
+        let mut d = Directory::new(NodeId(0), MemLayout::new(1024, 8));
         d.put(0, DirState::Shared(set(&[1])));
         let slot = d.entries[0].slot();
         assert_eq!(slot, Some(0));
@@ -1149,7 +1145,7 @@ mod storage_tests {
             },
         );
         assert_eq!(d.entries[0].slot(), slot);
-        assert_eq!(d.sharers.len(), 1);
+        assert_eq!(d.sharers.slots(), 1);
         // Leaving for any state without a set frees the slot, and the next
         // line to need one takes it back.
         for end in [
@@ -1160,15 +1156,15 @@ mod storage_tests {
             d.put(1, DirState::Shared(set(&[4])));
             assert_eq!(d.entries[1].slot(), Some(1));
             d.put(1, end);
-            assert_eq!(d.free, vec![1]);
+            assert_eq!(d.sharers.free_slots(), &[1]);
             assert_pool_consistent(&d);
             d.put(2, DirState::Shared(set(&[5])));
             assert_eq!(d.entries[2].slot(), Some(1));
-            assert!(d.free.is_empty());
+            assert!(d.sharers.free_slots().is_empty());
             d.put(2, DirState::Uncached);
         }
         assert_eq!(
-            d.sharers.len(),
+            d.sharers.slots(),
             2,
             "the pool grows only when nothing is free"
         );
@@ -1190,12 +1186,51 @@ mod storage_tests {
         assert_eq!(d.state(LineAddr(4)), DirState::Uncached);
         assert_eq!(d.state(LineAddr(5)), DirState::Shared(set(&[6])));
         assert_pool_consistent(&d);
-        assert_eq!(d.sharers.len() - d.free.len(), 2, "lines 0 and 5");
+        assert_eq!(
+            d.sharers.slots() - d.sharers.free_slots().len(),
+            2,
+            "lines 0 and 5"
+        );
 
         // The post-flush reset empties the pool.
         d.scan_and_reset();
-        assert!(d.sharers.is_empty() && d.free.is_empty());
+        assert!(d.sharers.slots() == 0 && d.sharers.free_slots().is_empty());
         assert_pool_consistent(&d);
+    }
+
+    #[test]
+    fn pool_slots_are_machine_width() {
+        let mut d = Directory::new(NodeId(0), MemLayout::new(128, 8));
+        assert_eq!(d.sharers.slot_bytes(), 16);
+        d.put(0, DirState::Shared(set(&[0, 64, 127])));
+        assert_eq!(d.get(0), DirState::Shared(set(&[0, 64, 127])));
+        assert_eq!(
+            Directory::new(NodeId(0), MemLayout::new(1024, 8))
+                .sharers
+                .slot_bytes(),
+            128
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "node id 500 exceeds the 2-node machine")]
+    fn sharer_outside_the_machine_panics() {
+        let mut d = Directory::new(NodeId(0), MemLayout::new(2, 8));
+        d.handle(LineAddr(3), HomeIn::Get { from: NodeId(500) });
+    }
+
+    #[test]
+    fn iter_versions_walks_the_memory_image() {
+        let mut d = Directory::new(NodeId(1), MemLayout::new(2, 4));
+        d.handle(LineAddr(5), HomeIn::GetX { from: NodeId(0) });
+        d.recovery_put(LineAddr(5), Version(9));
+        let walk: Vec<(LineAddr, Version)> = d.iter_versions().collect();
+        let by_line: Vec<(LineAddr, Version)> = d
+            .iter_states()
+            .map(|(line, _)| (line, d.mem_version(line)))
+            .collect();
+        assert_eq!(walk, by_line);
+        assert_eq!(walk[1], (LineAddr(5), Version(9)));
     }
 
     /// Random protocol and recovery traffic from sharers on both sides of
@@ -1205,7 +1240,7 @@ mod storage_tests {
         let nodes = [1u16, 2, 127, 128, 600, 1023];
         for case in 0..16u64 {
             let mut rng = DetRng::new(0xD1E5_5107 ^ case);
-            let mut d = Directory::new(NodeId(0), MemLayout::new(2, 8));
+            let mut d = Directory::new(NodeId(0), MemLayout::new(1024, 8));
             let mut version = Version::INITIAL;
             for _ in 0..400 {
                 let line = LineAddr(rng.below(8));

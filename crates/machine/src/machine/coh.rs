@@ -219,7 +219,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                     };
                     st.send_coh(NodeId(n), home, put, sched);
                     return;
-                } else if let Some(l) = node.cache.lookup(line).copied() {
+                } else if let Some(l) = node.cache.lookup(line) {
                     // Already shared (downgrade returned None): answer the
                     // read recall from the clean copy we keep.
                     let put = CohMsg::Put {

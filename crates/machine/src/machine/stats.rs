@@ -31,13 +31,12 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         let lost = |line: LineAddr| lost_in_transit.binary_search(&line).is_ok();
         // Exclusive (dirty) copies in live caches define a line's effective
         // data. The stable sort keeps a line's copies in node order and the
-        // walk below keeps the last one: the last node's copy wins.
+        // walk below keeps the last one: the last node's copy wins. The
+        // copies are counted first so the vector is allocated once.
         let live = || self.nodes.iter().filter(|n| n.is_alive());
-        let mut dirty: Vec<(LineAddr, Version)> = live()
-            .flat_map(|n| n.cache.iter())
-            .filter(|l| l.exclusive)
-            .map(|l| (l.addr, l.version))
-            .collect();
+        let exclusive = || live().flat_map(|n| n.cache.iter()).filter(|l| l.exclusive);
+        let mut dirty: Vec<(LineAddr, Version)> = Vec::with_capacity(exclusive().count());
+        dirty.extend(exclusive().map(|l| (l.addr, l.version)));
         dirty.sort_by_key(|&(line, _)| line);
         let mut dirty = dirty.into_iter().peekable();
         let mut report = ValidationReport {
@@ -51,7 +50,8 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             }
             // Lines ascend across nodes, so one forward walk of `dirty`
             // visits each line's copies in step with the scan.
-            for (line, state) in node.dir.iter_states() {
+            let versions = node.dir.iter_versions().map(|(_, mem)| mem);
+            for ((line, state), mem) in node.dir.iter_states().zip(versions) {
                 report.lines_checked += 1;
                 let mut copy = None;
                 while let Some(&(l, v)) = dirty.peek() {
@@ -64,7 +64,6 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                     dirty.next();
                 }
                 let expected = self.oracle.expected_version(line);
-                let mem = node.dir.mem_version(line);
                 match state {
                     DirState::Incoherent => {
                         report.marked_incoherent += 1;

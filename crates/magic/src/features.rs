@@ -7,7 +7,7 @@
 //! cost to the handlers servicing inter-cell writes (< 7 % of an inter-node
 //! write miss — reproduced by the Table 6.1 bench).
 
-use flash_coherence::{LineAddr, MemLayout, NodeSet, PageAddr, LINES_PER_PAGE};
+use flash_coherence::{LineAddr, MemLayout, NodeSet, NodeSetPool, PageAddr, LINES_PER_PAGE};
 use flash_net::NodeId;
 
 /// The node map: a configurable hardware table recording the availability
@@ -51,15 +51,21 @@ impl NodeMap {
     }
 }
 
+/// The ACL of a page with the boot-time default: no pool slot.
+const OPEN: u32 = u32::MAX;
+
 /// The firewall: a per-4KB-page access-control list restricting which nodes
 /// may fetch lines of that page *exclusive* (i.e. write it). Protects a
 /// cell's memory against wild writes and incorrectly speculated writes from
 /// other cells (paper, Section 3.3).
 #[derive(Clone, Debug)]
 pub struct Firewall {
-    /// ACLs for the pages homed on this node, indexed by local page number.
-    /// `None` means the boot-time default (everyone may write).
-    acls: Vec<Option<NodeSet>>,
+    /// The pool slot of each homed page's ACL, indexed by local page
+    /// number. [`OPEN`] means the boot-time default (everyone may write)
+    /// and holds no slot.
+    acls: Vec<u32>,
+    /// The restricted pages' writer sets.
+    writers: NodeSetPool,
     /// Base page of this node's memory slice.
     base_page: u64,
     enabled: bool,
@@ -81,7 +87,8 @@ impl Firewall {
         let pages = (layout.lines_per_node() / LINES_PER_PAGE) as usize;
         let base_page = home.index() as u64 * layout.lines_per_node() / LINES_PER_PAGE;
         Firewall {
-            acls: vec![None; pages],
+            acls: vec![OPEN; pages],
+            writers: NodeSetPool::new(layout.num_nodes()),
             base_page,
             enabled,
         }
@@ -109,10 +116,12 @@ impl Firewall {
     ///
     /// # Panics
     ///
-    /// Panics if the page is not homed on this node.
+    /// Panics if the page is not homed on this node, or if a writer lies
+    /// outside the machine.
     pub fn restrict(&mut self, page: PageAddr, writers: NodeSet) {
         let i = self.local(page).expect("page not homed on this node");
-        self.acls[i] = Some(writers);
+        let held = (self.acls[i] != OPEN).then_some(self.acls[i]);
+        self.acls[i] = self.writers.hold(held, &writers);
     }
 
     /// Returns a page to the permissive boot default.
@@ -122,7 +131,10 @@ impl Firewall {
     /// Panics if the page is not homed on this node.
     pub fn open(&mut self, page: PageAddr) {
         let i = self.local(page).expect("page not homed on this node");
-        self.acls[i] = None;
+        if self.acls[i] != OPEN {
+            self.writers.release(self.acls[i]);
+            self.acls[i] = OPEN;
+        }
     }
 
     /// Checks whether `from` may fetch a line of `page` exclusive.
@@ -131,9 +143,9 @@ impl Firewall {
         if !self.enabled {
             return true;
         }
-        match self.local(page).and_then(|i| self.acls[i].as_ref()) {
-            Some(acl) => acl.contains(from),
-            None => true,
+        match self.local(page).map(|i| self.acls[i]) {
+            Some(acl) if acl != OPEN => self.writers.contains(acl, from),
+            _ => true,
         }
     }
 }
@@ -279,6 +291,30 @@ mod tests {
         assert!(!fw.enabled());
         fw.set_enabled(true);
         assert!(!fw.may_write(PageAddr(0), NodeId(3)));
+    }
+
+    #[test]
+    fn firewall_acls_share_one_pool() {
+        let mut fw = Firewall::new(NodeId(1), layout(), true);
+        let (a, b) = (PageAddr(4), PageAddr(6));
+        fw.restrict(a, NodeSet::singleton(NodeId(0)));
+        fw.restrict(a, NodeSet::singleton(NodeId(2)));
+        assert_eq!(fw.writers.slots(), 1, "a re-restricted page keeps its slot");
+        assert!(fw.may_write(a, NodeId(2)) && !fw.may_write(a, NodeId(0)));
+        fw.open(a);
+        fw.open(a);
+        fw.restrict(b, NodeSet::new());
+        assert_eq!(fw.writers.slots(), 1, "an opened page's slot is reused");
+        assert!(fw.may_write(a, NodeId(0)));
+        assert!(!fw.may_write(b, NodeId(1)));
+        assert!(!fw.may_write(b, NodeId(900)));
+    }
+
+    #[test]
+    #[should_panic(expected = "node id 4 exceeds the 4-node machine")]
+    fn firewall_rejects_writers_outside_the_machine() {
+        let mut fw = Firewall::new(NodeId(1), layout(), true);
+        fw.restrict(PageAddr(4), NodeSet::singleton(NodeId(4)));
     }
 
     #[test]

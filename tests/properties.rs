@@ -165,7 +165,7 @@ fn cache_matches_reference_model() {
             std::collections::HashMap::new();
         for (addr, write) in ops {
             let line = LineAddr(addr);
-            match (cache.lookup(line).copied(), write) {
+            match (cache.lookup(line), write) {
                 (Some(l), true) if l.exclusive => {
                     let v = cache.store(line).unwrap();
                     reference.insert(addr, (true, v));
