@@ -320,15 +320,16 @@ fn check_ownership(st: &MachineState<RecMsg>, out: &mut Vec<Violation>) {
         if st.failed_nodes.contains(node.id) {
             continue;
         }
-        for (line, state) in node.dir.iter_states() {
-            if let flash_coherence::DirState::Exclusive(owner) = state {
+        for (line, tag) in node.dir.iter_tags() {
+            if let flash_coherence::DirTag::Exclusive(owner) = tag {
                 if st.failed_nodes.contains(owner) {
                     out.push(Violation::new(
                         "stranded-ownership",
                         format!("line {line:?} still owned exclusively by failed node {owner:?}"),
                     ));
                 }
-            } else if state.is_locked() {
+            } else if tag.is_locked() {
+                let state = node.dir.state(line);
                 out.push(Violation::new(
                     "stranded-ownership",
                     format!("line {line:?} still locked at quiescence: {state:?}"),

@@ -23,25 +23,42 @@ pub struct CachedLine {
     pub version: Version,
 }
 
-/// One way of a set, packed into 16 bytes: the line's version, its address
-/// (as a `u32`, checked on insert) and a state byte of the flags below.
+/// One way of a set, packed into 8 bytes: a word holding the flags below
+/// over the line's version, and the line's address as a `u32` (checked on
+/// insert).
 #[derive(Clone, Copy, Debug, Default)]
 struct Way {
-    version: u64,
+    word: u32,
     line: u32,
-    state: u8,
 }
 
 /// The way holds a line.
-const VALID: u8 = 1;
+const VALID: u32 = 1 << 31;
 /// The line is held exclusive (and so dirty).
-const EXCLUSIVE: u8 = 2;
-/// Set in way 0's state only: way 1 is the least-recently-used way.
-const LRU_IS_1: u8 = 4;
+const EXCLUSIVE: u32 = 1 << 30;
+/// Set in way 0's word only: way 1 is the least-recently-used way.
+const LRU_IS_1: u32 = 1 << 29;
+/// The bits below the flags hold the version.
+const VERSION_BITS: u32 = 29;
+const VERSION_MASK: u32 = (1 << VERSION_BITS) - 1;
+
+/// `version` as it sits under the flags.
+///
+/// # Panics
+///
+/// Panics if the version needs more than [`VERSION_BITS`] bits: it is
+/// never truncated.
+fn packed(version: Version) -> u32 {
+    assert!(
+        version.0 <= VERSION_MASK,
+        "version {version:?} exceeds the cache's {VERSION_BITS}-bit version field"
+    );
+    version.0
+}
 
 impl Way {
     fn is_valid(&self) -> bool {
-        self.state & VALID != 0
+        self.word & VALID != 0
     }
 
     fn holds(&self, addr: LineAddr) -> bool {
@@ -49,14 +66,18 @@ impl Way {
     }
 
     fn is_exclusive(&self) -> bool {
-        self.state & EXCLUSIVE != 0
+        self.word & EXCLUSIVE != 0
+    }
+
+    fn version(&self) -> Version {
+        Version(self.word & VERSION_MASK)
     }
 
     fn line(&self) -> Option<CachedLine> {
         self.is_valid().then(|| CachedLine {
             addr: LineAddr(u64::from(self.line)),
             exclusive: self.is_exclusive(),
-            version: Version(self.version),
+            version: self.version(),
         })
     }
 }
@@ -66,21 +87,21 @@ struct Set {
     ways: [Way; 2],
 }
 
-const _: () = assert!(std::mem::size_of::<Way>() == 16);
-const _: () = assert!(std::mem::size_of::<Set>() <= 32);
+const _: () = assert!(std::mem::size_of::<Way>() == 8);
+const _: () = assert!(std::mem::size_of::<Set>() == 16);
 
 impl Set {
     /// Index of the least-recently-used way.
     fn lru(&self) -> usize {
-        usize::from(self.ways[0].state & LRU_IS_1 != 0)
+        usize::from(self.ways[0].word & LRU_IS_1 != 0)
     }
 
     /// Marks `way` most recently used.
     fn used(&mut self, way: usize) {
         if way == 0 {
-            self.ways[0].state |= LRU_IS_1;
+            self.ways[0].word |= LRU_IS_1;
         } else {
-            self.ways[0].state &= !LRU_IS_1;
+            self.ways[0].word &= !LRU_IS_1;
         }
     }
 
@@ -177,13 +198,13 @@ impl L2Cache {
     /// # Panics
     ///
     /// Panics (debug) if the line is already present — callers must not
-    /// double-install. Panics if the line address does not fit in 32 bits.
+    /// double-install. Panics if the line address does not fit in 32 bits
+    /// or the version in the way's version field.
     pub fn insert(&mut self, addr: LineAddr, exclusive: bool, version: Version) -> InsertOutcome {
         debug_assert!(self.lookup(addr).is_none(), "line already cached");
         let new = Way {
-            version: version.0,
+            word: VALID | (if exclusive { EXCLUSIVE } else { 0 }) | packed(version),
             line: u32::try_from(addr.0).expect("line address fits the cache's 32-bit tag"),
-            state: VALID | if exclusive { EXCLUSIVE } else { 0 },
         };
         let si = self.set_of(addr);
         let set = &mut self.sets[si];
@@ -207,13 +228,18 @@ impl L2Cache {
     /// Commits a store to a cached exclusive line, bumping its version.
     /// Returns the new version, or `None` if the line is absent or not
     /// exclusive (the caller must obtain exclusivity first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new version does not fit the way's version field.
     pub fn store(&mut self, addr: LineAddr) -> Option<Version> {
         let si = self.set_of(addr);
         let set = &mut self.sets[si];
         let w = (0..2).find(|&w| set.ways[w].holds(addr) && set.ways[w].is_exclusive())?;
-        set.ways[w].version += 1;
+        let version = set.ways[w].version().next();
+        set.ways[w].word = (set.ways[w].word & !VERSION_MASK) | packed(version);
         set.used(w);
-        Some(Version(set.ways[w].version))
+        Some(version)
     }
 
     /// Removes a line (invalidation), returning the removed copy if present.
@@ -223,7 +249,7 @@ impl L2Cache {
         let w = set.find(addr)?;
         let out = set.ways[w].line();
         // Way 0 keeps the set's LRU bit.
-        set.ways[w].state &= LRU_IS_1;
+        set.ways[w].word &= LRU_IS_1;
         self.len -= 1;
         out
     }
@@ -237,8 +263,8 @@ impl L2Cache {
             .ways
             .iter_mut()
             .find(|way| way.holds(addr) && !way.is_exclusive())?;
-        way.state |= EXCLUSIVE;
-        Some(Version(way.version))
+        way.word |= EXCLUSIVE;
+        Some(way.version())
     }
 
     /// Downgrades an exclusive line to a clean shared copy (after the home
@@ -250,8 +276,8 @@ impl L2Cache {
             .ways
             .iter_mut()
             .find(|way| way.holds(addr) && way.is_exclusive())?;
-        way.state &= !EXCLUSIVE;
-        Some(Version(way.version))
+        way.word &= !EXCLUSIVE;
+        Some(way.version())
     }
 
     /// The recovery cache flush: returns all dirty (exclusive) lines for
@@ -456,17 +482,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn packed_cache_matches_the_option_cache() {
+    /// Runs the seeded differential cases with versions drawn from
+    /// `base..base + 1000`. At most 600 stores follow, so a base up to
+    /// `VERSION_MASK - 1600` never overflows the packed field.
+    fn differential(base: u32, seed: u64) {
         for case in 0..48u64 {
-            let mut rng = flash_sim::DetRng::new(0x2CAC4E ^ case);
+            let mut rng = flash_sim::DetRng::new(seed ^ case);
             let capacity = [2, 6, 16, 64][case as usize % 4];
             let span = capacity as u64 * [2, 4, 64][case as usize % 3];
             let mut packed = L2Cache::new(capacity);
             let mut reference = Reference::new(capacity);
             for step in 0..600 {
                 let addr = LineAddr(rng.below(span));
-                let version = Version(rng.below(1000));
+                let version = Version(base + rng.below(1000) as u32);
                 let ctx = format!("case {case} step {step} {addr:?}");
                 match rng.below(16) {
                     0..=3 => {
@@ -507,6 +535,63 @@ mod tests {
     }
 
     #[test]
+    fn packed_cache_matches_the_option_cache() {
+        differential(0, 0x2CAC4E);
+    }
+
+    /// Versions with the field's top bits set sit right under the flags:
+    /// neither may leak into the other.
+    #[test]
+    fn versions_near_the_top_of_the_field_keep_their_flags() {
+        differential(VERSION_MASK - 1600, 0x70B_F1E1D);
+    }
+
+    #[test]
+    fn the_largest_packed_version_round_trips() {
+        let top = Version(VERSION_MASK);
+        let mut c = L2Cache::new(2);
+        c.insert(LineAddr(0), false, top);
+        c.insert(LineAddr(1), true, Version(VERSION_MASK - 1));
+        assert_eq!(c.store(LineAddr(1)), Some(top));
+        c.touch(LineAddr(0));
+        let lines: Vec<CachedLine> = c.iter().collect();
+        assert_eq!(
+            lines,
+            [
+                CachedLine {
+                    addr: LineAddr(0),
+                    exclusive: false,
+                    version: top
+                },
+                CachedLine {
+                    addr: LineAddr(1),
+                    exclusive: true,
+                    version: top
+                },
+            ]
+        );
+        // Line 1 is the LRU way, so it is the victim.
+        assert_eq!(
+            c.insert(LineAddr(2), false, Version::INITIAL),
+            InsertOutcome::EvictedDirty(lines[1])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the cache's 29-bit version field")]
+    fn insert_past_the_packed_width_panics() {
+        L2Cache::new(8).insert(LineAddr(1), true, Version(VERSION_MASK + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the cache's 29-bit version field")]
+    fn store_past_the_packed_width_panics() {
+        let mut c = L2Cache::new(8);
+        c.insert(LineAddr(1), true, Version(VERSION_MASK));
+        c.store(LineAddr(1));
+    }
+
+    #[test]
     #[should_panic(expected = "32-bit tag")]
     fn line_past_32_bits_panics() {
         L2Cache::new(8).insert(LineAddr(1 << 32), false, Version(0));
@@ -516,7 +601,7 @@ mod tests {
     fn iter_visits_all_lines() {
         let mut c = L2Cache::new(8);
         for i in 0..4 {
-            c.insert(LineAddr(i), i % 2 == 0, Version(i));
+            c.insert(LineAddr(i), i % 2 == 0, Version(i as u32));
         }
         assert_eq!(c.iter().count(), 4);
     }

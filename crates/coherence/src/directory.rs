@@ -66,6 +66,47 @@ impl DirState {
     }
 }
 
+/// A line's [`DirState`] without its sharer set: the state's tag, and the
+/// owner of a dirty line. Whole-directory walks ([`Directory::iter_tags`])
+/// yield it, since reading a line's tag never touches the sharer pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DirTag {
+    /// [`DirState::Uncached`].
+    Uncached,
+    /// [`DirState::Shared`].
+    Shared,
+    /// [`DirState::Exclusive`], with its owner.
+    Exclusive(NodeId),
+    /// [`DirState::PendingInvals`].
+    PendingInvals,
+    /// [`DirState::PendingRecall`], with the owner being recalled.
+    PendingRecall {
+        /// The dirty owner asked to write the line back.
+        owner: NodeId,
+    },
+    /// [`DirState::Incoherent`].
+    Incoherent,
+}
+
+const _: () = assert!(std::mem::size_of::<DirTag>() == 4);
+
+impl DirTag {
+    /// The node holding the line's only valid copy, for a line that is
+    /// dirty remote (`Exclusive` or `PendingRecall`).
+    pub fn owner(self) -> Option<NodeId> {
+        match self {
+            DirTag::Exclusive(owner) | DirTag::PendingRecall { owner } => Some(owner),
+            _ => None,
+        }
+    }
+
+    /// Whether the line is locked in a transient state, as
+    /// [`DirState::is_locked`].
+    pub fn is_locked(self) -> bool {
+        matches!(self, DirTag::PendingInvals | DirTag::PendingRecall { .. })
+    }
+}
+
 /// Messages to send as the result of a directory transition, as
 /// (destination, message) pairs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -141,8 +182,6 @@ enum Entry {
     Incoherent,
 }
 
-const _: () = assert!(std::mem::size_of::<Entry>() <= 16);
-
 impl Entry {
     /// The sharer-pool slot this entry holds, if any.
     fn slot(self) -> Option<u32> {
@@ -151,18 +190,39 @@ impl Entry {
             _ => None,
         }
     }
+
+    fn tag(self) -> DirTag {
+        match self {
+            Entry::Uncached => DirTag::Uncached,
+            Entry::Shared(_) => DirTag::Shared,
+            Entry::Exclusive(owner) => DirTag::Exclusive(owner),
+            Entry::PendingInvals { .. } => DirTag::PendingInvals,
+            Entry::PendingRecall { owner, .. } => DirTag::PendingRecall { owner },
+            Entry::Incoherent => DirTag::Incoherent,
+        }
+    }
 }
+
+/// One homed line as stored: its directory entry and its memory version,
+/// side by side, so a handler that reads both touches one cache line.
+#[derive(Clone, Copy, Debug)]
+struct Record {
+    entry: Entry,
+    version: Version,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 8);
+const _: () = assert!(std::mem::size_of::<Record>() == 12);
 
 /// The directory (and memory image) for the lines homed on one node.
 #[derive(Clone, Debug)]
 pub struct Directory {
     home: NodeId,
     layout: MemLayout,
-    entries: Vec<Entry>,
+    lines: Vec<Record>,
     // Sharer sets of the lines in `Shared` or `PendingInvals`, indexed by
     // their entry's slot, at the machine's width.
     sharers: NodeSetPool,
-    versions: Vec<Version>,
     counters: Counters,
     // Sorted index of lines currently in `DirState::Incoherent`, so the
     // OS page service can find them without scanning every homed line.
@@ -177,9 +237,14 @@ impl Directory {
         Directory {
             home,
             layout,
-            entries: vec![Entry::Uncached; n],
+            lines: vec![
+                Record {
+                    entry: Entry::Uncached,
+                    version: Version::INITIAL,
+                };
+                n
+            ],
             sharers: NodeSetPool::new(layout.num_nodes()),
-            versions: vec![Version::INITIAL; n],
             counters: Counters::new(),
             incoherent: Vec::new(),
         }
@@ -193,7 +258,7 @@ impl Directory {
     /// The state of the line at local index `i`.
     #[inline]
     fn get(&self, i: usize) -> DirState {
-        match self.entries[i] {
+        match self.lines[i].entry {
             Entry::Uncached => DirState::Uncached,
             Entry::Shared(slot) => DirState::Shared(self.sharers.get(slot)),
             Entry::Exclusive(owner) => DirState::Exclusive(owner),
@@ -222,8 +287,8 @@ impl Directory {
     /// Sets the state of the line at local index `i`. A line that keeps a
     /// sharer set keeps its pool slot; one that drops it frees the slot.
     fn put(&mut self, i: usize, state: DirState) {
-        let mut held = self.entries[i].slot();
-        self.entries[i] = match state {
+        let mut held = self.lines[i].entry.slot();
+        self.lines[i].entry = match state {
             DirState::Uncached => Entry::Uncached,
             DirState::Shared(set) => Entry::Shared(self.sharers.hold(held.take(), &set)),
             DirState::Exclusive(owner) => Entry::Exclusive(owner),
@@ -264,12 +329,12 @@ impl Directory {
 
     /// The memory image's data version for a line.
     pub fn mem_version(&self, line: LineAddr) -> Version {
-        self.versions[self.idx(line)]
+        self.lines[self.idx(line)].version
     }
 
     /// Whether a line is marked incoherent.
     pub fn is_incoherent(&self, line: LineAddr) -> bool {
-        matches!(self.state(line), DirState::Incoherent)
+        self.lines[self.idx(line)].entry == Entry::Incoherent
     }
 
     /// Protocol statistics (NAKs sent, unexpected messages, ...).
@@ -301,7 +366,7 @@ impl Directory {
                     from,
                     CohMsg::Data {
                         line,
-                        version: self.versions[i],
+                        version: self.lines[i].version,
                         exclusive: false,
                     },
                 )
@@ -313,7 +378,7 @@ impl Directory {
                     from,
                     CohMsg::Data {
                         line,
-                        version: self.versions[i],
+                        version: self.lines[i].version,
                         exclusive: false,
                     },
                 )
@@ -361,7 +426,7 @@ impl Directory {
                 from,
                 CohMsg::Data {
                     line,
-                    version: self.versions[i],
+                    version: self.lines[i].version,
                     exclusive: true,
                 },
             )
@@ -467,7 +532,7 @@ impl Directory {
     ) -> Outcome {
         match self.get(i) {
             DirState::Exclusive(owner) if owner == from => {
-                self.versions[i] = version;
+                self.lines[i].version = version;
                 self.put(
                     i,
                     if keep_shared {
@@ -483,7 +548,7 @@ impl Directory {
                 owner,
                 for_write,
             } if owner == from => {
-                self.versions[i] = version;
+                self.lines[i].version = version;
                 if for_write {
                     self.put(i, DirState::Exclusive(requester));
                     Outcome::send(
@@ -558,11 +623,11 @@ impl Directory {
     /// controllers suppress replies during recovery).
     pub fn recovery_put(&mut self, line: LineAddr, version: Version) {
         let i = self.idx(line);
-        if self.entries[i] == Entry::Incoherent {
+        if self.lines[i].entry == Entry::Incoherent {
             self.counters.incr(Counter::RecoveryPutToIncoherent);
             return;
         }
-        self.versions[i] = version;
+        self.lines[i].version = version;
         self.put(i, DirState::Uncached);
     }
 
@@ -573,7 +638,7 @@ impl Directory {
     pub fn scan_and_reset(&mut self) -> Vec<LineAddr> {
         let mut marked = Vec::new();
         let base = self.home.index() as u64 * self.layout.lines_per_node();
-        for (i, entry) in self.entries.iter_mut().enumerate() {
+        for (i, Record { entry, .. }) in self.lines.iter_mut().enumerate() {
             match entry {
                 Entry::Exclusive(_) | Entry::PendingRecall { .. } => {
                     *entry = Entry::Incoherent;
@@ -600,7 +665,7 @@ impl Directory {
     pub fn scan_and_prune(&mut self, failed: &NodeSet) -> Vec<LineAddr> {
         let mut marked = Vec::new();
         let base = self.home.index() as u64 * self.layout.lines_per_node();
-        for i in 0..self.entries.len() {
+        for i in 0..self.lines.len() {
             let next = match self.get(i) {
                 DirState::Exclusive(o) if failed.contains(o) => {
                     marked.push(LineAddr(base + i as u64));
@@ -642,9 +707,9 @@ impl Directory {
     /// 4.6). Returns whether the line was incoherent.
     pub fn clear_incoherent(&mut self, line: LineAddr, fresh: Version) -> bool {
         let i = self.idx(line);
-        if self.entries[i] == Entry::Incoherent {
+        if self.lines[i].entry == Entry::Incoherent {
             self.put(i, DirState::Uncached);
-            self.versions[i] = fresh;
+            self.lines[i].version = fresh;
             if let Ok(p) = self.incoherent.binary_search(&line) {
                 self.incoherent.remove(p);
             }
@@ -658,7 +723,7 @@ impl Directory {
     /// identified a specific lost line).
     pub fn mark_incoherent(&mut self, line: LineAddr) {
         let i = self.idx(line);
-        if self.entries[i] != Entry::Incoherent {
+        if self.lines[i].entry != Entry::Incoherent {
             if let Err(p) = self.incoherent.binary_search(&line) {
                 self.incoherent.insert(p, line);
             }
@@ -667,7 +732,7 @@ impl Directory {
     }
 
     /// The lines currently marked incoherent, in ascending address order —
-    /// the same order a full [`Directory::iter_states`] scan would find
+    /// the same order a full [`Directory::iter_tags`] scan would find
     /// them, but in O(marked) rather than O(lines homed).
     pub fn incoherent_lines(&self) -> &[LineAddr] {
         &self.incoherent
@@ -684,17 +749,30 @@ impl Directory {
         self.incoherent.dedup();
     }
 
-    /// Iterates over `(line, state)` for all lines homed here.
-    pub fn iter_states(&self) -> impl Iterator<Item = (LineAddr, DirState)> + '_ {
+    /// Iterates over `(line, state)` for all lines homed here, widening
+    /// each sharer set; the tests' reference for [`Directory::iter_tags`].
+    #[cfg(test)]
+    fn iter_states(&self) -> impl Iterator<Item = (LineAddr, DirState)> + '_ {
         let base = self.home.index() as u64 * self.layout.lines_per_node();
-        (0..self.entries.len()).map(move |i| (LineAddr(base + i as u64), self.get(i)))
+        (0..self.lines.len()).map(move |i| (LineAddr(base + i as u64), self.get(i)))
+    }
+
+    /// Iterates over `(line, tag)` for all lines homed here, in ascending
+    /// line order, without reading any sharer set.
+    pub fn iter_tags(&self) -> impl Iterator<Item = (LineAddr, DirTag)> + '_ {
+        let base = self.home.index() as u64 * self.layout.lines_per_node();
+        (base..)
+            .map(LineAddr)
+            .zip(self.lines.iter().map(|r| r.entry.tag()))
     }
 
     /// Iterates over `(line, memory version)` for all lines homed here, in
     /// ascending line order, without decoding any directory state.
     pub fn iter_versions(&self) -> impl Iterator<Item = (LineAddr, Version)> + '_ {
         let base = self.home.index() as u64 * self.layout.lines_per_node();
-        (base..).map(LineAddr).zip(self.versions.iter().copied())
+        (base..)
+            .map(LineAddr)
+            .zip(self.lines.iter().map(|r| r.version))
     }
 }
 
@@ -1066,7 +1144,7 @@ mod storage_tests {
     /// Every pool slot is held by exactly one line or is free, and the held
     /// slots are exactly those of the lines in `Shared`/`PendingInvals`.
     fn assert_pool_consistent(d: &Directory) {
-        let mut slots: Vec<u32> = d.entries.iter().filter_map(|e| e.slot()).collect();
+        let mut slots: Vec<u32> = d.lines.iter().filter_map(|r| r.entry.slot()).collect();
         let held = slots.len();
         let sharing = d
             .iter_states()
@@ -1131,11 +1209,11 @@ mod storage_tests {
     fn slots_are_reused_and_freed() {
         let mut d = Directory::new(NodeId(0), MemLayout::new(1024, 8));
         d.put(0, DirState::Shared(set(&[1])));
-        let slot = d.entries[0].slot();
+        let slot = d.lines[0].entry.slot();
         assert_eq!(slot, Some(0));
         // A line that keeps a sharer set keeps its slot.
         d.put(0, DirState::Shared(set(&[1, 300])));
-        assert_eq!(d.entries[0].slot(), slot);
+        assert_eq!(d.lines[0].entry.slot(), slot);
         d.put(
             0,
             DirState::PendingInvals {
@@ -1144,7 +1222,7 @@ mod storage_tests {
                 needs_data: false,
             },
         );
-        assert_eq!(d.entries[0].slot(), slot);
+        assert_eq!(d.lines[0].entry.slot(), slot);
         assert_eq!(d.sharers.slots(), 1);
         // Leaving for any state without a set frees the slot, and the next
         // line to need one takes it back.
@@ -1154,12 +1232,12 @@ mod storage_tests {
             DirState::Incoherent,
         ] {
             d.put(1, DirState::Shared(set(&[4])));
-            assert_eq!(d.entries[1].slot(), Some(1));
+            assert_eq!(d.lines[1].entry.slot(), Some(1));
             d.put(1, end);
             assert_eq!(d.sharers.free_slots(), &[1]);
             assert_pool_consistent(&d);
             d.put(2, DirState::Shared(set(&[5])));
-            assert_eq!(d.entries[2].slot(), Some(1));
+            assert_eq!(d.lines[2].entry.slot(), Some(1));
             assert!(d.sharers.free_slots().is_empty());
             d.put(2, DirState::Uncached);
         }
@@ -1231,6 +1309,88 @@ mod storage_tests {
             .collect();
         assert_eq!(walk, by_line);
         assert_eq!(walk[1], (LineAddr(5), Version(9)));
+    }
+
+    /// `DirState` reduced to what `iter_tags` keeps.
+    fn tag_of(state: DirState) -> DirTag {
+        match state {
+            DirState::Uncached => DirTag::Uncached,
+            DirState::Shared(_) => DirTag::Shared,
+            DirState::Exclusive(owner) => DirTag::Exclusive(owner),
+            DirState::PendingInvals { .. } => DirTag::PendingInvals,
+            DirState::PendingRecall { owner, .. } => DirTag::PendingRecall { owner },
+            DirState::Incoherent => DirTag::Incoherent,
+        }
+    }
+
+    /// The tag walk agrees with the full state walk, owner and lock
+    /// included, on directories driven through every state at three
+    /// machine widths.
+    #[test]
+    fn tag_walk_matches_the_state_walk() {
+        for n_nodes in [2u16, 128, 1024] {
+            let mut rng = DetRng::new(0x7A6_0000 ^ u64::from(n_nodes));
+            let mut d = Directory::new(NodeId(1), MemLayout::new(n_nodes.into(), 64));
+            // A few requesters spread over the id range, so invalidation
+            // rounds complete and every state recurs.
+            let nodes = [0, 1, n_nodes / 2, n_nodes - 1];
+            for step in 0..3000 {
+                let line = LineAddr(64 + rng.below(64));
+                let from = NodeId(*rng.choose(&nodes).unwrap());
+                match rng.below(16) {
+                    0..=4 => {
+                        d.handle(line, HomeIn::Get { from });
+                    }
+                    5..=7 => {
+                        d.handle(line, HomeIn::GetX { from });
+                    }
+                    8 => {
+                        d.handle(line, HomeIn::Upgrade { from });
+                    }
+                    9..=10 => {
+                        let keep_shared = rng.chance(0.5);
+                        d.handle(
+                            line,
+                            HomeIn::Put {
+                                from,
+                                version: Version(step),
+                                keep_shared,
+                            },
+                        );
+                    }
+                    11..=13 => {
+                        d.handle(line, HomeIn::InvalAck { from });
+                    }
+                    14 => d.mark_incoherent(line),
+                    _ => {
+                        d.clear_incoherent(line, Version(step));
+                    }
+                }
+                if step % 100 == 0 {
+                    let states = d.iter_states().map(|(l, s)| (l, tag_of(s)));
+                    assert!(d.iter_tags().eq(states), "{n_nodes} nodes, step {step}");
+                }
+            }
+            let mut seen = [false; 6];
+            for ((line, tag), (_, state)) in d.iter_tags().zip(d.iter_states()) {
+                assert_eq!(tag, tag_of(state), "{line:?}");
+                assert_eq!(tag.is_locked(), state.is_locked(), "{line:?}");
+                let owner = match state {
+                    DirState::Exclusive(o) | DirState::PendingRecall { owner: o, .. } => Some(o),
+                    _ => None,
+                };
+                assert_eq!(tag.owner(), owner, "{line:?}");
+                seen[match tag {
+                    DirTag::Uncached => 0,
+                    DirTag::Shared => 1,
+                    DirTag::Exclusive(_) => 2,
+                    DirTag::PendingInvals => 3,
+                    DirTag::PendingRecall { .. } => 4,
+                    DirTag::Incoherent => 5,
+                }] = true;
+            }
+            assert_eq!(seen, [true; 6], "{n_nodes} nodes: every tag occurs");
+        }
     }
 
     /// Random protocol and recovery traffic from sharers on both sides of

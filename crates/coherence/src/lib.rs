@@ -44,7 +44,7 @@ mod nodeset;
 mod pool;
 
 pub use cache::{CachedLine, InsertOutcome, L2Cache};
-pub use directory::{DirState, Directory, HomeIn, Outcome};
+pub use directory::{DirState, DirTag, Directory, HomeIn, Outcome};
 pub use line::{LineAddr, MemLayout, PageAddr, Version, LINES_PER_PAGE, LINE_BYTES};
 pub use msg::{CohMsg, CTRL_FLITS, DATA_FLITS};
 pub use nodeset::NodeSet;

@@ -28,9 +28,11 @@ pub struct LineAddr(pub u64);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageAddr(pub u64);
 
-/// The version number standing in for a line's 128 bytes of data.
+/// The version number standing in for a line's 128 bytes of data: a
+/// per-line store count, 32 bits wide. It never wraps; see
+/// [`Version::next`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Version(pub u64);
+pub struct Version(pub u32);
 
 impl LineAddr {
     /// The page containing this line.
@@ -51,9 +53,14 @@ impl Version {
     pub const INITIAL: Version = Version(0);
 
     /// The next version (after one more store).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the version would pass `u32::MAX`.
     #[inline]
     pub fn next(self) -> Version {
-        Version(self.0 + 1)
+        let next = self.0.checked_add(1);
+        Version(next.expect("line version overflows 32 bits"))
     }
 }
 
@@ -191,6 +198,13 @@ mod tests {
         let v = Version::INITIAL;
         assert_eq!(v.next(), Version(1));
         assert!(v < v.next());
+        assert_eq!(Version(u32::MAX - 1).next(), Version(u32::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "line version overflows 32 bits")]
+    fn version_past_u32_max_panics() {
+        let _ = Version(u32::MAX).next();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use super::{Ev, MachineState};
 use crate::node::ProcState;
 use crate::workload::{OpResult, ProcOp};
-use flash_coherence::{CohMsg, DirState, LineAddr, NodeSet};
+use flash_coherence::{CohMsg, LineAddr, NodeSet};
 use flash_magic::{BusError, MagicMode};
 use flash_net::{NodeId, RouterId};
 use flash_sim::Scheduler;
@@ -35,12 +35,8 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         }
         let entries: Vec<(LineAddr, NodeId)> = self.nodes[node.index()]
             .dir
-            .iter_states()
-            .filter_map(|(line, s)| match s {
-                DirState::Exclusive(o) => Some((line, o)),
-                DirState::PendingRecall { owner, .. } => Some((line, owner)),
-                _ => None,
-            })
+            .iter_tags()
+            .filter_map(|(line, tag)| Some((line, tag.owner()?)))
             .collect();
         for (line, owner) in entries {
             let owner_failed =

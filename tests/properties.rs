@@ -173,7 +173,7 @@ fn cache_matches_reference_model() {
                 (Some(_), true) => {
                     cache.invalidate(line);
                     reference.remove(&addr);
-                    let out = cache.insert(line, true, Version(addr));
+                    let out = cache.insert(line, true, Version(addr as u32));
                     track_eviction(&mut reference, out);
                     let v = cache.store(line).unwrap();
                     reference.insert(addr, (true, v));
@@ -182,13 +182,13 @@ fn cache_matches_reference_model() {
                     cache.touch(line);
                 }
                 (None, write) => {
-                    let out = cache.insert(line, write, Version(addr));
+                    let out = cache.insert(line, write, Version(addr as u32));
                     track_eviction(&mut reference, out);
                     if write {
                         let v = cache.store(line).unwrap();
                         reference.insert(addr, (true, v));
                     } else {
-                        reference.insert(addr, (false, Version(addr)));
+                        reference.insert(addr, (false, Version(addr as u32)));
                     }
                 }
             }
