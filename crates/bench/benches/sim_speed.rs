@@ -10,6 +10,9 @@
 //!   that exercise the overflow path);
 //! * `fabric_hop/*` — a standalone [`flash_net::Fabric`] pushed through a
 //!   sustained ping-of-packets workload, table-routed and source-routed;
+//! * `directory_handle/*` — one home's [`flash_coherence::Directory`]
+//!   alone on a 128-node machine, fed the messages of two protocol paths
+//!   (an event there is one handled message);
 //! * `normal_mode_*` / `full_fault_recovery_cycle/*` — the full machine in
 //!   normal operation and across one complete fault-recovery cycle.
 //!
@@ -30,10 +33,12 @@
 //!   `BENCH_sim_speed.json` ([`flash_bench::ResultSheet::check_floors`]).
 
 use flash_bench::{runs_from_env, ResultSheet};
+use flash_coherence::{CohMsg, Directory, LineAddr, MemLayout};
 use flash_core::{build_machine, prepare_fault_experiment, ExperimentConfig, RecoveryConfig};
 use flash_machine::{FaultSpec, MachineParams, RandomFill};
 use flash_net::{DeliveryNote, Fabric, Lane, Mesh2D, NetEv, NetParams, NodeId, Packet, RouterId};
 use flash_sim::{DetRng, Engine, RunOutcome, Scheduler, SimDuration, SimTime, World};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Events "processed" per queue-microbench op: one push plus one pop.
@@ -174,6 +179,62 @@ fn fabric_events(source_routed: bool, deliveries: u64) -> u64 {
     engine.events_processed()
 }
 
+/// Lines homed on the directory the `directory_handle/*` cases drive.
+const DIR_LINES: u64 = 1024;
+
+/// Messages each `directory_handle/*` case hands its directory.
+const DIR_MSGS: u64 = 200_000;
+
+/// Node 0's directory on a 128-node machine.
+fn directory_128() -> Directory {
+    Directory::new(NodeId(0), MemLayout::new(128, DIR_LINES))
+}
+
+/// Read misses that join shared lines: each pass over the lines adds one
+/// more reader to every line, so after the first pass every Get joins a
+/// shared line and its sharer set grows across the node ids. Returns the
+/// messages handled.
+fn dir_get_joins_shared() -> u64 {
+    let mut d = directory_128();
+    for k in 0..DIR_MSGS {
+        let line = LineAddr(k % DIR_LINES);
+        let from = NodeId((k / DIR_LINES % 128) as u16);
+        let out = d.handle(from, CohMsg::Get { line });
+        debug_assert!(matches!(out[..], [(to, CohMsg::Data { .. })] if to == from));
+        black_box(out);
+    }
+    DIR_MSGS
+}
+
+/// Write misses that invalidate two sharers, each timed with the round it
+/// starts: two Gets share the line, the GetX sends two invalidations, two
+/// InvalAcks grant it, and the owner's writeback returns it to uncached.
+/// Returns the messages handled.
+fn dir_getx_invalidates_two() -> u64 {
+    let mut d = directory_128();
+    let rounds = DIR_MSGS / 6;
+    for k in 0..rounds {
+        let line = LineAddr(k % DIR_LINES);
+        let a = (k % 126) as u16;
+        let (a, b, writer) = (NodeId(a), NodeId(a + 1), NodeId(a + 2));
+        black_box(d.handle(a, CohMsg::Get { line }));
+        black_box(d.handle(b, CohMsg::Get { line }));
+        let invals = d.handle(writer, CohMsg::GetX { line });
+        assert_eq!(invals.len(), 2, "two sharers to invalidate");
+        black_box(invals);
+        black_box(d.handle(a, CohMsg::InvalAck { line }));
+        black_box(d.handle(b, CohMsg::InvalAck { line }));
+        let version = d.mem_version(line).next();
+        let put = CohMsg::Put {
+            line,
+            version,
+            keep_shared: false,
+        };
+        black_box(d.handle(writer, put));
+    }
+    rounds * 6
+}
+
 /// Engine events processed and overflow-heap pushes of one machine case.
 type MachineRun = (u64, u64);
 
@@ -265,11 +326,19 @@ fn main() {
     ];
     let reproduces = "host-side simulator throughput (not a paper result)";
     let mut sheet = ResultSheet::new("sim_speed", reproduces, &columns);
-    let cases: [Case<u64>; 4] = [
+    let cases: [Case<u64>; 6] = [
         ("queue_push_pop/near_horizon_200k", || queue_churn(64)),
         ("queue_push_pop/far_horizon_200k", || queue_churn(1_000_000)),
         ("fabric_hop/mesh4x4_table", || fabric_events(false, 20_000)),
         ("fabric_hop/mesh4x4_source", || fabric_events(true, 20_000)),
+        (
+            "directory_handle/get_joins_shared_128",
+            dir_get_joins_shared,
+        ),
+        (
+            "directory_handle/getx_invalidates_two_128",
+            dir_getx_invalidates_two,
+        ),
     ];
     for (name, f) in cases {
         bench(&mut sheet, name, samples, f);

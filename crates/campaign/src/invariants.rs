@@ -320,19 +320,21 @@ fn check_ownership(st: &MachineState<RecMsg>, out: &mut Vec<Violation>) {
         if st.failed_nodes.contains(node.id) {
             continue;
         }
-        for (line, tag) in node.dir.iter_tags() {
-            if let flash_coherence::DirTag::Exclusive(owner) = tag {
+        for (line, state) in node.dir.iter_states() {
+            if let flash_coherence::DirState::Exclusive(owner) = state {
                 if st.failed_nodes.contains(owner) {
                     out.push(Violation::new(
                         "stranded-ownership",
                         format!("line {line:?} still owned exclusively by failed node {owner:?}"),
                     ));
                 }
-            } else if tag.is_locked() {
-                let state = node.dir.state(line);
+            } else if state.is_locked() {
+                let sharers = node.dir.sharers(line);
                 out.push(Violation::new(
                     "stranded-ownership",
-                    format!("line {line:?} still locked at quiescence: {state:?}"),
+                    format!(
+                        "line {line:?} still locked at quiescence: {state:?}, sharers {sharers:?}"
+                    ),
                 ));
             }
         }

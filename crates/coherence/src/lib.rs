@@ -23,14 +23,19 @@
 //! # Examples
 //!
 //! ```
-//! use flash_coherence::{Directory, HomeIn, MemLayout, DirState, LineAddr};
+//! use flash_coherence::{CohMsg, Directory, MemLayout, DirState, LineAddr};
 //! use flash_net::NodeId;
 //!
 //! let layout = MemLayout::new(2, 128);
 //! let mut dir = Directory::new(NodeId(0), layout);
-//! let out = dir.handle(LineAddr(3), HomeIn::GetX { from: NodeId(1) });
-//! assert_eq!(out.sends.len(), 1); // exclusive data reply to node 1
-//! assert_eq!(dir.state(LineAddr(3)), DirState::Exclusive(NodeId(1)));
+//! let line = LineAddr(3);
+//! dir.handle(NodeId(1), CohMsg::Get { line });
+//! assert_eq!(dir.state(line), DirState::Shared);
+//! assert!(dir.sharers(line).contains(NodeId(1)));
+//! let out = dir.handle(NodeId(1), CohMsg::GetX { line });
+//! assert_eq!(out.len(), 1); // exclusive data reply to node 1
+//! assert_eq!(dir.state(line), DirState::Exclusive(NodeId(1)));
+//! assert!(dir.sharers(line).is_empty());
 //! ```
 
 #![warn(missing_docs)]
@@ -44,7 +49,7 @@ mod nodeset;
 mod pool;
 
 pub use cache::{CachedLine, InsertOutcome, L2Cache};
-pub use directory::{DirState, DirTag, Directory, HomeIn, Outcome};
+pub use directory::{DirState, Directory};
 pub use line::{LineAddr, MemLayout, PageAddr, Version, LINES_PER_PAGE, LINE_BYTES};
 pub use msg::{CohMsg, CTRL_FLITS, DATA_FLITS};
 pub use nodeset::NodeSet;

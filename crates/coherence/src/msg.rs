@@ -152,6 +152,19 @@ impl CohMsg {
         }
     }
 
+    /// Whether this message is addressed to the line's home directory
+    /// ([`crate::Directory::handle`]) rather than to a caching node.
+    pub fn to_home(&self) -> bool {
+        matches!(
+            self,
+            CohMsg::Get { .. }
+                | CohMsg::GetX { .. }
+                | CohMsg::UpgradeReq { .. }
+                | CohMsg::Put { .. }
+                | CohMsg::InvalAck { .. }
+        )
+    }
+
     /// Stable snake-case label, used by the observability layer as the
     /// handler name for dispatch events.
     pub fn kind_str(&self) -> &'static str {
@@ -248,6 +261,42 @@ mod tests {
         for m in msgs {
             assert_eq!(m.line(), l);
         }
+    }
+
+    #[test]
+    fn home_bound_messages() {
+        let l = LineAddr(4);
+        let v = Version(1);
+        let home = [
+            CohMsg::Get { line: l },
+            CohMsg::GetX { line: l },
+            CohMsg::UpgradeReq { line: l },
+            CohMsg::Put {
+                line: l,
+                version: v,
+                keep_shared: true,
+            },
+            CohMsg::InvalAck { line: l },
+        ];
+        let cache = [
+            CohMsg::UpgradeAck { line: l },
+            CohMsg::PutAck { line: l },
+            CohMsg::Inval { line: l },
+            CohMsg::Fetch {
+                line: l,
+                for_write: false,
+            },
+            CohMsg::Data {
+                line: l,
+                version: v,
+                exclusive: true,
+            },
+            CohMsg::Nak { line: l },
+            CohMsg::IncoherentErr { line: l },
+            CohMsg::FirewallErr { line: l },
+        ];
+        assert!(home.iter().all(CohMsg::to_home));
+        assert!(!cache.iter().any(CohMsg::to_home));
     }
 
     #[test]

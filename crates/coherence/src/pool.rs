@@ -6,6 +6,7 @@
 //! words of each can be non-zero. [`NodeSetPool`] stores each set in
 //! ⌈n_nodes/64⌉ words, with a free list, and hands back full `NodeSet`s,
 //! so code that reads a set (its iteration order included) is unchanged.
+//! A holder that adds or drops one member edits its slot in place.
 
 use crate::nodeset::{NodeSet, WORDS};
 use flash_net::NodeId;
@@ -106,15 +107,7 @@ impl NodeSetPool {
             .zip(&self.lanes)
             .fold(0, |acc, (b, lane)| acc | b & !lane);
         if outside_bits != 0 {
-            let outside = set
-                .iter()
-                .find(|n| n.index() >= self.n_nodes)
-                .expect("a bit outside `lanes` names a node past the machine");
-            panic!(
-                "node id {} exceeds the {}-node machine",
-                outside.index(),
-                self.n_nodes
-            );
+            set.iter().for_each(|n| self.assert_in_machine(n));
         }
         let slot = slot.or_else(|| self.free.pop()).unwrap_or_else(|| {
             let new = u32::try_from(self.slots()).expect("pool slots fit in u32");
@@ -131,6 +124,42 @@ impl NodeSetPool {
             *word = *word & !lane | b;
         }
         slot
+    }
+
+    /// Adds `node` to the set in `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the machine, as [`NodeSetPool::hold`]
+    /// does.
+    pub fn insert(&mut self, slot: u32, node: NodeId) {
+        self.assert_in_machine(node);
+        let i = node.index();
+        self.words[slot as usize * self.width + i / 64] |= 1 << (i % 64);
+    }
+
+    /// Removes `node` from the set in `slot`. A node outside the machine is
+    /// in no set.
+    pub fn remove(&mut self, slot: u32, node: NodeId) {
+        let i = node.index();
+        if i < self.n_nodes {
+            self.words[slot as usize * self.width + i / 64] &= !(1 << (i % 64));
+        }
+    }
+
+    /// Whether the set in `slot` is empty.
+    pub fn is_empty(&self, slot: u32) -> bool {
+        let at = slot as usize * self.width;
+        self.words[at..at + self.width].iter().all(|&w| w == 0)
+    }
+
+    fn assert_in_machine(&self, node: NodeId) {
+        assert!(
+            node.index() < self.n_nodes,
+            "node id {} exceeds the {}-node machine",
+            node.index(),
+            self.n_nodes
+        );
     }
 
     /// Returns `slot` to the free list; its holder must not use it again.
@@ -208,6 +237,37 @@ mod tests {
         pool.clear();
         assert_eq!(pool.slots(), 0);
         assert!(pool.free_slots().is_empty());
+    }
+
+    #[test]
+    fn in_place_edits_touch_only_their_slot() {
+        for n in [3usize, 64, 65, 128, 1024] {
+            let mut pool = NodeSetPool::new(n);
+            let top = NodeId((n - 1) as u16);
+            let a = pool.hold(None, &set(&[0]));
+            let b = pool.hold(None, &set(&[]));
+            assert!(pool.is_empty(b) && !pool.is_empty(a));
+            pool.insert(b, top);
+            pool.insert(b, top);
+            pool.insert(b, NodeId(1));
+            assert_eq!(pool.get(b), set(&[1, top.0]), "n = {n}");
+            assert_eq!(pool.get(a), set(&[0]), "a neighbour slot is untouched");
+            pool.remove(b, top);
+            pool.remove(b, NodeId(n as u16));
+            assert_eq!(pool.get(b), set(&[1]));
+            pool.remove(b, NodeId(1));
+            assert!(pool.is_empty(b));
+            pool.remove(a, NodeId(0));
+            assert!(pool.is_empty(a));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node id 128 exceeds the 128-node machine")]
+    fn inserting_a_node_past_the_machine_panics() {
+        let mut pool = NodeSetPool::new(128);
+        let slot = pool.hold(None, &set(&[5]));
+        pool.insert(slot, NodeId(128));
     }
 
     #[test]

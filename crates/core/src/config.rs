@@ -15,8 +15,6 @@ pub struct RecoveryConfig {
     /// Instructions to force the processor into the recovery code (the
     /// Cache Error path of Section 4.2).
     pub drop_in_instr: u64,
-    /// Instructions per router/link probe during cwn exploration.
-    pub probe_instr: u64,
     /// Time to wait for a ping reply before retrying / declaring the target
     /// node failed.
     pub ping_timeout: SimDuration,
@@ -76,7 +74,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             uncached_instr_ns: 400,
             drop_in_instr: 1_250, // ~0.5 ms
-            probe_instr: 250,     // ~0.1 ms per probe
             ping_timeout: SimDuration::from_micros(1_500),
             ping_retries: 2,
             speculative_pings: true,

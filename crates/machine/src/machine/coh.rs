@@ -5,7 +5,7 @@
 use super::{Ev, MachineState};
 use crate::node::{PendingRemote, ProcState};
 use crate::workload::OpResult;
-use flash_coherence::{CohMsg, HomeIn, LineAddr};
+use flash_coherence::{CohMsg, LineAddr};
 use flash_magic::{BusError, MagicMode, Trigger};
 use flash_net::NodeId;
 use flash_obs::{Counter, Domain, TraceEvent};
@@ -27,19 +27,14 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         let costs = st.params.magic.costs;
         let line = msg.line();
         let home = st.layout.home_of(line);
-        let at_home = home.0 == n;
         let mode = st.nodes[n as usize].mode;
 
-        if at_home
-            && matches!(
-                msg,
-                CohMsg::Get { .. }
-                    | CohMsg::GetX { .. }
-                    | CohMsg::UpgradeReq { .. }
-                    | CohMsg::Put { .. }
-                    | CohMsg::InvalAck { .. }
-            )
-        {
+        if msg.to_home() {
+            if home.0 != n {
+                // Misrouted home message (should not happen).
+                st.counters.incr(Counter::MisroutedCoh);
+                return;
+            }
             match mode {
                 MagicMode::Normal => {
                     // Degraded-memory gray fault: accesses into the bad
@@ -109,26 +104,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                             .occupancy
                             .occupy(now, SimDuration::from_nanos(cost));
                     }
-                    let input = match msg {
-                        CohMsg::Get { .. } => HomeIn::Get { from },
-                        CohMsg::GetX { .. } => HomeIn::GetX { from },
-                        CohMsg::UpgradeReq { .. } => HomeIn::Upgrade { from },
-                        CohMsg::Put {
-                            version,
-                            keep_shared,
-                            ..
-                        } => HomeIn::Put {
-                            from,
-                            version,
-                            keep_shared,
-                        },
-                        CohMsg::InvalAck { .. } => HomeIn::InvalAck { from },
-                        other => st.invariant_failure(&format!(
-                            "home-side dispatch reached a cache-side message: {other:?}"
-                        )),
-                    };
-                    let outcome = st.nodes[n as usize].dir.handle(line, input);
-                    for (dst, reply) in outcome.sends {
+                    for (dst, reply) in st.nodes[n as usize].dir.handle(from, msg) {
                         st.send_coh(NodeId(n), dst, reply, sched);
                     }
                 }
@@ -157,20 +133,8 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         let cost_ns = match msg {
             CohMsg::Data { .. } => costs.data_ns,
             CohMsg::Inval { .. } | CohMsg::Fetch { .. } => costs.inval_ns,
-            CohMsg::Nak { .. }
-            | CohMsg::UpgradeAck { .. }
-            | CohMsg::PutAck { .. }
-            | CohMsg::IncoherentErr { .. }
-            | CohMsg::FirewallErr { .. } => costs.nak_ns,
-            CohMsg::Get { .. }
-            | CohMsg::GetX { .. }
-            | CohMsg::UpgradeReq { .. }
-            | CohMsg::Put { .. }
-            | CohMsg::InvalAck { .. } => {
-                // Misrouted home message (should not happen).
-                st.counters.incr(Counter::MisroutedCoh);
-                return;
-            }
+            // NAKs, acknowledgments and error replies.
+            _ => costs.nak_ns,
         };
         st.nodes[n as usize]
             .occupancy
@@ -249,8 +213,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                 st.bus_error_completion(n, line, BusError::FirewallDenied, sched)
             }
             // A writeback ack costs its handler time and nothing more, and
-            // a MAGIC in recovery ignores interventions; the misrouted home
-            // messages returned above.
+            // a MAGIC in recovery ignores interventions.
             _ => {}
         }
     }

@@ -35,8 +35,8 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         }
         let entries: Vec<(LineAddr, NodeId)> = self.nodes[node.index()]
             .dir
-            .iter_tags()
-            .filter_map(|(line, tag)| Some((line, tag.owner()?)))
+            .iter_states()
+            .filter_map(|(line, state)| Some((line, state.owner()?)))
             .collect();
         for (line, owner) in entries {
             let owner_failed =

@@ -5,7 +5,7 @@
 use super::MachineState;
 use crate::oracle::ValidationReport;
 use crate::payload::Payload;
-use flash_coherence::{DirTag, LineAddr, Version};
+use flash_coherence::{DirState, LineAddr, Version};
 
 impl<R: Clone + std::fmt::Debug> MachineState<R> {
     /// Post-recovery validation against the oracle (the check of Table 5.3):
@@ -51,7 +51,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             // Lines ascend across nodes, so one forward walk of `dirty`
             // visits each line's copies in step with the scan.
             let versions = node.dir.iter_versions().map(|(_, mem)| mem);
-            for ((line, tag), mem) in node.dir.iter_tags().zip(versions) {
+            for ((line, state), mem) in node.dir.iter_states().zip(versions) {
                 report.lines_checked += 1;
                 let mut copy = None;
                 while let Some(&(l, v)) = dirty.peek() {
@@ -64,8 +64,8 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                     dirty.next();
                 }
                 let expected = self.oracle.expected_version(line);
-                match tag {
-                    DirTag::Incoherent => {
+                match state {
+                    DirState::Incoherent => {
                         report.marked_incoherent += 1;
                         // The may-set is a fault-time snapshot, so it can
                         // miss lines endangered *after* every snapshot — an
@@ -100,7 +100,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                             // and NAKs the next access into recovery. Only
                             // a machine that halts before that recovery
                             // leaves such entries behind.
-                            let owner = tag.owner();
+                            let owner = state.owner();
                             let owner_dead = owner.is_some_and(|o| {
                                 self.failed_nodes.contains(o) || !self.nodes[o.index()].is_alive()
                             });

@@ -97,12 +97,9 @@ fn read_write_sharing_transfers_data() {
     assert_eq!(c2.version.0, 1);
     // Home memory was updated by the recall writeback.
     assert_eq!(m.st().nodes[0].dir.mem_version(line).0, 1);
-    match m.st().nodes[0].dir.state(line) {
-        DirState::Shared(s) => {
-            assert!(s.contains(NodeId(1)) && s.contains(NodeId(2)));
-        }
-        other => panic!("expected shared, got {other:?}"),
-    }
+    assert_eq!(m.st().nodes[0].dir.state(line), DirState::Shared);
+    let s = m.st().nodes[0].dir.sharers(line);
+    assert!(s.contains(NodeId(1)) && s.contains(NodeId(2)));
 }
 
 #[test]

@@ -34,9 +34,6 @@ pub struct MachineParams {
     pub l2_hit_ns: u64,
     /// Interval between consecutive processor operations (issue overhead), ns.
     pub proc_issue_ns: u64,
-    /// Uncached instruction execution time during recovery (~2.5 MIPS on the
-    /// R10000; the paper measured 390 ns on the RTL model), ns.
-    pub uncached_instr_ns: u64,
     /// Lines at the top of each node's memory reserved for MAGIC code and
     /// protocol state, protected by the range check.
     pub protected_lines: u64,
@@ -56,7 +53,6 @@ impl Default for MachineParams {
             magic: MagicParams::default(),
             l2_hit_ns: 10,
             proc_issue_ns: 5,
-            uncached_instr_ns: 400,
             protected_lines: 64,
             upgrades_enabled: true,
         }

@@ -15,9 +15,11 @@
 //! steady events).
 //!
 //! Those runs trace with the default mask, which leaves the hot domains
-//! (Sim, Net, Coherence, Magic) off, so one more run traces every domain
-//! into rings large enough to drop nothing: its hash covers every fabric
-//! send, drop and delivery.
+//! (Sim, Net, Coherence, Magic) off, so two more runs trace every domain
+//! into rings large enough to drop nothing: their hashes cover every fabric
+//! send, drop and delivery. One is a Router fault; the other a Node fault
+//! under the reliable interconnect, whose P4 prunes the directories instead
+//! of resetting them.
 //!
 //! A trace hash does not cover the [`RecoveryReport`], the phase-entry
 //! times or the incarnation number, which the recovery extension fills in
@@ -31,7 +33,7 @@ use flash::campaign::{
 };
 use flash::core::{
     build_machine, finish_fault_experiment, prepare_fault_experiment, random_fault,
-    run_fault_experiment, run_to_quiescence, warm_until, ExperimentConfig, FaultKind,
+    run_fault_experiment, run_to_quiescence, warm_until, ExperimentConfig, FaultKind, FcMachine,
     RecoveryConfig, RecoveryReport,
 };
 use flash::machine::{FaultSpec, MachineParams, RandomFill};
@@ -182,9 +184,10 @@ const FULL_TRACE_PIN: (u64, u64) = (0x2a25_2396_b75b_1c83, 72_505);
 /// record.
 const FULL_TRACE_CAPACITY: usize = 1 << 22;
 
-#[test]
-fn router_fault_keeps_its_full_trace_hash() {
-    let cfg = quick_experiment(10);
+/// Runs `cfg` with `fault` injected once every node has done its fill,
+/// tracing every domain into rings that drop nothing, and drains it; the
+/// recovery must complete and the oracle must pass.
+fn full_trace_run(cfg: ExperimentConfig, fault: FaultSpec) -> FcMachine {
     let (layout, prot) = (cfg.params.layout(), cfg.params.protected_lines);
     let (total_ops, write_fraction) = (cfg.total_ops, cfg.write_fraction);
     let mut m = build_machine(
@@ -211,23 +214,73 @@ fn router_fault_keeps_its_full_trace_hash() {
             .iter()
             .all(|n| n.workload.progress() >= cfg.fill_ops)
     });
-    let fault = fault_of(FaultKind::Router, 0x61);
     m.schedule_fault(m.now() + SimDuration::from_nanos(1), fault);
     assert!(run_to_quiescence(&mut m, &mut true), "did not drain");
     assert!(m.ext().report.completed(), "{:?}", m.ext().report);
     let validation = m.st().validate();
     assert!(validation.passed(), "{validation}");
+    assert_eq!(
+        m.st().obs.dropped_total(),
+        0,
+        "the full trace must be complete"
+    );
+    m
+}
+
+/// The full trace's merged hash and the number of events dispatched.
+fn full_trace_pin(m: &FcMachine) -> (u64, u64) {
+    (m.st().obs.merged_hash(), m.events_processed())
+}
+
+#[test]
+fn router_fault_keeps_its_full_trace_hash() {
+    let m = full_trace_run(quick_experiment(10), fault_of(FaultKind::Router, 0x61));
     // The run reaches both dead-router paths: packets sunk on landing at
     // the dead router, and its buffers drained.
     let c = m.st().fabric.counters();
     assert!(c.get("drop_dead_router") > 0, "{c}");
     assert!(c.get("drop_dead_router_buffer") > 0, "{c}");
-    let obs = &m.st().obs;
-    assert_eq!(obs.dropped_total(), 0, "the full trace must be complete");
-    let got = (obs.merged_hash(), m.events_processed());
+    let got = full_trace_pin(&m);
     assert_eq!(
         got, FULL_TRACE_PIN,
         "full trace (hash, events) moved: ({:#018x}, {})",
+        got.0, got.1
+    );
+}
+
+/// Machine seed 11, 1,000 ops per node and a `Node` fault on node 3 under
+/// the §6.3 reliable interconnect, traced with every domain on: P4 prunes
+/// the directories (`Directory::scan_and_prune`) instead of flushing and
+/// resetting them, a path no other pin covers. At 500 ops no later access
+/// reaches a pruned line, so the run would hash the same if the prune left
+/// the dead node among a line's sharers.
+const PRUNE_TRACE_PIN: (u64, u64) = (0xfb9a_179f_f5f5_440c, 114_372);
+
+#[test]
+fn pruned_recovery_keeps_its_full_trace_hash() {
+    let victim = NodeId(3);
+    let mut cfg = quick_experiment(11);
+    cfg.total_ops = 1_000;
+    cfg.recovery = RecoveryConfig {
+        reliable_interconnect: true,
+        ..RecoveryConfig::default()
+    };
+    let m = full_trace_run(cfg, FaultSpec::Node(victim));
+    let report = &m.ext().report;
+    // Nothing was flushed, and the prune marked the dead owner's lines.
+    assert_eq!(report.flush_writebacks, 0, "{report:?}");
+    assert!(report.lines_marked_incoherent > 0, "{report:?}");
+    // No live directory still lists the dead node as a sharer.
+    for node in m.st().nodes.iter().filter(|n| n.is_alive()) {
+        for (line, state) in node.dir.iter_states() {
+            let sharers = node.dir.sharers(line);
+            assert!(!sharers.contains(victim), "{line:?} {state:?} {sharers:?}");
+        }
+    }
+    let got = full_trace_pin(&m);
+    assert_eq!(
+        got, PRUNE_TRACE_PIN,
+        "pruned full trace (hash, events) moved: ({:#018x}, {})",
         got.0, got.1
     );
 }
