@@ -75,19 +75,18 @@ impl DirState {
     }
 }
 
-/// One line's directory entry as stored: a [`DirState`] whose sharer set,
-/// if it has one, lives in the directory's sharer pool at `slot`. Most
-/// lines are `Uncached` or owned, so a line costs a few bytes here instead
-/// of a full [`NodeSet`] (FLASH's dynamic pointer allocation does the same
-/// with its pointer/link store).
+/// One line's directory entry as stored: a [`DirState`] with its sharer
+/// set, if it has one, in [`Ptrs`]. Most lines are `Uncached` or owned,
+/// and almost every shared line has at most three sharers, so a line costs
+/// 8 bytes here instead of a full [`NodeSet`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Entry {
     Uncached,
-    Shared(u32),
+    Shared(Ptrs<SHARED_INLINE>),
     Exclusive(NodeId),
     PendingInvals {
         requester: NodeId,
-        slot: u32,
+        sharers: Ptrs<PENDING_INLINE>,
         needs_data: bool,
     },
     PendingRecall {
@@ -98,11 +97,63 @@ enum Entry {
     Incoherent,
 }
 
+/// Sharer ids a `Shared` entry keeps inline.
+const SHARED_INLINE: usize = 3;
+/// Sharer ids a `PendingInvals` entry keeps inline, beside its requester
+/// and flag.
+const PENDING_INLINE: usize = 2;
+
+/// A line's sharer set as its entry stores it: FLASH's limited-pointer
+/// directory with dynamic pointer allocation. A set of at most `N` nodes
+/// is kept inline as its ids, ascending and padded with `NONE`. A larger
+/// set spills to a slot of the directory's [`NodeSetPool`], whose number
+/// takes the first two words. A set is inline exactly when it fits, so a
+/// set that shrinks back to `N` leaves its slot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Ptrs<const N: usize>([u16; N]);
+
+impl<const N: usize> Ptrs<N> {
+    /// Pads unused inline ids. It is above every node id, so padding sorts
+    /// last, and below `SPILL`.
+    const NONE: u16 = 0x7fff;
+    /// Marks a spilled set; the rest of the first word is the high half of
+    /// its slot number, the second word the low half.
+    const SPILL: u16 = 0x8000;
+    const EMPTY: Self = Ptrs([Self::NONE; N]);
+
+    fn spilled(slot: u32) -> Self {
+        assert!(slot < 1 << 31, "a spilled set's slot fits in 31 bits");
+        let mut words = [0; N];
+        words[0] = Self::SPILL | (slot >> 16) as u16;
+        words[1] = slot as u16;
+        Ptrs(words)
+    }
+
+    /// The pool slot of a spilled set.
+    fn slot(self) -> Option<u32> {
+        let (hi, lo) = (self.0[0], self.0[1]);
+        (hi & Self::SPILL != 0).then(|| u32::from(hi & !Self::SPILL) << 16 | u32::from(lo))
+    }
+
+    /// The inline ids, ascending: none for a spilled set.
+    fn inline(self) -> impl Iterator<Item = NodeId> {
+        self.0
+            .into_iter()
+            .take_while(|&id| id < Self::NONE)
+            .map(NodeId)
+    }
+
+    fn is_empty(self) -> bool {
+        self.0[0] == Self::NONE
+    }
+}
+
 impl Entry {
     /// The sharer-pool slot this entry holds, if any.
     fn slot(self) -> Option<u32> {
         match self {
-            Entry::Shared(slot) | Entry::PendingInvals { slot, .. } => Some(slot),
+            Entry::Shared(sharers) => sharers.slot(),
+            Entry::PendingInvals { sharers, .. } => sharers.slot(),
             _ => None,
         }
     }
@@ -151,8 +202,8 @@ pub struct Directory {
     home: NodeId,
     layout: MemLayout,
     lines: Vec<Record>,
-    // Sharer sets of the lines in `Shared` or `PendingInvals`, indexed by
-    // their entry's slot, at the machine's width.
+    // The sharer sets too large for their entry, indexed by the entry's
+    // slot, at the machine's width.
     pool: NodeSetPool,
     counters: Counters,
     // Sorted index of lines currently in `DirState::Incoherent`, so the
@@ -187,11 +238,107 @@ impl Directory {
     }
 
     /// Sets the entry of the line at local index `i`. The old entry's
-    /// sharer slot is released unless the new entry keeps it.
+    /// sharer slot is released unless the new entry keeps it; only here is
+    /// a slot released.
     fn set(&mut self, i: usize, entry: Entry) {
         let old = std::mem::replace(&mut self.lines[i].entry, entry);
         if let Some(slot) = old.slot().filter(|&slot| entry.slot() != Some(slot)) {
             self.pool.release(slot);
+        }
+    }
+
+    /// The set `sharers` stores.
+    fn load<const N: usize>(&self, sharers: Ptrs<N>) -> NodeSet {
+        match sharers.slot() {
+            Some(slot) => self.pool.get(slot),
+            None => sharers.inline().collect(),
+        }
+    }
+
+    /// Stores `set` for an entry with `N` inline ids: inline if it fits,
+    /// else in the pool, in `slot` if the entry already holds one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set` has a member outside the machine.
+    fn store<const N: usize>(&mut self, slot: Option<u32>, set: &NodeSet) -> Ptrs<N> {
+        if set.len() > N {
+            return Ptrs::spilled(self.pool.hold(slot, set));
+        }
+        let mut sharers = Ptrs::EMPTY;
+        for (id, node) in sharers.0.iter_mut().zip(set.iter()) {
+            self.pool.assert_in_machine(node);
+            *id = node.0;
+        }
+        sharers
+    }
+
+    /// `sharers` with `node` added. A set that outgrows its inline ids
+    /// spills to a new pool slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the machine.
+    fn insert<const N: usize>(&mut self, sharers: Ptrs<N>, node: NodeId) -> Ptrs<N> {
+        if let Some(slot) = sharers.slot() {
+            self.pool.insert(slot, node);
+            return sharers;
+        }
+        self.pool.assert_in_machine(node);
+        let mut ids = sharers.0;
+        let at = ids.iter().position(|&id| id >= node.0).unwrap_or(N);
+        if ids.get(at) == Some(&node.0) {
+            sharers
+        } else if ids[N - 1] != Ptrs::<N>::NONE {
+            let mut set = self.load(sharers);
+            set.insert(node);
+            Ptrs::spilled(self.pool.hold(None, &set))
+        } else {
+            ids.copy_within(at..N - 1, at + 1);
+            ids[at] = node.0;
+            Ptrs(ids)
+        }
+    }
+
+    /// `sharers` with `node` removed. A spilled set that shrinks back to
+    /// `N` moves inline; the entry's [`Directory::set`] then releases its
+    /// slot.
+    fn remove<const N: usize>(&mut self, sharers: Ptrs<N>, node: NodeId) -> Ptrs<N> {
+        if let Some(slot) = sharers.slot() {
+            self.pool.remove(slot, node);
+            let set = self.pool.get(slot);
+            return if set.len() > N {
+                sharers
+            } else {
+                self.store(None, &set)
+            };
+        }
+        let mut ids = sharers.0;
+        if let Some(at) = sharers.inline().position(|id| id == node) {
+            ids.copy_within(at + 1.., at);
+            ids[N - 1] = Ptrs::<N>::NONE;
+        }
+        Ptrs(ids)
+    }
+
+    /// A `Shared` line's `sharers` as its `PendingInvals` entry stores
+    /// them: a spilled set keeps its slot, and inline ids past the entry's
+    /// capacity spill to `slot`, the one the line held before, if any.
+    fn narrow(&mut self, sharers: Ptrs<SHARED_INLINE>, slot: Option<u32>) -> Ptrs<PENDING_INLINE> {
+        if let Some(kept) = sharers.slot() {
+            return Ptrs::spilled(kept);
+        }
+        if sharers.inline().count() > PENDING_INLINE {
+            let set = self.load(sharers);
+            return Ptrs::spilled(self.pool.hold(slot, &set));
+        }
+        Ptrs(std::array::from_fn(|k| sharers.0[k]))
+    }
+
+    fn contains<const N: usize>(&self, sharers: Ptrs<N>, node: NodeId) -> bool {
+        match sharers.slot() {
+            Some(slot) => self.pool.contains(slot, node),
+            None => sharers.inline().any(|id| id == node),
         }
     }
 
@@ -214,10 +361,15 @@ impl Directory {
     /// line, or owing an acknowledgment on a `PendingInvals` one. Empty in
     /// every other state.
     pub fn sharers(&self, line: LineAddr) -> NodeSet {
-        self.lines[self.idx(line)]
-            .entry
-            .slot()
-            .map_or_else(NodeSet::new, |slot| self.pool.get(slot))
+        self.sharers_of(self.lines[self.idx(line)].entry)
+    }
+
+    fn sharers_of(&self, entry: Entry) -> NodeSet {
+        match entry {
+            Entry::Shared(sharers) => self.load(sharers),
+            Entry::PendingInvals { sharers, .. } => self.load(sharers),
+            _ => NodeSet::new(),
+        }
     }
 
     /// The memory image's data version for a line.
@@ -259,17 +411,16 @@ impl Directory {
     }
 
     fn on_get(&mut self, i: usize, line: LineAddr, from: NodeId) -> Vec<(NodeId, CohMsg)> {
-        match self.lines[i].entry {
-            Entry::Uncached => {
-                let slot = self.pool.hold(None, &NodeSet::singleton(from));
-                self.set(i, Entry::Shared(slot));
-            }
-            Entry::Shared(slot) => self.pool.insert(slot, from),
+        let sharers = match self.lines[i].entry {
+            Entry::Uncached => Ptrs::EMPTY,
+            Entry::Shared(sharers) => sharers,
             Entry::Exclusive(owner) => return self.recall(i, line, from, owner, false),
             Entry::PendingInvals { .. } | Entry::PendingRecall { .. } | Entry::Incoherent => {
                 return self.refuse(i, line, from)
             }
-        }
+        };
+        let sharers = self.insert(sharers, from);
+        self.set(i, Entry::Shared(sharers));
         let version = self.lines[i].version;
         vec![(
             from,
@@ -284,7 +435,7 @@ impl Directory {
     fn on_getx(&mut self, i: usize, line: LineAddr, from: NodeId) -> Vec<(NodeId, CohMsg)> {
         match self.lines[i].entry {
             Entry::Uncached => self.grant_exclusive(i, line, from, true),
-            Entry::Shared(slot) => self.invalidate_others(i, line, from, slot, true),
+            Entry::Shared(sharers) => self.invalidate_others(i, line, from, sharers, true),
             Entry::Exclusive(owner) => self.recall(i, line, from, owner, true),
             Entry::PendingInvals { .. } | Entry::PendingRecall { .. } | Entry::Incoherent => {
                 self.refuse(i, line, from)
@@ -297,8 +448,8 @@ impl Directory {
     /// and the request falls back to the full GetX path.
     fn on_upgrade(&mut self, i: usize, line: LineAddr, from: NodeId) -> Vec<(NodeId, CohMsg)> {
         match self.lines[i].entry {
-            Entry::Shared(slot) if self.pool.contains(slot, from) => {
-                self.invalidate_others(i, line, from, slot, false)
+            Entry::Shared(sharers) if self.contains(sharers, from) => {
+                self.invalidate_others(i, line, from, sharers, false)
             }
             _ => {
                 self.counters.incr(Counter::UpgradeFallbacks);
@@ -316,26 +467,27 @@ impl Directory {
         i: usize,
         line: LineAddr,
         from: NodeId,
-        slot: u32,
+        sharers: Ptrs<SHARED_INLINE>,
         needs_data: bool,
     ) -> Vec<(NodeId, CohMsg)> {
-        self.pool.remove(slot, from);
-        if self.pool.is_empty(slot) {
+        let others = self.remove(sharers, from);
+        if others.is_empty() {
             return self.grant_exclusive(i, line, from, needs_data);
         }
+        let sharers = self.narrow(others, sharers.slot());
         self.set(
             i,
             Entry::PendingInvals {
                 requester: from,
-                slot,
+                sharers,
                 needs_data,
             },
         );
-        self.pool
-            .get(slot)
-            .iter()
-            .map(|sharer| (sharer, CohMsg::Inval { line }))
-            .collect()
+        let inval = |sharer| (sharer, CohMsg::Inval { line });
+        match sharers.slot() {
+            Some(slot) => self.pool.get(slot).iter().map(inval).collect(),
+            None => sharers.inline().map(inval).collect(),
+        }
     }
 
     /// Grants exclusivity to `to`: a data reply for a full miss, or an
@@ -405,7 +557,7 @@ impl Directory {
             Entry::Exclusive(owner) if owner == from => {
                 self.lines[i].version = version;
                 let next = if keep_shared {
-                    Entry::Shared(self.pool.hold(None, &NodeSet::singleton(from)))
+                    Entry::Shared(self.insert(Ptrs::EMPTY, from))
                 } else {
                     Entry::Uncached
                 };
@@ -425,7 +577,7 @@ impl Directory {
                     if keep_shared {
                         sharers.insert(owner);
                     }
-                    Entry::Shared(self.pool.hold(None, &sharers))
+                    Entry::Shared(self.store(None, &sharers))
                 };
                 self.set(i, next);
                 vec![(
@@ -451,15 +603,22 @@ impl Directory {
         match self.lines[i].entry {
             Entry::PendingInvals {
                 requester,
-                slot,
+                sharers,
                 needs_data,
             } => {
-                self.pool.remove(slot, from);
-                if self.pool.is_empty(slot) {
-                    self.grant_exclusive(i, line, requester, needs_data)
-                } else {
-                    Vec::new()
+                let sharers = self.remove(sharers, from);
+                if sharers.is_empty() {
+                    return self.grant_exclusive(i, line, requester, needs_data);
                 }
+                self.set(
+                    i,
+                    Entry::PendingInvals {
+                        requester,
+                        sharers,
+                        needs_data,
+                    },
+                );
+                Vec::new()
             }
             _ => {
                 self.counters.incr(Counter::UnexpectedInvalAcks);
@@ -520,7 +679,8 @@ impl Directory {
         let mut marked = Vec::new();
         let base = self.base();
         for i in 0..self.lines.len() {
-            let next = match self.lines[i].entry {
+            let entry = self.lines[i].entry;
+            let next = match entry {
                 Entry::Exclusive(owner) | Entry::PendingRecall { owner, .. }
                     if failed.contains(owner) =>
                 {
@@ -536,14 +696,13 @@ impl Directory {
                 // cancelled at recovery initiation; un-acked sharers may
                 // still hold copies (over-approximating is safe — absent
                 // sharers simply ack the next invalidation).
-                Entry::Shared(slot) | Entry::PendingInvals { slot, .. } => {
-                    let mut sharers = self.pool.get(slot);
+                Entry::Shared(_) | Entry::PendingInvals { .. } => {
+                    let mut sharers = self.sharers_of(entry);
                     sharers.subtract(failed);
                     if sharers.is_empty() {
                         Entry::Uncached
                     } else {
-                        self.pool.hold(Some(slot), &sharers);
-                        Entry::Shared(slot)
+                        Entry::Shared(self.store(entry.slot(), &sharers))
                     }
                 }
             };
@@ -1000,24 +1159,46 @@ mod storage_tests {
         );
     }
 
-    /// Every pool slot is held by exactly one line or is free, the held
-    /// slots are exactly those of the lines in `Shared`/`PendingInvals`,
-    /// and exactly those lines have sharers.
+    /// The stored words of a line's sharers, if its state has a set.
+    fn words(entry: Entry) -> Option<Vec<u16>> {
+        match entry {
+            Entry::Shared(sharers) => Some(sharers.0.to_vec()),
+            Entry::PendingInvals { sharers, .. } => Some(sharers.0.to_vec()),
+            _ => None,
+        }
+    }
+
+    /// Exactly the lines in `Shared`/`PendingInvals` have sharers. A line
+    /// holds a pool slot exactly when its set outgrows its entry's inline
+    /// ids, and an inline set is stored ascending, padded with `NONE`.
+    /// Every pool slot is held by exactly one line or is free.
     fn assert_pool_consistent(d: &Directory) {
         let mut slots: Vec<u32> = d.lines.iter().filter_map(|r| r.entry.slot()).collect();
         let held = slots.len();
-        let mut sharing = 0;
-        for (line, state) in d.iter_states() {
+        for ((line, state), record) in d.iter_states().zip(&d.lines) {
             let has_set = matches!(state, DirState::Shared | DirState::PendingInvals { .. });
-            sharing += usize::from(has_set);
             let sharers = d.sharers(line);
             assert_eq!(
                 !sharers.is_empty(),
                 has_set,
                 "{line:?} in {state:?} has sharers {sharers:?}"
             );
+            let Some(words) = words(record.entry) else {
+                continue;
+            };
+            let spills = sharers.len() > words.len();
+            assert_eq!(
+                record.entry.slot().is_some(),
+                spills,
+                "{line:?}: {sharers:?}"
+            );
+            if !spills {
+                let none = Ptrs::<SHARED_INLINE>::NONE;
+                let inline: Vec<u16> = sharers.iter().map(|n| n.0).collect();
+                let padded = [inline, vec![none; words.len()]].concat();
+                assert_eq!(words, padded[..words.len()], "{line:?} stored ascending");
+            }
         }
-        assert_eq!(held, sharing, "a slot per line with a sharer set");
         let free = d.pool.free_slots();
         assert_eq!(d.pool.slots() - free.len(), held, "live slots");
         slots.extend(free);
@@ -1083,7 +1264,7 @@ mod storage_tests {
             }
         }
         assert_line(&d, l, DirState::Exclusive(NodeId(200)), &[]);
-        assert_eq!(d.pool.free_slots(), &[0], "the grant freed the slot");
+        assert_eq!(d.pool.free_slots(), &[0], "two acks left: the set fits");
 
         // A read recall: the owner keeps a shared copy beside the reader.
         assert_eq!(
@@ -1221,74 +1402,80 @@ mod storage_tests {
         }
         let walk: Vec<DirState> = d.iter_states().map(|(_, s)| s).take(9).collect();
         assert_eq!(walk, states.map(|(s, _)| s));
-        assert_eq!(d.pool.slots(), 4, "one slot per line with sharers");
+        assert_eq!(d.pool.slots(), 2, "a slot per set that outgrows its entry");
+    }
+
+    fn share(d: &mut Directory, line: LineAddr, nodes: &[u16]) {
+        nodes.iter().for_each(|&n| drop(get(d, n, line)));
     }
 
     #[test]
     fn slots_are_reused_and_freed() {
         let mut d = Directory::new(NodeId(0), MemLayout::new(1024, 8));
-        let line = |i: u64| LineAddr(i);
-        get(&mut d, 1, line(0));
-        let slot = d.lines[0].entry.slot();
-        assert_eq!(slot, Some(0));
-        // A line that keeps a sharer set keeps its slot.
+        let line = LineAddr;
+        // Three sharers fit inline; the fourth spills the set to a slot.
+        share(&mut d, line(0), &[1, 2, 3]);
+        assert_eq!(d.lines[0].entry.slot(), None);
         get(&mut d, 300, line(0));
-        assert_eq!(d.lines[0].entry.slot(), slot);
-        getx(&mut d, 2, line(0));
+        assert_eq!(d.lines[0].entry.slot(), Some(0));
+        // A line whose set still outgrows its entry keeps its slot.
+        get(&mut d, 400, line(0));
+        getx(&mut d, 5, line(0));
         ack(&mut d, 1, line(0));
-        assert_line(
-            &d,
-            line(0),
-            DirState::PendingInvals {
-                requester: NodeId(2),
-                needs_data: true,
-            },
-            &[300],
-        );
-        assert_eq!(d.lines[0].entry.slot(), slot);
-        assert_eq!(d.pool.slots(), 1);
-        // Leaving for any state without a set frees the slot, and the next
-        // line to need one takes it back.
+        ack(&mut d, 2, line(0));
+        let pending = DirState::PendingInvals {
+            requester: NodeId(5),
+            needs_data: true,
+        };
+        assert_line(&d, line(0), pending, &[3, 300, 400]);
+        assert_eq!(d.lines[0].entry.slot(), Some(0));
+        // Two fit beside the requester: the set moves back inline.
+        ack(&mut d, 3, line(0));
+        assert_line(&d, line(0), pending, &[300, 400]);
+        assert_eq!(d.pool.free_slots(), &[0]);
+
+        // Leaving for a state without a set, or shrinking to fit, frees
+        // the slot, and the next set to spill takes it back.
         let leave: [fn(&mut Directory); 3] = [
-            |d| drop(getx(d, 4, LineAddr(1))),
+            |d| {
+                getx(d, 4, LineAddr(1));
+                ack(d, 5, LineAddr(1));
+            },
             |d| d.recovery_put(LineAddr(1), Version(9)),
             |d| d.mark_incoherent(LineAddr(1)),
         ];
         for (k, leave) in leave.iter().enumerate() {
             release(&mut d, line(1));
-            get(&mut d, 4, line(1));
-            assert_eq!(d.lines[1].entry.slot(), Some(1));
+            share(&mut d, line(1), &[4, 5, 6, 7]);
+            assert_eq!(d.lines[1].entry.slot(), Some(0));
             leave(&mut d);
-            assert_eq!(d.pool.free_slots(), &[1], "exit {k}");
+            assert_eq!(d.pool.free_slots(), &[0], "exit {k}");
             assert_pool_consistent(&d);
-            get(&mut d, 5, line(2));
-            assert_eq!(d.lines[2].entry.slot(), Some(1));
+            share(&mut d, line(2), &[4, 5, 6, 7]);
+            assert_eq!(d.lines[2].entry.slot(), Some(0));
             assert!(d.pool.free_slots().is_empty());
             release(&mut d, line(2));
         }
         assert_eq!(d.state(line(1)), DirState::Incoherent);
         assert_eq!(
             d.pool.slots(),
-            2,
+            1,
             "the pool grows only when nothing is free"
         );
 
-        // Pruning frees the slots of lines left with no sharers.
-        get(&mut d, 7, line(3));
-        get(&mut d, 7, line(4));
+        // Pruning frees the slots of the sets it shrinks to fit or empties.
+        share(&mut d, line(3), &[7, 8, 9, 10, 11]);
+        share(&mut d, line(4), &[7]);
         getx(&mut d, 1, line(4));
-        get(&mut d, 6, line(5));
-        get(&mut d, 7, line(5));
-        d.scan_and_prune(&set(&[7]));
-        assert_line(&d, line(0), DirState::Shared, &[300]);
-        assert_line(&d, line(3), DirState::Uncached, &[]);
+        share(&mut d, line(5), &[6, 9, 10, 11, 12]);
+        share(&mut d, line(6), &[7, 8]);
+        d.scan_and_prune(&set(&[7, 8]));
+        assert_line(&d, line(0), DirState::Shared, &[300, 400]);
+        assert_line(&d, line(3), DirState::Shared, &[9, 10, 11]);
         assert_line(&d, line(4), DirState::Uncached, &[]);
-        assert_line(&d, line(5), DirState::Shared, &[6]);
-        assert_eq!(
-            d.pool.slots() - d.pool.free_slots().len(),
-            2,
-            "lines 0 and 5"
-        );
+        assert_line(&d, line(5), DirState::Shared, &[6, 9, 10, 11, 12]);
+        assert_line(&d, line(6), DirState::Uncached, &[]);
+        assert_eq!(d.pool.slots() - d.pool.free_slots().len(), 1, "line 5");
 
         // The post-flush reset empties the pool.
         d.scan_and_reset();
@@ -1300,10 +1487,9 @@ mod storage_tests {
     fn pool_slots_are_machine_width() {
         let mut d = Directory::new(NodeId(0), MemLayout::new(128, 8));
         assert_eq!(d.pool.slot_bytes(), 16);
-        for n in [127, 0, 64] {
-            get(&mut d, n, LineAddr(0));
-        }
-        assert_line(&d, LineAddr(0), DirState::Shared, &[0, 64, 127]);
+        share(&mut d, LineAddr(0), &[127, 0, 64, 3]);
+        assert_line(&d, LineAddr(0), DirState::Shared, &[0, 3, 64, 127]);
+        assert_eq!(d.pool.slots(), 1);
         assert_eq!(
             Directory::new(NodeId(0), MemLayout::new(1024, 8))
                 .pool
@@ -1429,5 +1615,331 @@ mod storage_tests {
                 assert_pool_consistent(&d);
             }
         }
+    }
+
+    /// The protocol over plain `NodeSet`s, one `(state, sharers, memory
+    /// version)` per line: the reference the stored form is checked
+    /// against.
+    struct Reference {
+        base: u64,
+        lines: Vec<(DirState, NodeSet, Version)>,
+    }
+
+    impl Reference {
+        fn new(d: &Directory) -> Self {
+            Reference {
+                base: d.base(),
+                lines: vec![(DirState::Uncached, NodeSet::new(), Version::INITIAL); d.lines.len()],
+            }
+        }
+
+        fn line(&mut self, line: LineAddr) -> &mut (DirState, NodeSet, Version) {
+            &mut self.lines[(line.0 - self.base) as usize]
+        }
+
+        fn handle(&mut self, from: NodeId, msg: CohMsg) -> Vec<(NodeId, CohMsg)> {
+            let line = msg.line();
+            let (state, sharers, version) = self.line(line);
+            let grant = |to, needs_data, version| {
+                let reply = if needs_data {
+                    CohMsg::Data {
+                        line,
+                        version,
+                        exclusive: true,
+                    }
+                } else {
+                    CohMsg::UpgradeAck { line }
+                };
+                vec![(to, reply)]
+            };
+            let write = !matches!(msg, CohMsg::Get { .. });
+            // An upgrade is only valid from a listed sharer; any other
+            // falls back to a write miss.
+            let needs_data = !(matches!(msg, CohMsg::UpgradeReq { .. })
+                && *state == DirState::Shared
+                && sharers.contains(from));
+            match (msg, *state) {
+                (
+                    CohMsg::Put {
+                        version: v,
+                        keep_shared,
+                        ..
+                    },
+                    DirState::Exclusive(owner),
+                ) if owner == from => {
+                    *version = v;
+                    if keep_shared {
+                        sharers.insert(from);
+                        *state = DirState::Shared;
+                    } else {
+                        *state = DirState::Uncached;
+                    }
+                    vec![(from, CohMsg::PutAck { line })]
+                }
+                (
+                    CohMsg::Put {
+                        version: v,
+                        keep_shared,
+                        ..
+                    },
+                    DirState::PendingRecall {
+                        requester,
+                        owner,
+                        for_write,
+                    },
+                ) if owner == from => {
+                    *version = v;
+                    if for_write {
+                        *state = DirState::Exclusive(requester);
+                    } else {
+                        sharers.insert(requester);
+                        if keep_shared {
+                            sharers.insert(owner);
+                        }
+                        *state = DirState::Shared;
+                    }
+                    let data = CohMsg::Data {
+                        line,
+                        version: v,
+                        exclusive: for_write,
+                    };
+                    vec![(requester, data)]
+                }
+                (CohMsg::Put { .. }, _) => vec![(from, CohMsg::PutAck { line })],
+                (
+                    CohMsg::InvalAck { .. },
+                    DirState::PendingInvals {
+                        requester,
+                        needs_data,
+                    },
+                ) => {
+                    sharers.remove(from);
+                    if !sharers.is_empty() {
+                        return Vec::new();
+                    }
+                    *state = DirState::Exclusive(requester);
+                    grant(requester, needs_data, *version)
+                }
+                (CohMsg::InvalAck { .. }, _) => Vec::new(),
+                (_, DirState::Incoherent) => vec![(from, CohMsg::IncoherentErr { line })],
+                (_, DirState::PendingInvals { .. } | DirState::PendingRecall { .. }) => {
+                    vec![(from, CohMsg::Nak { line })]
+                }
+                (_, DirState::Exclusive(owner)) => {
+                    *state = DirState::PendingRecall {
+                        requester: from,
+                        owner,
+                        for_write: write,
+                    };
+                    let fetch = CohMsg::Fetch {
+                        line,
+                        for_write: write,
+                    };
+                    vec![(owner, fetch)]
+                }
+                (CohMsg::Get { .. }, _) => {
+                    sharers.insert(from);
+                    *state = DirState::Shared;
+                    let data = CohMsg::Data {
+                        line,
+                        version: *version,
+                        exclusive: false,
+                    };
+                    vec![(from, data)]
+                }
+                // A write on an uncached or shared line.
+                _ => {
+                    sharers.remove(from);
+                    if sharers.is_empty() {
+                        *state = DirState::Exclusive(from);
+                        return grant(from, needs_data, *version);
+                    }
+                    *state = DirState::PendingInvals {
+                        requester: from,
+                        needs_data,
+                    };
+                    sharers
+                        .iter()
+                        .map(|s| (s, CohMsg::Inval { line }))
+                        .collect()
+                }
+            }
+        }
+
+        fn recovery_put(&mut self, line: LineAddr, v: Version) {
+            let (state, sharers, version) = self.line(line);
+            if *state != DirState::Incoherent {
+                (*state, *sharers, *version) = (DirState::Uncached, NodeSet::new(), v);
+            }
+        }
+
+        fn mark_incoherent(&mut self, line: LineAddr) {
+            let (state, sharers, _) = self.line(line);
+            (*state, *sharers) = (DirState::Incoherent, NodeSet::new());
+        }
+
+        fn clear_incoherent(&mut self, line: LineAddr, fresh: Version) -> bool {
+            let (state, _, version) = self.line(line);
+            let was = *state == DirState::Incoherent;
+            if was {
+                (*state, *version) = (DirState::Uncached, fresh);
+            }
+            was
+        }
+
+        /// The post-flush reset, or with `failed` the reliable-interconnect
+        /// prune; returns the newly marked lines.
+        fn scan(&mut self, failed: Option<&NodeSet>) -> Vec<LineAddr> {
+            let mut marked = Vec::new();
+            for (k, (state, sharers, _)) in self.lines.iter_mut().enumerate() {
+                let lost = state
+                    .owner()
+                    .is_some_and(|o| failed.is_none_or(|f| f.contains(o)));
+                *state = match (*state, failed) {
+                    _ if lost => {
+                        marked.push(LineAddr(self.base + k as u64));
+                        DirState::Incoherent
+                    }
+                    (DirState::Incoherent, _) => DirState::Incoherent,
+                    (_, None) => DirState::Uncached,
+                    (DirState::PendingRecall { owner, .. }, _) => DirState::Exclusive(owner),
+                    (DirState::Shared | DirState::PendingInvals { .. }, Some(failed)) => {
+                        sharers.subtract(failed);
+                        if sharers.is_empty() {
+                            DirState::Uncached
+                        } else {
+                            DirState::Shared
+                        }
+                    }
+                    (other, _) => other,
+                };
+                if !matches!(*state, DirState::Shared | DirState::PendingInvals { .. }) {
+                    *sharers = NodeSet::new();
+                }
+            }
+            marked
+        }
+    }
+
+    /// Seeded protocol and recovery traffic on a few lines, from sharers
+    /// spread over the id range, checked after every step against the
+    /// `NodeSet` reference: the replies (invalidations in ascending id
+    /// order), each line's state, sharers and memory version, and the
+    /// stored form (a pool slot exactly for a set that outgrows its entry).
+    /// At 128 and 1024 nodes the walk crosses both spill boundaries both
+    /// ways; at 2 nodes every set fits and no slot is ever taken.
+    #[test]
+    fn inline_sharers_match_a_nodeset_reference() {
+        for n_nodes in [2u16, 128, 1024] {
+            let mut rng = DetRng::new(0x17E5_0000 ^ u64::from(n_nodes));
+            let mut d = Directory::new(NodeId(1), MemLayout::new(n_nodes.into(), 8));
+            let mut r = Reference::new(&d);
+            let top = n_nodes - 1;
+            let mut nodes = vec![0, 1, 2, 63, 64, 65, top / 2, top - 1, top];
+            nodes.retain(|&id| id <= top);
+            nodes.sort_unstable();
+            nodes.dedup();
+            // Shared: 3 -> 4 and 4 -> 3. PendingInvals: a spilled set made
+            // from an inline one, and a spilled set shrinking inline.
+            let mut crossed = [false; 4];
+            for _ in 0..6000 {
+                let line = LineAddr(8 + rng.below(4));
+                let from = NodeId(*rng.choose(&nodes).unwrap());
+                let k = (line.0 - 8) as usize;
+                let before = (d.state(line), d.lines[k].entry.slot().is_some());
+                let (got, want) = match rng.below(100) {
+                    0..=39 => (
+                        d.handle(from, CohMsg::Get { line }),
+                        r.handle(from, CohMsg::Get { line }),
+                    ),
+                    40..=51 => (
+                        d.handle(from, CohMsg::GetX { line }),
+                        r.handle(from, CohMsg::GetX { line }),
+                    ),
+                    52..=61 => (
+                        d.handle(from, CohMsg::UpgradeReq { line }),
+                        r.handle(from, CohMsg::UpgradeReq { line }),
+                    ),
+                    62..=83 => (
+                        d.handle(from, CohMsg::InvalAck { line }),
+                        r.handle(from, CohMsg::InvalAck { line }),
+                    ),
+                    84..=89 => {
+                        let put = CohMsg::Put {
+                            line,
+                            version: d.mem_version(line).next(),
+                            keep_shared: rng.chance(0.5),
+                        };
+                        (d.handle(from, put), r.handle(from, put))
+                    }
+                    90..=94 => {
+                        let failed = NodeSet::singleton(from);
+                        let marked = d.scan_and_prune(&failed);
+                        assert_eq!(marked, r.scan(Some(&failed)));
+                        (Vec::new(), Vec::new())
+                    }
+                    95 => {
+                        let v = d.mem_version(line).next();
+                        d.recovery_put(line, v);
+                        r.recovery_put(line, v);
+                        (Vec::new(), Vec::new())
+                    }
+                    96 => {
+                        d.mark_incoherent(line);
+                        r.mark_incoherent(line);
+                        (Vec::new(), Vec::new())
+                    }
+                    97..=98 => {
+                        let v = d.mem_version(line).next();
+                        assert_eq!(d.clear_incoherent(line, v), r.clear_incoherent(line, v));
+                        (Vec::new(), Vec::new())
+                    }
+                    _ => {
+                        assert_eq!(d.scan_and_reset(), r.scan(None));
+                        (Vec::new(), Vec::new())
+                    }
+                };
+                assert_eq!(got, want, "{n_nodes} nodes, {from:?} on {line:?}");
+                for (l, state) in d.iter_states() {
+                    let (s, sharers, version) = *r.line(l);
+                    assert_eq!(
+                        (state, d.sharers(l), d.mem_version(l)),
+                        (s, sharers, version)
+                    );
+                }
+                assert_pool_consistent(&d);
+                let after = (d.state(line), d.lines[k].entry.slot().is_some());
+                let pending = |s| matches!(s, DirState::PendingInvals { .. });
+                match (before, after) {
+                    ((DirState::Shared, false), (DirState::Shared, true)) => crossed[0] = true,
+                    ((DirState::Shared, true), (DirState::Shared, false)) => crossed[1] = true,
+                    ((DirState::Shared, false), (s, true)) if pending(s) => crossed[2] = true,
+                    ((s, true), (t, false)) if pending(s) && pending(t) => crossed[3] = true,
+                    _ => {}
+                }
+            }
+            if n_nodes == 2 {
+                assert_eq!(d.pool.slots(), 0, "two sharers always fit");
+            } else {
+                assert_eq!(crossed, [true; 4], "{n_nodes} nodes");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node id 500 exceeds the 8-node machine")]
+    fn sharer_outside_the_machine_joining_a_spilled_set_panics() {
+        let mut d = Directory::new(NodeId(0), MemLayout::new(8, 8));
+        share(&mut d, LineAddr(3), &[1, 2, 3, 4]);
+        get(&mut d, 500, LineAddr(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "node id 500 exceeds the 8-node machine")]
+    fn recalled_line_shared_with_a_node_outside_the_machine_panics() {
+        let mut d = Directory::new(NodeId(0), MemLayout::new(8, 8));
+        getx(&mut d, 1, LineAddr(3));
+        get(&mut d, 500, LineAddr(3));
+        put(&mut d, 1, LineAddr(3), true);
     }
 }

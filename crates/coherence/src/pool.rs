@@ -147,13 +147,9 @@ impl NodeSetPool {
         }
     }
 
-    /// Whether the set in `slot` is empty.
-    pub fn is_empty(&self, slot: u32) -> bool {
-        let at = slot as usize * self.width;
-        self.words[at..at + self.width].iter().all(|&w| w == 0)
-    }
-
-    fn assert_in_machine(&self, node: NodeId) {
+    /// Panics if `node` is outside the machine, with the message every
+    /// out-of-range member gets.
+    pub(crate) fn assert_in_machine(&self, node: NodeId) {
         assert!(
             node.index() < self.n_nodes,
             "node id {} exceeds the {}-node machine",
@@ -246,7 +242,7 @@ mod tests {
             let top = NodeId((n - 1) as u16);
             let a = pool.hold(None, &set(&[0]));
             let b = pool.hold(None, &set(&[]));
-            assert!(pool.is_empty(b) && !pool.is_empty(a));
+            assert!(pool.get(b).is_empty() && !pool.get(a).is_empty());
             pool.insert(b, top);
             pool.insert(b, top);
             pool.insert(b, NodeId(1));
@@ -256,9 +252,9 @@ mod tests {
             pool.remove(b, NodeId(n as u16));
             assert_eq!(pool.get(b), set(&[1]));
             pool.remove(b, NodeId(1));
-            assert!(pool.is_empty(b));
+            assert!(pool.get(b).is_empty());
             pool.remove(a, NodeId(0));
-            assert!(pool.is_empty(a));
+            assert!(pool.get(a).is_empty());
         }
     }
 

@@ -256,6 +256,9 @@ pub struct RecoveryExt {
     pub report: RecoveryReport,
     cur: Incarnation,
     active: bool,
+    /// The routing tables P3 last computed, for the survivors that hold
+    /// the same view.
+    routes: Option<phases::Routes>,
 }
 
 impl RecoveryExt {
@@ -268,6 +271,7 @@ impl RecoveryExt {
             report: RecoveryReport::default(),
             cur: Incarnation::default(),
             active: false,
+            routes: None,
         }
     }
 

@@ -5,12 +5,63 @@
 
 use super::{all_live_in, Phase, RecEv, RecoveryExt, Sched, St, Step};
 use crate::msg::{BarrierId, RecMsg};
-use crate::view::View;
+use crate::view::{LinkSet, View};
 use flash_coherence::NodeSet;
 use flash_machine::{Ev, FaultSpec};
 use flash_magic::MagicMode;
-use flash_net::{Lane, NodeId, RouterId, UGraph};
+use flash_net::{Lane, NodeId, RouterId, RoutingTables, UGraph};
 use flash_obs::Counter;
+
+/// The up*/down* tables of one view. They are a function of the
+/// view's live links and root alone, and P2 leaves every survivor holding
+/// the same view, so the survivors share one computation of the whole
+/// n×n matrix instead of each building it to install one row.
+#[derive(Clone, Debug)]
+pub(super) struct Routes {
+    links_up: LinkSet,
+    root: NodeId,
+    /// The routers with a live link, and the root.
+    alive: Vec<bool>,
+    tables: RoutingTables,
+}
+
+impl Routes {
+    /// The tables of `links_up` and `root` over `n` routers: those in
+    /// `memo` if it was computed from the same three, else a fresh
+    /// computation, which replaces it.
+    fn of<'m>(
+        memo: &'m mut Option<Routes>,
+        n: usize,
+        links_up: &LinkSet,
+        root: NodeId,
+    ) -> &'m Routes {
+        if memo
+            .as_ref()
+            .is_some_and(|m| m.root != root || m.links_up != *links_up || m.alive.len() != n)
+        {
+            *memo = None;
+        }
+        memo.get_or_insert_with(|| {
+            // Router graph from probed-alive links; a dead node's router
+            // still routes traffic.
+            let mut g = UGraph::new(n);
+            let mut alive = vec![false; n];
+            for (a, b) in links_up.iter() {
+                g.add_edge(a, b);
+                alive[a as usize] = true;
+                alive[b as usize] = true;
+            }
+            alive[root.index()] = true;
+            let tables = flash_net::up_down_tables(&g, &alive, RouterId(root.0));
+            Routes {
+                links_up: links_up.clone(),
+                root,
+                alive,
+                tables,
+            }
+        })
+    }
+}
 
 impl RecoveryExt {
     // ------------------------------------------------------------------
@@ -150,28 +201,19 @@ impl RecoveryExt {
         node: u16,
         sched: Sched<'_, '_>,
     ) {
-        let view = self.nodes[node as usize].view.clone();
-        // Router graph from probed-alive links; a dead node's router still
-        // routes traffic.
-        let n = st.fabric.design_graph().len();
-        let mut g = UGraph::new(n);
-        let mut alive = vec![false; n];
-        for (a, b) in view.links_up.iter() {
-            g.add_edge(a, b);
-            alive[a as usize] = true;
-            alive[b as usize] = true;
-        }
+        let view = &self.nodes[node as usize].view;
         let Some(root) = view.root() else { return };
-        alive[root.index()] = true;
-        let tables = flash_net::up_down_tables(&g, &alive, RouterId(root.0));
+        let n = st.fabric.design_graph().len();
+        let routes = Routes::of(&mut self.routes, n, &view.links_up, root);
         // Install our own router's row.
-        st.install_router_row(RouterId(node), &tables);
+        st.install_router_row(RouterId(node), &routes.tables);
         // The root additionally programs routers not owned by any live node
         // (routers of failed nodes that survived the fault).
-        if view.root() == Some(NodeId(node)) {
+        if root == NodeId(node) {
+            let live = view.live_nodes();
             for r in 0..n as u16 {
-                if alive[r as usize] && !view.live_nodes().contains(NodeId(r)) {
-                    st.install_router_row(RouterId(r), &tables);
+                if routes.alive[r as usize] && !live.contains(NodeId(r)) {
+                    st.install_router_row(RouterId(r), &routes.tables);
                 }
             }
         }
@@ -271,5 +313,50 @@ impl RecoveryExt {
         if all_live_in(st, &self.cur.done[3]) {
             self.active = false;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The tables a fresh computation returns for `links` and `root`.
+    fn fresh(n: usize, links: &LinkSet, root: u16) -> RoutingTables {
+        let mut g = UGraph::new(n);
+        let mut alive = vec![false; n];
+        for (a, b) in links.iter() {
+            g.add_edge(a, b);
+            alive[a as usize] = true;
+            alive[b as usize] = true;
+        }
+        alive[root as usize] = true;
+        flash_net::up_down_tables(&g, &alive, RouterId(root))
+    }
+
+    /// Views that differ in one link, or in their root, miss the memo,
+    /// and each gets exactly what a fresh computation returns.
+    #[test]
+    fn route_memo_misses_on_any_other_view() {
+        let n = 6;
+        let mut ring = LinkSet::new();
+        for k in 0..n as u16 {
+            let next = (k + 1) % n as u16;
+            ring.insert((k.min(next), k.max(next)));
+        }
+        let mut cut = ring.clone();
+        cut.remove(&(2, 3));
+        let mut memo = None;
+        let mut tables = |links: &LinkSet, root: u16| {
+            let got = Routes::of(&mut memo, n, links, NodeId(root)).tables.clone();
+            assert_eq!(got, fresh(n, links, root), "{links:?} from {root}");
+            got
+        };
+        let whole = tables(&ring, 0);
+        assert_eq!(tables(&ring, 0), whole, "the same view hits");
+        let one_link_less = tables(&cut, 0);
+        assert_ne!(one_link_less, whole, "one link changes the tables");
+        let other_root = tables(&ring, 3);
+        assert_ne!(other_root, whole, "the root changes the tables");
+        assert_eq!(tables(&ring, 0), whole);
     }
 }

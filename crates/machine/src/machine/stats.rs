@@ -6,6 +6,7 @@ use super::MachineState;
 use crate::oracle::ValidationReport;
 use crate::payload::Payload;
 use flash_coherence::{DirState, LineAddr, Version};
+use flash_net::NodeId;
 
 impl<R: Clone + std::fmt::Debug> MachineState<R> {
     /// Post-recovery validation against the oracle (the check of Table 5.3):
@@ -30,15 +31,25 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         lost_in_transit.sort_unstable();
         let lost = |line: LineAddr| lost_in_transit.binary_search(&line).is_ok();
         // Exclusive (dirty) copies in live caches define a line's effective
-        // data. The stable sort keeps a line's copies in node order and the
-        // walk below keeps the last one: the last node's copy wins. The
-        // copies are counted first so the vector is allocated once.
+        // data. Each copy is one word, its line (a 32-bit cache tag) above
+        // its node's id, so an in-place unstable sort orders them by (line,
+        // node) and the walk below keeps each line's last copy: the
+        // highest-numbered node's copy wins. The copies are counted first
+        // so the vector is allocated once.
         let live = || self.nodes.iter().filter(|n| n.is_alive());
-        let exclusive = || live().flat_map(|n| n.cache.iter()).filter(|l| l.exclusive);
-        let mut dirty: Vec<(LineAddr, Version)> = Vec::with_capacity(exclusive().count());
-        dirty.extend(exclusive().map(|l| (l.addr, l.version)));
-        dirty.sort_by_key(|&(line, _)| line);
-        let mut dirty = dirty.into_iter().peekable();
+        let exclusive = || {
+            live().flat_map(|n| {
+                let copies = n.cache.iter().filter(|l| l.exclusive);
+                copies.map(move |l| l.addr.0 << 16 | u64::from(n.id.0))
+            })
+        };
+        let mut dirty: Vec<u64> = Vec::with_capacity(exclusive().count());
+        dirty.extend(exclusive());
+        dirty.sort_unstable();
+        let mut dirty = dirty
+            .into_iter()
+            .map(|copy| (LineAddr(copy >> 16), NodeId(copy as u16)))
+            .peekable();
         let mut report = ValidationReport {
             unlogged_drops: self.fabric.dropped_unlogged(),
             ..ValidationReport::default()
@@ -53,16 +64,20 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             let versions = node.dir.iter_versions().map(|(_, mem)| mem);
             for ((line, state), mem) in node.dir.iter_states().zip(versions) {
                 report.lines_checked += 1;
-                let mut copy = None;
-                while let Some(&(l, v)) = dirty.peek() {
+                let mut holder = None;
+                while let Some(&(l, n)) = dirty.peek() {
                     if l > line {
                         break;
                     }
                     if l == line {
-                        copy = Some(v);
+                        holder = Some(n);
                     }
                     dirty.next();
                 }
+                let copy: Option<Version> = holder.map(|n| {
+                    let copy = self.nodes[n.index()].cache.lookup(line);
+                    copy.expect("a listed copy is cached").version
+                });
                 let expected = self.oracle.expected_version(line);
                 match state {
                     DirState::Incoherent => {

@@ -414,3 +414,42 @@ fn validate_prefers_the_exclusive_copy_over_memory() {
     }
     assert_eq!(m.st().oracle.written_lines(), 1);
 }
+
+/// Two live caches claiming one line exclusively at different versions:
+/// `validate` judges the higher-numbered node's copy, whichever version
+/// it holds.
+#[test]
+fn validate_takes_the_higher_numbered_nodes_copy() {
+    let line = LineAddr(200); // homed on node 0
+    let mut m = tiny_machine(
+        |n| {
+            if n == NodeId(1) {
+                Box::new(Script::new([ProcOp::Write(line)]))
+            } else {
+                Box::new(Script::new([]))
+            }
+        },
+        2,
+    );
+    quiesce(&mut m);
+    assert_eq!(m.st().oracle.expected_version(line), Version(1));
+    // A lower node's stale claim loses to node 1's current copy.
+    let mut lower = m.clone();
+    lower.st_mut().nodes[0]
+        .cache
+        .insert(line, true, Version::INITIAL);
+    assert!(lower.st().validate().passed());
+    // A higher node's stale claim wins over it.
+    let mut higher = m.clone();
+    higher.st_mut().nodes[2]
+        .cache
+        .insert(line, true, Version::INITIAL);
+    assert_eq!(higher.st().validate().corrupted, vec![line]);
+    // With node 1's copy stale and node 2's current, node 2 still wins.
+    let st = higher.st_mut();
+    for (n, version) in [(1, Version::INITIAL), (2, Version(1))] {
+        st.nodes[n].cache.invalidate(line);
+        st.nodes[n].cache.insert(line, true, version);
+    }
+    assert!(higher.st().validate().passed());
+}

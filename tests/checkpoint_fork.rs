@@ -296,3 +296,49 @@ fn checkpoint_mid_recovery_replays_identically() {
     assert!(m.st().validate().passed());
     assert!(fork.st().validate().passed());
 }
+
+/// Checkpoints taken across P3 — from just after its entry to just before
+/// P4's, while survivors isolate, drain and install routes — fork into
+/// runs that replay the uninterrupted run bit-identically: the routing
+/// tables the survivors share are part of the snapshot.
+#[test]
+fn checkpoint_mid_p3_replays_identically() {
+    use flash::sim::SimDuration;
+
+    let cfg = quick_experiment(29);
+    let start = || {
+        let mut m = prepare_fault_experiment(&cfg);
+        let fault = random_fault(FaultKind::Node, cfg.params.n_nodes, &mut DetRng::new(0xC3));
+        m.schedule_fault(m.now() + SimDuration::from_nanos(1), fault);
+        m
+    };
+    let mut whole = start();
+    let budget = whole.now() + SimDuration::from_secs(20);
+    whole.run_until(budget);
+    assert!(whole.ext().report.completed());
+    let entries = whole.ext().phase_entries();
+    let p3 = entries.p3.expect("P3 entered");
+    let span = entries.p4.expect("P4 entered").since(p3).as_nanos();
+    for k in 0..5 {
+        let at = p3 + SimDuration::from_nanos(1 + (span - 2) * k / 4);
+        let mut m = start();
+        m.run_until(at);
+        let entries = m.ext().phase_entries();
+        assert!(
+            entries.p3.is_some() && entries.p4.is_none(),
+            "checkpoint {k} lands in P3"
+        );
+        let mut fork = m.checkpoint().fork();
+        m.run_until(budget);
+        fork.run_until(budget);
+        for (run, name) in [(&m, "sliced"), (&fork, "forked")] {
+            assert_eq!(run.now(), whole.now(), "{name} at checkpoint {k}");
+            assert_eq!(
+                run.st().obs.merged_hash(),
+                whole.st().obs.merged_hash(),
+                "{name} run diverged at checkpoint {k}"
+            );
+            assert!(run.st().validate().passed());
+        }
+    }
+}
