@@ -245,11 +245,10 @@ fn normal_mode_events(firewall: bool) -> MachineRun {
     let mut params = MachineParams::table_5_1();
     params.magic.firewall_enabled = firewall;
     let layout = params.layout();
-    let prot = params.protected_lines;
     let mut m = build_machine(
         params,
         RecoveryConfig::default(),
-        move |_| Box::new(RandomFill::valid_system_range(2_000, 0.5, layout, prot)),
+        move |_| Box::new(RandomFill::valid_system_range(2_000, 0.5, layout)),
         5,
     );
     m.start();

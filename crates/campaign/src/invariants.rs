@@ -15,6 +15,7 @@ use flash_core::RecMsg;
 use flash_hive::{CompileTask, TaskState};
 use flash_machine::{FaultSpec, MachineState, ValidationReport};
 use flash_net::{NodeId, RouterId, UGraph};
+use std::cmp::Reverse;
 
 /// One invariant violation found by the stack.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -267,32 +268,22 @@ fn live_graph(st: &MachineState<RecMsg>) -> (UGraph, Vec<bool>) {
 /// free of channel-dependency cycles (deadlock freedom, Section 4.4).
 fn check_routing(st: &MachineState<RecMsg>, out: &mut Vec<Violation>) {
     let (live, alive) = live_graph(st);
-    let survivors: Vec<u16> = (0..st.num_nodes() as u16)
-        .filter(|&i| !st.failed_nodes.contains(NodeId(i)) && alive[i as usize])
-        .collect();
-    if survivors.is_empty() {
+    let survivor = |v: u16| (v as usize) < st.num_nodes() && !st.failed_nodes.contains(NodeId(v));
+    // The survivors of the live graph's component with the most of them;
+    // on a tie, the one holding the lowest survivor id.
+    let Some(best) = live
+        .components(&alive)
+        .into_iter()
+        .map(|comp| {
+            comp.into_iter()
+                .filter(|&v| survivor(v))
+                .collect::<Vec<u16>>()
+        })
+        .filter(|comp| !comp.is_empty())
+        .min_by_key(|comp| (Reverse(comp.len()), comp[0]))
+    else {
         return;
-    }
-    // Largest connected component of the live graph, by member count.
-    let mut best: Vec<u16> = Vec::new();
-    let mut seen = vec![false; live.len()];
-    for &s in &survivors {
-        if seen[s as usize] {
-            continue;
-        }
-        let dist = live.bfs_distances(s, &alive);
-        let comp: Vec<u16> = survivors
-            .iter()
-            .copied()
-            .filter(|&t| dist[t as usize] != u32::MAX)
-            .collect();
-        for &t in &comp {
-            seen[t as usize] = true;
-        }
-        if comp.len() > best.len() {
-            best = comp;
-        }
-    }
+    };
     let tables = st.fabric.tables();
     for &a in &best {
         for &b in &best {

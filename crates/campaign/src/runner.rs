@@ -27,7 +27,7 @@ use flash_core::{
 };
 use flash_hive::{os, prepare_parallel_make, CellLayout, HiveConfig, TaskState};
 use flash_hivekv::{prepare_kv_serving, KvConfig, KvStats};
-use flash_machine::{FaultSpec, MachineParams};
+use flash_machine::{FaultSpec, MachineParams, PROTECTED_LINES};
 use flash_net::NodeId;
 use flash_sim::{DetRng, RunOutcome};
 
@@ -203,9 +203,8 @@ fn run_machine_schedule(s: &Schedule) -> RunRecord {
     // `os::configure`). The fill never touches those pages, so installing
     // the policy after it leaves the trace as it was.
     let lpn = cfg.params.layout().lines_per_node();
-    let protected = cfg.params.protected_lines;
     for (i, node) in m.st_mut().nodes.iter_mut().enumerate() {
-        let first = LineAddr((i as u64 + 1) * lpn - protected).page();
+        let first = LineAddr((i as u64 + 1) * lpn - PROTECTED_LINES).page();
         let last = LineAddr((i as u64 + 1) * lpn - 1).page();
         for p in first.0..=last.0 {
             node.firewall

@@ -83,6 +83,14 @@ pub struct Schedule {
     pub events: Vec<FaultEvent>,
 }
 
+// The generator's fixed draw probabilities.
+
+/// Probability that a follow-up event is armed on a recovery-phase entry
+/// instead of a steady-state offset.
+const PHASE_FAULT_CHANCE: f64 = 0.5;
+/// Probability that an event is a multi-fault ([`FaultSpec::Multi`]).
+const MULTI_CHANCE: f64 = 0.25;
+
 /// Tunables of the randomized schedule generator.
 #[derive(Clone, Copy, Debug)]
 pub struct GeneratorConfig {
@@ -92,11 +100,6 @@ pub struct GeneratorConfig {
     pub max_nodes: usize,
     /// Maximum fault events per schedule (at least 1).
     pub max_events: usize,
-    /// Probability that a follow-up event is armed on a recovery-phase
-    /// entry instead of a steady-state offset.
-    pub phase_fault_chance: f64,
-    /// Probability that an event is a multi-fault ([`FaultSpec::Multi`]).
-    pub multi_chance: f64,
     /// Probability that a schedule targets the Hive end-to-end harness.
     pub hive_chance: f64,
     /// Probability that a schedule (when not already a Hive one) targets
@@ -119,8 +122,6 @@ impl Default for GeneratorConfig {
             min_nodes: 8,
             max_nodes: 16,
             max_events: 4,
-            phase_fault_chance: 0.5,
-            multi_chance: 0.25,
             hive_chance: 0.0,
             kv_chance: 0.0,
             gray_chance: 0.0,
@@ -206,7 +207,7 @@ pub fn generate(seed: u64, cfg: &GeneratorConfig) -> Schedule {
         let gray = cfg.gray_chance > 0.0 && rng.chance(cfg.gray_chance);
         let fault = if gray {
             gray_fault(n_nodes, &mut rng)
-        } else if i > 0 && rng.chance(cfg.multi_chance) {
+        } else if i > 0 && rng.chance(MULTI_CHANCE) {
             let members = (0..2 + rng.index(2))
                 .map(|_| single_fault(n_nodes, &mut rng))
                 .collect();
@@ -240,7 +241,7 @@ pub fn generate(seed: u64, cfg: &GeneratorConfig) -> Schedule {
             }
         } else if recovery_expected && (hive || kv) && rng.chance(0.2) {
             InjectAt::DuringOsRecovery
-        } else if recovery_expected && rng.chance(cfg.phase_fault_chance) {
+        } else if recovery_expected && rng.chance(PHASE_FAULT_CHANCE) {
             InjectAt::PhaseEntry {
                 phase: 1 + rng.index(4) as u8,
                 delay_ns: rng.below(50_000),

@@ -729,8 +729,10 @@ impl Directory {
         }
     }
 
-    /// Marks a line incoherent directly (used when a truncated data packet
-    /// identified a specific lost line).
+    /// Marks a line incoherent directly. No machine path calls it: a
+    /// truncated data packet only tells the oracle that its line may be
+    /// marked (`Oracle::allow_incoherent`), and P4's directory scan marks
+    /// it. Tests use it to put a line in the `Incoherent` state.
     pub fn mark_incoherent(&mut self, line: LineAddr) {
         let i = self.idx(line);
         if self.lines[i].entry != Entry::Incoherent {

@@ -1,58 +1,67 @@
-//! Recovery-algorithm configuration and result reporting.
+//! Recovery-algorithm cost constants, ablation switches and result
+//! reporting.
 
 use flash_sim::{SimDuration, SimTime};
 
-/// Cost and timing parameters of the distributed recovery algorithm.
-///
-/// During recovery the R10000 processors execute from uncached space at
-/// roughly 2.5 MIPS (400 ns per instruction — the paper's calibrated value,
-/// Sections 4.1 and 5.3); all compute costs below are expressed in *uncached
-/// instructions* and converted through `uncached_instr_ns`.
-#[derive(Clone, Copy, Debug, PartialEq)]
+// The recovery algorithm's cost constants. During recovery the R10000
+// processors execute from uncached space at roughly 2.5 MIPS (400 ns per
+// instruction — the paper's calibrated value, Sections 4.1 and 5.3); the
+// compute costs are expressed in *uncached instructions* and converted
+// through `uncached_instr`.
+
+/// Nanoseconds per uncached instruction (~2.5 MIPS).
+pub const UNCACHED_INSTR_NS: u64 = 400;
+/// Instructions to force the processor into the recovery code (the Cache
+/// Error path of Section 4.2): ~0.5 ms.
+pub(crate) const DROP_IN_INSTR: u64 = 1_250;
+/// Time to wait for a ping reply before retrying / declaring the target
+/// node failed.
+pub(crate) const PING_TIMEOUT: SimDuration = SimDuration::from_micros(1_500);
+/// Ping retries before a node is declared failed.
+pub(crate) const PING_RETRIES: u32 = 2;
+/// Fixed instructions per dissemination-round message processed.
+pub(crate) const MERGE_BASE_INSTR: u64 = 200;
+/// Additional instructions per machine node per merged state vector.
+pub(crate) const MERGE_PER_NODE_INSTR: u64 = 13;
+/// Instructions per machine node for one BFT-height computation.
+pub(crate) const BFT_PER_NODE_INSTR: u64 = 40;
+/// Instructions for the isolation step (reprogramming the local router's
+/// discard entries).
+pub(crate) const ISOLATE_INSTR: u64 = 500;
+/// The drain bound τ: a node votes to proceed after seeing no stalled
+/// coherence delivery for this long (§4.4).
+pub(crate) const DRAIN_TAU: SimDuration = SimDuration::from_micros(2);
+/// Polling interval of the drain check.
+pub(crate) const DRAIN_POLL: SimDuration = SimDuration::from_micros(5);
+/// Instructions per machine node to compute the new routing tables.
+pub(crate) const ROUTE_PER_NODE_INSTR: u64 = 60;
+/// Nanoseconds per cache line of the flush walk (uncached flush loop;
+/// calibrated to Figure 5.6: ~1.2 us/line).
+pub(crate) const FLUSH_PER_LINE_NS: u64 = 1_200;
+/// Watchdog: a recovery phase making no progress for this long is treated
+/// as an additional failure and restarts the algorithm.
+pub(crate) const WATCHDOG: SimDuration = SimDuration::from_millis(400);
+/// Heuristic machine-shutdown threshold: if more than this fraction of
+/// nodes is failed, recovery halts the whole machine instead of risking
+/// split-brain operation (§4.2).
+pub(crate) const SHUTDOWN_FRACTION: f64 = 0.5;
+
+/// Converts an uncached instruction count to simulated time.
+pub fn uncached_instr(count: u64) -> SimDuration {
+    SimDuration::from_nanos(count.saturating_mul(UNCACHED_INSTR_NS))
+}
+
+/// The ablation switches of the distributed recovery algorithm; its costs
+/// are the constants above.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Nanoseconds per uncached instruction (~2.5 MIPS).
-    pub uncached_instr_ns: u64,
-    /// Instructions to force the processor into the recovery code (the
-    /// Cache Error path of Section 4.2).
-    pub drop_in_instr: u64,
-    /// Time to wait for a ping reply before retrying / declaring the target
-    /// node failed.
-    pub ping_timeout: SimDuration,
-    /// Ping retries before a node is declared failed.
-    pub ping_retries: u32,
     /// Whether nodes speculatively ping their immediate neighbors before
     /// starting cwn exploration (the ~5x trigger-wave speedup of §4.2).
     pub speculative_pings: bool,
-    /// Fixed instructions per dissemination-round message processed.
-    pub merge_base_instr: u64,
-    /// Additional instructions per machine node per merged state vector.
-    pub merge_per_node_instr: u64,
-    /// Instructions per machine node for one BFT-height computation.
-    pub bft_per_node_instr: u64,
     /// Whether stabilized nodes send their round bound as a *hint* so that
     /// other nodes can skip their own BFT computation (§4.3's scheduling
     /// optimization).
     pub bft_hints: bool,
-    /// Instructions for the isolation step (reprogramming the local router's
-    /// discard entries).
-    pub isolate_instr: u64,
-    /// The drain bound τ: a node votes to proceed after seeing no stalled
-    /// coherence delivery for this long (§4.4).
-    pub drain_tau: SimDuration,
-    /// Polling interval of the drain check.
-    pub drain_poll: SimDuration,
-    /// Instructions per machine node to compute the new routing tables.
-    pub route_per_node_instr: u64,
-    /// Nanoseconds per cache line of the flush walk (uncached flush loop;
-    /// calibrated to Figure 5.6: ~1.2 us/line).
-    pub flush_per_line_ns: u64,
-    /// Watchdog: a recovery phase making no progress for this long is
-    /// treated as an additional failure and restarts the algorithm.
-    pub watchdog: SimDuration,
-    /// Heuristic machine-shutdown threshold: if more than this fraction of
-    /// nodes is failed, recovery halts the whole machine instead of risking
-    /// split-brain operation (§4.2). `1.0` disables the heuristic.
-    pub shutdown_fraction: f64,
     /// Use the tighter double-sweep/center diameter bound (in the spirit of
     /// the paper's citation \[1\], Aingworth et al.) instead of the plain
     /// `2h` bound for dissemination termination. Costs three BFS
@@ -72,32 +81,11 @@ pub struct RecoveryConfig {
 impl Default for RecoveryConfig {
     fn default() -> Self {
         RecoveryConfig {
-            uncached_instr_ns: 400,
-            drop_in_instr: 1_250, // ~0.5 ms
-            ping_timeout: SimDuration::from_micros(1_500),
-            ping_retries: 2,
             speculative_pings: true,
-            merge_base_instr: 200,
-            merge_per_node_instr: 13,
-            bft_per_node_instr: 40,
             bft_hints: true,
-            isolate_instr: 500,
-            drain_tau: SimDuration::from_micros(2),
-            drain_poll: SimDuration::from_micros(5),
-            route_per_node_instr: 60,
-            flush_per_line_ns: 1_200,
-            watchdog: SimDuration::from_millis(400),
-            shutdown_fraction: 0.5,
             center_diameter_bound: false,
             reliable_interconnect: false,
         }
-    }
-}
-
-impl RecoveryConfig {
-    /// Converts an instruction count to simulated time.
-    pub fn instr(&self, count: u64) -> SimDuration {
-        SimDuration::from_nanos(count.saturating_mul(self.uncached_instr_ns))
     }
 }
 
@@ -251,9 +239,8 @@ mod tests {
     #[test]
     fn defaults_are_calibrated() {
         let c = RecoveryConfig::default();
-        assert_eq!(c.uncached_instr_ns, 400, "~2.5 MIPS uncached execution");
         assert!(c.speculative_pings && c.bft_hints);
-        assert_eq!(c.instr(10), SimDuration::from_nanos(4_000));
+        assert_eq!(uncached_instr(10), SimDuration::from_nanos(4_000));
     }
 
     #[test]

@@ -111,7 +111,6 @@ pub fn run_fault_experiment(cfg: &ExperimentConfig, fault: FaultSpec) -> Experim
 /// [`finish_fault_experiment`] is exactly [`run_fault_experiment`].
 pub fn prepare_fault_experiment(cfg: &ExperimentConfig) -> FcMachine {
     let layout = cfg.params.layout();
-    let protected = cfg.params.protected_lines;
     let (total_ops, write_fraction) = (cfg.total_ops, cfg.write_fraction);
     let mut m = build_machine(
         cfg.params,
@@ -121,7 +120,6 @@ pub fn prepare_fault_experiment(cfg: &ExperimentConfig) -> FcMachine {
                 total_ops,
                 write_fraction,
                 layout,
-                protected,
             ))
         },
         cfg.seed,

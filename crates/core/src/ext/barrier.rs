@@ -3,6 +3,7 @@
 //! flush, and directory scan steps (paper, Section 4.4).
 
 use super::{BarState, Phase, RecEv, RecoveryExt, Sched, St, Step};
+use crate::config::{uncached_instr, DRAIN_POLL, ROUTE_PER_NODE_INSTR};
 use crate::msg::{BarrierId, RecMsg};
 use flash_machine::Ev;
 use flash_net::{Lane, NodeId};
@@ -76,10 +77,7 @@ impl RecoveryExt {
             // delivery guarantee that writebacks precede the barrier
             // messages (see DESIGN.md).
             if id == BarrierId::Flush && st.fabric.in_flight_coherence() > 0 {
-                sched.after(
-                    self.cfg.drain_poll,
-                    Ev::Ext(RecEv::RootFlushPoll { node, inc }),
-                );
+                sched.after(DRAIN_POLL, Ev::Ext(RecEv::RootFlushPoll { node, inc }));
                 return;
             }
             self.release_barrier(st, node, id, ok, sched);
@@ -162,7 +160,7 @@ impl RecoveryExt {
                     self.nodes[node as usize].phase = Phase::RouteCompute;
                     let n = st.num_nodes() as u64;
                     sched.after(
-                        self.cfg.instr(self.cfg.route_per_node_instr * n),
+                        uncached_instr(ROUTE_PER_NODE_INSTR * n),
                         Ev::Ext(RecEv::StepDone {
                             node,
                             inc,

@@ -3,6 +3,7 @@
 //! machines, enforcing incarnation-number freshness throughout.
 
 use super::{Phase, RecEv, RecoveryExt, St, Step};
+use crate::config::{PING_RETRIES, PING_TIMEOUT};
 use crate::msg::{BarrierId, RecMsg};
 use flash_machine::{Ev, Extension};
 use flash_magic::{MagicMode, Trigger};
@@ -120,7 +121,7 @@ impl Extension for RecoveryExt {
                 else {
                     return;
                 };
-                if ping.retries < self.cfg.ping_retries {
+                if ping.retries < PING_RETRIES {
                     // Retry.
                     let route = ping.route.clone();
                     match self.nodes[node as usize].pending_pings.get_mut(&target) {
@@ -142,7 +143,7 @@ impl Extension for RecoveryExt {
                         sched,
                     );
                     sched.after(
-                        self.cfg.ping_timeout,
+                        PING_TIMEOUT,
                         Ev::Ext(RecEv::PingDeadline { node, target, inc }),
                     );
                 } else {

@@ -4,6 +4,10 @@
 //! Sections 4.3 and 4.4).
 
 use super::{all_live_in, Incarnation, Phase, PingState, RecEv, RecoveryExt, Sched, St, Step};
+use crate::config::{
+    uncached_instr, BFT_PER_NODE_INSTR, DROP_IN_INSTR, MERGE_BASE_INSTR, MERGE_PER_NODE_INSTR,
+    PING_TIMEOUT,
+};
 use crate::msg::RecMsg;
 use flash_machine::Ev;
 use flash_net::{Lane, LinkProbe, NodeId, RouterId};
@@ -100,7 +104,7 @@ impl RecoveryExt {
 
         self.nodes[node as usize].phase = Phase::DropIn;
         sched.after(
-            self.cfg.instr(self.cfg.drop_in_instr),
+            uncached_instr(DROP_IN_INSTR),
             Ev::Ext(RecEv::StepDone {
                 node,
                 inc,
@@ -166,7 +170,7 @@ impl RecoveryExt {
                         },
                     );
                     sched.after(
-                        self.cfg.ping_timeout,
+                        PING_TIMEOUT,
                         Ev::Ext(RecEv::PingDeadline {
                             node,
                             target: s.0,
@@ -250,8 +254,7 @@ impl RecoveryExt {
             }
         }
         let n = st.num_nodes() as u64;
-        let mut cost =
-            self.cfg.merge_base_instr + cwn.len() as u64 * self.cfg.merge_per_node_instr * n;
+        let mut cost = MERGE_BASE_INSTR + cwn.len() as u64 * MERGE_PER_NODE_INSTR * n;
         // Stabilized and no bound yet: compute it (unless a hint arrived and
         // hints are enabled — the deferred-BFT optimization).
         let rec = &mut self.nodes[node as usize];
@@ -265,17 +268,17 @@ impl RecoveryExt {
                 rec.bound = Some(if self.cfg.center_diameter_bound {
                     // Two sweeps + reverse distances + up to 4 candidate
                     // eccentricities + the 2h fallback: ~8 BFS traversals.
-                    cost += 8 * self.cfg.bft_per_node_instr * n;
+                    cost += 8 * BFT_PER_NODE_INSTR * n;
                     rec.view.round_bound_center(graph)
                 } else {
-                    cost += self.cfg.bft_per_node_instr * n;
+                    cost += BFT_PER_NODE_INSTR * n;
                     rec.view.round_bound(graph)
                 });
             }
         }
         self.nodes[node as usize].computing_round = true;
         sched.after(
-            self.cfg.instr(cost),
+            uncached_instr(cost),
             Ev::Ext(RecEv::StepDone {
                 node,
                 inc,

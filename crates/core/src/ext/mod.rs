@@ -42,7 +42,7 @@ mod driver;
 mod init;
 mod phases;
 
-use crate::config::{PhaseEntries, RecoveryConfig, RecoveryReport};
+use crate::config::{PhaseEntries, RecoveryConfig, RecoveryReport, WATCHDOG};
 use crate::msg::{BarrierId, RecMsg};
 use crate::view::{Tree, View};
 use flash_coherence::NodeSet;
@@ -228,10 +228,7 @@ struct Incarnation {
 
 /// Whether every live node is in `set` (vacuously true once all are dead).
 fn all_live_in(st: &St, set: &NodeSet) -> bool {
-    st.nodes
-        .iter()
-        .filter(|n| n.is_alive())
-        .all(|n| set.contains(n.id))
+    st.alive_nodes().all(|n| set.contains(n))
 }
 
 type Sched<'a, 'b> = &'a mut Scheduler<'b, Ev<RecEv>>;
@@ -388,9 +385,6 @@ impl RecoveryExt {
         rec.progress += 1;
         let stamp = rec.progress;
         let inc = rec.inc;
-        sched.after(
-            self.cfg.watchdog,
-            Ev::Ext(RecEv::Watchdog { node, inc, stamp }),
-        );
+        sched.after(WATCHDOG, Ev::Ext(RecEv::Watchdog { node, inc, stamp }));
     }
 }

@@ -4,6 +4,9 @@
 //! and 4.6.
 
 use super::{all_live_in, Phase, RecEv, RecoveryExt, Sched, St, Step};
+use crate::config::{
+    uncached_instr, DRAIN_POLL, DRAIN_TAU, FLUSH_PER_LINE_NS, ISOLATE_INSTR, SHUTDOWN_FRACTION,
+};
 use crate::msg::{BarrierId, RecMsg};
 use crate::view::{LinkSet, View};
 use flash_coherence::NodeSet;
@@ -112,7 +115,7 @@ impl RecoveryExt {
         // nodes count as lost) halts rather than risk divergent operation.
         let total = st.num_nodes();
         let failed = total - view.live_nodes().len().min(total);
-        if (failed as f64) > self.cfg.shutdown_fraction * total as f64 {
+        if (failed as f64) > SHUTDOWN_FRACTION * total as f64 {
             self.report.machine_halted = true;
             self.nodes[node as usize].phase = Phase::Shut;
             st.apply_fault(&FaultSpec::Node(NodeId(node)), sched.now());
@@ -136,7 +139,7 @@ impl RecoveryExt {
         st.apply_isolation_for(NodeId(node), &view.failed_nodes());
         self.nodes[node as usize].phase = Phase::Isolate;
         sched.after(
-            self.cfg.instr(self.cfg.isolate_instr),
+            uncached_instr(ISOLATE_INSTR),
             Ev::Ext(RecEv::StepDone {
                 node,
                 inc,
@@ -182,16 +185,13 @@ impl RecoveryExt {
             return;
         }
         let last = st.fabric.last_coherence_delivery(NodeId(node));
-        let quiet = sched.now().since(last) >= self.cfg.drain_tau;
+        let quiet = sched.now().since(last) >= DRAIN_TAU;
         if quiet {
             self.nodes[node as usize].vote1_at = Some(sched.now());
             self.join_barrier(st, node, BarrierId::Drain1, true, sched);
         } else {
             let inc = self.nodes[node as usize].inc;
-            sched.after(
-                self.cfg.drain_poll,
-                Ev::Ext(RecEv::DrainPoll { node, inc, attempt }),
-            );
+            sched.after(DRAIN_POLL, Ev::Ext(RecEv::DrainPoll { node, inc, attempt }));
         }
     }
 
@@ -236,7 +236,7 @@ impl RecoveryExt {
         } else {
             let sent = st.flush_cache_for_recovery(NodeId(node), sched);
             self.report.flush_writebacks += sent as u64;
-            st.params.l2_lines() as u64 * self.cfg.flush_per_line_ns
+            st.params.l2_lines() as u64 * FLUSH_PER_LINE_NS
         };
         let inc = self.nodes[node as usize].inc;
         self.nodes[node as usize].phase = Phase::FlushWalk;
@@ -260,10 +260,7 @@ impl RecoveryExt {
             self.join_barrier(st, node, BarrierId::Flush, true, sched);
         } else {
             let inc = self.nodes[node as usize].inc;
-            sched.after(
-                self.cfg.drain_poll,
-                Ev::Ext(RecEv::FlushJoinPoll { node, inc }),
-            );
+            sched.after(DRAIN_POLL, Ev::Ext(RecEv::FlushJoinPoll { node, inc }));
         }
     }
 
@@ -278,7 +275,7 @@ impl RecoveryExt {
         self.report.lines_marked_incoherent += marked.len() as u64;
         st.counters
             .add(Counter::LinesMarkedIncoherent, marked.len() as u64);
-        let scan_ns = st.layout.lines_per_node() * st.params.magic.costs.dir_scan_per_line_ns;
+        let scan_ns = st.layout.lines_per_node() * flash_magic::costs::DIR_SCAN_PER_LINE_NS;
         let inc = self.nodes[node as usize].inc;
         self.nodes[node as usize].phase = Phase::Scan;
         self.bump_progress(node, sched);

@@ -42,7 +42,9 @@ mod lifecycle;
 mod msg;
 mod view;
 
-pub use config::{PhaseEntries, PhaseTimes, RecoveryConfig, RecoveryReport};
+pub use config::{
+    uncached_instr, PhaseEntries, PhaseTimes, RecoveryConfig, RecoveryReport, UNCACHED_INSTR_NS,
+};
 pub use experiment::{
     build_machine, finish_fault_experiment, mesh_width, prepare_fault_experiment, random_fault,
     run_fault_experiment, ExperimentConfig, ExperimentOutcome, FaultKind, FcMachine,

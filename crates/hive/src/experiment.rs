@@ -195,7 +195,7 @@ pub fn prepare_parallel_make(
     // Build with idle workloads; real workloads are installed after
     // placement is computed (they need the shared-region addresses).
     let mut m: FcMachine = build_machine(params, recovery, |_| Box::new(Idle), seed);
-    let placement = os::configure(&mut m, &layout, hive);
+    let placement = os::configure(&mut m, &layout);
 
     let lines_per_node = m.st().layout.lines_per_node();
     let client_nodes: Vec<NodeId> = (1..hive.n_cells).map(|c| layout.boot_node(c)).collect();
@@ -206,7 +206,7 @@ pub fn prepare_parallel_make(
         .with_monitor(os::peer_kernel_lines(&m, server));
     m.st_mut().nodes[server.index()].workload = Box::new(server_loop);
     for &client in &client_nodes {
-        let own = os::own_region(client, lines_per_node, params.protected_lines);
+        let own = os::own_region(client, lines_per_node);
         let task = CompileTask::new(
             server,
             hive.files_per_task,
@@ -252,7 +252,7 @@ pub fn finish_parallel_make(mut prep: PreparedMake, fault: Option<FaultSpec>) ->
         let live_cells = prep.hive.n_cells - failed_cells.len();
         (
             os::os_recover(&mut prep.m),
-            prep.hive.os_recovery_time(live_cells),
+            os::os_recovery_time(live_cells),
         )
     } else {
         (0, SimDuration::ZERO)

@@ -19,7 +19,8 @@
 use crate::cells::CellLayout;
 use crate::task::{CompileTask, TaskState};
 use flash_coherence::{NodeSet, LINES_PER_PAGE};
-use flash_core::FcMachine;
+use flash_core::{uncached_instr, FcMachine};
+use flash_machine::PROTECTED_LINES;
 use flash_net::NodeId;
 use flash_sim::SimDuration;
 
@@ -39,13 +40,6 @@ pub struct HiveConfig {
     /// Whether tasks also write a firewall-opened scratch line on the
     /// server (cross-cell write traffic for the firewall experiments).
     pub cross_writes: bool,
-    /// OS recovery fixed cost, uncached instructions.
-    pub os_base_instr: u64,
-    /// OS recovery cost per live cell, uncached instructions (the paper
-    /// notes OS recovery scales with the number of cells).
-    pub os_per_cell_instr: u64,
-    /// Nanoseconds per uncached instruction.
-    pub uncached_instr_ns: u64,
 }
 
 impl Default for HiveConfig {
@@ -57,9 +51,6 @@ impl Default for HiveConfig {
             out_blocks: 32,
             compute_ns: 50_000,
             cross_writes: false,
-            os_base_instr: 50_000,
-            os_per_cell_instr: 20_000,
-            uncached_instr_ns: 400,
         }
     }
 }
@@ -74,14 +65,20 @@ impl HiveConfig {
             + u64::from(self.cross_writes);
         self.files_per_task as u64 * per_file
     }
+}
 
-    /// The modeled OS-recovery duration for `live_cells` surviving cells.
-    pub fn os_recovery_time(&self, live_cells: usize) -> SimDuration {
-        SimDuration::from_nanos(
-            (self.os_base_instr + self.os_per_cell_instr * live_cells as u64)
-                * self.uncached_instr_ns,
-        )
-    }
+// The OS-recovery cost constants, in uncached instructions at flash-core's
+// `UNCACHED_INSTR_NS`.
+
+/// OS recovery fixed cost, uncached instructions.
+const OS_BASE_INSTR: u64 = 50_000;
+/// OS recovery cost per live cell, uncached instructions (the paper notes
+/// OS recovery scales with the number of cells).
+const OS_PER_CELL_INSTR: u64 = 20_000;
+
+/// The modeled OS-recovery duration for `live_cells` surviving cells.
+pub fn os_recovery_time(live_cells: usize) -> SimDuration {
+    uncached_instr(OS_BASE_INSTR + OS_PER_CELL_INSTR * live_cells as u64)
 }
 
 /// Ranges of the per-node address space used by the workload model.
@@ -96,7 +93,7 @@ pub struct HivePlacement {
 /// Applies Hive's placement and protection policies to a machine:
 /// failure units, firewalls, I/O guards. Returns the shared-region
 /// placement used by the tasks.
-pub fn configure(m: &mut FcMachine, layout: &CellLayout, _cfg: &HiveConfig) -> HivePlacement {
+pub fn configure(m: &mut FcMachine, layout: &CellLayout) -> HivePlacement {
     let n_nodes = m.st().num_nodes();
     assert_eq!(
         layout.num_nodes(),
@@ -174,10 +171,10 @@ pub fn configure(m: &mut FcMachine, layout: &CellLayout, _cfg: &HiveConfig) -> H
 
 /// The private output region of a cell's boot node (its own memory, away
 /// from the vector replica and the MAGIC-protected tail).
-pub fn own_region(node: NodeId, lines_per_node: u64, protected_lines: u64) -> (u64, u64) {
+pub fn own_region(node: NodeId, lines_per_node: u64) -> (u64, u64) {
     let base = node.index() as u64 * lines_per_node;
     let lo = base + LINES_PER_PAGE;
-    let hi = base + lines_per_node - protected_lines;
+    let hi = base + lines_per_node - PROTECTED_LINES;
     (lo, hi)
 }
 
@@ -187,11 +184,10 @@ pub fn own_region(node: NodeId, lines_per_node: u64, protected_lines: u64) -> (u
 /// detects failures of non-boot cell members.
 pub fn peer_kernel_lines(m: &FcMachine, me: NodeId) -> Vec<u64> {
     let lines_per_node = m.st().layout.lines_per_node();
-    let protected_lines = m.st().params.protected_lines;
     (0..m.st().num_nodes())
         .map(|i| NodeId(i as u16))
         .filter(|&b| b != me)
-        .map(|b| own_region(b, lines_per_node, protected_lines).0)
+        .map(|b| own_region(b, lines_per_node).0)
         .collect()
 }
 
@@ -288,17 +284,19 @@ mod tests {
 
     #[test]
     fn os_recovery_time_scales_with_cells() {
-        let cfg = HiveConfig::default();
-        let t2 = cfg.os_recovery_time(2);
-        let t16 = cfg.os_recovery_time(16);
+        let t2 = os_recovery_time(2);
+        let t16 = os_recovery_time(16);
         assert!(t16 > t2);
         let delta = t16.as_nanos() - t2.as_nanos();
-        assert_eq!(delta, 14 * cfg.os_per_cell_instr * cfg.uncached_instr_ns);
+        assert_eq!(
+            delta,
+            14 * OS_PER_CELL_INSTR * flash_core::UNCACHED_INSTR_NS
+        );
     }
 
     #[test]
     fn own_region_avoids_vectors_and_magic_tail() {
-        let (lo, hi) = own_region(NodeId(2), 8192, 64);
+        let (lo, hi) = own_region(NodeId(2), 8192);
         assert_eq!(lo, 2 * 8192 + 32);
         assert_eq!(hi, 3 * 8192 - 64);
     }

@@ -1,11 +1,42 @@
 //! KV serving workload configuration.
 
+// The KV workload's fixed constants.
+
+/// Replicas per chunk (primary included).
+pub(crate) const REPLICATION: usize = 2;
+/// Memory lines backing each chunk replica on its cell.
+pub(crate) const LINES_PER_CHUNK: u64 = 8;
+/// Key population size.
+pub(crate) const KEYS: u64 = 1 << 20;
+/// Per-client request rate, requests per minute.
+const CLIENT_RPM: u64 = 15;
+/// Zipfian skew of key popularity (0 = uniform; must be < 1).
+pub(crate) const ZIPF_THETA: f64 = 0.99;
+/// Fraction of requests that are GETs (the rest are PUTs).
+pub(crate) const GET_FRACTION: f64 = 0.9;
+/// Coherent line reads issued per GET (index + value).
+pub(crate) const READS_PER_GET: u64 = 2;
+/// Modeled time to copy one chunk onto a fresh replica during
+/// re-replication. Until it elapses the new replica receives writes but
+/// does not count as data-holding, so a second fault inside the window can
+/// still lose the chunk.
+pub(crate) const REPAIR_NS_PER_CHUNK: u64 = 200_000;
+/// SLO ceiling on the worst observed latency of successful requests to
+/// unaffected chunks. The whole machine suspends for protocol recovery
+/// (~0.5 s at Table 5-1 scale), so a request admitted just before a fault
+/// legitimately waits out detection + recovery + the incoherent retry
+/// backoff + backlog drain — and a multi-fault schedule can stack several
+/// such pauses back to back. The ceiling bounds that end-to-end stall, not
+/// the fault-free service time (see the measured quantiles in
+/// [`crate::KvStats`] for those).
+pub(crate) const SLO_CEILING_NS: u64 = 5_000_000_000;
+
 /// Configuration of the replicated KV serving experiment.
 ///
 /// The client population is *modeled*, not simulated per-client: `clients`
-/// independent clients each issuing `client_rpm` requests per minute
-/// collapse into one open-loop arrival process per shard with mean
-/// interarrival [`KvConfig::mean_interarrival_ns`]. Arrival times are fixed
+/// independent clients each issuing 15 requests per minute collapse into
+/// one open-loop arrival process per shard with mean interarrival
+/// [`KvConfig::mean_interarrival_ns`]. Arrival times are fixed
 /// by the run seed before any service happens, so a slow or suspended shard
 /// accumulates backlog and the measured latency (completion minus scheduled
 /// arrival) captures queueing delay through faults — the user-visible
@@ -14,58 +45,21 @@
 pub struct KvConfig {
     /// Number of Hive cells (one shard per cell, on the cell's boot node).
     pub n_cells: usize,
-    /// Replicas per chunk (primary included).
-    pub replication: usize,
     /// Number of key-space chunks (placement granularity).
     pub chunks: u32,
-    /// Memory lines backing each chunk replica on its cell.
-    pub lines_per_chunk: u64,
-    /// Key population size.
-    pub keys: u64,
     /// Modeled client population (10^5..10^7 in the experiments).
     pub clients: u64,
-    /// Per-client request rate, requests per minute.
-    pub client_rpm: u64,
-    /// Zipfian skew of key popularity (0 = uniform; must be < 1).
-    pub zipf_theta: f64,
-    /// Fraction of requests that are GETs (the rest are PUTs).
-    pub get_fraction: f64,
-    /// Coherent line reads issued per GET (index + value).
-    pub reads_per_get: u32,
     /// Requests served per shard before it drains and halts.
     pub requests_per_shard: u64,
-    /// Modeled time to copy one chunk onto a fresh replica during
-    /// re-replication. Until it elapses the new replica receives writes but
-    /// does not count as data-holding, so a second fault inside the window
-    /// can still lose the chunk.
-    pub repair_ns_per_chunk: u64,
-    /// SLO ceiling on the worst observed latency of successful requests to
-    /// unaffected chunks. The whole machine suspends for protocol recovery
-    /// (~0.5 s at Table 5-1 scale), so a request admitted just before a
-    /// fault legitimately waits out detection + recovery + the incoherent
-    /// retry backoff + backlog drain — and a multi-fault schedule can
-    /// stack several such pauses back to back. The ceiling bounds that
-    /// end-to-end stall, not the fault-free service time (see the measured
-    /// quantiles in [`crate::KvStats`] for those).
-    pub slo_ceiling_ns: u64,
 }
 
 impl Default for KvConfig {
     fn default() -> Self {
         KvConfig {
             n_cells: 4,
-            replication: 2,
             chunks: 16,
-            lines_per_chunk: 8,
-            keys: 1 << 20,
             clients: 1_000_000,
-            client_rpm: 15,
-            zipf_theta: 0.99,
-            get_fraction: 0.9,
-            reads_per_get: 2,
             requests_per_shard: 400,
-            repair_ns_per_chunk: 200_000,
-            slo_ceiling_ns: 5_000_000_000,
         }
     }
 }
@@ -82,8 +76,7 @@ impl KvConfig {
     /// Mean interarrival time of requests at one shard, in nanoseconds:
     /// the aggregate client request rate divided evenly over the shards.
     pub fn mean_interarrival_ns(&self) -> u64 {
-        let per_shard_rps =
-            self.clients as f64 * self.client_rpm as f64 / 60.0 / self.n_cells as f64;
+        let per_shard_rps = self.clients as f64 * CLIENT_RPM as f64 / 60.0 / self.n_cells as f64;
         ((1e9 / per_shard_rps) as u64).max(1)
     }
 

@@ -13,7 +13,7 @@
 //! and [`PreparedKv::collect`] ends the run. The chaos campaign drives the
 //! same harness with its own fault injector.
 
-use crate::config::KvConfig;
+use crate::config::{KvConfig, LINES_PER_CHUNK, REPAIR_NS_PER_CHUNK, REPLICATION, SLO_CEILING_NS};
 use crate::placement::{ChunkDirectory, RepairSummary};
 use crate::shard::KvShard;
 use flash_coherence::{LineAddr, NodeSet, LINES_PER_PAGE};
@@ -21,8 +21,8 @@ use flash_core::{
     all_terminal, build_machine, drive, total_progress, warm_until, DriveExit, FcMachine, Harness,
     RecoveryConfig, RecoveryReport, DRIVE_SLICE,
 };
-use flash_hive::{os, CellLayout, HiveConfig};
-use flash_machine::{FaultSpec, Idle, MachineParams};
+use flash_hive::{os, CellLayout};
+use flash_machine::{FaultSpec, Idle, MachineParams, PROTECTED_LINES};
 use flash_net::NodeId;
 use flash_obs::{Domain, Hist, TraceEvent};
 use flash_sim::{LatencyHistogram, SimDuration};
@@ -120,7 +120,6 @@ pub struct PreparedKv {
     layout: CellLayout,
     shard_nodes: Vec<NodeId>,
     kv: KvConfig,
-    hive: HiveConfig,
     directory: ChunkDirectory,
     last_recovery_completed: bool,
     os_time: SimDuration,
@@ -139,16 +138,12 @@ pub fn prepare_kv_serving(
 ) -> PreparedKv {
     let layout = CellLayout::contiguous(params.n_nodes, kv.n_cells);
     let mut m: FcMachine = build_machine(params, recovery, |_| Box::new(Idle), seed);
-    let hive = HiveConfig {
-        n_cells: kv.n_cells,
-        ..HiveConfig::default()
-    };
-    os::configure(&mut m, &layout, &hive);
+    os::configure(&mut m, &layout);
 
     let lines_per_node = m.st().layout.lines_per_node();
-    let chunk_region_lines = kv.chunks as u64 * kv.lines_per_chunk;
+    let chunk_region_lines = kv.chunks as u64 * LINES_PER_CHUNK;
     assert!(
-        2 * LINES_PER_PAGE + chunk_region_lines <= lines_per_node - params.protected_lines,
+        2 * LINES_PER_PAGE + chunk_region_lines <= lines_per_node - PROTECTED_LINES,
         "chunk region must fit below the protected tail"
     );
     // Chunk region: per cell, on the boot node, one page above the kernel
@@ -159,7 +154,7 @@ pub fn prepare_kv_serving(
 
     let n_nodes = params.n_nodes;
     let shard_nodes: Vec<NodeId> = (0..kv.n_cells).map(|c| layout.boot_node(c)).collect();
-    let directory = ChunkDirectory::new(kv.chunks, kv.n_cells, kv.replication);
+    let directory = ChunkDirectory::new(kv.chunks, kv.n_cells, REPLICATION);
     let peers: Vec<Vec<u64>> = shard_nodes
         .iter()
         .map(|&node| os::peer_kernel_lines(&m, node))
@@ -211,7 +206,6 @@ pub fn prepare_kv_serving(
         layout,
         shard_nodes,
         kv: *kv,
-        hive,
         directory,
         last_recovery_completed: false,
         os_time: SimDuration::ZERO,
@@ -269,7 +263,7 @@ impl PreparedKv {
         self.lines_reinitialized += os::os_recover(&mut self.m);
         let failed_cells = self.layout.failed_cells(&self.m.st().failed_nodes);
         let live_cells = self.kv.n_cells - failed_cells.len();
-        self.os_time += self.hive.os_recovery_time(live_cells);
+        self.os_time += os::os_recovery_time(live_cells);
         let summary = self.reconcile_directory();
         if !summary.reconfigured.is_empty() {
             let placement = self.directory.placement.clone();
@@ -298,9 +292,9 @@ impl PreparedKv {
     fn reconcile_directory(&mut self) -> RepairSummary {
         let failed_cells = self.layout.failed_cells(&self.m.st().failed_nodes);
         let now_ns = self.m.now().as_nanos();
-        let summary =
-            self.directory
-                .on_cells_failed(&failed_cells, now_ns, self.kv.repair_ns_per_chunk);
+        let summary = self
+            .directory
+            .on_cells_failed(&failed_cells, now_ns, REPAIR_NS_PER_CHUNK);
         let now = self.m.now();
         let st = self.m.st_mut();
         for &c in &summary.reconfigured {
@@ -419,14 +413,14 @@ impl PreparedKv {
         }
 
         // Data loss accounting.
-        if self.directory.chunks_lost > 0 && failed_cells.len() < self.kv.replication {
+        if self.directory.chunks_lost > 0 && failed_cells.len() < REPLICATION {
             out.push(KvCheck {
                 name: "kv-no-data-loss",
                 details: format!(
                     "{} chunk(s) lost with only {} failed cell(s) (replication {})",
                     self.directory.chunks_lost,
                     failed_cells.len(),
-                    self.kv.replication
+                    REPLICATION
                 ),
             });
         }
@@ -497,13 +491,13 @@ impl PreparedKv {
                 }
             }
             let worst = stats.lat_unaffected_ok.quantile_upper_bound(1.0);
-            if worst > SimDuration::from_nanos(self.kv.slo_ceiling_ns) {
+            if worst > SimDuration::from_nanos(SLO_CEILING_NS) {
                 out.push(KvCheck {
                     name: "kv-unaffected-slo",
                     details: format!(
                         "worst unaffected-chunk latency {:.3} ms exceeds ceiling {:.3} ms",
                         worst.as_millis_f64(),
-                        self.kv.slo_ceiling_ns as f64 / 1e6
+                        SLO_CEILING_NS as f64 / 1e6
                     ),
                 });
             }

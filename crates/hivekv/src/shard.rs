@@ -9,17 +9,17 @@
 //! latency (completion minus scheduled arrival) shows the queueing delay a
 //! user would see.
 //!
-//! A GET issues [`crate::KvConfig::reads_per_get`] coherent reads against
-//! the primary replica's chunk lines; a PUT writes one line on every
-//! replica (pending copies included) and acks only when all writes
-//! complete. A request touching a lost chunk fails immediately; a bus
-//! error on any request op fails that request but the shard keeps serving
-//! (errors are user-visible, not shard-fatal). Reads that trip over a
+//! A GET issues `READS_PER_GET` coherent reads against the primary
+//! replica's chunk lines; a PUT writes one line on every replica (pending
+//! copies included) and acks only when all writes complete. A request
+//! touching a lost chunk fails immediately; a bus error on any request op
+//! fails that request but the shard keeps serving (errors are
+//! user-visible, not shard-fatal). Reads that trip over a
 //! post-recovery incoherent line are retried after a short page-service
 //! delay (the OS reinitializes incoherent pages at recovery completion;
 //! the retry models the KV server refetching through the page service).
 
-use crate::config::KvConfig;
+use crate::config::{KvConfig, GET_FRACTION, KEYS, LINES_PER_CHUNK, READS_PER_GET, ZIPF_THETA};
 use crate::placement::ChunkPlacement;
 use crate::zipf::{scramble_rank, ZipfSampler};
 use flash_coherence::LineAddr;
@@ -148,11 +148,8 @@ impl ShardStats {
 pub struct KvShard {
     cell: u16,
     chunks: u32,
-    lines_per_chunk: u64,
     /// Per cell: first line of the chunk region on that cell's boot node.
     chunk_base: Vec<u64>,
-    get_fraction: f64,
-    reads_per_get: u32,
     mean_gap_ns: u64,
     budget: u64,
     zipf: ZipfSampler,
@@ -175,13 +172,10 @@ impl KvShard {
         KvShard {
             cell,
             chunks: cfg.chunks,
-            lines_per_chunk: cfg.lines_per_chunk,
             chunk_base,
-            get_fraction: cfg.get_fraction,
-            reads_per_get: cfg.reads_per_get,
             mean_gap_ns: cfg.mean_interarrival_ns(),
             budget: cfg.requests_per_shard,
-            zipf: ZipfSampler::new(cfg.keys, cfg.zipf_theta),
+            zipf: ZipfSampler::new(KEYS, ZIPF_THETA),
             monitor: Vec::new(),
             placement,
             next_arrival_ns: None,
@@ -231,9 +225,7 @@ impl KvShard {
 
     fn line_of(&self, cell: u16, chunk: u32, off: u64) -> LineAddr {
         LineAddr(
-            self.chunk_base[cell as usize]
-                + chunk as u64 * self.lines_per_chunk
-                + off % self.lines_per_chunk,
+            self.chunk_base[cell as usize] + chunk as u64 * LINES_PER_CHUNK + off % LINES_PER_CHUNK,
         )
     }
 
@@ -244,7 +236,7 @@ impl KvShard {
         let off = key >> 32;
         if is_get {
             let primary = *reps.first()?;
-            let ops = (0..self.reads_per_get as u64)
+            let ops = (0..READS_PER_GET)
                 .map(|i| ProcOp::Read(self.line_of(primary, chunk, off + i)))
                 .collect();
             Some((ReqKind::Get, ops))
@@ -296,7 +288,7 @@ impl KvShard {
             self.next_arrival_ns = Some(arrival + self.gap(rng));
             let key = scramble_rank(self.zipf.sample(rng));
             let chunk = (key % self.chunks as u64) as u32;
-            let is_get = rng.chance(self.get_fraction);
+            let is_get = rng.chance(GET_FRACTION);
             self.stats.arrivals += 1;
             self.stats.chunk_arrivals[chunk as usize] += 1;
             match self.build_ops(chunk, key, is_get) {

@@ -52,6 +52,6 @@ pub use fault::FaultSpec;
 pub use machine::{Checkpoint, Ev, Extension, Machine, MachineState, MachineWorld, NullExtension};
 pub use node::{IoDevice, NodeCtx, OutPkt, ProcState};
 pub use oracle::{Oracle, ValidationReport};
-pub use params::{MachineParams, TopologyKind};
+pub use params::{MachineParams, TopologyKind, PROTECTED_LINES};
 pub use payload::{Payload, UncMsg};
 pub use workload::{Idle, OpResult, ProcOp, RandomFill, Script, Workload};

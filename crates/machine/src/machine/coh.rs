@@ -6,7 +6,7 @@ use super::{Ev, MachineState};
 use crate::node::{PendingRemote, ProcState};
 use crate::workload::OpResult;
 use flash_coherence::{CohMsg, LineAddr};
-use flash_magic::{BusError, MagicMode, Trigger};
+use flash_magic::{costs, BusError, MagicMode, Trigger};
 use flash_net::NodeId;
 use flash_obs::{Counter, Domain, TraceEvent};
 use flash_sim::{Scheduler, SimDuration};
@@ -24,7 +24,6 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
     ) {
         let st = self;
         let now = sched.now();
-        let costs = st.params.magic.costs;
         let line = msg.line();
         let home = st.layout.home_of(line);
         let mode = st.nodes[n as usize].mode;
@@ -72,13 +71,13 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                     // the page (adds the ACL-check cost to the handler).
                     if matches!(msg, CohMsg::GetX { .. } | CohMsg::UpgradeReq { .. }) {
                         let fw_cost = if st.nodes[n as usize].firewall.enabled() {
-                            costs.firewall_check_ns
+                            costs::FIREWALL_CHECK_NS
                         } else {
                             0
                         };
                         st.nodes[n as usize]
                             .occupancy
-                            .occupy(now, SimDuration::from_nanos(costs.getx_ns + fw_cost));
+                            .occupy(now, SimDuration::from_nanos(costs::GETX_NS + fw_cost));
                         if !st.nodes[n as usize].firewall.may_write(line.page(), from) {
                             st.counters.incr(Counter::FirewallDenials);
                             st.obs.record(
@@ -95,10 +94,10 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                         }
                     } else {
                         let cost = match msg {
-                            CohMsg::Get { .. } => costs.get_ns,
-                            CohMsg::Put { .. } => costs.put_ns + costs.mem_access_ns,
-                            CohMsg::InvalAck { .. } => costs.inval_ack_ns,
-                            _ => costs.get_ns,
+                            CohMsg::Get { .. } => costs::GET_NS,
+                            CohMsg::Put { .. } => costs::PUT_NS + costs::MEM_ACCESS_NS,
+                            CohMsg::InvalAck { .. } => costs::INVAL_ACK_NS,
+                            _ => costs::GET_NS,
                         };
                         st.nodes[n as usize]
                             .occupancy
@@ -114,7 +113,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                     // absorbed so their data is not lost.
                     st.nodes[n as usize]
                         .occupancy
-                        .occupy(now, SimDuration::from_nanos(costs.put_ns));
+                        .occupy(now, SimDuration::from_nanos(costs::PUT_NS));
                     if let CohMsg::Put { version, .. } = msg {
                         st.nodes[n as usize].dir.recovery_put(line, version);
                         st.counters.incr(Counter::RecoveryPutsAbsorbed);
@@ -131,10 +130,10 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
 
         // Cache-side message: charge the handler, then act on it.
         let cost_ns = match msg {
-            CohMsg::Data { .. } => costs.data_ns,
-            CohMsg::Inval { .. } | CohMsg::Fetch { .. } => costs.inval_ns,
+            CohMsg::Data { .. } => costs::DATA_NS,
+            CohMsg::Inval { .. } | CohMsg::Fetch { .. } => costs::INVAL_NS,
             // NAKs, acknowledgments and error replies.
-            _ => costs.nak_ns,
+            _ => costs::NAK_NS,
         };
         st.nodes[n as usize]
             .occupancy
@@ -366,7 +365,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             });
         } else {
             sched.after(
-                SimDuration::from_nanos(self.params.magic.nak_retry_ns),
+                SimDuration::from_nanos(costs::NAK_RETRY_NS),
                 Ev::NakRetry { node: n, epoch },
             );
         }

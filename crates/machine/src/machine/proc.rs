@@ -4,10 +4,11 @@
 
 use super::{Ev, MachineState};
 use crate::node::ProcState;
+use crate::params::{L2_HIT_NS, PROC_ISSUE_NS};
 use crate::payload::UncMsg;
 use crate::workload::{OpResult, ProcOp};
 use flash_coherence::{CohMsg, LineAddr};
-use flash_magic::{BusError, MagicMode};
+use flash_magic::{costs, BusError, MagicMode};
 use flash_net::NodeId;
 use flash_obs::Counter;
 use flash_sim::{Scheduler, SimDuration, SimTime};
@@ -53,7 +54,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             st.nodes[n as usize].current_op,
             "proc step: current_op must be populated before dispatch",
         );
-        let issue = SimDuration::from_nanos(st.params.proc_issue_ns);
+        let issue = SimDuration::from_nanos(PROC_ISSUE_NS);
         match op {
             ProcOp::Halt => {
                 st.nodes[n as usize].proc = ProcState::Halted;
@@ -103,10 +104,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                         st.oracle.record_store(line, v);
                     }
                     st.finish_op(n, now, OpResult::Ok(None));
-                    sched.after(
-                        SimDuration::from_nanos(st.params.l2_hit_ns) + issue,
-                        Ev::ProcNext(n),
-                    );
+                    sched.after(SimDuration::from_nanos(L2_HIT_NS) + issue, Ev::ProcNext(n));
                     return;
                 }
                 // Miss path: node-map check, then request to the home.
@@ -154,7 +152,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                     };
                     st.finish_op(n, now, OpResult::Ok(value));
                     sched.after(
-                        SimDuration::from_nanos(st.params.magic.costs.uncached_ns) + issue,
+                        SimDuration::from_nanos(costs::UNCACHED_NS) + issue,
                         Ev::ProcNext(n),
                     );
                     return;
@@ -208,10 +206,9 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
     ) {
         let st = self;
         let now = sched.now();
-        let costs = st.params.magic.costs;
         st.nodes[n as usize]
             .occupancy
-            .occupy(now, SimDuration::from_nanos(costs.uncached_ns));
+            .occupy(now, SimDuration::from_nanos(costs::UNCACHED_NS));
         match msg {
             UncMsg::ReadReq { tag } => {
                 if st.nodes[n as usize].mode != MagicMode::Normal {
@@ -309,10 +306,7 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         sched: &mut Scheduler<'_, Ev<E>>,
     ) {
         self.finish_op(n, sched.now(), OpResult::BusError(err));
-        sched.after(
-            SimDuration::from_nanos(self.params.proc_issue_ns),
-            Ev::ProcNext(n),
-        );
+        sched.after(SimDuration::from_nanos(PROC_ISSUE_NS), Ev::ProcNext(n));
     }
 
     /// Chooses the request message for a (re)issued miss: reads use `Get`;

@@ -133,9 +133,9 @@ fn write_invalidates_other_sharers() {
 #[test]
 fn random_fill_has_no_corruption_without_faults() {
     let params = MachineParams::tiny();
-    let (layout, prot) = (params.layout(), params.protected_lines);
+    let layout = params.layout();
     let mut m = tiny_machine(
-        move |_| Box::new(RandomFill::valid_system_range(200, 0.4, layout, prot)),
+        move |_| Box::new(RandomFill::valid_system_range(200, 0.4, layout)),
         5,
     );
     quiesce(&mut m);
@@ -235,7 +235,7 @@ fn firewall_denies_unauthorized_exclusive_fetch() {
 
 #[test]
 fn range_check_bus_errors_wild_writes() {
-    // The protected region is the top `protected_lines` of each node's
+    // The protected region is the top `PROTECTED_LINES` of each node's
     // slice; tiny() => lines-per-node 8192, protected 64 => local index
     // 8191 is protected.
     let protected = LineAddr(8191);
@@ -351,9 +351,9 @@ fn infinite_loop_congests_but_triggers_timeout() {
 fn deterministic_replay() {
     let run = |seed| {
         let params = MachineParams::tiny();
-        let (layout, prot) = (params.layout(), params.protected_lines);
+        let layout = params.layout();
         let mut m = tiny_machine(
-            move |_| Box::new(RandomFill::valid_system_range(100, 0.5, layout, prot)),
+            move |_| Box::new(RandomFill::valid_system_range(100, 0.5, layout)),
             seed,
         );
         quiesce(&mut m);

@@ -7,7 +7,7 @@ use super::{Ev, Extension, MachineState};
 use crate::node::{OutPkt, ProcState};
 use crate::payload::Payload;
 use flash_coherence::{CohMsg, LineAddr};
-use flash_magic::Trigger;
+use flash_magic::{costs, Trigger};
 use flash_net::{DeliveryNote, Lane, NetEv, NodeId, Packet, Route, SendError};
 use flash_obs::{Counter, Domain, TraceEvent};
 use flash_sim::{Scheduler, SimDuration, SimTime, World};
@@ -152,8 +152,7 @@ impl<X: Extension> World for MachineWorld<X> {
                 if !unnoticed {
                     return;
                 }
-                let Some(observer) = self.st.nodes.iter().find(|n| n.is_alive()).map(|n| n.id)
-                else {
+                let Some(observer) = self.st.alive_nodes().next() else {
                     return;
                 };
                 let trig = Trigger::HeartbeatTimeout;
@@ -237,18 +236,18 @@ impl<X: Extension> MachineWorld<X> {
     ) {
         let st = &mut self.st;
         let now = sched.now();
-        let costs = st.params.magic.costs;
         // A truncated packet dispatches the error handler and triggers
         // recovery (paper, Sections 3.1 and 4.2); the payload is not
         // interpreted.
         if pkt.truncated {
             st.nodes[n as usize]
                 .occupancy
-                .occupy(now, SimDuration::from_nanos(costs.error_ns));
+                .occupy(now, SimDuration::from_nanos(costs::ERROR_NS));
             st.counters.incr(Counter::TruncatedDispatches);
-            st.record_dispatch(n, "error", costs.error_ns, now);
+            st.record_dispatch(n, "error", costs::ERROR_NS, now);
             // A data-carrying coherence packet that was truncated names the
-            // line whose data flits were lost; it can be marked directly.
+            // line whose data flits were lost: the oracle accepts that line
+            // being marked, which P4's directory scan does.
             if let Payload::Coh(CohMsg::Put { line, .. } | CohMsg::Data { line, .. }) = pkt.payload
             {
                 st.oracle.allow_incoherent(line);
@@ -270,8 +269,8 @@ impl<X: Extension> MachineWorld<X> {
             Payload::Rec(msg) => {
                 st.nodes[n as usize]
                     .occupancy
-                    .occupy(now, SimDuration::from_nanos(costs.recovery_msg_ns));
-                st.record_dispatch(n, "rec", costs.recovery_msg_ns, now);
+                    .occupy(now, SimDuration::from_nanos(costs::RECOVERY_MSG_NS));
+                st.record_dispatch(n, "rec", costs::RECOVERY_MSG_NS, now);
                 self.ext.on_recovery_msg(st, NodeId(n), pkt.src, msg, sched);
             }
             Payload::Coh(msg) => {

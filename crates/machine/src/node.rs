@@ -1,7 +1,7 @@
 //! Per-node state: processor, cache, directory slice, node controller
 //! features, I/O device and outbound packet queues.
 
-use crate::params::MachineParams;
+use crate::params::{MachineParams, PROTECTED_LINES};
 use crate::payload::Payload;
 use crate::workload::{ProcOp, Workload};
 use flash_coherence::{Directory, L2Cache, LineAddr, MemLayout};
@@ -212,7 +212,7 @@ impl<R> NodeCtx<R> {
             dir: Directory::new(id, layout),
             node_map: NodeMap::new(params.n_nodes),
             firewall: Firewall::new(id, layout, params.magic.firewall_enabled),
-            range_check: RangeCheck::new(params.protected_lines, layout),
+            range_check: RangeCheck::new(PROTECTED_LINES, layout),
             remap: VectorRemap::new(id, layout),
             io_guard: IoGuard::permissive(params.n_nodes),
             io_dev: IoDevice::default(),

@@ -4,6 +4,16 @@ use flash_coherence::MemLayout;
 use flash_magic::MagicParams;
 use flash_net::NetParams;
 
+// The processor's cost constants and the memory reserved for MAGIC.
+
+/// L2 hit service time, ns.
+pub(crate) const L2_HIT_NS: u64 = 10;
+/// Interval between consecutive processor operations (issue overhead), ns.
+pub(crate) const PROC_ISSUE_NS: u64 = 5;
+/// Lines at the top of each node's memory reserved for MAGIC code and
+/// protocol state, protected by the range check.
+pub const PROTECTED_LINES: u64 = 64;
+
 /// Which interconnect topology to build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TopologyKind {
@@ -15,7 +25,8 @@ pub enum TopologyKind {
 
 /// Full configuration of a simulated machine, mirroring Table 5.1 of the
 /// paper (8 × R4000 @ 200 MHz, 8 × MAGIC @ 100 MHz, 1–16 MB memory per node,
-/// 1 MB L2) with every cost constant explicit.
+/// 1 MB L2). The fixed costs are constants: this module's processor costs,
+/// [`flash_magic::costs`] and `flash-core`'s recovery costs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MachineParams {
     /// Number of nodes (one processor + one MAGIC + one router each).
@@ -30,13 +41,6 @@ pub struct MachineParams {
     pub net: NetParams,
     /// Node-controller parameters.
     pub magic: MagicParams,
-    /// L2 hit service time, ns.
-    pub l2_hit_ns: u64,
-    /// Interval between consecutive processor operations (issue overhead), ns.
-    pub proc_issue_ns: u64,
-    /// Lines at the top of each node's memory reserved for MAGIC code and
-    /// protocol state, protected by the range check.
-    pub protected_lines: u64,
     /// Whether stores to held shared copies use the 1-flit ownership
     /// upgrade instead of a full data refetch (ablation switch).
     pub upgrades_enabled: bool,
@@ -51,9 +55,6 @@ impl Default for MachineParams {
             l2_mb: 1.0,
             net: NetParams::default(),
             magic: MagicParams::default(),
-            l2_hit_ns: 10,
-            proc_issue_ns: 5,
-            protected_lines: 64,
             upgrades_enabled: true,
         }
     }

@@ -1,5 +1,6 @@
 //! Processor workloads: the operation streams driven through the machine.
 
+use crate::params::PROTECTED_LINES;
 use flash_coherence::LineAddr;
 use flash_magic::BusError;
 use flash_net::NodeId;
@@ -101,10 +102,10 @@ pub struct RandomFill {
     write_fraction: f64,
     addr_lo: u64,
     addr_hi: u64,
-    /// When set to `(lines_per_node, protected)`, addresses whose
-    /// within-node index falls in the protected tail are re-drawn — the
-    /// paper's "valid system addresses" exclude the MAGIC region.
-    avoid_tail: Option<(u64, u64)>,
+    /// When set to `lines_per_node`, addresses whose within-node index
+    /// falls in the [`PROTECTED_LINES`] tail are re-drawn — the paper's
+    /// "valid system addresses" exclude the MAGIC region.
+    avoid_tail: Option<u64>,
     /// Fraction of operations issued as incorrectly speculated writes to
     /// uniformly random addresses (models the R10000's wrong-path stores,
     /// Section 3.3).
@@ -148,10 +149,9 @@ impl RandomFill {
         ops: u64,
         write_fraction: f64,
         layout: flash_coherence::MemLayout,
-        protected_lines: u64,
     ) -> Self {
         let mut w = RandomFill::new(ops, write_fraction, 0, layout.total_lines());
-        w.avoid_tail = Some((layout.lines_per_node(), protected_lines));
+        w.avoid_tail = Some(layout.lines_per_node());
         w
     }
 
@@ -193,7 +193,7 @@ impl Workload for RandomFill {
         let line = loop {
             let cand = rng.range_inclusive(self.addr_lo, self.addr_hi - 1);
             match self.avoid_tail {
-                Some((lpn, protected)) if cand % lpn >= lpn - protected => continue,
+                Some(lpn) if cand % lpn >= lpn - PROTECTED_LINES => continue,
                 _ => break LineAddr(cand),
             }
         };

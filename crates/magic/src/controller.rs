@@ -4,7 +4,7 @@
 //! MAGIC contains a statically scheduled dual-issue protocol processor that
 //! executes *handlers* to service messages. We model it as a single-server
 //! queueing station: each message occupies the controller for a
-//! handler-specific number of nanoseconds ([`HandlerCosts`]). The
+//! handler-specific number of nanoseconds ([`crate::costs`]). The
 //! fault-containment checks (node map, incoherent-line check, range check,
 //! remap, NAK counters, timeouts) are dedicated logic and add **zero**
 //! occupancy, matching the paper's design goal of unaffected normal-mode
@@ -13,72 +13,14 @@
 use flash_coherence::LineAddr;
 use flash_sim::{SimDuration, SimTime};
 
-/// Per-handler occupancy costs in nanoseconds (MAGIC runs at 100 MHz; the
-/// remote-read handler is 24 dual-issue instructions, < 120 ns — paper,
-/// Section 3.1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HandlerCosts {
-    /// Home handler for a read request.
-    pub get_ns: u64,
-    /// Home handler for an exclusive request.
-    pub getx_ns: u64,
-    /// Extra cost of the firewall ACL check in write handlers, when enabled.
-    pub firewall_check_ns: u64,
-    /// Home handler for a writeback.
-    pub put_ns: u64,
-    /// Cache-side handler for an invalidation or recall.
-    pub inval_ns: u64,
-    /// Home handler for an invalidation acknowledgment.
-    pub inval_ack_ns: u64,
-    /// Cache-side handler for a data reply (fills the processor's cache).
-    pub data_ns: u64,
-    /// NAK / terminal-error handlers.
-    pub nak_ns: u64,
-    /// Uncached read/write service (I/O device access).
-    pub uncached_ns: u64,
-    /// Error handler dispatched on a truncated packet or node-map miss.
-    pub error_ns: u64,
-    /// Handler servicing a recovery-lane message (ping, state exchange...).
-    pub recovery_msg_ns: u64,
-    /// Per-line cost of the MAGIC directory-scan service used in recovery
-    /// phase 4 (calibrated to Figure 5.6's memory-size scaling).
-    pub dir_scan_per_line_ns: u64,
-    /// DRAM access folded into data-carrying handlers.
-    pub mem_access_ns: u64,
-}
-
-impl Default for HandlerCosts {
-    fn default() -> Self {
-        HandlerCosts {
-            get_ns: 120,
-            getx_ns: 120,
-            firewall_check_ns: 8,
-            put_ns: 100,
-            inval_ns: 60,
-            inval_ack_ns: 40,
-            data_ns: 60,
-            nak_ns: 40,
-            uncached_ns: 100,
-            error_ns: 100,
-            recovery_msg_ns: 100,
-            dir_scan_per_line_ns: 75,
-            mem_access_ns: 140,
-        }
-    }
-}
-
 /// Controller-level parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MagicParams {
-    /// Handler cost table.
-    pub costs: HandlerCosts,
     /// Retries before a NAK counter overflows and triggers recovery.
     pub nak_threshold: u32,
     /// Memory-operation timeout: a request outstanding longer than this
     /// triggers recovery.
     pub mem_op_timeout_ns: u64,
-    /// Delay before a NAK'd request is retried.
-    pub nak_retry_ns: u64,
     /// MAGIC-to-MAGIC heartbeat period: a fail-stop failure that no
     /// outstanding memory operation would ever reference is still noticed
     /// within one period by a peer controller's missed-heartbeat counter
@@ -93,10 +35,8 @@ pub struct MagicParams {
 impl Default for MagicParams {
     fn default() -> Self {
         MagicParams {
-            costs: HandlerCosts::default(),
             nak_threshold: 4096,
             mem_op_timeout_ns: 100_000,
-            nak_retry_ns: 200,
             heartbeat_timeout_ns: 150_000,
             firewall_enabled: true,
         }
@@ -225,74 +165,6 @@ impl NakCounter {
     }
 }
 
-/// Tracks the single outstanding cacheable operation of a blocking
-/// processor, for timeout detection.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OutstandingOp {
-    inner: Option<OpInfo>,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct OpInfo {
-    line: LineAddr,
-    write: bool,
-    issued_at: SimTime,
-    deadline: SimTime,
-    epoch: u64,
-}
-
-impl OutstandingOp {
-    /// Records a newly issued operation, returning its timeout deadline and
-    /// an epoch tag distinguishing it from reissues of the same line.
-    pub fn issue(
-        &mut self,
-        line: LineAddr,
-        write: bool,
-        now: SimTime,
-        timeout_ns: u64,
-    ) -> (SimTime, u64) {
-        let epoch = self.inner.map(|o| o.epoch + 1).unwrap_or(0);
-        let deadline = now + SimDuration::from_nanos(timeout_ns);
-        self.inner = Some(OpInfo {
-            line,
-            write,
-            issued_at: now,
-            deadline,
-            epoch,
-        });
-        (deadline, epoch)
-    }
-
-    /// Completes (or aborts) the outstanding operation.
-    pub fn complete(&mut self) {
-        if let Some(o) = self.inner {
-            // Keep the epoch so stale timeout events can be recognized.
-            self.inner = Some(OpInfo {
-                deadline: SimTime::MAX,
-                ..o
-            });
-        }
-    }
-
-    /// Fully clears the tracker (recovery reissue path).
-    pub fn clear(&mut self) {
-        self.inner = None;
-    }
-
-    /// Whether the operation with tag `epoch` is still outstanding past its
-    /// deadline at time `now` — the timeout-trigger test.
-    pub fn timed_out(&self, epoch: u64, now: SimTime) -> Option<LineAddr> {
-        let o = self.inner?;
-        (o.epoch == epoch && now >= o.deadline).then_some(o.line)
-    }
-
-    /// The line of the outstanding operation, if any is pending.
-    pub fn pending_line(&self) -> Option<(LineAddr, bool)> {
-        let o = self.inner?;
-        (o.deadline != SimTime::MAX).then_some((o.line, o.write))
-    }
-}
-
 /// The single-server occupancy model of the protocol processor.
 ///
 /// # Examples
@@ -396,38 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn outstanding_op_times_out_only_if_still_pending() {
-        let mut op = OutstandingOp::default();
-        let t0 = SimTime::from_nanos(1_000);
-        let (deadline, epoch) = op.issue(LineAddr(5), false, t0, 500);
-        assert_eq!(deadline, SimTime::from_nanos(1_500));
-        assert_eq!(op.pending_line(), Some((LineAddr(5), false)));
-        // Not yet expired.
-        assert_eq!(op.timed_out(epoch, SimTime::from_nanos(1_400)), None);
-        // Expired and still pending: trigger.
-        assert_eq!(op.timed_out(epoch, deadline), Some(LineAddr(5)));
-        // Completed: stale timeout events are ignored.
-        op.complete();
-        assert_eq!(op.timed_out(epoch, SimTime::from_nanos(2_000)), None);
-        assert_eq!(op.pending_line(), None);
-    }
-
-    #[test]
-    fn reissued_op_gets_new_epoch() {
-        let mut op = OutstandingOp::default();
-        let (_, e0) = op.issue(LineAddr(1), true, SimTime::ZERO, 100);
-        op.complete();
-        let (_, e1) = op.issue(LineAddr(2), false, SimTime::from_nanos(50), 100);
-        assert_ne!(e0, e1);
-        // Old epoch's timeout no longer fires.
-        assert_eq!(op.timed_out(e0, SimTime::from_nanos(10_000)), None);
-        assert_eq!(
-            op.timed_out(e1, SimTime::from_nanos(10_000)),
-            Some(LineAddr(2))
-        );
-    }
-
-    #[test]
     fn occupancy_serializes_handlers() {
         let mut occ = Occupancy::new();
         let d1 = occ.occupy(SimTime::from_nanos(0), SimDuration::from_nanos(120));
@@ -460,17 +300,6 @@ mod tests {
         occ.set_slowdown(0);
         let done = occ.occupy(SimTime::from_nanos(2_000), SimDuration::from_nanos(100));
         assert_eq!(done, SimTime::from_nanos(2_100));
-    }
-
-    #[test]
-    fn default_costs_match_paper_scale() {
-        let c = HandlerCosts::default();
-        assert!(
-            c.get_ns <= 120,
-            "remote read handler under 120ns (Section 3.1)"
-        );
-        // Firewall adds less than 7% of an inter-node write miss (~1us).
-        assert!(c.firewall_check_ns * 100 < 7 * 1_000);
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Graph utilities over the interconnect: BFS, connected components,
-//! breadth-first-tree heights and the linear-time diameter upper bound used
-//! by the dissemination phase (paper, Section 4.3).
+//! Graph utilities over the interconnect: BFS, connected components and
+//! breadth-first-tree heights, from which the dissemination phase takes its
+//! linear-time diameter upper bound (paper, Section 4.3).
 //!
 //! These functions are pure and operate on an undirected graph snapshot
 //! ([`UGraph`]); the recovery algorithm applies them to the *learned* system
 //! state (`LState`/`NState`), never to simulator ground truth.
-
-use crate::ids::RouterId;
 
 /// An undirected graph over routers `0..n`, with sorted adjacency lists.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -109,20 +107,6 @@ impl UGraph {
         )
     }
 
-    /// The round bound used by the dissemination phase: all nodes pick the
-    /// same functioning node (the smallest live id), compute the height `h`
-    /// of the BFT rooted there, and run `2 h` rounds — `2 h` is an upper
-    /// bound on the diameter of the live subgraph (paper, Section 4.3).
-    ///
-    /// Returns `None` when no vertex is alive. A single live vertex yields
-    /// `Some(0)` (knowledge is already complete; the loop still runs at
-    /// least one round in practice).
-    pub fn dissemination_round_bound(&self, alive: &[bool]) -> Option<u32> {
-        let root = alive.iter().position(|&a| a)? as u16;
-        let h = self.bft_height(root, alive)?;
-        Some(2 * h)
-    }
-
     /// Exact diameter of the live subgraph (max finite eccentricity),
     /// treating disconnected pairs as unreachable. Quadratic; used only by
     /// tests and benchmarks to validate the `2h` bound, mirroring the
@@ -181,20 +165,6 @@ impl UGraph {
     }
 }
 
-/// Convenience conversion from router ids.
-impl FromIterator<(RouterId, RouterId)> for UGraph {
-    /// Builds the smallest graph containing all given edges.
-    fn from_iter<T: IntoIterator<Item = (RouterId, RouterId)>>(iter: T) -> Self {
-        let edges: Vec<(u16, u16)> = iter.into_iter().map(|(a, b)| (a.0, b.0)).collect();
-        let n = edges
-            .iter()
-            .map(|&(a, b)| a.max(b) as usize + 1)
-            .max()
-            .unwrap_or(0);
-        UGraph::from_edges(n, edges)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,8 +212,7 @@ mod tests {
         let alive = vec![true; 5];
         assert_eq!(g.bft_height(0, &alive), Some(4));
         assert_eq!(g.bft_height(2, &alive), Some(2));
-        // Root is the smallest live id (0): h = 4, bound = 8 >= diameter 4.
-        assert_eq!(g.dissemination_round_bound(&alive), Some(8));
+        // Rooted at 0: h = 4, bound 2h = 8 >= diameter 4.
         assert_eq!(g.exact_diameter(&alive), 4);
     }
 
@@ -263,7 +232,7 @@ mod tests {
             }
         }
         let alive = vec![true; 16];
-        let bound = g.dissemination_round_bound(&alive).unwrap();
+        let bound = 2 * g.bft_height(0, &alive).unwrap();
         assert!(bound >= g.exact_diameter(&alive));
     }
 
@@ -272,25 +241,14 @@ mod tests {
         let g = path_graph(3);
         let alive = vec![false, true, true];
         assert_eq!(g.bft_height(0, &alive), None);
-        // Round bound uses smallest live root (1).
-        assert_eq!(g.dissemination_round_bound(&alive), Some(2));
+        assert_eq!(g.bft_height(1, &alive), Some(1));
     }
 
     #[test]
     fn no_live_vertices() {
         let g = path_graph(3);
         let alive = vec![false; 3];
-        assert_eq!(g.dissemination_round_bound(&alive), None);
         assert!(g.live_connected(&alive));
         assert!(g.components(&alive).is_empty());
-    }
-
-    #[test]
-    fn from_iterator_of_router_ids() {
-        let g: UGraph = vec![(RouterId(0), RouterId(2)), (RouterId(1), RouterId(2))]
-            .into_iter()
-            .collect();
-        assert_eq!(g.len(), 3);
-        assert_eq!(g.num_edges(), 2);
     }
 }

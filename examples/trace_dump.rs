@@ -25,15 +25,10 @@ fn main() {
     let mut params = MachineParams::table_5_1();
     params.n_nodes = n;
     let layout = params.layout();
-    let protected = params.protected_lines;
     let mut m = build_machine(
         params,
         RecoveryConfig::default(),
-        move |_| {
-            Box::new(RandomFill::valid_system_range(
-                3_000, 0.5, layout, protected,
-            ))
-        },
+        move |_| Box::new(RandomFill::valid_system_range(3_000, 0.5, layout)),
         7,
     );
 

@@ -79,14 +79,7 @@ fn firewall_blocks_cross_cell_write_after_hive_setup() {
         12,
     );
     let layout = CellLayout::contiguous(4, 4);
-    flash::hive::os::configure(
-        &mut m,
-        &layout,
-        &flash::hive::HiveConfig {
-            n_cells: 4,
-            ..Default::default()
-        },
-    );
+    flash::hive::os::configure(&mut m, &layout);
     m.start();
     m.run_until(SimTime::MAX);
     let results = script_results(&m, NodeId(2));
@@ -165,14 +158,7 @@ fn speculative_wild_write_is_contained_by_firewall() {
     };
     let mut m = build_machine(tiny(), RecoveryConfig::default(), mk, 14);
     let layout = CellLayout::contiguous(4, 4);
-    flash::hive::os::configure(
-        &mut m,
-        &layout,
-        &flash::hive::HiveConfig {
-            n_cells: 4,
-            ..Default::default()
-        },
-    );
+    flash::hive::os::configure(&mut m, &layout);
     m.start();
     m.run_for(SimDuration::from_millis(1));
     // The write was denied; node 0's memory version is untouched.

@@ -188,7 +188,7 @@ const FULL_TRACE_CAPACITY: usize = 1 << 22;
 /// tracing every domain into rings that drop nothing, and drains it; the
 /// recovery must complete and the oracle must pass.
 fn full_trace_run(cfg: ExperimentConfig, fault: FaultSpec) -> FcMachine {
-    let (layout, prot) = (cfg.params.layout(), cfg.params.protected_lines);
+    let layout = cfg.params.layout();
     let (total_ops, write_fraction) = (cfg.total_ops, cfg.write_fraction);
     let mut m = build_machine(
         cfg.params,
@@ -198,7 +198,6 @@ fn full_trace_run(cfg: ExperimentConfig, fault: FaultSpec) -> FcMachine {
                 total_ops,
                 write_fraction,
                 layout,
-                prot,
             ))
         },
         cfg.seed,
@@ -385,11 +384,10 @@ fn second_fault_keeps_its_recovery_report() {
     for (delay_ms, figures, incarnation, entries) in SECOND_FAULT_PINS {
         let params = MachineParams::table_5_1();
         let layout = params.layout();
-        let prot = params.protected_lines;
         let mut m = build_machine(
             params,
             RecoveryConfig::default(),
-            move |_| Box::new(RandomFill::valid_system_range(3_000, 0.5, layout, prot)),
+            move |_| Box::new(RandomFill::valid_system_range(3_000, 0.5, layout)),
             24,
         );
         m.start();

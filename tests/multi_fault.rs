@@ -87,11 +87,10 @@ fn second_fault_during_recovery_restarts() {
 
     let params = MachineParams::table_5_1();
     let layout = params.layout();
-    let prot = params.protected_lines;
     let mut m = build_machine(
         params,
         RecoveryConfig::default(),
-        move |_| Box::new(RandomFill::valid_system_range(3_000, 0.5, layout, prot)),
+        move |_| Box::new(RandomFill::valid_system_range(3_000, 0.5, layout)),
         24,
     );
     m.start();

@@ -40,14 +40,7 @@ fn run(firewall: bool) -> (DirState, u64) {
     // Hive cell setup: one cell per node, so node 0's pages are only
     // writable by node 0.
     let layout = CellLayout::contiguous(4, 4);
-    flash::hive::os::configure(
-        &mut m,
-        &layout,
-        &flash::hive::HiveConfig {
-            n_cells: 4,
-            ..Default::default()
-        },
-    );
+    flash::hive::os::configure(&mut m, &layout);
     m.start();
     m.schedule_fault(SimTime::from_nanos(600_000), FaultSpec::Node(NodeId(3)));
     m.run_until(SimTime::MAX);
@@ -82,13 +75,12 @@ fn speculative_faults_are_invisible_to_the_program() {
     // any other guard) are terminated and silently discarded.
     let params = MachineParams::tiny();
     let layout = params.layout();
-    let prot = params.protected_lines;
     let mut m = build_machine(
         params,
         RecoveryConfig::default(),
         move |_| {
             Box::new(
-                flash::machine::RandomFill::valid_system_range(600, 0.4, layout, prot)
+                flash::machine::RandomFill::valid_system_range(600, 0.4, layout)
                     .with_speculation(0.2),
             )
         },

@@ -103,14 +103,13 @@ fn upgrade_across_recovery_validates() {
     // stored data nor strand a cancelled upgrade's ownership.
     let params = MachineParams::table_5_1();
     let layout = params.layout();
-    let prot = params.protected_lines;
     let mut m = build_machine(
         params,
         RecoveryConfig::default(),
         move |_| {
             // Heavy read-then-write reuse maximizes upgrade traffic.
             Box::new(flash::machine::RandomFill::valid_system_range(
-                3_000, 0.6, layout, prot,
+                3_000, 0.6, layout,
             ))
         },
         74,

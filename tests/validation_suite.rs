@@ -117,28 +117,40 @@ fn hypercube_topology_validates() {
 }
 
 /// The tighter dissemination bound and the reliable-interconnect variant
-/// compose with each other and with upgrades.
+/// compose with each other and with upgrades; with speculative pings, BFT
+/// hints and upgrades all off (the ablation benches' off setting) the
+/// machine validates too.
 #[test]
 fn feature_combinations_validate() {
     use flash::core::RecoveryConfig;
-    let recovery = RecoveryConfig {
+    let reliable = RecoveryConfig {
         center_diameter_bound: true,
         reliable_interconnect: true,
         ..Default::default()
     };
-    for seed in 0..3u64 {
-        let mut cfg = ExperimentConfig::new(MachineParams::table_5_1(), 400 + seed);
-        cfg.recovery = recovery;
-        cfg.fill_ops = 500;
-        cfg.total_ops = 1_400;
-        let out = run_fault_experiment(
-            &cfg,
-            flash::machine::FaultSpec::Node(flash::net::NodeId(1 + seed as u16)),
-        );
-        assert!(out.passed(), "seed {seed}: {}", out.validation);
-        assert_eq!(
-            out.recovery.flush_writebacks, 0,
-            "no flush in reliable mode"
-        );
+    let unoptimized = RecoveryConfig {
+        speculative_pings: false,
+        bft_hints: false,
+        ..Default::default()
+    };
+    for (recovery, upgrades) in [(reliable, true), (unoptimized, false)] {
+        for seed in 0..3u64 {
+            let mut cfg = ExperimentConfig::new(MachineParams::table_5_1(), 400 + seed);
+            cfg.params.upgrades_enabled = upgrades;
+            cfg.recovery = recovery;
+            cfg.fill_ops = 500;
+            cfg.total_ops = 1_400;
+            let out = run_fault_experiment(
+                &cfg,
+                flash::machine::FaultSpec::Node(flash::net::NodeId(1 + seed as u16)),
+            );
+            assert!(out.passed(), "{recovery:?} seed {seed}: {}", out.validation);
+            if recovery.reliable_interconnect {
+                assert_eq!(
+                    out.recovery.flush_writebacks, 0,
+                    "no flush in reliable mode"
+                );
+            }
+        }
     }
 }
