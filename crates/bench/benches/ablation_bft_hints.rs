@@ -12,27 +12,8 @@
 //! adopt the propagated bound for free. This bench measures the
 //! dissemination-phase duration both ways.
 
-use flash_bench::{banner, Stopwatch};
-use flash_core::{run_fault_experiment, ExperimentConfig, RecoveryConfig};
-use flash_machine::{FaultSpec, MachineParams};
-use flash_net::NodeId;
-
-fn dissemination_ms(n: usize, hints: bool, seed: u64) -> f64 {
-    let mut params = MachineParams::table_5_1();
-    params.n_nodes = n;
-    let recovery = RecoveryConfig {
-        bft_hints: hints,
-        ..Default::default()
-    };
-    let mut cfg = ExperimentConfig::new(params, seed);
-    cfg.recovery = recovery;
-    cfg.fill_ops = 100;
-    cfg.total_ops = 2_000;
-    let out = run_fault_experiment(&cfg, FaultSpec::Node(NodeId(1)));
-    assert!(out.passed(), "n={n} hints={hints}: {}", out.validation);
-    let p = out.recovery.phases;
-    (p.p1_2().unwrap() - p.p1().unwrap()).as_millis_f64()
-}
+use flash_bench::{banner, dissemination_ms, Stopwatch};
+use flash_core::RecoveryConfig;
 
 fn main() {
     banner(
@@ -45,8 +26,15 @@ fn main() {
         "nodes", "P2 no hints [ms]", "P2 hints [ms]", "saved"
     );
     for &n in &[16usize, 32, 64, 128] {
-        let without = dissemination_ms(n, false, 41);
-        let with = dissemination_ms(n, true, 41);
+        let p2_ms = |on| {
+            let recovery = RecoveryConfig {
+                bft_hints: on,
+                ..Default::default()
+            };
+            dissemination_ms(n, recovery, 41)
+        };
+        let without = p2_ms(false);
+        let with = p2_ms(true);
         println!(
             "{n:>6} {without:>18.3} {with:>18.3} {:>9.2}%",
             100.0 * (without - with) / without.max(1e-9)

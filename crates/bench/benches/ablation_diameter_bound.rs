@@ -11,27 +11,8 @@
 //! (`RecoveryConfig::center_diameter_bound`) terminates dissemination in
 //! close to diameter-many rounds; this bench measures the saved P2 time.
 
-use flash_bench::{banner, ResultSheet, Stopwatch};
-use flash_core::{run_fault_experiment, ExperimentConfig, RecoveryConfig};
-use flash_machine::{FaultSpec, MachineParams};
-use flash_net::NodeId;
-
-fn p2_ms(n: usize, center: bool, seed: u64) -> f64 {
-    let mut params = MachineParams::table_5_1();
-    params.n_nodes = n;
-    let recovery = RecoveryConfig {
-        center_diameter_bound: center,
-        ..Default::default()
-    };
-    let mut cfg = ExperimentConfig::new(params, seed);
-    cfg.recovery = recovery;
-    cfg.fill_ops = 100;
-    cfg.total_ops = 2_000;
-    let out = run_fault_experiment(&cfg, FaultSpec::Node(NodeId(1)));
-    assert!(out.passed(), "n={n} center={center}: {}", out.validation);
-    let p = out.recovery.phases;
-    (p.p1_2().unwrap() - p.p1().unwrap()).as_millis_f64()
-}
+use flash_bench::{banner, dissemination_ms, ResultSheet, Stopwatch};
+use flash_core::RecoveryConfig;
 
 fn main() {
     banner(
@@ -49,8 +30,15 @@ fn main() {
         "nodes", "P2 2h-bound [ms]", "P2 center-bound [ms]", "saved"
     );
     for &n in &[16usize, 32, 64, 128] {
-        let plain = p2_ms(n, false, 61);
-        let center = p2_ms(n, true, 61);
+        let p2_ms = |on| {
+            let recovery = RecoveryConfig {
+                center_diameter_bound: on,
+                ..Default::default()
+            };
+            dissemination_ms(n, recovery, 61)
+        };
+        let plain = p2_ms(false);
+        let center = p2_ms(true);
         sheet.push(format!("nodes={n}"), &[plain, center]);
         println!(
             "{n:>6} {plain:>16.3} {center:>18.3} {:>9.1}%",

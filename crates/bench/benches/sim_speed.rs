@@ -11,7 +11,7 @@
 //! * `fabric_hop/*` — a standalone [`flash_net::Fabric`] pushed through a
 //!   sustained ping-of-packets workload, table-routed and source-routed;
 //! * `directory_handle/*` — one home's [`flash_coherence::Directory`]
-//!   alone on a 128-node machine, fed the messages of two protocol paths
+//!   alone on a 128-node machine, fed the messages of three protocol paths
 //!   (an event there is one handled message);
 //! * `normal_mode_*` / `full_fault_recovery_cycle/*` — the full machine in
 //!   normal operation and across one complete fault-recovery cycle.
@@ -206,24 +206,30 @@ fn dir_get_joins_shared() -> u64 {
     DIR_MSGS
 }
 
-/// Write misses that invalidate two sharers, each timed with the round it
-/// starts: two Gets share the line, the GetX sends two invalidations, two
+/// Write misses that invalidate `n` sharers, each timed with the round it
+/// starts: `n` Gets share the line, the GetX sends `n` invalidations, `n`
 /// InvalAcks grant it, and the owner's writeback returns it to uncached.
-/// Returns the messages handled.
-fn dir_getx_invalidates_two() -> u64 {
+/// With five sharers the fourth Get spills the set, the GetX keeps it
+/// spilled and the third InvalAck moves it back inline. Returns the
+/// messages handled.
+fn dir_getx_invalidates(n: u16) -> u64 {
     let mut d = directory_128();
-    let rounds = DIR_MSGS / 6;
+    let per_round = 2 * u64::from(n) + 2;
+    let rounds = DIR_MSGS / per_round;
     for k in 0..rounds {
         let line = LineAddr(k % DIR_LINES);
-        let a = (k % 126) as u16;
-        let (a, b, writer) = (NodeId(a), NodeId(a + 1), NodeId(a + 2));
-        black_box(d.handle(a, CohMsg::Get { line }));
-        black_box(d.handle(b, CohMsg::Get { line }));
+        let first = (k % u64::from(128 - n)) as u16;
+        let sharers = (first..first + n).map(NodeId);
+        let writer = NodeId(first + n);
+        for s in sharers.clone() {
+            black_box(d.handle(s, CohMsg::Get { line }));
+        }
         let invals = d.handle(writer, CohMsg::GetX { line });
-        assert_eq!(invals.len(), 2, "two sharers to invalidate");
+        assert_eq!(invals.len(), usize::from(n), "every sharer invalidated");
         black_box(invals);
-        black_box(d.handle(a, CohMsg::InvalAck { line }));
-        black_box(d.handle(b, CohMsg::InvalAck { line }));
+        for s in sharers {
+            black_box(d.handle(s, CohMsg::InvalAck { line }));
+        }
         let version = d.mem_version(line).next();
         let put = CohMsg::Put {
             line,
@@ -232,7 +238,7 @@ fn dir_getx_invalidates_two() -> u64 {
         };
         black_box(d.handle(writer, put));
     }
-    rounds * 6
+    rounds * per_round
 }
 
 /// Engine events processed and overflow-heap pushes of one machine case.
@@ -325,7 +331,7 @@ fn main() {
     ];
     let reproduces = "host-side simulator throughput (not a paper result)";
     let mut sheet = ResultSheet::new("sim_speed", reproduces, &columns);
-    let cases: [Case<u64>; 6] = [
+    let cases: [Case<u64>; 7] = [
         ("queue_push_pop/near_horizon_200k", || queue_churn(64)),
         ("queue_push_pop/far_horizon_200k", || queue_churn(1_000_000)),
         ("fabric_hop/mesh4x4_table", || fabric_events(false, 20_000)),
@@ -334,10 +340,12 @@ fn main() {
             "directory_handle/get_joins_shared_128",
             dir_get_joins_shared,
         ),
-        (
-            "directory_handle/getx_invalidates_two_128",
-            dir_getx_invalidates_two,
-        ),
+        ("directory_handle/getx_invalidates_two_128", || {
+            dir_getx_invalidates(2)
+        }),
+        ("directory_handle/getx_invalidates_five_128", || {
+            dir_getx_invalidates(5)
+        }),
     ];
     for (name, f) in cases {
         bench(&mut sheet, name, samples, f);

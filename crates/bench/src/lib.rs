@@ -41,9 +41,10 @@ pub use sweep::{
     sweep_fault_experiments, sweep_parallel_make, SweepConfig, SweepRun, DEFAULT_MAKE_STAGES,
 };
 
-use flash_core::{ExperimentConfig, FaultKind};
+use flash_core::{run_fault_experiment, ExperimentConfig, FaultKind, RecoveryConfig};
 use flash_hive::HiveConfig;
-use flash_machine::MachineParams;
+use flash_machine::{FaultSpec, MachineParams};
+use flash_net::NodeId;
 use std::time::Instant;
 
 /// The Table 5.3 validation experiment configuration for one fill seed:
@@ -68,6 +69,27 @@ pub fn table_5_4_hive() -> HiveConfig {
         files_per_task: 12,
         ..HiveConfig::default()
     }
+}
+
+/// The dissemination phase (P2) of one Node-fault recovery on an `n`-node
+/// Table 5.1 machine under `recovery`, in simulated milliseconds: the
+/// experiment both Section 4.3 ablations (BFT hints, diameter bound) run,
+/// each flipping one [`RecoveryConfig`] switch.
+///
+/// # Panics
+///
+/// Panics if the run fails validation.
+pub fn dissemination_ms(n: usize, recovery: RecoveryConfig, seed: u64) -> f64 {
+    let mut params = MachineParams::table_5_1();
+    params.n_nodes = n;
+    let mut cfg = ExperimentConfig::new(params, seed);
+    cfg.recovery = recovery;
+    cfg.fill_ops = 100;
+    cfg.total_ops = 2_000;
+    let out = run_fault_experiment(&cfg, FaultSpec::Node(NodeId(1)));
+    assert!(out.passed(), "n={n} {recovery:?}: {}", out.validation);
+    let p = out.recovery.phases;
+    (p.p1_2().unwrap() - p.p1().unwrap()).as_millis_f64()
 }
 
 /// The paper's per-fault-type run counts for Table 5.4 (1187 total).

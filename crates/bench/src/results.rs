@@ -513,7 +513,7 @@ mod tests {
     /// each has a `floor` column and a finite floor on every row.
     #[test]
     fn committed_baselines_parse_with_floors() {
-        for (file, rows) in [("BENCH_sim_speed.json", 9), ("BENCH_sweep_fork.json", 2)] {
+        for (file, rows) in [("BENCH_sim_speed.json", 10), ("BENCH_sweep_fork.json", 2)] {
             let text = std::fs::read_to_string(workspace_root().join(file)).unwrap();
             let sheet = ResultSheet::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
             assert!(sheet.columns.iter().any(|c| c == "floor"), "{file}");

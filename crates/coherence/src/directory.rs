@@ -19,9 +19,10 @@
 use crate::line::{LineAddr, MemLayout, Version};
 use crate::msg::CohMsg;
 use crate::nodeset::NodeSet;
-use crate::pool::NodeSetPool;
 use flash_net::NodeId;
 use flash_net::{Counter, Counters};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Directory state of one line. The sharers of a `Shared` or
 /// `PendingInvals` line are read with [`Directory::sharers`].
@@ -106,9 +107,9 @@ const PENDING_INLINE: usize = 2;
 /// A line's sharer set as its entry stores it: FLASH's limited-pointer
 /// directory with dynamic pointer allocation. A set of at most `N` nodes
 /// is kept inline as its ids, ascending and padded with `NONE`. A larger
-/// set spills to a slot of the directory's [`NodeSetPool`], whose number
-/// takes the first two words. A set is inline exactly when it fits, so a
-/// set that shrinks back to `N` leaves its slot.
+/// set spills to the directory's spill map, keyed by the line, and the
+/// entry keeps only the `SPILL` mark. A set is inline exactly when it
+/// fits, so a set that shrinks back to `N` leaves the map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Ptrs<const N: usize>([u16; N]);
 
@@ -116,23 +117,17 @@ impl<const N: usize> Ptrs<N> {
     /// Pads unused inline ids. It is above every node id, so padding sorts
     /// last, and below `SPILL`.
     const NONE: u16 = 0x7fff;
-    /// Marks a spilled set; the rest of the first word is the high half of
-    /// its slot number, the second word the low half.
+    /// Marks a spilled set in the first word.
     const SPILL: u16 = 0x8000;
     const EMPTY: Self = Ptrs([Self::NONE; N]);
-
-    fn spilled(slot: u32) -> Self {
-        assert!(slot < 1 << 31, "a spilled set's slot fits in 31 bits");
-        let mut words = [0; N];
-        words[0] = Self::SPILL | (slot >> 16) as u16;
-        words[1] = slot as u16;
+    const SPILLED: Self = {
+        let mut words = [Self::NONE; N];
+        words[0] = Self::SPILL;
         Ptrs(words)
-    }
+    };
 
-    /// The pool slot of a spilled set.
-    fn slot(self) -> Option<u32> {
-        let (hi, lo) = (self.0[0], self.0[1]);
-        (hi & Self::SPILL != 0).then(|| u32::from(hi & !Self::SPILL) << 16 | u32::from(lo))
+    fn is_spilled(self) -> bool {
+        self.0[0] == Self::SPILL
     }
 
     /// The inline ids, ascending: none for a spilled set.
@@ -149,12 +144,12 @@ impl<const N: usize> Ptrs<N> {
 }
 
 impl Entry {
-    /// The sharer-pool slot this entry holds, if any.
-    fn slot(self) -> Option<u32> {
+    /// Whether this entry's sharer set is in the spill map.
+    fn is_spilled(self) -> bool {
         match self {
-            Entry::Shared(sharers) => sharers.slot(),
-            Entry::PendingInvals { sharers, .. } => sharers.slot(),
-            _ => None,
+            Entry::Shared(sharers) => sharers.is_spilled(),
+            Entry::PendingInvals { sharers, .. } => sharers.is_spilled(),
+            _ => false,
         }
     }
 
@@ -196,15 +191,38 @@ struct Record {
 const _: () = assert!(std::mem::size_of::<Entry>() == 8);
 const _: () = assert!(std::mem::size_of::<Record>() == 12);
 
+/// Hashes a spill-map key, a line's local index, with one multiply. The
+/// keys are the directory's own indices, never outside input, so the map
+/// needs no defence against crafted collisions; with SipHash a Get that
+/// joins a spilled set ran about a third slower.
+#[derive(Clone, Copy, Debug, Default)]
+struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(b.into());
+        }
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.0 = (self.0.rotate_left(5) ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The directory (and memory image) for the lines homed on one node.
 #[derive(Clone, Debug)]
 pub struct Directory {
     home: NodeId,
     layout: MemLayout,
     lines: Vec<Record>,
-    // The sharer sets too large for their entry, indexed by the entry's
-    // slot, at the machine's width.
-    pool: NodeSetPool,
+    // The sharer sets too large for their entry, keyed by the line's local
+    // index. Only looked up, never walked, so its order reaches no output.
+    spilled: HashMap<usize, NodeSet, BuildHasherDefault<IndexHasher>>,
     counters: Counters,
     // Sorted index of lines currently in `DirState::Incoherent`, so the
     // OS page service can find them without scanning every homed line.
@@ -226,7 +244,7 @@ impl Directory {
                 };
                 n
             ],
-            pool: NodeSetPool::new(layout.num_nodes()),
+            spilled: HashMap::default(),
             counters: Counters::new(),
             incoherent: Vec::new(),
         }
@@ -237,62 +255,72 @@ impl Directory {
         self.home
     }
 
-    /// Sets the entry of the line at local index `i`. The old entry's
-    /// sharer slot is released unless the new entry keeps it; only here is
-    /// a slot released.
+    /// Sets the entry of the line at local index `i`. A spilled set the new
+    /// entry does not spill leaves the map.
     fn set(&mut self, i: usize, entry: Entry) {
         let old = std::mem::replace(&mut self.lines[i].entry, entry);
-        if let Some(slot) = old.slot().filter(|&slot| entry.slot() != Some(slot)) {
-            self.pool.release(slot);
+        if old.is_spilled() && !entry.is_spilled() {
+            self.spilled.remove(&i);
         }
     }
 
-    /// The set `sharers` stores.
-    fn load<const N: usize>(&self, sharers: Ptrs<N>) -> NodeSet {
-        match sharers.slot() {
-            Some(slot) => self.pool.get(slot),
-            None => sharers.inline().collect(),
+    /// The spilled set of the line at local index `i`.
+    fn spill(&mut self, i: usize) -> &mut NodeSet {
+        self.spilled
+            .get_mut(&i)
+            .expect("a spilled entry has a mapped set")
+    }
+
+    /// The set `sharers` of the line at local index `i` stores.
+    fn load<const N: usize>(&self, i: usize, sharers: Ptrs<N>) -> NodeSet {
+        if sharers.is_spilled() {
+            self.spilled[&i]
+        } else {
+            sharers.inline().collect()
         }
     }
 
-    /// Stores `set` for an entry with `N` inline ids: inline if it fits,
-    /// else in the pool, in `slot` if the entry already holds one.
+    /// Stores `set` for the line at local index `i`, whose entry has `N`
+    /// inline ids: inline if it fits, else in the spill map.
     ///
     /// # Panics
     ///
     /// Panics if `set` has a member outside the machine.
-    fn store<const N: usize>(&mut self, slot: Option<u32>, set: &NodeSet) -> Ptrs<N> {
+    fn store<const N: usize>(&mut self, i: usize, set: &NodeSet) -> Ptrs<N> {
+        set.iter()
+            .for_each(|node| self.layout.assert_in_machine(node));
         if set.len() > N {
-            return Ptrs::spilled(self.pool.hold(slot, set));
+            self.spilled.insert(i, *set);
+            return Ptrs::SPILLED;
         }
         let mut sharers = Ptrs::EMPTY;
         for (id, node) in sharers.0.iter_mut().zip(set.iter()) {
-            self.pool.assert_in_machine(node);
             *id = node.0;
         }
         sharers
     }
 
-    /// `sharers` with `node` added. A set that outgrows its inline ids
-    /// spills to a new pool slot.
+    /// `sharers` of the line at local index `i` with `node` added. A set
+    /// that outgrows its inline ids spills.
     ///
     /// # Panics
     ///
     /// Panics if `node` is outside the machine.
-    fn insert<const N: usize>(&mut self, sharers: Ptrs<N>, node: NodeId) -> Ptrs<N> {
-        if let Some(slot) = sharers.slot() {
-            self.pool.insert(slot, node);
+    fn insert<const N: usize>(&mut self, i: usize, sharers: Ptrs<N>, node: NodeId) -> Ptrs<N> {
+        self.layout.assert_in_machine(node);
+        if sharers.is_spilled() {
+            self.spill(i).insert(node);
             return sharers;
         }
-        self.pool.assert_in_machine(node);
         let mut ids = sharers.0;
         let at = ids.iter().position(|&id| id >= node.0).unwrap_or(N);
         if ids.get(at) == Some(&node.0) {
             sharers
         } else if ids[N - 1] != Ptrs::<N>::NONE {
-            let mut set = self.load(sharers);
+            let mut set = self.load(i, sharers);
             set.insert(node);
-            Ptrs::spilled(self.pool.hold(None, &set))
+            self.spilled.insert(i, set);
+            Ptrs::SPILLED
         } else {
             ids.copy_within(at..N - 1, at + 1);
             ids[at] = node.0;
@@ -300,18 +328,18 @@ impl Directory {
         }
     }
 
-    /// `sharers` with `node` removed. A spilled set that shrinks back to
-    /// `N` moves inline; the entry's [`Directory::set`] then releases its
-    /// slot.
-    fn remove<const N: usize>(&mut self, sharers: Ptrs<N>, node: NodeId) -> Ptrs<N> {
-        if let Some(slot) = sharers.slot() {
-            self.pool.remove(slot, node);
-            let set = self.pool.get(slot);
-            return if set.len() > N {
-                sharers
-            } else {
-                self.store(None, &set)
-            };
+    /// `sharers` of the line at local index `i` with `node` removed. A
+    /// spilled set that shrinks back to `N` moves inline; the entry's
+    /// [`Directory::set`] then drops it from the map.
+    fn remove<const N: usize>(&mut self, i: usize, sharers: Ptrs<N>, node: NodeId) -> Ptrs<N> {
+        if sharers.is_spilled() {
+            let set = self.spill(i);
+            set.remove(node);
+            if set.len() > N {
+                return sharers;
+            }
+            let set = *set;
+            return self.store(i, &set);
         }
         let mut ids = sharers.0;
         if let Some(at) = sharers.inline().position(|id| id == node) {
@@ -321,24 +349,25 @@ impl Directory {
         Ptrs(ids)
     }
 
-    /// A `Shared` line's `sharers` as its `PendingInvals` entry stores
-    /// them: a spilled set keeps its slot, and inline ids past the entry's
-    /// capacity spill to `slot`, the one the line held before, if any.
-    fn narrow(&mut self, sharers: Ptrs<SHARED_INLINE>, slot: Option<u32>) -> Ptrs<PENDING_INLINE> {
-        if let Some(kept) = sharers.slot() {
-            return Ptrs::spilled(kept);
+    /// The `Shared` line `i`'s `sharers` as its `PendingInvals` entry
+    /// stores them: inline ids past the entry's capacity spill.
+    fn narrow(&mut self, i: usize, sharers: Ptrs<SHARED_INLINE>) -> Ptrs<PENDING_INLINE> {
+        if sharers.is_spilled() {
+            return Ptrs::SPILLED;
         }
         if sharers.inline().count() > PENDING_INLINE {
-            let set = self.load(sharers);
-            return Ptrs::spilled(self.pool.hold(slot, &set));
+            let set = self.load(i, sharers);
+            self.spilled.insert(i, set);
+            return Ptrs::SPILLED;
         }
         Ptrs(std::array::from_fn(|k| sharers.0[k]))
     }
 
-    fn contains<const N: usize>(&self, sharers: Ptrs<N>, node: NodeId) -> bool {
-        match sharers.slot() {
-            Some(slot) => self.pool.contains(slot, node),
-            None => sharers.inline().any(|id| id == node),
+    fn contains<const N: usize>(&self, i: usize, sharers: Ptrs<N>, node: NodeId) -> bool {
+        if sharers.is_spilled() {
+            self.spilled[&i].contains(node)
+        } else {
+            sharers.inline().any(|id| id == node)
         }
     }
 
@@ -361,13 +390,14 @@ impl Directory {
     /// line, or owing an acknowledgment on a `PendingInvals` one. Empty in
     /// every other state.
     pub fn sharers(&self, line: LineAddr) -> NodeSet {
-        self.sharers_of(self.lines[self.idx(line)].entry)
+        self.sharers_of(self.idx(line))
     }
 
-    fn sharers_of(&self, entry: Entry) -> NodeSet {
-        match entry {
-            Entry::Shared(sharers) => self.load(sharers),
-            Entry::PendingInvals { sharers, .. } => self.load(sharers),
+    /// The sharers of the line at local index `i`.
+    fn sharers_of(&self, i: usize) -> NodeSet {
+        match self.lines[i].entry {
+            Entry::Shared(sharers) => self.load(i, sharers),
+            Entry::PendingInvals { sharers, .. } => self.load(i, sharers),
             _ => NodeSet::new(),
         }
     }
@@ -419,7 +449,7 @@ impl Directory {
                 return self.refuse(i, line, from)
             }
         };
-        let sharers = self.insert(sharers, from);
+        let sharers = self.insert(i, sharers, from);
         self.set(i, Entry::Shared(sharers));
         let version = self.lines[i].version;
         vec![(
@@ -448,7 +478,7 @@ impl Directory {
     /// and the request falls back to the full GetX path.
     fn on_upgrade(&mut self, i: usize, line: LineAddr, from: NodeId) -> Vec<(NodeId, CohMsg)> {
         match self.lines[i].entry {
-            Entry::Shared(sharers) if self.contains(sharers, from) => {
+            Entry::Shared(sharers) if self.contains(i, sharers, from) => {
                 self.invalidate_others(i, line, from, sharers, false)
             }
             _ => {
@@ -470,11 +500,11 @@ impl Directory {
         sharers: Ptrs<SHARED_INLINE>,
         needs_data: bool,
     ) -> Vec<(NodeId, CohMsg)> {
-        let others = self.remove(sharers, from);
+        let others = self.remove(i, sharers, from);
         if others.is_empty() {
             return self.grant_exclusive(i, line, from, needs_data);
         }
-        let sharers = self.narrow(others, sharers.slot());
+        let sharers = self.narrow(i, others);
         self.set(
             i,
             Entry::PendingInvals {
@@ -484,9 +514,10 @@ impl Directory {
             },
         );
         let inval = |sharer| (sharer, CohMsg::Inval { line });
-        match sharers.slot() {
-            Some(slot) => self.pool.get(slot).iter().map(inval).collect(),
-            None => sharers.inline().map(inval).collect(),
+        if sharers.is_spilled() {
+            self.spilled[&i].iter().map(inval).collect()
+        } else {
+            sharers.inline().map(inval).collect()
         }
     }
 
@@ -557,7 +588,7 @@ impl Directory {
             Entry::Exclusive(owner) if owner == from => {
                 self.lines[i].version = version;
                 let next = if keep_shared {
-                    Entry::Shared(self.insert(Ptrs::EMPTY, from))
+                    Entry::Shared(self.insert(i, Ptrs::EMPTY, from))
                 } else {
                     Entry::Uncached
                 };
@@ -577,7 +608,7 @@ impl Directory {
                     if keep_shared {
                         sharers.insert(owner);
                     }
-                    Entry::Shared(self.store(None, &sharers))
+                    Entry::Shared(self.store(i, &sharers))
                 };
                 self.set(i, next);
                 vec![(
@@ -606,7 +637,7 @@ impl Directory {
                 sharers,
                 needs_data,
             } => {
-                let sharers = self.remove(sharers, from);
+                let sharers = self.remove(i, sharers, from);
                 if sharers.is_empty() {
                     return self.grant_exclusive(i, line, requester, needs_data);
                 }
@@ -664,7 +695,7 @@ impl Directory {
             }
         }
         // No line holds a sharer set any more.
-        self.pool.clear();
+        self.spilled.clear();
         self.index_marked(&marked);
         marked
     }
@@ -697,12 +728,12 @@ impl Directory {
                 // still hold copies (over-approximating is safe — absent
                 // sharers simply ack the next invalidation).
                 Entry::Shared(_) | Entry::PendingInvals { .. } => {
-                    let mut sharers = self.sharers_of(entry);
+                    let mut sharers = self.sharers_of(i);
                     sharers.subtract(failed);
                     if sharers.is_empty() {
                         Entry::Uncached
                     } else {
-                        Entry::Shared(self.store(entry.slot(), &sharers))
+                        Entry::Shared(self.store(i, &sharers))
                     }
                 }
             };
@@ -1170,14 +1201,13 @@ mod storage_tests {
         }
     }
 
-    /// Exactly the lines in `Shared`/`PendingInvals` have sharers. A line
-    /// holds a pool slot exactly when its set outgrows its entry's inline
-    /// ids, and an inline set is stored ascending, padded with `NONE`.
-    /// Every pool slot is held by exactly one line or is free.
-    fn assert_pool_consistent(d: &Directory) {
-        let mut slots: Vec<u32> = d.lines.iter().filter_map(|r| r.entry.slot()).collect();
-        let held = slots.len();
-        for ((line, state), record) in d.iter_states().zip(&d.lines) {
+    /// Exactly the lines in `Shared`/`PendingInvals` have sharers, and an
+    /// inline set is stored ascending, padded with `NONE`. The spill map's
+    /// keys are exactly the local indices of spilled entries, and an entry
+    /// spills exactly when its set outgrows its inline ids. At 2 nodes
+    /// every set fits, so the map is empty.
+    fn assert_spills_consistent(d: &Directory) {
+        for ((line, state), (i, record)) in d.iter_states().zip(d.lines.iter().enumerate()) {
             let has_set = matches!(state, DirState::Shared | DirState::PendingInvals { .. });
             let sharers = d.sharers(line);
             assert_eq!(
@@ -1185,36 +1215,36 @@ mod storage_tests {
                 has_set,
                 "{line:?} in {state:?} has sharers {sharers:?}"
             );
+            let spilled = record.entry.is_spilled();
+            assert_eq!(d.spilled.contains_key(&i), spilled, "{line:?} mapped");
             let Some(words) = words(record.entry) else {
                 continue;
             };
-            let spills = sharers.len() > words.len();
             assert_eq!(
-                record.entry.slot().is_some(),
-                spills,
+                spilled,
+                sharers.len() > words.len(),
                 "{line:?}: {sharers:?}"
             );
-            if !spills {
+            if !spilled {
                 let none = Ptrs::<SHARED_INLINE>::NONE;
                 let inline: Vec<u16> = sharers.iter().map(|n| n.0).collect();
                 let padded = [inline, vec![none; words.len()]].concat();
                 assert_eq!(words, padded[..words.len()], "{line:?} stored ascending");
             }
         }
-        let free = d.pool.free_slots();
-        assert_eq!(d.pool.slots() - free.len(), held, "live slots");
-        slots.extend(free);
-        slots.sort_unstable();
-        let all: Vec<u32> = (0..d.pool.slots() as u32).collect();
-        assert_eq!(slots, all, "each slot held once or free once");
+        let spilled = d.lines.iter().filter(|r| r.entry.is_spilled()).count();
+        assert_eq!(d.spilled.len(), spilled, "a mapped set per spilled entry");
+        if d.layout.num_nodes() <= 2 {
+            assert!(d.spilled.is_empty(), "two sharers always fit");
+        }
     }
 
-    /// Asserts the line's state and sharers, and the pool's consistency.
+    /// Asserts the line's state and sharers, and the spill map's consistency.
     #[track_caller]
     fn assert_line(d: &Directory, line: LineAddr, state: DirState, sharers: &[u16]) {
         assert_eq!(d.state(line), state, "{line:?}");
         assert_eq!(d.sharers(line), set(sharers), "{line:?} in {state:?}");
-        assert_pool_consistent(d);
+        assert_spills_consistent(d);
     }
 
     fn invals(line: LineAddr, to: &[u16]) -> Vec<(NodeId, CohMsg)> {
@@ -1223,9 +1253,9 @@ mod storage_tests {
             .collect()
     }
 
-    /// One line on a 1024-node machine, shared across every pool word:
-    /// each step edits its pool slot in place, and invalidations go out
-    /// in ascending id order.
+    /// One line on a 1024-node machine, shared across every `NodeSet`
+    /// word: each step edits its spilled set in place, and invalidations go
+    /// out in ascending id order.
     #[test]
     fn wide_sharers_walk_get_getx_recall_and_upgrade() {
         let mut d = Directory::new(NodeId(0), MemLayout::new(1024, 8));
@@ -1237,7 +1267,6 @@ mod storage_tests {
             assert!(matches!(out[..], [(to, CohMsg::Data { exclusive: false, .. })] if to.0 == n));
         }
         assert_line(&d, l, DirState::Shared, &wide);
-        let slot = d.lines[0].entry.slot();
 
         // A write miss from a non-sharer invalidates all five.
         let pending = |requester, needs_data| DirState::PendingInvals {
@@ -1246,7 +1275,7 @@ mod storage_tests {
         };
         assert_eq!(getx(&mut d, 200, l), invals(l, &wide));
         assert_line(&d, l, pending(200, true), &wide);
-        assert_eq!(d.lines[0].entry.slot(), slot, "the line keeps its slot");
+        assert_eq!(d.spilled[&0], set(&wide), "the set stays spilled");
         for (k, &n) in wide.iter().enumerate() {
             let out = ack(&mut d, n, l);
             if k + 1 < wide.len() {
@@ -1266,7 +1295,6 @@ mod storage_tests {
             }
         }
         assert_line(&d, l, DirState::Exclusive(NodeId(200)), &[]);
-        assert_eq!(d.pool.free_slots(), &[0], "two acks left: the set fits");
 
         // A read recall: the owner keeps a shared copy beside the reader.
         assert_eq!(
@@ -1302,7 +1330,7 @@ mod storage_tests {
             ack(&mut d, n, l);
         }
         assert_line(&d, l, DirState::Exclusive(NodeId(128)), &[]);
-        assert_eq!(d.pool.slots(), 1, "one slot served the whole walk");
+        assert!(d.spilled.is_empty());
     }
 
     /// Drives line `l`, which must be `Uncached`, into `state` with the
@@ -1404,23 +1432,27 @@ mod storage_tests {
         }
         let walk: Vec<DirState> = d.iter_states().map(|(_, s)| s).take(9).collect();
         assert_eq!(walk, states.map(|(s, _)| s));
-        assert_eq!(d.pool.slots(), 2, "a slot per set that outgrows its entry");
+        assert_eq!(d.spilled.len(), 2, "a set per entry it outgrows");
     }
 
     fn share(d: &mut Directory, line: LineAddr, nodes: &[u16]) {
         nodes.iter().for_each(|&n| drop(get(d, n, line)));
     }
 
+    /// A spilled set stays mapped while it outgrows its entry and leaves
+    /// the map when it shrinks back to fit, when its line leaves the
+    /// sharing states, when a prune shrinks or empties it, and at the
+    /// post-flush reset.
     #[test]
-    fn slots_are_reused_and_freed() {
+    fn a_set_that_shrinks_back_to_fit_leaves_the_map() {
         let mut d = Directory::new(NodeId(0), MemLayout::new(1024, 8));
         let line = LineAddr;
-        // Three sharers fit inline; the fourth spills the set to a slot.
+        // Three sharers fit inline; the fourth spills the set.
         share(&mut d, line(0), &[1, 2, 3]);
-        assert_eq!(d.lines[0].entry.slot(), None);
+        assert!(d.spilled.is_empty());
         get(&mut d, 300, line(0));
-        assert_eq!(d.lines[0].entry.slot(), Some(0));
-        // A line whose set still outgrows its entry keeps its slot.
+        assert_eq!(d.spilled[&0], set(&[1, 2, 3, 300]));
+        // A set that still outgrows its entry stays spilled.
         get(&mut d, 400, line(0));
         getx(&mut d, 5, line(0));
         ack(&mut d, 1, line(0));
@@ -1430,14 +1462,14 @@ mod storage_tests {
             needs_data: true,
         };
         assert_line(&d, line(0), pending, &[3, 300, 400]);
-        assert_eq!(d.lines[0].entry.slot(), Some(0));
+        assert_eq!(d.spilled[&0], set(&[3, 300, 400]));
         // Two fit beside the requester: the set moves back inline.
         ack(&mut d, 3, line(0));
         assert_line(&d, line(0), pending, &[300, 400]);
-        assert_eq!(d.pool.free_slots(), &[0]);
+        assert!(d.spilled.is_empty());
 
-        // Leaving for a state without a set, or shrinking to fit, frees
-        // the slot, and the next set to spill takes it back.
+        // Shrinking to fit, or leaving for a state without a set, drops
+        // the line's set.
         let leave: [fn(&mut Directory); 3] = [
             |d| {
                 getx(d, 4, LineAddr(1));
@@ -1449,23 +1481,14 @@ mod storage_tests {
         for (k, leave) in leave.iter().enumerate() {
             release(&mut d, line(1));
             share(&mut d, line(1), &[4, 5, 6, 7]);
-            assert_eq!(d.lines[1].entry.slot(), Some(0));
+            assert_eq!(d.spilled[&1], set(&[4, 5, 6, 7]));
             leave(&mut d);
-            assert_eq!(d.pool.free_slots(), &[0], "exit {k}");
-            assert_pool_consistent(&d);
-            share(&mut d, line(2), &[4, 5, 6, 7]);
-            assert_eq!(d.lines[2].entry.slot(), Some(0));
-            assert!(d.pool.free_slots().is_empty());
-            release(&mut d, line(2));
+            assert!(d.spilled.is_empty(), "exit {k}");
+            assert_spills_consistent(&d);
         }
         assert_eq!(d.state(line(1)), DirState::Incoherent);
-        assert_eq!(
-            d.pool.slots(),
-            1,
-            "the pool grows only when nothing is free"
-        );
 
-        // Pruning frees the slots of the sets it shrinks to fit or empties.
+        // Pruning drops the sets it shrinks to fit or empties.
         share(&mut d, line(3), &[7, 8, 9, 10, 11]);
         share(&mut d, line(4), &[7]);
         getx(&mut d, 1, line(4));
@@ -1477,27 +1500,12 @@ mod storage_tests {
         assert_line(&d, line(4), DirState::Uncached, &[]);
         assert_line(&d, line(5), DirState::Shared, &[6, 9, 10, 11, 12]);
         assert_line(&d, line(6), DirState::Uncached, &[]);
-        assert_eq!(d.pool.slots() - d.pool.free_slots().len(), 1, "line 5");
+        assert_eq!(d.spilled.keys().collect::<Vec<_>>(), [&5]);
 
-        // The post-flush reset empties the pool.
+        // The post-flush reset empties the map.
         d.scan_and_reset();
-        assert!(d.pool.slots() == 0 && d.pool.free_slots().is_empty());
-        assert_pool_consistent(&d);
-    }
-
-    #[test]
-    fn pool_slots_are_machine_width() {
-        let mut d = Directory::new(NodeId(0), MemLayout::new(128, 8));
-        assert_eq!(d.pool.slot_bytes(), 16);
-        share(&mut d, LineAddr(0), &[127, 0, 64, 3]);
-        assert_line(&d, LineAddr(0), DirState::Shared, &[0, 3, 64, 127]);
-        assert_eq!(d.pool.slots(), 1);
-        assert_eq!(
-            Directory::new(NodeId(0), MemLayout::new(1024, 8))
-                .pool
-                .slot_bytes(),
-            128
-        );
+        assert!(d.spilled.is_empty());
+        assert_spills_consistent(&d);
     }
 
     #[test]
@@ -1548,7 +1556,10 @@ mod storage_tests {
             16 => d.mark_incoherent(line),
             17 => drop(d.clear_incoherent(line, d.mem_version(line).next())),
             18 => drop(d.scan_and_prune(&NodeSet::singleton(NodeId(from)))),
-            _ => drop(d.scan_and_reset()),
+            _ => {
+                d.scan_and_reset();
+                assert!(d.spilled.is_empty(), "the reset empties the spill map");
+            }
         }
     }
 
@@ -1597,15 +1608,15 @@ mod storage_tests {
                     }] = true;
                 }
             }
-            assert_pool_consistent(&d);
+            assert_spills_consistent(&d);
             assert_eq!(seen, [true; 6], "{n_nodes} nodes: every state occurs");
         }
     }
 
     /// Random protocol and recovery traffic from sharers on both sides of
-    /// id 128 keeps the pool consistent after every step.
+    /// id 128 keeps the spill map consistent after every step.
     #[test]
-    fn random_walk_keeps_pool_consistent() {
+    fn random_walk_keeps_spills_consistent() {
         let nodes = [1u16, 2, 127, 128, 600, 1023];
         for case in 0..16u64 {
             let mut rng = DetRng::new(0xD1E5_5107 ^ case);
@@ -1614,7 +1625,7 @@ mod storage_tests {
                 let line = LineAddr(rng.below(8));
                 let from = *rng.choose(&nodes).unwrap();
                 random_step(&mut d, &mut rng, line, from);
-                assert_pool_consistent(&d);
+                assert_spills_consistent(&d);
             }
         }
     }
@@ -1827,9 +1838,9 @@ mod storage_tests {
     /// spread over the id range, checked after every step against the
     /// `NodeSet` reference: the replies (invalidations in ascending id
     /// order), each line's state, sharers and memory version, and the
-    /// stored form (a pool slot exactly for a set that outgrows its entry).
+    /// stored form (spilled exactly when a set outgrows its entry).
     /// At 128 and 1024 nodes the walk crosses both spill boundaries both
-    /// ways; at 2 nodes every set fits and no slot is ever taken.
+    /// ways; at 2 nodes every set fits and the spill map stays empty.
     #[test]
     fn inline_sharers_match_a_nodeset_reference() {
         for n_nodes in [2u16, 128, 1024] {
@@ -1848,7 +1859,7 @@ mod storage_tests {
                 let line = LineAddr(8 + rng.below(4));
                 let from = NodeId(*rng.choose(&nodes).unwrap());
                 let k = (line.0 - 8) as usize;
-                let before = (d.state(line), d.lines[k].entry.slot().is_some());
+                let before = (d.state(line), d.lines[k].entry.is_spilled());
                 let (got, want) = match rng.below(100) {
                     0..=39 => (
                         d.handle(from, CohMsg::Get { line }),
@@ -1898,6 +1909,7 @@ mod storage_tests {
                     }
                     _ => {
                         assert_eq!(d.scan_and_reset(), r.scan(None));
+                        assert!(d.spilled.is_empty());
                         (Vec::new(), Vec::new())
                     }
                 };
@@ -1909,8 +1921,8 @@ mod storage_tests {
                         (s, sharers, version)
                     );
                 }
-                assert_pool_consistent(&d);
-                let after = (d.state(line), d.lines[k].entry.slot().is_some());
+                assert_spills_consistent(&d);
+                let after = (d.state(line), d.lines[k].entry.is_spilled());
                 let pending = |s| matches!(s, DirState::PendingInvals { .. });
                 match (before, after) {
                     ((DirState::Shared, false), (DirState::Shared, true)) => crossed[0] = true,
@@ -1920,9 +1932,7 @@ mod storage_tests {
                     _ => {}
                 }
             }
-            if n_nodes == 2 {
-                assert_eq!(d.pool.slots(), 0, "two sharers always fit");
-            } else {
+            if n_nodes > 2 {
                 assert_eq!(crossed, [true; 4], "{n_nodes} nodes");
             }
         }

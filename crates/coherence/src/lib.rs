@@ -46,11 +46,9 @@ mod directory;
 mod line;
 mod msg;
 mod nodeset;
-mod pool;
 
 pub use cache::{CachedLine, InsertOutcome, L2Cache};
 pub use directory::{DirState, Directory};
 pub use line::{LineAddr, MemLayout, PageAddr, Version, LINES_PER_PAGE, LINE_BYTES};
 pub use msg::{CohMsg, CTRL_FLITS, DATA_FLITS};
 pub use nodeset::NodeSet;
-pub use pool::NodeSetPool;

@@ -130,6 +130,22 @@ impl MemLayout {
         self.n_nodes
     }
 
+    /// Checks that `node` is one of the machine's nodes: the check every
+    /// member of a stored sharer set or firewall ACL passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "node id N exceeds the M-node machine" if `node`'s id
+    /// is not below [`MemLayout::num_nodes`].
+    pub fn assert_in_machine(&self, node: NodeId) {
+        assert!(
+            node.index() < self.n_nodes,
+            "node id {} exceeds the {}-node machine",
+            node.index(),
+            self.n_nodes
+        );
+    }
+
     /// Lines contributed by each node.
     pub fn lines_per_node(&self) -> u64 {
         self.lines_per_node

@@ -7,7 +7,7 @@
 use core::fmt;
 use flash_net::NodeId;
 
-pub(crate) const WORDS: usize = 16;
+const WORDS: usize = 16;
 
 /// A set of [`NodeId`]s backed by a fixed 1024-bit bitmap.
 ///
@@ -141,17 +141,6 @@ impl NodeSet {
         Some(NodeId(
             (w * 64 + self.bits[w].trailing_zeros() as usize) as u16,
         ))
-    }
-
-    /// The bitmap, lowest ids first: what [`crate::NodeSetPool`] stores
-    /// the low words of.
-    pub(crate) fn words(&self) -> &[u64; WORDS] {
-        &self.bits
-    }
-
-    /// The set with this bitmap.
-    pub(crate) fn from_words(bits: [u64; WORDS]) -> Self {
-        NodeSet { bits }
     }
 
     fn slot(node: NodeId) -> (usize, u64) {

@@ -7,7 +7,7 @@
 //! cost to the handlers servicing inter-cell writes (< 7 % of an inter-node
 //! write miss — reproduced by the Table 6.1 bench).
 
-use flash_coherence::{LineAddr, MemLayout, NodeSet, NodeSetPool, PageAddr, LINES_PER_PAGE};
+use flash_coherence::{LineAddr, MemLayout, NodeSet, PageAddr, LINES_PER_PAGE};
 use flash_net::NodeId;
 
 /// The node map: a configurable hardware table recording the availability
@@ -16,42 +16,52 @@ use flash_net::NodeId;
 /// to failed nodes; the recovery algorithm keeps the map up to date.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeMap {
-    available: Vec<bool>,
+    n_nodes: usize,
+    /// The available nodes, all below `n_nodes`.
+    available: NodeSet,
 }
 
 impl NodeMap {
     /// Creates a map with all `n` nodes available.
     pub fn new(n: usize) -> Self {
         NodeMap {
-            available: vec![true; n],
+            n_nodes: n,
+            available: NodeSet::all_below(n),
         }
     }
 
     /// Whether `node` is marked available.
     pub fn is_available(&self, node: NodeId) -> bool {
-        self.available.get(node.index()).copied().unwrap_or(false)
+        node.index() < self.n_nodes && self.available.contains(node)
     }
 
     /// Updates one node's availability.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the machine.
     pub fn set_available(&mut self, node: NodeId, avail: bool) {
-        self.available[node.index()] = avail;
+        assert!(node.index() < self.n_nodes, "node outside the map");
+        if avail {
+            self.available.insert(node);
+        } else {
+            self.available.remove(node);
+        }
     }
 
     /// Bulk-reprograms the map from the set of known-good nodes (the
     /// dissemination phase's `NState`).
     pub fn reprogram(&mut self, good: &NodeSet) {
-        for (i, slot) in self.available.iter_mut().enumerate() {
-            *slot = good.contains(NodeId(i as u16));
-        }
+        self.available = good.iter().filter(|n| n.index() < self.n_nodes).collect();
     }
 
     /// Number of available nodes.
     pub fn available_count(&self) -> usize {
-        self.available.iter().filter(|&&a| a).count()
+        self.available.len()
     }
 }
 
-/// The ACL of a page with the boot-time default: no pool slot.
+/// The ACL of a page with the boot-time default: no writer set.
 const OPEN: u32 = u32::MAX;
 
 /// The firewall: a per-4KB-page access-control list restricting which nodes
@@ -60,12 +70,14 @@ const OPEN: u32 = u32::MAX;
 /// other cells (paper, Section 3.3).
 #[derive(Clone, Debug)]
 pub struct Firewall {
-    /// The pool slot of each homed page's ACL, indexed by local page
-    /// number. [`OPEN`] means the boot-time default (everyone may write)
-    /// and holds no slot.
+    /// The index in `writers` of each homed page's ACL, indexed by local
+    /// page number. [`OPEN`] means the boot-time default (everyone may
+    /// write).
     acls: Vec<u32>,
-    /// The restricted pages' writer sets.
-    writers: NodeSetPool,
+    /// The distinct writer sets restricted pages have had, each once:
+    /// every page of a cell shares its cell's set.
+    writers: Vec<NodeSet>,
+    layout: MemLayout,
     /// Base page of this node's memory slice.
     base_page: u64,
     enabled: bool,
@@ -88,7 +100,8 @@ impl Firewall {
         let base_page = home.index() as u64 * layout.lines_per_node() / LINES_PER_PAGE;
         Firewall {
             acls: vec![OPEN; pages],
-            writers: NodeSetPool::new(layout.num_nodes()),
+            writers: Vec::new(),
+            layout,
             base_page,
             enabled,
         }
@@ -120,8 +133,17 @@ impl Firewall {
     /// outside the machine.
     pub fn restrict(&mut self, page: PageAddr, writers: NodeSet) {
         let i = self.local(page).expect("page not homed on this node");
-        let held = (self.acls[i] != OPEN).then_some(self.acls[i]);
-        self.acls[i] = self.writers.hold(held, &writers);
+        writers
+            .iter()
+            .for_each(|node| self.layout.assert_in_machine(node));
+        let k = match self.writers.iter().position(|w| *w == writers) {
+            Some(k) => k,
+            None => {
+                self.writers.push(writers);
+                self.writers.len() - 1
+            }
+        };
+        self.acls[i] = u32::try_from(k).expect("distinct writer sets fit in u32");
     }
 
     /// Returns a page to the permissive boot default.
@@ -131,10 +153,7 @@ impl Firewall {
     /// Panics if the page is not homed on this node.
     pub fn open(&mut self, page: PageAddr) {
         let i = self.local(page).expect("page not homed on this node");
-        if self.acls[i] != OPEN {
-            self.writers.release(self.acls[i]);
-            self.acls[i] = OPEN;
-        }
+        self.acls[i] = OPEN;
     }
 
     /// Checks whether `from` may fetch a line of `page` exclusive.
@@ -144,7 +163,7 @@ impl Firewall {
             return true;
         }
         match self.local(page).map(|i| self.acls[i]) {
-            Some(acl) if acl != OPEN => self.writers.contains(acl, from),
+            Some(acl) if acl != OPEN => self.writers[acl as usize].contains(from),
             _ => true,
         }
     }
@@ -250,6 +269,7 @@ impl IoGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flash_sim::DetRng;
 
     fn layout() -> MemLayout {
         MemLayout::new(4, 128) // 4 pages per node
@@ -293,21 +313,77 @@ mod tests {
         assert!(!fw.may_write(PageAddr(0), NodeId(3)));
     }
 
+    /// Hive restricts every page of a node to its cell's members: the
+    /// firewall stores that set once, however many pages use it.
     #[test]
-    fn firewall_acls_share_one_pool() {
-        let mut fw = Firewall::new(NodeId(1), layout(), true);
-        let (a, b) = (PageAddr(4), PageAddr(6));
-        fw.restrict(a, NodeSet::singleton(NodeId(0)));
-        fw.restrict(a, NodeSet::singleton(NodeId(2)));
-        assert_eq!(fw.writers.slots(), 1, "a re-restricted page keeps its slot");
-        assert!(fw.may_write(a, NodeId(2)) && !fw.may_write(a, NodeId(0)));
-        fw.open(a);
-        fw.open(a);
-        fw.restrict(b, NodeSet::new());
-        assert_eq!(fw.writers.slots(), 1, "an opened page's slot is reused");
-        assert!(fw.may_write(a, NodeId(0)));
-        assert!(!fw.may_write(b, NodeId(1)));
-        assert!(!fw.may_write(b, NodeId(900)));
+    fn restricting_every_page_to_one_set_stores_it_once() {
+        let pages = 256;
+        let layout = MemLayout::new(4, pages * LINES_PER_PAGE);
+        let mut fw = Firewall::new(NodeId(1), layout, true);
+        let members: NodeSet = [NodeId(0), NodeId(1)].into_iter().collect();
+        for p in pages..2 * pages {
+            fw.restrict(PageAddr(p), members);
+        }
+        assert_eq!(fw.writers, [members]);
+        assert!(fw.may_write(PageAddr(pages), NodeId(0)));
+        assert!(!fw.may_write(PageAddr(2 * pages - 1), NodeId(3)));
+        fw.open(PageAddr(pages));
+        fw.restrict(PageAddr(pages + 1), members);
+        assert_eq!(fw.writers, [members], "re-restricting reuses the set");
+        assert!(fw.may_write(PageAddr(pages), NodeId(3)));
+    }
+
+    /// Seeded `restrict`/`open`/`may_write` traffic, with checking switched
+    /// off now and then, against one optional writer set per page.
+    #[test]
+    fn firewall_matches_a_per_page_reference() {
+        for n in [4u16, 128] {
+            let mut rng = DetRng::new(0xF1_2E00 ^ u64::from(n));
+            let pages = 8;
+            let layout = MemLayout::new(n.into(), pages * LINES_PER_PAGE);
+            let mut fw = Firewall::new(NodeId(1), layout, true);
+            let mut reference: Vec<Option<NodeSet>> = vec![None; pages as usize];
+            let mut enabled = true;
+            let cells: Vec<NodeSet> = (0..3).map(|c| NodeSet::singleton(NodeId(c))).collect();
+            for _ in 0..4000 {
+                let k = rng.below(pages);
+                let page = PageAddr(pages + k);
+                let from = NodeId(rng.below(n.into()) as u16);
+                match rng.below(10) {
+                    0..=2 => {
+                        let writers = if rng.chance(0.5) {
+                            *rng.choose(&cells).unwrap()
+                        } else {
+                            (0..rng.below(4))
+                                .map(|_| NodeId(rng.below(n.into()) as u16))
+                                .collect()
+                        };
+                        fw.restrict(page, writers);
+                        reference[k as usize] = Some(writers);
+                    }
+                    3 => {
+                        fw.open(page);
+                        reference[k as usize] = None;
+                    }
+                    4 => {
+                        enabled = rng.chance(0.8);
+                        fw.set_enabled(enabled);
+                    }
+                    _ => {
+                        let want =
+                            !enabled || reference[k as usize].is_none_or(|acl| acl.contains(from));
+                        assert_eq!(fw.may_write(page, from), want, "{n} nodes, {page:?}");
+                    }
+                }
+                for (k, acl) in reference.iter().enumerate() {
+                    let stored = (fw.acls[k] != OPEN).then(|| fw.writers[fw.acls[k] as usize]);
+                    assert_eq!(stored, *acl, "{n} nodes, page {k}");
+                }
+                for (i, a) in fw.writers.iter().enumerate() {
+                    assert!(!fw.writers[..i].contains(a), "{a:?} stored twice");
+                }
+            }
+        }
     }
 
     #[test]
