@@ -39,7 +39,6 @@ fn main() {
             blocks_per_file: 48,
             out_blocks: 24,
             compute_ns: 40_000,
-            ..HiveConfig::default()
         };
         let out = run_parallel_make(
             params,

@@ -379,7 +379,6 @@ mod tests {
             blocks_per_file: 8,
             out_blocks: 4,
             compute_ns: 10_000,
-            ..flash_hive::HiveConfig::default()
         };
         let kinds = [FaultKind::Node, FaultKind::Link];
         let mut cfg = SweepConfig::new(4);

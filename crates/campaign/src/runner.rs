@@ -242,7 +242,6 @@ fn campaign_hive_config() -> HiveConfig {
         blocks_per_file: 16,
         out_blocks: 8,
         compute_ns: 10_000,
-        ..HiveConfig::default()
     }
 }
 

@@ -279,15 +279,6 @@ pub fn generate(seed: u64, cfg: &GeneratorConfig) -> Schedule {
 // JSON (hand-rolled: the workspace carries no serde)
 // ----------------------------------------------------------------------
 
-/// Escapes a string for embedding in a JSON document.
-///
-/// The canonical escaper lives in `flash-obs` ([`flash_obs::json_escape_str`])
-/// so every hand-rolled JSON writer in the workspace shares one
-/// implementation; this re-exporting wrapper is kept for API compatibility.
-pub fn json_escape(s: &str) -> String {
-    flash_obs::json_escape_str(s)
-}
-
 fn inject_to_json(at: &InjectAt) -> String {
     match at {
         InjectAt::Steady { offset_ns } => {
@@ -552,6 +543,5 @@ mod tests {
             assert!(j.starts_with('{') && j.ends_with('}'), "{j}");
             assert!(j.contains("\"events\":["));
         }
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

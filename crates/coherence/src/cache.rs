@@ -152,12 +152,6 @@ impl L2Cache {
         }
     }
 
-    /// Creates a cache sized in megabytes (128-byte lines).
-    pub fn with_mb(mb: f64) -> Self {
-        let lines = (mb * 1024.0 * 1024.0 / 128.0) as usize;
-        L2Cache::new(lines.max(2))
-    }
-
     /// Total line capacity.
     pub fn capacity(&self) -> usize {
         self.sets.len() * 2
@@ -381,12 +375,6 @@ mod tests {
         assert_eq!(c.len() + evictions, 100);
         assert!(c.len() <= c.capacity());
         assert_eq!(c.capacity(), 8);
-    }
-
-    #[test]
-    fn with_mb_sizes() {
-        assert_eq!(L2Cache::with_mb(1.0).capacity(), 8192);
-        assert_eq!(L2Cache::with_mb(0.5).capacity(), 4096);
     }
 
     /// The cache before ways were packed: two `Option<CachedLine>` and an

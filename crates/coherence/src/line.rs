@@ -40,12 +40,6 @@ impl LineAddr {
     pub fn page(self) -> PageAddr {
         PageAddr(self.0 / LINES_PER_PAGE)
     }
-
-    /// The byte address of the start of this line.
-    #[inline]
-    pub fn byte_addr(self) -> u64 {
-        self.0 * LINE_BYTES
-    }
 }
 
 impl Version {
@@ -188,12 +182,6 @@ impl MemLayout {
     pub fn is_vector_range(&self, line: LineAddr) -> bool {
         line.0 < LINES_PER_PAGE
     }
-
-    /// Iterates over all lines homed on `node`.
-    pub fn lines_of(&self, node: NodeId) -> impl Iterator<Item = LineAddr> + '_ {
-        let base = node.index() as u64 * self.lines_per_node;
-        (base..base + self.lines_per_node).map(LineAddr)
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +194,6 @@ mod tests {
         assert_eq!(LineAddr(0).page(), PageAddr(0));
         assert_eq!(LineAddr(31).page(), PageAddr(0));
         assert_eq!(LineAddr(32).page(), PageAddr(1));
-        assert_eq!(LineAddr(2).byte_addr(), 256);
     }
 
     #[test]
@@ -252,13 +239,6 @@ mod tests {
         assert!(l.is_vector_range(LineAddr(0)));
         assert!(l.is_vector_range(LineAddr(31)));
         assert!(!l.is_vector_range(LineAddr(32)));
-    }
-
-    #[test]
-    fn lines_of_enumerates_node_slice() {
-        let l = MemLayout::new(3, 5);
-        let lines: Vec<u64> = l.lines_of(NodeId(1)).map(|a| a.0).collect();
-        assert_eq!(lines, vec![5, 6, 7, 8, 9]);
     }
 
     #[test]

@@ -116,14 +116,6 @@ impl NodeSet {
             .any(|(a, b)| a & b != 0)
     }
 
-    /// Whether `self` is a subset of `other`.
-    pub fn is_subset(&self, other: &NodeSet) -> bool {
-        self.bits
-            .iter()
-            .zip(other.bits.iter())
-            .all(|(a, b)| a & !b == 0)
-    }
-
     /// Iterates over members in ascending order, one word at a time: each
     /// step takes the lowest set bit of the current word, and empty words
     /// cost one test each.
@@ -238,8 +230,6 @@ mod tests {
         assert!(d.contains(NodeId(1)) && d.contains(NodeId(2)) && !d.contains(NodeId(3)));
         assert!(a.intersects(&b));
         assert!(!d.intersects(&b));
-        assert!(a.is_subset(&u));
-        assert!(!u.is_subset(&a));
     }
 
     #[test]

@@ -170,8 +170,8 @@ impl PhaseEntries {
 /// `phases`, `flush_done_at`, `p4_started_at` and `wave_complete_at`
 /// describe the most recent *episode*: the span from a first trigger to P4
 /// completion, across any restarts inside it. A trigger after a completed
-/// episode clears them. The counters accumulate over every episode until
-/// [`crate::RecoveryExt::reset_report`].
+/// episode clears them. The counters accumulate over every episode of the
+/// machine's life.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Phase completion times of the most recent episode. `pN_done` is the

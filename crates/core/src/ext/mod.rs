@@ -278,12 +278,6 @@ impl RecoveryExt {
         self.units = Some(units);
     }
 
-    /// Clears the accumulated report (between experiments on a reused
-    /// machine).
-    pub fn reset_report(&mut self) {
-        self.report = RecoveryReport::default();
-    }
-
     /// Whether any node is currently executing the recovery algorithm.
     pub fn recovery_active(&self) -> bool {
         self.active

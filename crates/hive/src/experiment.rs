@@ -215,7 +215,6 @@ pub fn prepare_parallel_make(
             hive.compute_ns,
             placement.server_data,
             own,
-            hive.cross_writes.then_some(placement.scratch),
         )
         .with_monitor(os::peer_kernel_lines(&m, client));
         m.st_mut().nodes[client.index()].workload = Box::new(task);
@@ -280,7 +279,6 @@ mod tests {
             blocks_per_file: 16,
             out_blocks: 8,
             compute_ns: 10_000,
-            ..HiveConfig::default()
         };
         (params, hive)
     }

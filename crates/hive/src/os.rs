@@ -37,9 +37,6 @@ pub struct HiveConfig {
     pub out_blocks: u32,
     /// Compute burst per file, ns.
     pub compute_ns: u64,
-    /// Whether tasks also write a firewall-opened scratch line on the
-    /// server (cross-cell write traffic for the firewall experiments).
-    pub cross_writes: bool,
 }
 
 impl Default for HiveConfig {
@@ -50,7 +47,6 @@ impl Default for HiveConfig {
             blocks_per_file: 64,
             out_blocks: 32,
             compute_ns: 50_000,
-            cross_writes: false,
         }
     }
 }
@@ -61,8 +57,7 @@ impl HiveConfig {
         let per_file = 2 // open + close RPCs
             + self.blocks_per_file as u64
             + 1 // compute
-            + self.out_blocks as u64
-            + u64::from(self.cross_writes);
+            + self.out_blocks as u64;
         self.files_per_task as u64 * per_file
     }
 }
@@ -86,8 +81,6 @@ pub fn os_recovery_time(live_cells: usize) -> SimDuration {
 pub struct HivePlacement {
     /// Server-homed lines holding shared file data.
     pub server_data: (u64, u64),
-    /// The firewall-opened scratch line on the server.
-    pub scratch: u64,
 }
 
 /// Applies Hive's placement and protection policies to a machine:
@@ -154,18 +147,8 @@ pub fn configure(m: &mut FcMachine, layout: &CellLayout) -> HivePlacement {
     let server_base = server.index() as u64 * lines_per_node;
     let data_lo = server_base + LINES_PER_PAGE;
     let data_hi = server_base + (lines_per_node / 4).max(LINES_PER_PAGE * 2);
-    // Scratch line on its own page, opened to all cells.
-    let scratch_line = data_hi;
-    {
-        let st = m.st_mut();
-        st.nodes[server.index()].firewall.restrict(
-            flash_coherence::LineAddr(scratch_line).page(),
-            NodeSet::all_below(n_nodes),
-        );
-    }
     HivePlacement {
         server_data: (data_lo, data_hi),
-        scratch: scratch_line,
     }
 }
 
@@ -191,10 +174,9 @@ pub fn peer_kernel_lines(m: &FcMachine, me: NodeId) -> Vec<u64> {
         .collect()
 }
 
-/// The OS-level recovery pass of Section 4.6, run after the hardware
-/// recovery interrupt: reinitializes pages with incoherent lines through
-/// the MAGIC service and acknowledges the interrupt. Returns the number of
-/// lines reinitialized.
+/// The OS-level recovery pass of Section 4.6, which the harness runs once
+/// hardware recovery completes: reinitializes pages with incoherent lines
+/// through the MAGIC service. Returns the number of lines reinitialized.
 pub fn os_recover(m: &mut FcMachine) -> u64 {
     let mut cleared = 0;
     let now = m.now();
@@ -219,7 +201,6 @@ pub fn os_recover(m: &mut FcMachine) -> u64 {
             debug_assert!(ok);
             cleared += 1;
         }
-        st.nodes[i].os_interrupt_pending = false;
     }
     m.st_mut().obs.record(
         flash_obs::Domain::Hive,
@@ -270,16 +251,10 @@ mod tests {
             files_per_task: 2,
             blocks_per_file: 3,
             out_blocks: 2,
-            cross_writes: false,
             ..HiveConfig::default()
         };
         // Per file: open + 3 reads + compute + 2 writes + close = 8.
         assert_eq!(cfg.ops_per_task(), 16);
-        let with_cross = HiveConfig {
-            cross_writes: true,
-            ..cfg
-        };
-        assert_eq!(with_cross.ops_per_task(), 18);
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //!    with exactly-once semantics);
 //! 2. read the file's blocks from server-homed shared-memory pages;
 //! 3. compute;
-//! 4. write the output to pages of its own cell (and occasionally to an
-//!    explicitly opened scratch page on the server, exercising the
-//!    firewall's cross-cell write path);
+//! 4. write the output to pages of its own cell;
 //! 5. RPC to the server to close/commit; repeat per file.
 //!
 //! A bus error at any point (incoherent line, dead home, unresolved RPC)
@@ -78,9 +76,6 @@ pub struct CompileTask {
     server_data: (u64, u64),
     /// Lines owned by this task's cell (written privately).
     own_data: (u64, u64),
-    /// A server-homed scratch line writable by everyone (firewall-opened);
-    /// `None` disables cross-cell writes.
-    scratch: Option<u64>,
     /// Kernel lines of peer cells, polled periodically: Hive cells read
     /// each other's kernel structures (read-only), which both models that
     /// traffic and provides fault-detection references. Bus errors on
@@ -105,7 +100,6 @@ enum Step {
     Read(u32),
     Compute,
     Write(u32),
-    CrossWrite,
     Close,
 }
 
@@ -115,7 +109,6 @@ impl CompileTask {
     /// # Panics
     ///
     /// Panics if either line range is empty.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         server: NodeId,
         files_total: u32,
@@ -124,7 +117,6 @@ impl CompileTask {
         compute_ns: u64,
         server_data: (u64, u64),
         own_data: (u64, u64),
-        scratch: Option<u64>,
     ) -> Self {
         assert!(server_data.0 < server_data.1 && own_data.0 < own_data.1);
         CompileTask {
@@ -135,7 +127,6 @@ impl CompileTask {
             compute_ns,
             server_data,
             own_data,
-            scratch,
             monitor: Vec::new(),
             file_idx: 0,
             step: Step::Open,
@@ -246,16 +237,10 @@ impl Workload for CompileTask {
             Step::Write(i) => {
                 self.step = if i + 1 < self.out_blocks {
                     Step::Write(i + 1)
-                } else if self.scratch.is_some() {
-                    Step::CrossWrite
                 } else {
                     Step::Close
                 };
                 ProcOp::Write(self.pick(self.own_data, rng))
-            }
-            Step::CrossWrite => {
-                self.step = Step::Close;
-                ProcOp::Write(LineAddr(self.scratch.expect("checked")))
             }
             Step::Close => {
                 self.step = Step::Open;
@@ -360,7 +345,7 @@ mod tests {
     use flash_magic::BusError;
 
     fn task() -> CompileTask {
-        CompileTask::new(NodeId(0), 2, 3, 2, 1_000, (0, 10), (100, 110), Some(5))
+        CompileTask::new(NodeId(0), 2, 3, 2, 1_000, (0, 10), (100, 110))
     }
 
     #[test]
@@ -368,7 +353,7 @@ mod tests {
         let mut t = task();
         let mut rng = DetRng::new(1);
         let me = NodeId(1);
-        // File 1: open, 3 reads, compute, 2 writes, cross-write, close.
+        // File 1: open, 3 reads, compute, 2 writes, close.
         assert!(matches!(
             t.next_op(me, SimTime::ZERO, &mut rng),
             ProcOp::UncachedRead { .. }
@@ -389,10 +374,6 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
-        assert_eq!(
-            t.next_op(me, SimTime::ZERO, &mut rng),
-            ProcOp::Write(LineAddr(5))
-        );
         assert!(matches!(
             t.next_op(me, SimTime::ZERO, &mut rng),
             ProcOp::UncachedRead { .. }

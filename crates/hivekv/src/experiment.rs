@@ -164,9 +164,8 @@ pub fn prepare_kv_serving(
         let st = m.st_mut();
         // Replication writes cross cell boundaries by design, so the chunk
         // pages are opened to every node — the KV trust model accepts
-        // cross-cell writes to this one region (like the hive scratch
-        // page), and the experiments measure what that costs through
-        // faults.
+        // cross-cell writes to this one region, and the experiments
+        // measure what that costs through faults.
         for (c, &base) in chunk_base.iter().enumerate() {
             let first = LineAddr(base).page();
             let last = LineAddr(base + chunk_region_lines - 1).page();

@@ -88,8 +88,6 @@ pub struct ShardStats {
     pub acked_puts: u64,
     /// Errors on requests to chunks with no surviving replica.
     pub lost_chunk_errors: u64,
-    /// Per-chunk admitted requests.
-    pub chunk_arrivals: Vec<u64>,
     /// Per-chunk user-visible errors.
     pub chunk_errors: Vec<u64>,
     /// Latency of successful requests.
@@ -113,7 +111,6 @@ impl ShardStats {
             errors: 0,
             acked_puts: 0,
             lost_chunk_errors: 0,
-            chunk_arrivals: vec![0; chunks as usize],
             chunk_errors: vec![0; chunks as usize],
             lat_ok: LatencyHistogram::new(),
             lat_unaffected_ok: LatencyHistogram::new(),
@@ -290,7 +287,6 @@ impl KvShard {
             let chunk = (key % self.chunks as u64) as u32;
             let is_get = rng.chance(GET_FRACTION);
             self.stats.arrivals += 1;
-            self.stats.chunk_arrivals[chunk as usize] += 1;
             match self.build_ops(chunk, key, is_get) {
                 Some((kind, ops)) => {
                     self.active = Some(ActiveReq {

@@ -50,7 +50,7 @@ mod workload;
 
 pub use fault::FaultSpec;
 pub use machine::{Checkpoint, Ev, Extension, Machine, MachineState, MachineWorld, NullExtension};
-pub use node::{IoDevice, NodeCtx, OutPkt, ProcState};
+pub use node::{IoDevice, NodeCtx, ProcState};
 pub use oracle::{Oracle, ValidationReport};
 pub use params::{MachineParams, TopologyKind, PROTECTED_LINES};
 pub use payload::{Payload, UncMsg};

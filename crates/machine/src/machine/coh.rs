@@ -280,13 +280,6 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             u64::from(write && speculative),
         );
         let now = sched.now();
-        let node = &mut st.nodes[n as usize];
-        let latency = now.since(node.op_issued_at);
-        if write {
-            node.lat_write.record(latency);
-        } else {
-            node.lat_read.record(latency);
-        }
         st.finish_op(n, now, OpResult::Ok(None));
         let node = &mut st.nodes[n as usize];
         let resume = node.occupancy.busy_until();
@@ -428,8 +421,6 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             }
         }
         let now = sched.now();
-        let node = &mut st.nodes[n as usize];
-        node.lat_write.record(now.since(node.op_issued_at));
         st.finish_op(n, now, OpResult::Ok(None));
         let node = &mut st.nodes[n as usize];
         let resume = node.occupancy.busy_until();

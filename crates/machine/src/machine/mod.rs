@@ -45,14 +45,14 @@ mod world;
 pub use world::MachineWorld;
 
 use crate::fault::FaultSpec;
-use crate::node::{NodeCtx, OutPkt, ProcState};
+use crate::node::{NodeCtx, ProcState};
 use crate::oracle::Oracle;
 use crate::params::{MachineParams, TopologyKind};
 use crate::payload::{Payload, UncMsg};
 use crate::workload::Workload;
 use flash_coherence::{CohMsg, MemLayout, NodeSet};
 use flash_magic::Trigger;
-use flash_net::{Fabric, Hypercube, Lane, Mesh2D, NodeId, SourceRoute, Topology};
+use flash_net::{Fabric, Hypercube, Lane, Mesh2D, NodeId, Packet, SourceRoute, Topology};
 use flash_obs::{Counter, Counters, Hist};
 use flash_sim::{DetRng, Engine, RunOutcome, Scheduler, SimDuration, SimTime};
 
@@ -313,15 +313,10 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         self.nodes.iter().filter(|n| n.is_alive()).map(|n| n.id)
     }
 
-    /// Queues a payload for transmission; the per-lane pump drains it into
-    /// the fabric, retrying when the injection queue is full.
-    pub fn queue_send<E>(
-        &mut self,
-        from: NodeId,
-        pkt: OutPkt<R>,
-        sched: &mut Scheduler<'_, Ev<E>>,
-    ) {
-        let lane_idx = pkt.lane.index();
+    /// Queues a packet in its source node's outbox; the per-lane pump
+    /// drains it into the fabric, retrying when the injection queue is full.
+    fn queue_send<E>(&mut self, pkt: Packet<Payload<R>>, sched: &mut Scheduler<'_, Ev<E>>) {
+        let (from, lane_idx) = (pkt.src, pkt.lane.index());
         let node = &mut self.nodes[from.index()];
         node.outbox[lane_idx].push_back(pkt);
         if !node.pump_scheduled[lane_idx] {
@@ -348,14 +343,8 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         msg: CohMsg,
         sched: &mut Scheduler<'_, Ev<E>>,
     ) {
-        let pkt = OutPkt {
-            dst: to,
-            flits: msg.flits(),
-            lane: msg.lane(),
-            payload: Payload::Coh(msg),
-            route: None,
-        };
-        self.queue_send(from, pkt, sched);
+        let pkt = Packet::table_routed(from, to, msg.lane(), msg.flits(), Payload::Coh(msg));
+        self.queue_send(pkt, sched);
     }
 
     /// Queues an uncached message (table-routed).
@@ -371,14 +360,8 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         } else {
             Lane::Request
         };
-        let pkt = OutPkt {
-            dst: to,
-            flits: msg.flits(),
-            lane,
-            payload: Payload::Unc(msg),
-            route: None,
-        };
-        self.queue_send(from, pkt, sched);
+        let pkt = Packet::table_routed(from, to, lane, msg.flits(), Payload::Unc(msg));
+        self.queue_send(pkt, sched);
     }
 
     /// Queues a source-routed recovery message on the given recovery lane.
@@ -402,14 +385,8 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
             !lane.is_coherence(),
             "recovery traffic uses dedicated lanes"
         );
-        let pkt = OutPkt {
-            dst: to,
-            flits: 1,
-            lane,
-            payload: Payload::Rec(msg),
-            route: Some(hops.into()),
-        };
-        self.queue_send(from, pkt, sched);
+        let pkt = Packet::source_routed(from, to, hops, lane, 1, Payload::Rec(msg));
+        self.queue_send(pkt, sched);
     }
 
     /// Allocates a fresh uncached-operation tag.

@@ -122,7 +122,6 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                     let node = &mut st.nodes[n as usize];
                     node.op_epoch += 1;
                     node.naks.reset();
-                    node.op_issued_at = now;
                     node.proc = ProcState::WaitMiss {
                         line,
                         write,
@@ -166,7 +165,6 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                 let epoch = {
                     let node = &mut st.nodes[n as usize];
                     node.op_epoch += 1;
-                    node.op_issued_at = now;
                     node.proc = ProcState::WaitUncached {
                         tag,
                         dev,
@@ -239,7 +237,6 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                 let waiting = matches!(node.proc, ProcState::WaitUncached { tag: t, write: false, .. } if t == tag);
                 if waiting {
                     node.uncached.complete_read(tag);
-                    node.lat_uncached.record(now.since(node.op_issued_at));
                     st.finish_op(n, now, OpResult::Ok(Some(value)));
                     sched.at(st.nodes[n as usize].occupancy.busy_until(), Ev::ProcNext(n));
                 } else if node.uncached.deliver_late(tag, value) {

@@ -53,7 +53,6 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
                 self.oracle.allow_incoherent(line);
             }
         }
-        self.oracle.finish_snapshot();
     }
 
     /// Unstalls the processor for recovery: pending cacheable operations are
@@ -154,10 +153,11 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
     }
 
     /// Resumes normal operation on a node after recovery completes: the
-    /// controller returns to normal dispatch, the OS-recovery interrupt is
-    /// raised, and the processor re-executes its interrupted operation
-    /// (NAK'd cacheable ops are reissued; a saved uncached read is emulated
-    /// from its buffer — paper, Sections 4.2 and 4.6).
+    /// controller returns to normal dispatch and the processor re-executes
+    /// its interrupted operation (NAK'd cacheable ops are reissued; a saved
+    /// uncached read is emulated from its buffer — paper, Section 4.2).
+    /// The machine keeps no OS-recovery interrupt flag: the harness runs
+    /// the OS's own pass of Section 4.6 (Hive's `os::os_recover`) itself.
     pub fn resume_after_recovery<E>(&mut self, node: NodeId, sched: &mut Scheduler<'_, Ev<E>>) {
         let i = node.index();
         if !self.nodes[i].is_alive() {
@@ -165,7 +165,6 @@ impl<R: Clone + std::fmt::Debug> MachineState<R> {
         }
         let now = sched.now();
         self.nodes[i].mode = MagicMode::Normal;
-        self.nodes[i].os_interrupt_pending = true;
         if !matches!(self.nodes[i].proc, ProcState::InRecovery) {
             return;
         }

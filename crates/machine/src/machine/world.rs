@@ -4,11 +4,11 @@
 //! [`MachineState`], and fault injection in [`inject`](super::inject).
 
 use super::{Ev, Extension, MachineState};
-use crate::node::{OutPkt, ProcState};
+use crate::node::ProcState;
 use crate::payload::Payload;
 use flash_coherence::{CohMsg, LineAddr};
 use flash_magic::{costs, Trigger};
-use flash_net::{DeliveryNote, Lane, NetEv, NodeId, Packet, Route, SendError};
+use flash_net::{DeliveryNote, Lane, NetEv, NodeId, Packet, SendError};
 use flash_obs::{Counter, Domain, TraceEvent};
 use flash_sim::{Scheduler, SimDuration, SimTime, World};
 
@@ -295,9 +295,8 @@ impl<X: Extension> MachineWorld<X> {
     /// Drains a node's outbound lane queue into the fabric.
     fn pump(&mut self, n: u16, lane_idx: u8, sched: &mut Scheduler<'_, Ev<X::Ev>>) {
         let now = sched.now();
-        let lane = Lane::from_index(lane_idx as usize);
         loop {
-            let head = {
+            let packet = {
                 let node = &mut self.st.nodes[n as usize];
                 if !node.is_alive() {
                     node.outbox[lane_idx as usize].clear();
@@ -305,21 +304,12 @@ impl<X: Extension> MachineWorld<X> {
                     return;
                 }
                 match node.outbox[lane_idx as usize].pop_front() {
-                    Some(head) => head,
+                    Some(packet) => packet,
                     None => {
                         node.pump_scheduled[lane_idx as usize] = false;
                         return;
                     }
                 }
-            };
-            // The payload moves into the packet (no clone); on a full
-            // injection queue the fabric hands the packet back and the
-            // outbound entry is reassembled from it.
-            let packet = match head.route {
-                Some(hops) => {
-                    Packet::source_routed(NodeId(n), head.dst, hops, lane, head.flits, head.payload)
-                }
-                None => Packet::table_routed(NodeId(n), head.dst, lane, head.flits, head.payload),
             };
             debug_assert!(self.net_out.is_empty());
             match self.st.fabric.try_send(
@@ -334,22 +324,12 @@ impl<X: Extension> MachineWorld<X> {
                         sched.after(d, Ev::Net(e));
                     }
                 }
-                Err(SendError::Full(pkt)) => {
-                    // Injection queue full: put the packet back and retry
+                Err(SendError::Full(packet)) => {
+                    // Injection queue full: the fabric hands the packet back
+                    // unchanged; it goes back to the head and is retried
                     // later.
                     self.net_out.clear();
-                    let route = match pkt.route {
-                        Route::Source { hops, .. } => Some(hops),
-                        Route::Table => None,
-                    };
-                    let head = OutPkt {
-                        dst: pkt.dst,
-                        payload: pkt.payload,
-                        flits: pkt.flits,
-                        lane,
-                        route,
-                    };
-                    self.st.nodes[n as usize].outbox[lane_idx as usize].push_front(head);
+                    self.st.nodes[n as usize].outbox[lane_idx as usize].push_front(packet);
                     sched.after(
                         SimDuration::from_nanos(self.st.params.net.retry_ns),
                         Ev::Pump {

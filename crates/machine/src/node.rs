@@ -9,7 +9,7 @@ use flash_magic::{
     Firewall, IoGuard, MagicMode, NakCounter, NodeMap, Occupancy, RangeCheck, UncachedUnit,
     VectorRemap,
 };
-use flash_net::{Lane, NodeId, SourceRoute};
+use flash_net::{Lane, NodeId, Packet};
 use flash_sim::DetRng;
 use std::collections::VecDeque;
 
@@ -78,22 +78,6 @@ pub enum ProcState {
     Dead,
 }
 
-/// An outbound packet waiting in a node's per-lane output queue.
-#[derive(Clone, Debug)]
-pub struct OutPkt<R> {
-    /// Destination node.
-    pub dst: NodeId,
-    /// Payload.
-    pub payload: Payload<R>,
-    /// Size in flits.
-    pub flits: u32,
-    /// Virtual lane.
-    pub lane: Lane,
-    /// Source route (recovery traffic, hops stored inline), or `None`
-    /// for table routing.
-    pub route: Option<SourceRoute>,
-}
-
 /// Everything living on one node of the machine.
 ///
 /// Cloning a node (for checkpoint/fork) deep-copies the cache, directory,
@@ -112,19 +96,19 @@ pub struct NodeCtx<R> {
     /// Per-page write ACLs for memory homed here.
     pub firewall: Firewall,
     /// Protection of the node-controller memory region.
-    pub range_check: RangeCheck,
+    pub(crate) range_check: RangeCheck,
     /// Exception-vector remap unit.
-    pub remap: VectorRemap,
+    pub(crate) remap: VectorRemap,
     /// Guard on uncached I/O from outside the failure unit.
     pub io_guard: IoGuard,
     /// The node's I/O device.
     pub io_dev: IoDevice,
     /// Hardware NAK counter for the outstanding operation.
-    pub naks: NakCounter,
+    pub(crate) naks: NakCounter,
     /// Exactly-once uncached-operation unit.
-    pub uncached: UncachedUnit,
+    pub(crate) uncached: UncachedUnit,
     /// Protocol-processor occupancy.
-    pub occupancy: Occupancy,
+    pub(crate) occupancy: Occupancy,
     /// Degraded home-memory range, when a `DegradedMemory` gray fault is
     /// armed on this node.
     pub degraded: Option<DegradedRange>,
@@ -134,40 +118,29 @@ pub struct NodeCtx<R> {
     pub proc: ProcState,
     /// The operation currently being executed (retained for post-recovery
     /// reissue).
-    pub current_op: Option<ProcOp>,
+    pub(crate) current_op: Option<ProcOp>,
     /// Whether the outstanding miss is an incorrectly speculated write
     /// (its grant installs without a store commit; its faults are
     /// discarded by the processor).
-    pub current_is_speculative: bool,
+    pub(crate) current_is_speculative: bool,
     /// Monotone counter tagging blocking issues (timeout/retry matching).
-    pub op_epoch: u64,
+    pub(crate) op_epoch: u64,
     /// The workload driving this processor.
     pub workload: Box<dyn Workload>,
     /// Per-node deterministic RNG.
     pub rng: DetRng,
-    /// Outbound queues, one per virtual lane.
-    pub outbox: [VecDeque<OutPkt<R>>; Lane::COUNT],
+    /// Outbound packets, one queue per virtual lane.
+    pub outbox: [VecDeque<Packet<Payload<R>>>; Lane::COUNT],
     /// Whether a pump event is pending per lane.
-    pub pump_scheduled: [bool; Lane::COUNT],
+    pub(crate) pump_scheduled: [bool; Lane::COUNT],
     /// Bus errors raised to this processor.
     pub bus_errors: u64,
     /// Saved uncached-read tag pending emulation at recovery resume.
-    pub saved_unc_read: Option<u64>,
-    /// Set when hardware recovery completed and the OS has not yet run its
-    /// own recovery (the interrupt of paper Section 4.6).
-    pub os_interrupt_pending: bool,
+    pub(crate) saved_unc_read: Option<u64>,
     /// Remote interventions (invalidations/recalls) that arrived while the
     /// grant for the same line was still in flight; honored when the data
     /// installs — the MSHR-style race buffer.
-    pub pending_remote: std::collections::HashMap<flash_coherence::LineAddr, PendingRemote>,
-    /// When the outstanding blocking operation was issued (latency stats).
-    pub op_issued_at: flash_sim::SimTime,
-    /// Miss-latency statistics: read misses, write misses, uncached ops.
-    pub lat_read: flash_sim::LatencyHistogram,
-    /// Write (exclusive-fetch) miss latencies.
-    pub lat_write: flash_sim::LatencyHistogram,
-    /// Uncached (I/O) round-trip latencies.
-    pub lat_uncached: flash_sim::LatencyHistogram,
+    pub(crate) pending_remote: std::collections::HashMap<flash_coherence::LineAddr, PendingRemote>,
 }
 
 /// Gray-failure state of a `DegradedMemory` fault: the first `lines` lines
@@ -231,12 +204,7 @@ impl<R> NodeCtx<R> {
             pump_scheduled: [false; Lane::COUNT],
             bus_errors: 0,
             saved_unc_read: None,
-            os_interrupt_pending: false,
             pending_remote: std::collections::HashMap::new(),
-            op_issued_at: flash_sim::SimTime::ZERO,
-            lat_read: flash_sim::LatencyHistogram::new(),
-            lat_write: flash_sim::LatencyHistogram::new(),
-            lat_uncached: flash_sim::LatencyHistogram::new(),
         }
     }
 

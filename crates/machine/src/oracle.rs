@@ -24,7 +24,6 @@ pub struct Oracle {
     // past the end were never stored. Grows to the highest line stored.
     expected: Vec<Version>,
     may_incoherent: HashSet<LineAddr>,
-    snapshotted: bool,
 }
 
 impl Oracle {
@@ -57,16 +56,6 @@ impl Oracle {
         self.may_incoherent.insert(line);
     }
 
-    /// Marks the snapshot as taken.
-    pub fn finish_snapshot(&mut self) {
-        self.snapshotted = true;
-    }
-
-    /// Whether a fault-time snapshot was taken.
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshotted
-    }
-
     /// Whether a line is allowed to be marked incoherent.
     pub fn may_be_incoherent(&self, line: LineAddr) -> bool {
         self.may_incoherent.contains(&line)
@@ -84,13 +73,6 @@ impl Oracle {
             .iter()
             .filter(|&&v| v != Version::INITIAL)
             .count()
-    }
-
-    /// Clears the snapshot (for multi-fault experiments that re-snapshot at
-    /// a second fault).
-    pub fn reset_snapshot(&mut self) {
-        self.may_incoherent.clear();
-        self.snapshotted = false;
     }
 }
 
@@ -182,16 +164,11 @@ mod tests {
     #[test]
     fn may_set_membership() {
         let mut o = Oracle::new();
-        assert!(!o.has_snapshot());
+        assert_eq!(o.may_set_len(), 0);
         o.allow_incoherent(LineAddr(9));
-        o.finish_snapshot();
-        assert!(o.has_snapshot());
         assert!(o.may_be_incoherent(LineAddr(9)));
         assert!(!o.may_be_incoherent(LineAddr(10)));
         assert_eq!(o.may_set_len(), 1);
-        o.reset_snapshot();
-        assert!(!o.has_snapshot());
-        assert_eq!(o.may_set_len(), 0);
     }
 
     #[test]

@@ -243,7 +243,7 @@ pub struct Fabric<P> {
     wires: Vec<Wire>,
     first_port: Vec<u32>,
     node_in: Vec<[InQueue<P>; Lane::COUNT]>,
-    in_flight_coherence: i64,
+    in_flight_coherence: u64,
     last_coherence_delivery: Vec<SimTime>,
     counters: Counters,
     graph: UGraph,
@@ -527,7 +527,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
     /// Number of coherence-lane packets inside the fabric (injection queues,
     /// router queues and transits) — an oracle-level drain check.
     pub fn in_flight_coherence(&self) -> u64 {
-        self.in_flight_coherence.max(0) as u64
+        self.in_flight_coherence
     }
 
     /// The time of the most recent coherence-lane delivery to `node`
@@ -627,7 +627,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
         self.counters
             .add(Counter::LinksCrossed, u64::from(pkt.links_crossed));
         if pkt.lane.is_coherence() {
-            self.in_flight_coherence -= 1;
+            coherence_left(&mut self.in_flight_coherence);
         }
         self.counters.incr(reason);
         self.counters.incr(Counter::PacketsDropped);
@@ -870,7 +870,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
                     .add(Counter::LinksCrossed, u64::from(pkt.links_crossed));
                 let hops = pkt.links_crossed.min(u32::from(u8::MAX)) as u8;
                 if lane.is_coherence() {
-                    self.in_flight_coherence -= 1;
+                    coherence_left(&mut self.in_flight_coherence);
                     self.last_coherence_delivery[nd.index()] = now;
                 }
                 q.flits += pkt.flits;
@@ -903,6 +903,20 @@ impl<P: std::fmt::Debug> Fabric<P> {
             }
         }
     }
+}
+
+/// Counts one coherence-lane packet out of the fabric (delivered or
+/// dropped).
+///
+/// # Panics
+///
+/// Panics if no coherence packet is in flight: every packet leaves the
+/// fabric once, so an underflow means one was counted out twice, and a
+/// count clamped at zero would report a drained fabric early.
+fn coherence_left(in_flight: &mut u64) {
+    *in_flight = in_flight
+        .checked_sub(1)
+        .expect("coherence packet conservation: a packet left the fabric twice");
 }
 
 #[cfg(test)]

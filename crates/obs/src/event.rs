@@ -13,51 +13,44 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Domain {
-    /// Simulation kernel (engine queue depth, budget exhaustion).
-    Sim = 0,
     /// Interconnect fabric (packet lifecycle, drops, coalescing).
-    Net = 1,
+    Net = 0,
     /// Cache-coherence protocol (incoherence markings, denials).
-    Coherence = 2,
+    Coherence = 1,
     /// MAGIC node controller (handler dispatch and occupancy).
-    Magic = 3,
+    Magic = 2,
     /// Machine assembly (fault injection, triggers, bus errors).
-    Machine = 4,
+    Machine = 3,
     /// Four-phase recovery algorithm (phase transitions, barriers).
-    Recovery = 5,
-    /// Hive cell OS (cell state, OS recovery passes).
-    Hive = 6,
-    /// Campaign harness (run boundaries, invariant verdicts).
-    Campaign = 7,
+    Recovery = 4,
+    /// Hive cell OS and the KV serving layer on it (cell state, OS
+    /// recovery passes, requests, chunk placement).
+    Hive = 5,
 }
 
 impl Domain {
     /// Number of domains (shard count).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 6;
 
     /// All domains, in shard order.
     pub const ALL: [Domain; Domain::COUNT] = [
-        Domain::Sim,
         Domain::Net,
         Domain::Coherence,
         Domain::Magic,
         Domain::Machine,
         Domain::Recovery,
         Domain::Hive,
-        Domain::Campaign,
     ];
 
     /// Stable lower-case label, used in rendered traces and exports.
     pub fn label(self) -> &'static str {
         match self {
-            Domain::Sim => "sim",
             Domain::Net => "net",
             Domain::Coherence => "coh",
             Domain::Magic => "magic",
             Domain::Machine => "machine",
             Domain::Recovery => "recovery",
             Domain::Hive => "hive",
-            Domain::Campaign => "campaign",
         }
     }
 
@@ -221,13 +214,6 @@ pub enum TraceEvent {
         /// Event-specific value (usually the cell concerned).
         value: u64,
     },
-    /// A free-form labelled observation.
-    Note {
-        /// Label.
-        what: &'static str,
-        /// Value.
-        value: u64,
-    },
 }
 
 impl TraceEvent {
@@ -251,7 +237,6 @@ impl TraceEvent {
             TraceEvent::OsEvent { .. } => "os_event",
             TraceEvent::KvRequest { .. } => "kv_request",
             TraceEvent::KvChunk { .. } => "kv_chunk",
-            TraceEvent::Note { .. } => "note",
         }
     }
 
@@ -274,8 +259,7 @@ impl TraceEvent {
             TraceEvent::HiveCell { cell, .. } => Some(cell),
             TraceEvent::PacketDropped { .. }
             | TraceEvent::OsEvent { .. }
-            | TraceEvent::KvChunk { .. }
-            | TraceEvent::Note { .. } => None,
+            | TraceEvent::KvChunk { .. } => None,
         }
     }
 }
@@ -354,7 +338,6 @@ impl fmt::Display for TraceEvent {
             TraceEvent::KvChunk { chunk, what, value } => {
                 write!(f, "kv_chunk chunk={chunk} what={what} value={value}")
             }
-            TraceEvent::Note { what, value } => write!(f, "note what={what} value={value}"),
         }
     }
 }
@@ -371,7 +354,7 @@ mod tests {
             seen |= d.bit();
             assert_eq!(Domain::ALL[d.index()], d);
         }
-        assert_eq!(seen, 0xff);
+        assert_eq!(seen, (1 << Domain::COUNT) - 1);
     }
 
     #[test]

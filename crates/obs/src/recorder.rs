@@ -29,10 +29,9 @@ pub struct MergedEvent {
 ///
 /// The default configuration mirrors the old sparse machine trace: the
 /// low-rate domains ([`Domain::Machine`], [`Domain::Recovery`],
-/// [`Domain::Hive`], [`Domain::Campaign`]) record, the high-rate domains
-/// ([`Domain::Net`], [`Domain::Coherence`], [`Domain::Magic`],
-/// [`Domain::Sim`]) are off. A disabled domain costs one load + branch per
-/// record call.
+/// [`Domain::Hive`]) record, the high-rate domains ([`Domain::Net`],
+/// [`Domain::Coherence`], [`Domain::Magic`]) are off. A disabled domain
+/// costs one load + branch per record call.
 ///
 /// # Examples
 ///
@@ -63,7 +62,7 @@ pub const DEFAULT_SHARD_CAPACITY: usize = 512;
 
 /// The default domain-enable mask: sparse domains on, hot domains off.
 fn default_mask() -> u8 {
-    Domain::Machine.bit() | Domain::Recovery.bit() | Domain::Hive.bit() | Domain::Campaign.bit()
+    Domain::Machine.bit() | Domain::Recovery.bit() | Domain::Hive.bit()
 }
 
 impl Default for Recorder {
@@ -241,7 +240,7 @@ mod tests {
     use flash_sim::DetRng;
 
     fn ev(i: u64) -> TraceEvent {
-        TraceEvent::Note {
+        TraceEvent::OsEvent {
             what: "n",
             value: i,
         }

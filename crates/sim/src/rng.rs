@@ -99,14 +99,6 @@ impl DetRng {
             Some(&items[self.index(items.len())])
         }
     }
-
-    /// Shuffles `items` in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.index(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 /// 64x64 -> 128-bit multiply, returning (high, low) words.
@@ -183,16 +175,6 @@ mod tests {
         let mut a = root.fork(1);
         let mut b = root.fork(2);
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = DetRng::new(13);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -51,12 +51,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns this instant expressed in (fractional) microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Returns this instant expressed in (fractional) milliseconds.
     #[inline]
     pub fn as_millis_f64(self) -> f64 {
@@ -115,12 +109,6 @@ impl SimDuration {
     #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Returns this duration expressed in (fractional) microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
     }
 
     /// Multiplies the duration by an integer factor, saturating on overflow.
@@ -265,6 +253,5 @@ mod tests {
     #[test]
     fn float_conversions() {
         assert!((SimDuration::from_millis(5).as_millis_f64() - 5.0).abs() < 1e-12);
-        assert!((SimTime::from_nanos(1_500).as_micros_f64() - 1.5).abs() < 1e-12);
     }
 }

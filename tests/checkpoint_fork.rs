@@ -156,7 +156,6 @@ fn end_to_end_fork_matches_scratch_mid_make() {
         blocks_per_file: 8,
         out_blocks: 4,
         compute_ns: 10_000,
-        ..HiveConfig::default()
     };
     let recovery = RecoveryConfig::default();
     let fault = || {

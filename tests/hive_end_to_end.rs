@@ -78,7 +78,6 @@ fn multi_node_cells_shut_down_as_a_unit() {
         blocks_per_file: 16,
         out_blocks: 8,
         compute_ns: 20_000,
-        ..HiveConfig::default()
     };
     let out = run_parallel_make(
         params,
