@@ -22,12 +22,13 @@
 //! | `ablation_reliable_interconnect` | §6.3 HAL-style reliable interconnect |
 //! | `ablation_diameter_bound` | §4.3 tighter dissemination diameter bound |
 //! | `ablation_upgrade` | ownership upgrades (not a paper figure) |
-//! | `campaign_sweep` | multi-fault chaos campaign (§4.1/§5.3 generalized) |
 //! | `sim_speed` | host-side simulator throughput (not a paper result) |
 //! | `sweep_fork` | checkpoint/fork vs. from-scratch sweep speedup |
 //!
 //! Run everything with `cargo bench -p flash-bench`; each target accepts a
-//! `FLASH_RUNS` environment variable to scale the run counts.
+//! `FLASH_RUNS` environment variable to scale the run counts. The
+//! multi-fault chaos campaigns (§4.1/§5.3 generalized) run from the
+//! `campaign` example, which prints its sheets through [`VerdictSheet`].
 
 mod results;
 pub mod sweep;

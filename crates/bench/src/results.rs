@@ -4,10 +4,9 @@
 //! output so results can be plotted or diffed across runs. Files land in
 //! `target/bench-results/<bench>.json`.
 //!
-//! Also home to the per-fault-class campaign tally shared by the
-//! `gray_campaign` and `kv_slo` examples: both report campaign outcomes as
-//! one row per fault class, so the class partitioning, verdict counting,
-//! and table rendering live here rather than being copied per example.
+//! Also home to the per-fault-class campaign tally of the `campaign`
+//! example: every mix reports its outcomes as one row per fault class, and
+//! the KV mix's SLO sheet reuses the class partitioning.
 
 use flash_campaign::{RunRecord, Verdict};
 use flash_machine::FaultSpec;

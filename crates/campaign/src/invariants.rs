@@ -10,8 +10,7 @@
 //! oracle, Hive's exactly-once RPC accounting, and the internal consistency
 //! of the recovery report.
 
-use flash_core::FcMachine;
-use flash_core::RecMsg;
+use flash_core::{FcMachine, RecMsg, RunEnd};
 use flash_hive::{CompileTask, TaskState};
 use flash_machine::{FaultSpec, MachineState, ValidationReport};
 use flash_net::{NodeId, RouterId, UGraph};
@@ -89,8 +88,9 @@ impl GrayFacts {
 /// apply.
 #[derive(Clone, Debug)]
 pub struct RunContext {
-    /// Whether the run drained within its simulated-time budget.
-    pub finished: bool,
+    /// How the run's drive ended; the drain-dependent checks apply only
+    /// when it [finished](RunEnd::finished).
+    pub end: RunEnd,
     /// Whether a node-dooming fault fired. Detection is then guaranteed —
     /// by live traffic, a fail-fast assertion, or the machine's heartbeat
     /// audit — so recovery *must* have triggered.
@@ -113,11 +113,11 @@ pub fn check_all(m: &FcMachine, ctx: &RunContext) -> Vec<Violation> {
     let recovered = m.ext().report.completed() && !m.ext().report.machine_halted;
     if recovered {
         check_routing(m.st(), &mut v);
-        if ctx.finished {
+        if ctx.end.finished() {
             check_ownership(m.st(), &mut v);
         }
     }
-    if ctx.finished {
+    if ctx.end.finished() {
         check_versions(m.st(), &mut v);
     }
     if ctx.hive {
@@ -154,7 +154,7 @@ fn check_gray(
     let pure = !g.doomed_any && g.lossy_links == 0 && !g.link_faults;
 
     if !g.fail_slow.is_empty() {
-        if ctx.finished && !halted && ctx.required_progress > 0 {
+        if ctx.end.finished() && !halted && ctx.required_progress > 0 {
             for &n in &g.fail_slow {
                 let node = &st.nodes[n.index()];
                 if st.failed_nodes.contains(n) || !node.is_alive() {
@@ -174,7 +174,7 @@ fn check_gray(
         }
         if pure
             && g.degraded.is_empty()
-            && !ctx.finished
+            && !ctx.end.finished()
             && !halted
             && report.phases.triggered_at.is_none()
         {
@@ -186,7 +186,7 @@ fn check_gray(
     }
 
     let wrong_data = validation.marked_incoherent > 0 || !validation.corrupted.is_empty();
-    if !g.degraded.is_empty() && pure && ctx.finished && !halted && wrong_data {
+    if !g.degraded.is_empty() && pure && ctx.end.finished() && !halted && wrong_data {
         out.push(Violation::new(
             "degraded-no-wrong-data",
             format!(
@@ -197,7 +197,7 @@ fn check_gray(
         ));
     }
 
-    if g.lossy_links > 0 && !ctx.finished && !halted && report.phases.triggered_at.is_none() {
+    if g.lossy_links > 0 && !ctx.end.finished() && !halted && report.phases.triggered_at.is_none() {
         out.push(Violation::new(
             "lossy-liveness",
             "lossy link dropped packets and the run neither completed nor detected anything"
@@ -385,7 +385,7 @@ fn check_rpc(m: &FcMachine, ctx: &RunContext, out: &mut Vec<Violation>) {
             continue;
         };
         let audit = task.rpc_audit();
-        let slack = u64::from(!ctx.finished);
+        let slack = u64::from(!ctx.end.finished());
         if !audit.balanced(slack) {
             out.push(Violation::new(
                 "rpc-exactly-once",
@@ -410,7 +410,7 @@ fn check_rpc(m: &FcMachine, ctx: &RunContext, out: &mut Vec<Violation>) {
 /// (ordered phase times, a resumed survivor, a complete trigger wave).
 fn check_report(m: &FcMachine, ctx: &RunContext, out: &mut Vec<Violation>) {
     let report = &m.ext().report;
-    if !ctx.finished || report.machine_halted {
+    if !ctx.end.finished() || report.machine_halted {
         return;
     }
     if ctx.detectable_fault_fired && report.phases.triggered_at.is_none() {

@@ -19,12 +19,19 @@
 //! * **A parallel campaign runner** ([`run_campaign`]): runs fan out across
 //!   worker threads through a shared work counter; per-run seeds are pure
 //!   functions of the master seed and run index, so the campaign's outcome
-//!   is identical whatever the worker count.
+//!   is identical whatever the worker count. Each [`RunRecord`] carries
+//!   the run's [`flash_core::RunEnd`], decided by the shared lifecycle for
+//!   all three modes; the invariant stack reads it through [`RunContext`].
 //! * **Failure triage** ([`triage`]): replay any failure from its seed,
 //!   shrink the schedule greedily (drop events, advance injection points,
 //!   split multi-faults) while the violation persists, and dump a JSON
-//!   post-mortem — violations, original and minimal schedules, and the
-//!   machine's trace buffer — under `target/campaign/`.
+//!   post-mortem — run end, violations, original and minimal schedules,
+//!   and the machine's trace buffer — under `target/campaign/`.
+//!
+//! The `campaign` example is the one front end: `--mix chaos|gray|kv` or
+//! `--sabotage` picks a named schedule mix, and it prints the verdict
+//! sheet, the run-end counts and (for `kv`) the SLO sheet, and exits
+//! nonzero on a failed gate.
 //!
 //! # Examples
 //!
@@ -189,6 +196,8 @@ mod tests {
         assert!(!t.shrunk_record.passed());
         let json = post_mortem_json(&t);
         assert!(json.contains("\"reproduced\": true"), "{json}");
+        assert_eq!(r.end, flash_core::RunEnd::Settled);
+        assert!(json.contains("\"end\": \"settled\""), "{json}");
         assert!(json.contains("shrunk_schedule"), "{json}");
     }
 

@@ -22,7 +22,7 @@ use crate::schedule::{generate, GeneratorConfig, Mode, Schedule};
 use flash_coherence::{LineAddr, NodeSet, PageAddr};
 use flash_core::{
     all_terminal, drive, prepare_fault_experiment, run_indexed, run_slices, run_to_quiescence,
-    warm_until, DriveExit, ExperimentConfig, FcMachine, Harness, RecoveryConfig, DRIVE_SLICE,
+    warm_until, ExperimentConfig, FcMachine, Harness, RecoveryConfig, RunEnd, DRIVE_SLICE,
     OS_WINDOW_RECOVERY, SETTLE,
 };
 use flash_hive::{os, prepare_parallel_make, CellLayout, HiveConfig, TaskState};
@@ -64,7 +64,10 @@ pub struct RunRecord {
     pub schedule: Schedule,
     /// Invariant violations found on the final state (empty = pass).
     pub violations: Vec<Violation>,
-    /// Whether the run reached a terminal state within its budget.
+    /// How the run's drive ended.
+    pub end: RunEnd,
+    /// `end.finished()`. It remains because the benchmark adapter
+    /// (`perfbench/src/workloads.rs`) reads it.
     pub finished: bool,
     /// Final simulated time, ns.
     pub end_time_ns: u64,
@@ -115,7 +118,7 @@ pub fn run_schedule(s: &Schedule) -> RunRecord {
 fn finalize(
     m: &FcMachine,
     s: &Schedule,
-    finished: bool,
+    end: RunEnd,
     inj: &Injector,
     extra: Vec<Violation>,
 ) -> RunRecord {
@@ -137,7 +140,7 @@ fn finalize(
         _ => None,
     };
     let ctx = RunContext {
-        finished,
+        end,
         detectable_fault_fired: inj.detectable,
         hive: s.mode == Mode::Hive,
         required_progress: if s.mode == Mode::Machine {
@@ -165,7 +168,8 @@ fn finalize(
     RunRecord {
         schedule: s.clone(),
         violations,
-        finished,
+        end,
+        finished: end.finished(),
         end_time_ns: m.now().as_nanos(),
         restarts: m.ext().report.restarts,
         phase_hits: inj.phase_hits,
@@ -212,8 +216,8 @@ fn run_machine_schedule(s: &Schedule) -> RunRecord {
         }
     }
     let mut inj = Injector::new(s, &mut m, None);
-    let finished = run_to_quiescence(&mut m, &mut inj);
-    finalize(&m, s, finished, &inj, Vec::new())
+    let end = run_to_quiescence(&mut m, &mut inj);
+    finalize(&m, s, end, &inj, Vec::new())
 }
 
 /// Warms a celled harness until any of `nodes` (one compile or shard each,
@@ -255,7 +259,7 @@ fn run_hive_schedule(s: &Schedule) -> RunRecord {
     let mut prep = prepare_parallel_make(params, &hive, RecoveryConfig::default(), s.seed);
     let (clients, layout) = (prep.client_nodes().to_vec(), prep.layout().clone());
     let mut inj = warm_and_arm(s, &mut prep, &clients, hive.ops_per_task(), &layout);
-    let finished = drive(&mut prep, &mut inj) != DriveExit::OutOfBudget;
+    let end = drive(&mut prep, &mut inj);
 
     // OS recovery pass. Each OS-window fault gets to be detected and
     // recovered before the pass resumes.
@@ -283,7 +287,7 @@ fn run_hive_schedule(s: &Schedule) -> RunRecord {
     // cell must have completed.
     let mut extra = Vec::new();
     let report = &prep.machine().ext().report;
-    if finished && report.completed() && !report.machine_halted {
+    if end.finished() && report.completed() && !report.machine_halted {
         for c in prep.compiles() {
             if !c.affected && c.state != TaskState::Completed {
                 extra.push(Violation {
@@ -296,7 +300,7 @@ fn run_hive_schedule(s: &Schedule) -> RunRecord {
             }
         }
     }
-    finalize(prep.machine(), s, finished, &inj, extra)
+    finalize(prep.machine(), s, end, &inj, extra)
 }
 
 /// KV serving mode: replicated KV shards under open-loop traffic, injected
@@ -310,20 +314,8 @@ fn run_kv_schedule(s: &Schedule) -> RunRecord {
     let mut prep = prepare_kv_serving(params, &kv, RecoveryConfig::default(), s.seed);
     let (shards, layout) = (prep.shard_nodes().to_vec(), prep.layout().clone());
     let mut inj = warm_and_arm(s, &mut prep, &shards, kv.requests_per_shard, &layout);
-    let finished = match drive(&mut prep, &mut inj) {
-        DriveExit::Settled => true,
-        DriveExit::OutOfBudget => false,
-        // A drained machine whose triggered recovery never completed is a
-        // wedged fault cascade (recovery messages lost over dead links),
-        // not a finished run — leave `finished` false so the
-        // drain-dependent checks don't judge a machine that never came
-        // back.
-        DriveExit::Drained => {
-            let report = &prep.machine().ext().report;
-            report.machine_halted || report.phases.triggered_at.is_none() || report.completed()
-        }
-    };
-    let outcome = prep.collect(finished, inj.detectable);
+    let end = drive(&mut prep, &mut inj);
+    let outcome = prep.collect(end.finished(), inj.detectable);
     let extra = outcome
         .checks
         .into_iter()
@@ -332,7 +324,7 @@ fn run_kv_schedule(s: &Schedule) -> RunRecord {
             details: c.details,
         })
         .collect();
-    let mut record = finalize(prep.machine(), s, finished, &inj, extra);
+    let mut record = finalize(prep.machine(), s, end, &inj, extra);
     record.kv = Some(outcome.stats);
     record
 }

@@ -146,8 +146,9 @@ fn violations_json(record: &RunRecord) -> String {
     format!("[{}]", items.join(","))
 }
 
-/// Renders the full post-mortem JSON document, including the flight
-/// recorder's event tail and the metrics snapshot of the shrunk run.
+/// Renders the full post-mortem JSON document: the failing run's end and
+/// violations, both schedules, and the flight recorder's event tail and
+/// metrics snapshot of the shrunk run.
 pub fn post_mortem_json(report: &TriageReport) -> String {
     let rec = &report.shrunk_record;
     let tail = if rec.trace_tail_json.is_empty() {
@@ -161,11 +162,13 @@ pub fn post_mortem_json(report: &TriageReport) -> String {
         &rec.metrics_json
     };
     format!(
-        "{{\n  \"seed\": {},\n  \"reproduced\": {},\n  \"violations\": {},\n  \
-         \"schedule\": {},\n  \"shrunk_schedule\": {},\n  \"shrunk_violations\": {},\n  \
-         \"probe_runs\": {},\n  \"trace_hash\": {},\n  \"trace_dropped\": {},\n  \
-         \"trace_tail\": {},\n  \"metrics\": {},\n  \"trace\": \"{}\"\n}}\n",
+        "{{\n  \"seed\": {},\n  \"end\": \"{}\",\n  \"reproduced\": {},\n  \
+         \"violations\": {},\n  \"schedule\": {},\n  \"shrunk_schedule\": {},\n  \
+         \"shrunk_violations\": {},\n  \"probe_runs\": {},\n  \"trace_hash\": {},\n  \
+         \"trace_dropped\": {},\n  \"trace_tail\": {},\n  \"metrics\": {},\n  \
+         \"trace\": \"{}\"\n}}\n",
         report.original.schedule.seed,
+        report.original.end.as_str(),
         report.reproduced,
         violations_json(&report.original),
         report.original.schedule.to_json(),

@@ -73,7 +73,9 @@ pub struct ExperimentOutcome {
     pub bus_errors: u64,
     /// Final simulated time.
     pub end_time: SimTime,
-    /// Whether the experiment ran to quiescence within its budget.
+    /// Whether the run ended finished ([`crate::RunEnd::finished`]). It
+    /// stays a bool, set from the run end, because the benchmark adapter
+    /// (`perfbench/src/adapter.rs`) builds this struct with a literal.
     pub finished: bool,
     /// Trace records evicted from the bounded recorder rings during the run
     /// (0 means the captured trace is complete).
@@ -146,7 +148,7 @@ pub fn finish_fault_experiment(mut m: FcMachine, fault: FaultSpec) -> Experiment
     m.schedule_fault(inject_at, fault);
 
     // Phase C: run to quiescence (workload completion + recovery + drain).
-    let finished = run_to_quiescence(&mut m, &mut true);
+    let finished = run_to_quiescence(&mut m, &mut true).finished();
 
     ExperimentOutcome {
         validation: m.st().validate(),

@@ -52,7 +52,7 @@ pub use experiment::{
 pub use ext::{RecEv, RecoveryExt, Step};
 pub use lifecycle::{
     all_terminal, drive, run_indexed, run_slices, run_to_quiescence, total_progress, warm_until,
-    DriveExit, Faults, Harness, ARM_STEP, DETECT_WAIT, DRIVE_SLICE, OS_WINDOW_RECOVERY, RUN_BUDGET,
+    Faults, Harness, RunEnd, ARM_STEP, DETECT_WAIT, DRIVE_SLICE, OS_WINDOW_RECOVERY, RUN_BUDGET,
     SETTLE,
 };
 pub use msg::{BarrierId, RecMsg};

@@ -13,6 +13,8 @@
 //!   [`RUN_BUDGET`] runs out;
 //! * [`run_to_quiescence`] is the validation experiment's drive: short
 //!   steps while faults wait to be armed, then one run to the horizon;
+//! * both drives return the run's [`RunEnd`], decided in one place from
+//!   how the loop stopped and the recovery report at that moment;
 //! * [`run_slices`] is the bounded slice loop behind [`warm_until`] and
 //!   the Hive campaign's OS recovery window;
 //! * [`run_indexed`] fans independent runs (campaign runs, sweep groups)
@@ -22,6 +24,7 @@
 //! recovery-phase entry is timed from the end of the slice that observed
 //! the entry, so a different slice moves every such fault.
 
+use crate::config::RecoveryReport;
 use crate::experiment::FcMachine;
 use flash_machine::ProcState;
 use flash_net::NodeId;
@@ -92,15 +95,65 @@ impl Faults for bool {
     }
 }
 
-/// Why [`drive`] stopped.
+/// How a run ended: the one answer every harness gives to "did this run
+/// finish?".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DriveExit {
+pub enum RunEnd {
+    /// The workload and recovery settled, or the machine drained with no
+    /// triggered recovery left incomplete.
+    Settled,
+    /// The machine halted (the whole-machine shutdown heuristic fired)
+    /// before the drive stopped.
+    Halted,
+    /// The machine drained while a triggered recovery never completed and
+    /// the machine did not halt: a wedged fault cascade, e.g. recovery
+    /// messages lost over dead links.
+    Wedged,
+    /// [`RUN_BUDGET`] ran out.
+    OutOfBudget,
+}
+
+impl RunEnd {
+    /// Whether the run reached a terminal state: [`RunEnd::Settled`] or
+    /// [`RunEnd::Halted`].
+    pub fn finished(self) -> bool {
+        matches!(self, RunEnd::Settled | RunEnd::Halted)
+    }
+
+    /// Stable string tag (result sheets, JSON).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            RunEnd::Settled => "settled",
+            RunEnd::Halted => "halted",
+            RunEnd::Wedged => "wedged",
+            RunEnd::OutOfBudget => "out_of_budget",
+        }
+    }
+}
+
+/// Why a drive loop stopped, before the recovery report is read.
+#[derive(Clone, Copy, Debug)]
+enum Stop {
     /// The workload and recovery settled and every fault fired.
     Settled,
     /// The event queue drained first.
     Drained,
     /// [`RUN_BUDGET`] ran out.
-    OutOfBudget,
+    Budget,
+}
+
+/// The one place a run end is decided: the loop's stop, read against the
+/// recovery report at that moment. A settled stop is always finished, even
+/// when [`DETECT_WAIT`] ran out with recovery incomplete; only a drain can
+/// wedge.
+fn run_end(stop: Stop, report: &RecoveryReport) -> RunEnd {
+    let incomplete = report.phases.triggered_at.is_some() && !report.completed();
+    match stop {
+        Stop::Budget => RunEnd::OutOfBudget,
+        _ if report.machine_halted => RunEnd::Halted,
+        Stop::Drained if incomplete => RunEnd::Wedged,
+        _ => RunEnd::Settled,
+    }
 }
 
 /// How many `slice`s fit in `limit`.
@@ -143,7 +196,7 @@ pub fn warm_until(
 /// post-recovery pass), then stop when the workload is done, recovery is
 /// idle and every fault has fired, unless a fired fault still awaits
 /// detection (up to [`DETECT_WAIT`]); or stop when the machine drained.
-pub fn drive(h: &mut impl Harness, faults: &mut impl Faults) -> DriveExit {
+pub fn drive(h: &mut impl Harness, faults: &mut impl Faults) -> RunEnd {
     let mut detect_wait = slices(DETECT_WAIT, DRIVE_SLICE);
     for _ in 0..slices(RUN_BUDGET, DRIVE_SLICE) {
         faults.arm(h.machine_mut());
@@ -161,32 +214,34 @@ pub fn drive(h: &mut impl Harness, faults: &mut impl Faults) -> DriveExit {
                 detect_wait -= 1;
                 continue;
             }
-            return DriveExit::Settled;
+            return run_end(Stop::Settled, &m.ext().report);
         }
         if out == RunOutcome::Drained {
-            return DriveExit::Drained;
+            return run_end(Stop::Drained, &m.ext().report);
         }
     }
-    DriveExit::OutOfBudget
+    run_end(Stop::Budget, &h.machine().ext().report)
 }
 
 /// Runs a warm validation machine to quiescence within [`RUN_BUDGET`]:
 /// [`ARM_STEP`] steps while `faults` has faults left to arm, then one run
-/// to the horizon. Returns whether the machine drained.
-pub fn run_to_quiescence(m: &mut FcMachine, faults: &mut impl Faults) -> bool {
+/// to the horizon. Only a drain ends the run within budget.
+pub fn run_to_quiescence(m: &mut FcMachine, faults: &mut impl Faults) -> RunEnd {
     let horizon = m.now() + RUN_BUDGET;
-    loop {
+    let stop = loop {
         faults.arm(m);
         if !faults.pending() {
-            return m.run_until(horizon) == RunOutcome::Drained;
+            let drained = m.run_until(horizon) == RunOutcome::Drained;
+            break if drained { Stop::Drained } else { Stop::Budget };
         }
         if m.run_for(ARM_STEP) == RunOutcome::Drained {
-            return true;
+            break Stop::Drained;
         }
         if m.now() >= horizon {
-            return false;
+            break Stop::Budget;
         }
-    }
+    };
+    run_end(stop, &m.ext().report)
 }
 
 /// Whether every node in `nodes` is dead or its processor stopped (halted
@@ -231,4 +286,69 @@ pub fn run_indexed<R: Send>(workers: usize, n: usize, run: impl Fn(usize) -> R +
                 .expect("every index ran")
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flash_sim::SimTime;
+
+    /// Every (stop, triggered, completed, halted) row of the classifier,
+    /// with the run end it must give.
+    #[test]
+    fn run_end_table_matches_the_kv_campaign_rule() {
+        use RunEnd::*;
+        #[rustfmt::skip]
+        let rows = [
+            // stop           triggered completed halted  end
+            (Stop::Settled, false, false, false, Settled),
+            (Stop::Settled, false, false, true,  Halted),
+            (Stop::Settled, false, true,  false, Settled),
+            (Stop::Settled, false, true,  true,  Halted),
+            (Stop::Settled, true,  false, false, Settled),
+            (Stop::Settled, true,  false, true,  Halted),
+            (Stop::Settled, true,  true,  false, Settled),
+            (Stop::Settled, true,  true,  true,  Halted),
+            (Stop::Drained, false, false, false, Settled),
+            (Stop::Drained, false, false, true,  Halted),
+            (Stop::Drained, false, true,  false, Settled),
+            (Stop::Drained, false, true,  true,  Halted),
+            (Stop::Drained, true,  false, false, Wedged),
+            (Stop::Drained, true,  false, true,  Halted),
+            (Stop::Drained, true,  true,  false, Settled),
+            (Stop::Drained, true,  true,  true,  Halted),
+            (Stop::Budget,  false, false, false, OutOfBudget),
+            (Stop::Budget,  false, false, true,  OutOfBudget),
+            (Stop::Budget,  false, true,  false, OutOfBudget),
+            (Stop::Budget,  false, true,  true,  OutOfBudget),
+            (Stop::Budget,  true,  false, false, OutOfBudget),
+            (Stop::Budget,  true,  false, true,  OutOfBudget),
+            (Stop::Budget,  true,  true,  false, OutOfBudget),
+            (Stop::Budget,  true,  true,  true,  OutOfBudget),
+        ];
+        // The KV campaign mode's rule before `RunEnd`: a settled drive
+        // finished, an exhausted budget did not, and a drain finished only
+        // if the machine halted, recovery never triggered, or it completed.
+        let kv_rule = |stop, triggered: bool, completed: bool, halted: bool| match stop {
+            Stop::Settled => true,
+            Stop::Budget => false,
+            Stop::Drained => halted || !triggered || completed,
+        };
+        let at = Some(SimTime::from_nanos(1));
+        for (stop, triggered, completed, halted, end) in rows {
+            let mut report = RecoveryReport {
+                machine_halted: halted,
+                ..RecoveryReport::default()
+            };
+            report.phases.triggered_at = at.filter(|_| triggered);
+            report.phases.p4_done = at.filter(|_| completed);
+            let row = (stop, triggered, completed, halted);
+            assert_eq!(run_end(stop, &report), end, "{row:?}");
+            assert_eq!(
+                end.finished(),
+                kv_rule(stop, triggered, completed, halted),
+                "{row:?}"
+            );
+        }
+    }
 }

@@ -2,7 +2,7 @@
 
 use flash_core::{
     build_machine, run_fault_experiment, run_to_quiescence, ExperimentConfig, FaultKind,
-    RecoveryConfig,
+    RecoveryConfig, RunEnd,
 };
 use flash_machine::{FaultSpec, MachineParams, OpResult, ProcOp, Script};
 use flash_magic::BusError;
@@ -151,7 +151,7 @@ fn unresolved_saved_read_counts_as_a_machine_bus_error() {
     // Node 1 issues at 1 ns; its request is still in the fabric when the
     // device node fails.
     m.schedule_fault(SimTime::from_nanos(2), FaultSpec::Node(dev));
-    assert!(run_to_quiescence(&mut m, &mut true), "machine quiesced");
+    assert_eq!(run_to_quiescence(&mut m, &mut true), RunEnd::Settled);
     assert!(m.ext().report.completed(), "{:?}", m.ext().report);
     let script = m.st().nodes[1]
         .workload

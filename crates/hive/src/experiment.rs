@@ -6,7 +6,7 @@ use crate::cells::CellLayout;
 use crate::os::{self, HiveConfig};
 use crate::task::{CompileTask, ServerLoop, TaskState};
 use flash_core::{
-    all_terminal, build_machine, drive, total_progress, warm_until, DriveExit, FcMachine, Harness,
+    all_terminal, build_machine, drive, total_progress, warm_until, FcMachine, Harness,
     RecoveryConfig, RecoveryReport, DRIVE_SLICE,
 };
 use flash_machine::{FaultSpec, Idle, MachineParams};
@@ -38,7 +38,7 @@ pub struct EndToEndOutcome {
     pub os_time: SimDuration,
     /// Incoherent lines reinitialized by the OS page service.
     pub lines_reinitialized: u64,
-    /// Whether the run reached a terminal state within its budget.
+    /// Whether the drive ended finished ([`flash_core::RunEnd::finished`]).
     pub finished: bool,
     /// FNV-1a hash of the merged structured trace at the end of the run
     /// ([`flash_obs::Recorder::merged_hash`]): the fork-determinism witness
@@ -243,7 +243,7 @@ pub fn finish_parallel_make(mut prep: PreparedMake, fault: Option<FaultSpec>) ->
     // Run until every compile reaches a terminal state and, after a fault,
     // until the background kernel monitoring detected it and recovery
     // completed (see `drive` for the limits).
-    let finished = drive(&mut prep, &mut { faulted }) != DriveExit::OutOfBudget;
+    let finished = drive(&mut prep, &mut { faulted }).finished();
 
     // OS recovery (Section 4.6): page reinitialization + modeled cost.
     let failed_cells = os::record_failed_cells(&mut prep.m, &prep.layout);

@@ -18,7 +18,7 @@ use crate::placement::{ChunkDirectory, RepairSummary};
 use crate::shard::KvShard;
 use flash_coherence::{LineAddr, NodeSet, LINES_PER_PAGE};
 use flash_core::{
-    all_terminal, build_machine, drive, total_progress, warm_until, DriveExit, FcMachine, Harness,
+    all_terminal, build_machine, drive, total_progress, warm_until, FcMachine, Harness,
     RecoveryConfig, RecoveryReport, DRIVE_SLICE,
 };
 use flash_hive::{os, CellLayout};
@@ -101,7 +101,7 @@ pub struct KvOutcome {
     pub os_time: SimDuration,
     /// Incoherent lines reinitialized by the OS page service.
     pub lines_reinitialized: u64,
-    /// Whether the run reached a terminal state within its budget.
+    /// Whether the drive ended finished ([`flash_core::RunEnd::finished`]).
     pub finished: bool,
     /// FNV-1a hash of the merged structured trace (fork-determinism
     /// witness).
@@ -514,7 +514,7 @@ pub fn finish_kv_serving(mut prep: PreparedKv, fault: Option<FaultSpec>) -> KvOu
         let at = prep.m.now() + SimDuration::from_nanos(1);
         prep.m.schedule_fault(at, spec);
     }
-    let finished = drive(&mut prep, &mut { faulted }) != DriveExit::OutOfBudget;
+    let finished = drive(&mut prep, &mut { faulted }).finished();
     prep.collect(finished, faulted)
 }
 

@@ -34,7 +34,7 @@ use flash::campaign::{
 use flash::core::{
     build_machine, finish_fault_experiment, prepare_fault_experiment, random_fault,
     run_fault_experiment, run_to_quiescence, warm_until, ExperimentConfig, FaultKind, FcMachine,
-    RecoveryConfig, RecoveryReport,
+    RecoveryConfig, RecoveryReport, RunEnd,
 };
 use flash::machine::{FaultSpec, MachineParams, RandomFill};
 use flash::net::NodeId;
@@ -214,7 +214,7 @@ fn full_trace_run(cfg: ExperimentConfig, fault: FaultSpec) -> FcMachine {
             .all(|n| n.workload.progress() >= cfg.fill_ops)
     });
     m.schedule_fault(m.now() + SimDuration::from_nanos(1), fault);
-    assert!(run_to_quiescence(&mut m, &mut true), "did not drain");
+    assert_eq!(run_to_quiescence(&mut m, &mut true), RunEnd::Settled);
     assert!(m.ext().report.completed(), "{:?}", m.ext().report);
     let validation = m.st().validate();
     assert!(validation.passed(), "{validation}");
