@@ -9,7 +9,10 @@
 //!   of same-instant events) and under a far-horizon pattern (large deltas
 //!   that exercise the overflow path);
 //! * `fabric_hop/*` — a standalone [`flash_net::Fabric`] pushed through a
-//!   sustained ping-of-packets workload, table-routed and source-routed;
+//!   sustained ping-of-packets workload: a 4x4 mesh's corner-to-corner run,
+//!   table-routed and source-routed, and uniform traffic on the 16x8 mesh
+//!   of the 128-node machine with 896 packets in flight, more than the
+//!   L1 data cache holds;
 //! * `directory_handle/*` — one home's [`flash_coherence::Directory`]
 //!   alone on a 128-node machine, fed the messages of three protocol paths
 //!   (an event there is one handled message);
@@ -75,10 +78,15 @@ fn queue_churn(max_delta: u64) -> u64 {
     ops
 }
 
-/// A minimal world that owns a fabric and keeps `in_flight` packets moving
-/// from node 0 to the far corner of a mesh, re-injecting on every delivery.
+/// A minimal world that owns a fabric and keeps a fixed population of
+/// packets moving: every delivery re-injects a packet from the delivered
+/// packet's source, so each node keeps the packets it started with in
+/// flight.
 struct FabricWorld {
     fab: Fabric<u64>,
+    // Destinations of the uniform-traffic case, drawn per packet; `None`
+    // sends every packet to node 15.
+    uniform: Option<DetRng>,
     source_hops: Option<Vec<RouterId>>,
     delivered: u64,
     target: u64,
@@ -90,25 +98,31 @@ struct FabricWorld {
 }
 
 impl FabricWorld {
-    fn make_packet(&self) -> Packet<u64> {
-        let dst = NodeId(15);
+    fn make_packet(&mut self, src: NodeId) -> Packet<u64> {
+        let dst = match &mut self.uniform {
+            None => NodeId(15),
+            Some(rng) => {
+                // Any node but the sender.
+                let n = self.fab.num_nodes() as u64;
+                NodeId(((u64::from(src.0) + 1 + rng.below(n - 1)) % n) as u16)
+            }
+        };
         match &self.source_hops {
-            None => Packet::table_routed(NodeId(0), dst, Lane::Request, 9, self.delivered),
-            Some(hops) => Packet::source_routed(
-                NodeId(0),
-                dst,
-                hops.clone(),
-                Lane::Recovery0,
-                9,
-                self.delivered,
-            ),
+            None => Packet::table_routed(src, dst, Lane::Request, 9, self.delivered),
+            Some(hops) => {
+                Packet::source_routed(src, dst, hops.clone(), Lane::Recovery0, 9, self.delivered)
+            }
         }
     }
 
-    /// Injects one packet from node 0, collecting kick-off events into `evs`.
-    fn inject(&mut self, now: SimTime, evs: &mut Vec<(SimDuration, NetEv)>) {
-        let pkt = self.make_packet();
-        let _ = self.fab.try_send(NodeId(0), pkt, now, evs, &mut self.obs);
+    /// Injects one packet from `src`, collecting kick-off events into
+    /// `evs`. A source never has more than seven 9-flit packets out, so
+    /// its 64-flit injection queue always has room.
+    fn inject(&mut self, src: NodeId, now: SimTime, evs: &mut Vec<(SimDuration, NetEv)>) {
+        let pkt = self.make_packet(src);
+        self.fab
+            .try_send(src, pkt, now, evs, &mut self.obs)
+            .expect("injection queue has room");
     }
 }
 
@@ -126,13 +140,13 @@ impl World for FabricWorld {
         }
         self.out = out;
         for note in notes.drain(..) {
-            let _ = self.fab.pop_input(note.node, note.lane);
+            let pkt = self.fab.pop_input(note.node, note.lane).expect("delivered");
             self.delivered += 1;
             if self.delivered >= self.target {
                 sched.request_stop();
             } else {
                 let mut evs = std::mem::take(&mut self.out);
-                self.inject(sched.now(), &mut evs);
+                self.inject(pkt.src, sched.now(), &mut evs);
                 for (d, e) in evs.drain(..) {
                     sched.after(d, e);
                 }
@@ -143,9 +157,9 @@ impl World for FabricWorld {
     }
 }
 
-/// Runs `deliveries` packets across a 4x4 mesh; returns engine events.
+/// Runs `deliveries` packets from node 0 to node 15 across a 4x4 mesh,
+/// four in flight; returns engine events.
 fn fabric_events(source_routed: bool, deliveries: u64) -> u64 {
-    let fab: Fabric<u64> = Fabric::new(&Mesh2D::new(4, 4), NetParams::default());
     // Node i attaches to router i; walk row 0 then column 3 to reach n15.
     let source_hops = source_routed.then(|| {
         [1u16, 2, 3, 7, 11, 15]
@@ -153,8 +167,31 @@ fn fabric_events(source_routed: bool, deliveries: u64) -> u64 {
             .map(|&r| RouterId(r))
             .collect()
     });
+    run_fabric(Mesh2D::new(4, 4), None, source_hops, &[0; 4], deliveries)
+}
+
+/// Runs `deliveries` table-routed packets between uniformly drawn nodes of
+/// the 128-node machine's 16x8 mesh, seven in flight from every node;
+/// returns engine events.
+fn fabric_uniform_events(deliveries: u64) -> u64 {
+    let sources: Vec<u16> = (0..128).flat_map(|n| [n; 7]).collect();
+    let rng = DetRng::new(0x16_08);
+    run_fabric(Mesh2D::new(16, 8), Some(rng), None, &sources, deliveries)
+}
+
+/// Injects one packet from each node in `sources` at time zero, then runs
+/// the fabric until it has delivered `deliveries` packets; returns engine
+/// events.
+fn run_fabric(
+    mesh: Mesh2D,
+    uniform: Option<DetRng>,
+    source_hops: Option<Vec<RouterId>>,
+    sources: &[u16],
+    deliveries: u64,
+) -> u64 {
     let mut world = FabricWorld {
-        fab,
+        fab: Fabric::new(&mesh, NetParams::default()),
+        uniform,
         source_hops,
         delivered: 0,
         target: deliveries,
@@ -164,8 +201,8 @@ fn fabric_events(source_routed: bool, deliveries: u64) -> u64 {
     };
     let mut engine: Engine<NetEv> = Engine::new();
     let mut evs = Vec::new();
-    for _ in 0..4 {
-        world.inject(SimTime::ZERO, &mut evs);
+    for &src in sources {
+        world.inject(NodeId(src), SimTime::ZERO, &mut evs);
     }
     for (d, e) in evs {
         engine.schedule_at(SimTime::ZERO + d, e);
@@ -331,11 +368,14 @@ fn main() {
     ];
     let reproduces = "host-side simulator throughput (not a paper result)";
     let mut sheet = ResultSheet::new("sim_speed", reproduces, &columns);
-    let cases: [Case<u64>; 7] = [
+    let cases: [Case<u64>; 8] = [
         ("queue_push_pop/near_horizon_200k", || queue_churn(64)),
         ("queue_push_pop/far_horizon_200k", || queue_churn(1_000_000)),
         ("fabric_hop/mesh4x4_table", || fabric_events(false, 20_000)),
         ("fabric_hop/mesh4x4_source", || fabric_events(true, 20_000)),
+        ("fabric_hop/mesh16x8_table", || {
+            fabric_uniform_events(40_000)
+        }),
         (
             "directory_handle/get_joins_shared_128",
             dir_get_joins_shared,

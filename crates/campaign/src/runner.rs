@@ -373,8 +373,6 @@ pub struct CampaignReport {
     pub os_recovery_hits: u64,
     /// Host wall-clock seconds the campaign took.
     pub host_secs: f64,
-    /// Worker threads used.
-    pub workers: usize,
 }
 
 impl CampaignReport {
@@ -402,8 +400,7 @@ pub fn per_run_seed(master_seed: u64, i: u64) -> u64 {
 /// worker count.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let start = std::time::Instant::now();
-    let workers = cfg.workers.max(1);
-    let records = run_indexed(workers, cfg.runs as usize, |i| {
+    let records = run_indexed(cfg.workers, cfg.runs as usize, |i| {
         run_schedule(&generate(
             per_run_seed(cfg.master_seed, i as u64),
             &cfg.generator,
@@ -422,6 +419,5 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         phase_hits,
         os_recovery_hits,
         host_secs: start.elapsed().as_secs_f64(),
-        workers,
     }
 }

@@ -109,6 +109,9 @@ pub enum RecEv {
     },
 }
 
+// Every pending event and overflow-heap entry pays this size.
+const _: () = assert!(std::mem::size_of::<Ev<RecEv>>() <= 24);
+
 /// A charged computation step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {

@@ -136,7 +136,8 @@ impl<X: Extension> MachineWorld<X> {
                     // later it halts for good.
                     self.ext
                         .on_trigger(&mut self.st, *n, Trigger::AssertionFailure, sched);
-                    sched.after(SimDuration::from_micros(1), Ev::Fault(FaultSpec::Node(*n)));
+                    let halt = Box::new(FaultSpec::Node(*n));
+                    sched.after(SimDuration::from_micros(1), Ev::Fault(halt));
                 }
                 _ => {}
             }
@@ -146,7 +147,7 @@ impl<X: Extension> MachineWorld<X> {
         // (workload drained, or every trigger was swallowed by a dead
         // controller), the peers' periodic MAGIC-to-MAGIC pings notice the
         // failure within one heartbeat period (Section 4.2).
-        let victims: Vec<u16> = spec.doomed_nodes().iter().map(|n| n.0).collect();
+        let victims: Box<[u16]> = spec.doomed_nodes().iter().map(|n| n.0).collect();
         if !victims.is_empty() {
             let period = SimDuration::from_nanos(self.st.params.magic.heartbeat_timeout_ns.max(1));
             sched.after(period, Ev::Heartbeat { victims });

@@ -86,15 +86,16 @@ pub enum Ev<E> {
         /// Lane index to pump.
         lane: u8,
     },
-    /// Inject a fault.
-    Fault(FaultSpec),
+    /// Inject a fault. Boxed, like [`Ev::Heartbeat`]'s victims: the two
+    /// rare variants would otherwise widen every queued event.
+    Fault(Box<FaultSpec>),
     /// Heartbeat audit, armed one heartbeat period after a fault dooms
     /// nodes: if any victim's failure is still unnoticed by the extension,
     /// a surviving controller raises [`Trigger::HeartbeatTimeout`] and the
     /// audit re-arms for the next period.
     Heartbeat {
         /// The doomed nodes the audit watches.
-        victims: Vec<u16>,
+        victims: Box<[u16]>,
     },
     /// Route a hardware trigger to the extension on the next dispatch.
     TriggerNow {
@@ -526,7 +527,7 @@ impl<X: Extension> Machine<X> {
 
     /// Schedules a fault at an absolute time.
     pub fn schedule_fault(&mut self, at: SimTime, spec: FaultSpec) {
-        self.engine.schedule_at(at, Ev::Fault(spec));
+        self.engine.schedule_at(at, Ev::Fault(Box::new(spec)));
     }
 
     /// Read access to the machine state.

@@ -138,7 +138,7 @@ impl<X: Extension> World for MachineWorld<X> {
                 }
             }
             Ev::Pump { node, lane } => self.pump(node, lane, sched),
-            Ev::Fault(spec) => self.handle_fault(spec, sched),
+            Ev::Fault(spec) => self.handle_fault(*spec, sched),
             Ev::Heartbeat { victims } => {
                 // A victim whose failure every live node's view still misses
                 // has gone undetected: a surviving controller's missed-

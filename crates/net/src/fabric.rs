@@ -171,16 +171,65 @@ struct Transit {
     target: Target,
 }
 
+/// Every packet inside the fabric, from injection until a node pops it or
+/// the fabric drops it. Queues hold 4-byte handles into it, so a hop moves
+/// a handle and the packet itself stays put.
 #[derive(Clone, Debug)]
-struct OutQueue<P> {
-    q: VecDeque<Packet<P>>,
+struct Arena<P> {
+    slots: Vec<Option<Packet<P>>>,
+    free: Vec<u32>,
+}
+
+impl<P> Arena<P> {
+    fn put(&mut self, pkt: Packet<P>) -> u32 {
+        match self.free.pop() {
+            Some(h) => {
+                self.slots[h as usize] = Some(pkt);
+                h
+            }
+            None => {
+                let h = u32::try_from(self.slots.len()).expect("under 2^32 packets in flight");
+                self.slots.push(Some(pkt));
+                h
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, h: u32) -> &Packet<P> {
+        self.slots[h as usize].as_ref().expect("live packet handle")
+    }
+
+    #[inline]
+    fn get_mut(&mut self, h: u32) -> &mut Packet<P> {
+        self.slots[h as usize].as_mut().expect("live packet handle")
+    }
+
+    /// Removes a packet from the fabric, freeing its slot: the one exit of
+    /// every delivery and every discard.
+    fn take(&mut self, h: u32) -> Packet<P> {
+        let pkt = self.slots[h as usize].take().expect("live packet handle");
+        self.free.push(h);
+        pkt
+    }
+
+    /// Slots holding a packet.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.slots.iter().filter(|s| s.is_some()).count()
+    }
+}
+
+#[derive(Clone, Debug)]
+struct OutQueue {
+    q: VecDeque<u32>,
     flits: u32,
     reserved: u32,
     in_transit: Option<Transit>,
     head_since: SimTime,
 }
 
-impl<P> OutQueue<P> {
+impl OutQueue {
     fn new() -> Self {
         OutQueue {
             q: VecDeque::new(),
@@ -197,14 +246,14 @@ impl<P> OutQueue<P> {
 }
 
 #[derive(Clone, Debug)]
-struct InQueue<P> {
-    q: VecDeque<Packet<P>>,
+struct InQueue {
+    q: VecDeque<u32>,
     flits: u32,
     reserved: u32,
     sink: bool,
 }
 
-impl<P> InQueue<P> {
+impl InQueue {
     fn new() -> Self {
         InQueue {
             q: VecDeque::new(),
@@ -221,9 +270,9 @@ impl<P> InQueue<P> {
 /// [`NetEv`]s into [`Fabric::handle`] and schedules the `(delay, NetEv)`
 /// pairs the fabric pushes into its `out` argument.
 ///
-/// Cloning a `Fabric` (for checkpoint/fork) deep-copies every queue and
-/// all failure state, so a clone evolves identically to the original
-/// under the same event sequence.
+/// Cloning a `Fabric` (for checkpoint/fork) deep-copies every queue, the
+/// packet arena and all failure state, so a clone evolves identically to
+/// the original under the same event sequence.
 #[derive(Clone, Debug)]
 pub struct Fabric<P> {
     params: NetParams,
@@ -239,10 +288,12 @@ pub struct Fabric<P> {
     tables: RoutingTables,
     // Every injection and router output queue, indexed by `QueueRef`, with
     // each queue's wiring; `first_port[r]` is router `r`'s first port.
-    queues: Vec<[OutQueue<P>; Lane::COUNT]>,
+    // Queues hold handles into `arena`.
+    arena: Arena<P>,
+    queues: Vec<[OutQueue; Lane::COUNT]>,
     wires: Vec<Wire>,
     first_port: Vec<u32>,
-    node_in: Vec<[InQueue<P>; Lane::COUNT]>,
+    node_in: Vec<[InQueue; Lane::COUNT]>,
     in_flight_coherence: u64,
     last_coherence_delivery: Vec<SimTime>,
     counters: Counters,
@@ -297,6 +348,10 @@ impl<P: std::fmt::Debug> Fabric<P> {
             loss_rng: DetRng::new(0xF055_11AE),
             router_failed: vec![None; n_routers],
             tables: topo.initial_tables(),
+            arena: Arena {
+                slots: Vec::new(),
+                free: Vec::new(),
+            },
             queues: wires
                 .iter()
                 .map(|_| std::array::from_fn(|_| OutQueue::new()))
@@ -374,7 +429,8 @@ impl<P: std::fmt::Debug> Fabric<P> {
                 flits: pkt.flits,
             },
         );
-        self.enqueue(inj, pkt, now, out);
+        let h = self.arena.put(pkt);
+        self.enqueue(inj, h, now, out);
         Ok(())
     }
 
@@ -398,7 +454,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
     /// ejection-queue space. Returns `None` when the queue is empty.
     pub fn pop_input(&mut self, node: NodeId, lane: Lane) -> Option<Packet<P>> {
         let q = &mut self.node_in[node.index()][lane.index()];
-        let pkt = q.q.pop_front()?;
+        let pkt = self.arena.take(q.q.pop_front()?);
         q.flits -= pkt.flits;
         Some(pkt)
     }
@@ -417,7 +473,8 @@ impl<P: std::fmt::Debug> Fabric<P> {
         let mut pkt = None;
         for &lane in prio {
             let q = &mut lanes[lane.index()];
-            if let Some(p) = q.q.pop_front() {
+            if let Some(h) = q.q.pop_front() {
+                let p = self.arena.take(h);
                 q.flits -= p.flits;
                 pkt = Some(p);
                 break;
@@ -477,7 +534,9 @@ impl<P: std::fmt::Debug> Fabric<P> {
             let q = &mut self.node_in[node.index()][lane.index()];
             q.sink = sink;
             if sink {
-                q.q.clear();
+                for h in q.q.drain(..) {
+                    self.arena.take(h);
+                }
                 q.flits = 0;
             }
         }
@@ -623,7 +682,9 @@ impl<P: std::fmt::Debug> Fabric<P> {
         }
     }
 
-    fn drop_packet(&mut self, pkt: Packet<P>, reason: Counter, now: SimTime, obs: &mut Recorder) {
+    /// Discards packet `h`, freeing its slot.
+    fn drop_packet(&mut self, h: u32, reason: Counter, now: SimTime, obs: &mut Recorder) {
+        let pkt = self.arena.take(h);
         self.counters
             .add(Counter::LinksCrossed, u64::from(pkt.links_crossed));
         if pkt.lane.is_coherence() {
@@ -650,21 +711,17 @@ impl<P: std::fmt::Debug> Fabric<P> {
         }
     }
 
-    /// Appends `pkt` to queue `qr` on its lane. Only an idle queue needs a
-    /// kick: a non-empty one already has an event chain (an in-transit
-    /// Arrived or a blocked-head retry poll) in flight that will reach it.
-    fn enqueue(
-        &mut self,
-        qr: QueueRef,
-        pkt: Packet<P>,
-        now: SimTime,
-        out: &mut Vec<(SimDuration, NetEv)>,
-    ) {
+    /// Appends packet `h` to queue `qr` on its lane. Only an idle queue
+    /// needs a kick: a non-empty one already has an event chain (an
+    /// in-transit Arrived or a blocked-head retry poll) in flight that will
+    /// reach it.
+    fn enqueue(&mut self, qr: QueueRef, h: u32, now: SimTime, out: &mut Vec<(SimDuration, NetEv)>) {
+        let pkt = self.arena.get(h);
         let lane = pkt.lane;
         let q = &mut self.queues[qr.index()][lane.index()];
         q.flits += pkt.flits;
         let newly_head = q.q.is_empty();
-        q.q.push_back(pkt);
+        q.q.push_back(h);
         if newly_head {
             self.counters.incr(Counter::NetTrymoveKicks);
             q.head_since = now;
@@ -687,11 +744,11 @@ impl<P: std::fmt::Debug> Fabric<P> {
         obs: &mut Recorder,
     ) {
         let q = &mut self.queues[qr.index()][lane.index()];
-        let pkt = q.q.pop_front().expect("head checked");
-        q.flits -= pkt.flits;
+        let h = q.q.pop_front().expect("head checked");
+        q.flits -= self.arena.get(h).flits;
         q.head_since = now;
         let more = !q.q.is_empty();
-        self.drop_packet(pkt, reason, now, obs);
+        self.drop_packet(h, reason, now, obs);
         if more {
             out.push((SimDuration::ZERO, NetEv::TryMove(qr, lane)));
         }
@@ -712,8 +769,8 @@ impl<P: std::fmt::Debug> Fabric<P> {
         if self.router_failed[wire.at.index()].is_some() {
             q.in_transit = None;
             q.flits = 0;
-            for pkt in std::mem::take(&mut q.q) {
-                self.drop_packet(pkt, Counter::DropDeadRouterBuffer, now, obs);
+            for h in std::mem::take(&mut q.q) {
+                self.drop_packet(h, Counter::DropDeadRouterBuffer, now, obs);
             }
             return;
         }
@@ -722,9 +779,10 @@ impl<P: std::fmt::Debug> Fabric<P> {
         }
         // `Route` is `Copy` (inline source-route hops), so inspecting the
         // head costs no allocation.
-        let Some(head) = q.q.front() else {
+        let Some(&h) = q.q.front() else {
             return;
         };
+        let head = self.arena.get(h);
         let (dst, route, flits) = (head.dst, head.route, head.flits);
         let waited = now.since(q.head_since);
         match self.next_target(wire, lane, dst, route, flits, waited) {
@@ -817,10 +875,11 @@ impl<P: std::fmt::Debug> Fabric<P> {
             // The queue was drained (e.g. router died mid-transit).
             return;
         };
-        let Some(mut pkt) = q.q.pop_front() else {
+        let Some(h) = q.q.pop_front() else {
             return;
         };
-        q.flits -= pkt.flits;
+        let flits = self.arena.get(h).flits;
+        q.flits -= flits;
         q.head_since = now;
         // The vacated queue may move its next head. An emptied queue needs no
         // event: the next enqueue into it schedules its own TryMove.
@@ -828,9 +887,10 @@ impl<P: std::fmt::Debug> Fabric<P> {
             out.push((SimDuration::ZERO, NetEv::TryMove(qr, lane)));
         }
         if let Some((reserved, _)) = self.reservation(transit.target, lane, 0) {
-            *reserved = reserved.saturating_sub(pkt.flits);
+            *reserved = reserved.saturating_sub(flits);
         }
         if let Some(l) = self.wires[qr.index()].link {
+            let pkt = self.arena.get_mut(h);
             // Truncation: the link failed while the packet was on the wire.
             if self.link_failed[l.index()].is_some_and(|at| at > transit.send_time) {
                 pkt.truncated = true;
@@ -843,15 +903,15 @@ impl<P: std::fmt::Debug> Fabric<P> {
             }
             pkt.links_crossed += 1;
         }
-        self.place(pkt, lane, transit.target, now, out, delivered, obs);
+        self.place(h, lane, transit.target, now, out, delivered, obs);
     }
 
-    /// Places a packet that has completed a transit into its target: a node
-    /// input queue, a downstream router queue, or a sink.
+    /// Places packet `h`, which has completed a transit, into its target: a
+    /// node input queue, a downstream router queue, or a sink.
     #[allow(clippy::too_many_arguments)]
     fn place(
         &mut self,
-        pkt: Packet<P>,
+        h: u32,
         lane: Lane,
         target: Target,
         now: SimTime,
@@ -863,9 +923,10 @@ impl<P: std::fmt::Debug> Fabric<P> {
             Target::Node(nd) => {
                 let q = &mut self.node_in[nd.index()][lane.index()];
                 if q.sink {
-                    self.drop_packet(pkt, Counter::DropDeadNode, now, obs);
+                    self.drop_packet(h, Counter::DropDeadNode, now, obs);
                     return;
                 }
+                let pkt = self.arena.get(h);
                 self.counters
                     .add(Counter::LinksCrossed, u64::from(pkt.links_crossed));
                 let hops = pkt.links_crossed.min(u32::from(u8::MAX)) as u8;
@@ -875,7 +936,7 @@ impl<P: std::fmt::Debug> Fabric<P> {
                 }
                 q.flits += pkt.flits;
                 let truncated = pkt.truncated;
-                q.q.push_back(pkt);
+                q.q.push_back(h);
                 self.counters.incr(Counter::PacketsDelivered);
                 obs.record(
                     Domain::Net,
@@ -893,14 +954,12 @@ impl<P: std::fmt::Debug> Fabric<P> {
             }
             Target::Queue(qr) => {
                 if self.router_failed[self.wires[qr.index()].at.index()].is_some() {
-                    self.drop_packet(pkt, Counter::DropDeadRouter, now, obs);
+                    self.drop_packet(h, Counter::DropDeadRouter, now, obs);
                     return;
                 }
-                self.enqueue(qr, pkt, now, out);
+                self.enqueue(qr, h, now, out);
             }
-            Target::Sink(reason) => {
-                self.drop_packet(pkt, reason, now, obs);
-            }
+            Target::Sink(reason) => self.drop_packet(h, reason, now, obs),
         }
     }
 }
@@ -985,6 +1044,17 @@ mod tests {
     fn conservation_ok(f: &Fabric<u32>) -> bool {
         let c = f.counters();
         c.get("packets_sent") >= c.get("packets_delivered") + c.get("packets_dropped")
+    }
+
+    /// Asserts that the fabric holds no packet: no arena slot is live and
+    /// the free list names every slot once.
+    fn assert_arena_empty(f: &Fabric<u32>, what: &str) {
+        assert_eq!(f.arena.live(), 0, "{what}: live packet slots");
+        let mut free = f.arena.free.clone();
+        free.sort_unstable();
+        free.dedup();
+        let all: Vec<u32> = (0..f.arena.slots.len() as u32).collect();
+        assert_eq!(free, all, "{what}: the free list must cover the arena");
     }
 
     #[test]
@@ -1145,6 +1215,53 @@ mod tests {
         assert!(w.notes.is_empty());
         assert_eq!(w.fabric.counters().get("drop_dead_node"), 1);
         assert_eq!(w.fabric.in_flight_coherence(), 0);
+    }
+
+    #[test]
+    fn dead_node_frees_its_queued_input() {
+        let (mut w, mut engine) = net(2, 1);
+        let lanes = [Lane::Request, Lane::Request, Lane::Reply, Lane::Recovery0];
+        for (i, lane) in lanes.into_iter().enumerate() {
+            let pkt = Packet::table_routed(NodeId(0), NodeId(1), lane, 9, i as u32);
+            send(&mut w, &mut engine, pkt, NodeId(0));
+        }
+        engine.run(&mut w, SimTime::MAX);
+        assert_eq!(w.fabric.input_len(NodeId(1), Lane::Request), 2);
+        assert_eq!(w.fabric.arena.live(), 4);
+        w.fabric.set_node_sink(NodeId(1), true);
+        for lane in Lane::ALL {
+            assert_eq!(w.fabric.input_len(NodeId(1), lane), 0);
+        }
+        assert_arena_empty(&w.fabric, "after set_node_sink");
+    }
+
+    #[test]
+    fn dead_router_frees_its_buffers() {
+        // Node 2 consumes nothing, so traffic from node 0 fills its
+        // ejection queue and backs up into routers 1 and 0.
+        let (mut w, mut engine) = net(3, 1);
+        let mut sent = 0;
+        for i in 0..60 {
+            let pkt = Packet::table_routed(NodeId(0), NodeId(2), Lane::Request, 9, i);
+            if offer(&mut w, &mut engine, pkt, NodeId(0)).is_ok() {
+                sent += 1;
+            }
+            engine.run(&mut w, engine.now() + SimDuration::from_nanos(200));
+        }
+        engine.run(&mut w, engine.now() + SimDuration::from_micros(50));
+        assert_eq!(w.fabric.input_len(NodeId(2), Lane::Request), 28);
+        let toward_2 = w.fabric.port(RouterId(1), RouterId(2)).unwrap();
+        let buffered = w.fabric.queues[toward_2.index()][Lane::Request.index()]
+            .q
+            .len();
+        assert!(buffered > 0, "router 1 buffers packets");
+        w.fabric.fail_router(RouterId(1), engine.now());
+        engine.run(&mut w, SimTime::MAX);
+        while w.fabric.pop_input(NodeId(2), Lane::Request).is_some() {}
+        let c = w.fabric.counters();
+        assert_eq!(c.get("drop_dead_router_buffer"), buffered as u64);
+        assert_eq!(c.get("packets_delivered") + c.get("packets_dropped"), sent);
+        assert_arena_empty(&w.fabric, "after the dead-router drain");
     }
 
     #[test]
@@ -1393,6 +1510,7 @@ mod tests {
                 sent
             );
             assert_eq!(w.fabric.in_flight_coherence(), 0, "case {case}");
+            assert_arena_empty(&w.fabric, &format!("case {case}"));
             assert_eq!(w.obs.dropped_total(), 0, "case {case}: trace incomplete");
             folded = (folded ^ w.obs.merged_hash()).wrapping_mul(0x0000_0100_0000_01b3);
         }
